@@ -4,6 +4,7 @@ from .errors import (
     DefectiveEigenstructure,
     DimensionMismatch,
     DivisionByZero,
+    InternalError,
     InvalidArity,
     NotReduced,
     NotSemiInvariant,

@@ -2,19 +2,21 @@
 
 Exit codes: 0 definitive success, 1 definitive negative verdict (carrying a
 witness), 2 inconclusive within the configured bounds, 3 input or usage
-error.  The separation keeps scripts from mistaking bound-limited
-incompleteness for refutation.
+error, 4 internal error.  The separation keeps scripts from mistaking
+bound-limited incompleteness, or a bug, for refutation.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from . import jsonio
 from .constructions import parse_construction
 from .errors import (
     DefectiveEigenstructure,
+    InternalError,
     NotReduced,
     NotSemiInvariant,
     NotSplit,
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 _VERDICT_ERRORS = (NotSemiInvariant, NotSplit, DefectiveEigenstructure, NotStable, NotReduced)
 
@@ -442,6 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _internal_error(exc):
+    """Payload and exit code for a bug; the traceback goes to stderr."""
+    traceback.print_exception(exc, file=sys.stderr)
+    message = str(exc) or type(exc).__name__
+    return {"ok": False, "error": {"reason": InternalError.reason, "message": message}}, EXIT_INTERNAL
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -451,6 +461,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         payload, code = args.fn(args)
+    except InternalError as exc:
+        payload, code = _internal_error(exc)
     except _VERDICT_ERRORS as exc:
         payload, code = (
             {"ok": False, "error": {"reason": exc.reason, "message": str(exc)}},
@@ -466,6 +478,8 @@ def main(argv=None) -> int:
             {"ok": False, "error": {"reason": "usage_error", "message": str(exc)}},
             EXIT_USAGE,
         )
+    except Exception as exc:
+        payload, code = _internal_error(exc)
     _emit(payload, args.out)
     return code
 

@@ -49,3 +49,9 @@ class DefectiveEigenstructure(RedformError):
 
 class NotReduced(RedformError):
     reason = "not_reduced"
+
+
+class InternalError(RedformError):
+    """A self-check of the library failed: a bug, never a verdict."""
+
+    reason = "internal_error"

@@ -1,4 +1,4 @@
-"""Dense exact matrices over pluggable scalar rings.
+"""Exact matrices over pluggable scalar rings.
 
 A ring object supplies ``zero``, ``one``, ``promote`` and ``is_unit``; the
 scalars themselves implement Python arithmetic operators.  The same matrix
@@ -6,11 +6,30 @@ code then serves exact rationals, rational functions and truncated power
 series.  Reduced row echelon form and null spaces are only meaningful over
 the field-like rings (rationals, rational functions) and use the documented
 canonical pivot order: lowest column index first, pivots normalized to one.
+
+Over the rationals (``QQ``) every elimination runs on Python ints.  Each row
+is multiplied by the lcm of its denominators, which leaves its span alone:
+
+* ``rref`` (and through it ``inv``, ``nullspace``, ``rank``, ``solve``,
+  ``row_space_canonical`` and ``in_span``) is a Gauss-Jordan elimination on
+  sparse ``{column: int}`` rows with fraction-free cross-multiplication,
+  each updated row divided by the gcd of its entries.  The reduced row
+  echelon form of a matrix is unique, so whatever pivot rows the elimination
+  picks, the result converted back to ``Fraction`` is the same matrix the
+  dense field elimination gives, zero rows included.
+* ``det`` is Bareiss's fraction-free elimination (Bareiss 1968), divided at
+  the end by the product of the row scales.
+* ``charpoly`` reduces the matrix to upper Hessenberg form by similarity and
+  reads the polynomial off the Hessenberg recurrence (Cohen, *A Course in
+  Computational Algebraic Number Theory*, Alg. 2.2.9).
+
+Other rings use the dense loops over their own scalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import SingularGauge
 from .ratfun import Poly, RatFn, as_ratfn
@@ -206,12 +225,19 @@ class Mat:
         return all(a == zero for row in self.data for a in row)
 
     def det(self):
-        """Exact determinant; cofactor expansion for small sizes, Gauss above."""
+        """Exact determinant.
+
+        Over the rationals, Bareiss's fraction-free elimination on the
+        integer-cleared rows; over other rings, cofactor expansion up to
+        size 5 and Gaussian elimination above.
+        """
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
         if n == 0:
             return self.ring.one
+        if isinstance(self.ring, FractionField):
+            return _det_bareiss(self.data)
         if n <= 5:
             return self._det_cofactor(tuple(range(n)), 0, {})
         return self._det_gauss()
@@ -268,6 +294,11 @@ class Mat:
             raise ValueError("inverse of a non-square matrix")
         ring = self.ring
         n = self.rows
+        if isinstance(ring, FractionField):
+            reduced, pivots = self.hstack(Mat.identity(ring, n)).rref()
+            if pivots[:n] != tuple(range(n)):
+                raise SingularGauge("matrix is not invertible")
+            return Mat(ring, [row[n:] for row in reduced.data])
         work = [list(row) + list(idrow) for row, idrow in zip(self.data, Mat.identity(ring, n).data)]
         for col in range(n):
             pivot = None
@@ -292,6 +323,8 @@ class Mat:
     def rref(self):
         """Reduced row echelon form over a field; returns (matrix, pivot cols)."""
         ring = self.ring
+        if isinstance(ring, FractionField):
+            return _rref_integer(self)
         work = [list(row) for row in self.data]
         pivots = []
         r = 0
@@ -317,6 +350,93 @@ class Mat:
             pivots.append(col)
             r += 1
         return Mat(ring, work), tuple(pivots)
+
+
+def _integer_row(row):
+    """The rational row times the lcm of its denominators, as its nonzero
+    entries ``{column: int}``, and that lcm."""
+    nonzero = {j: a for j, a in enumerate(row) if a}
+    scale = lcm(*(a.denominator for a in nonzero.values()))
+    return {j: a.numerator * (scale // a.denominator) for j, a in nonzero.items()}, scale
+
+
+def _rref_integer(m: Mat):
+    """Gauss-Jordan over Q on sparse integer rows; same result as the dense
+    field elimination because the reduced row echelon form is unique."""
+    active = [row for row, _ in map(_integer_row, m.data) if row]
+    done = []
+    pivots = []
+    for col in range(m.cols):
+        if not active:
+            break
+        cands = [k for k, row in enumerate(active) if col in row]
+        if not cands:
+            continue
+        # the shortest candidate keeps the fill-in of the other rows low
+        pivot_row = active.pop(min(cands, key=lambda k: len(active[k])))
+        active = [_eliminate(row, pivot_row, col) if col in row else row for row in active]
+        active = [row for row in active if row]
+        done = [_eliminate(row, pivot_row, col) if col in row else row for row in done]
+        done.append(pivot_row)
+        pivots.append(col)
+    zero = Fraction(0)
+    out = []
+    for col, row in zip(pivots, done):
+        dense = [zero] * m.cols
+        pv = row[col]
+        for j, v in row.items():
+            dense[j] = Fraction(v, pv)
+        out.append(dense)
+    out.extend([zero] * m.cols for _ in range(m.rows - len(done)))
+    return Mat(m.ring, out), tuple(pivots)
+
+
+def _eliminate(row, pivot_row, col):
+    """``row`` with its ``col`` entry cleared by ``pivot_row``, made primitive."""
+    pv = pivot_row[col]
+    g = gcd(pv, row[col])
+    a, b = pv // g, row[col] // g
+    out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    for j, v in pivot_row.items():
+        w = out.get(j, 0) - b * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    content = gcd(*out.values())
+    if content > 1:
+        out = {j: v // content for j, v in out.items()}
+    return out
+
+
+def _det_bareiss(data):
+    """Determinant of a square rational matrix by Bareiss elimination."""
+    n = len(data)
+    work = []
+    scale = 1
+    for row in data:
+        ints, s = _integer_row(row)
+        work.append([ints.get(j, 0) for j in range(n)])
+        scale *= s
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if not work[k][k]:
+            swap = next((i for i in range(k + 1, n) if work[i][k]), None)
+            if swap is None:
+                return Fraction(0)
+            work[k], work[swap] = work[swap], work[k]
+            sign = -sign
+        pivot_row = work[k]
+        pv = pivot_row[k]
+        for i in range(k + 1, n):
+            row = work[i]
+            f = row[k]
+            work[i] = row[: k + 1] + [
+                (pv * a - f * b) // prev for a, b in zip(row[k + 1 :], pivot_row[k + 1 :])
+            ]
+        prev = pv
+    return Fraction(sign * prev, scale)
 
 
 def _dot(row, col):
@@ -392,36 +512,45 @@ def in_span(vectors, target, ring):
 def charpoly(m: Mat) -> Poly:
     """Characteristic polynomial det(T*I - m) of a rational matrix.
 
-    Computed by evaluation at n+1 integer points and Lagrange interpolation,
-    reusing the exact determinant.
+    The matrix is reduced to upper Hessenberg form H by similarity (row and
+    column swaps, then eliminations below the subdiagonal), and the
+    characteristic polynomials p_k of the leading k x k blocks of H follow
+    from the recurrence
+    p_k = (T - h_kk) p_{k-1} - sum_i h_{k-i,k} h_{k,k-1}...h_{k-i+1,k-i} p_{k-i-1}.
     """
     if not isinstance(m.ring, FractionField):
         raise TypeError("charpoly expects a matrix over the rationals")
     n = m.rows
-    if n == 0:
-        return Poly.ONE
-    points = list(range(n + 1))
-    values = []
-    for t in points:
-        shifted = Mat(
-            QQ,
-            [
-                [
-                    (Fraction(t) if i == j else Fraction(0)) - m.data[i][j]
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ],
-        )
-        values.append(shifted.det())
-    result = Poly()
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        if yi == 0:
+    h = [list(row) for row in m.data]
+    for k in range(1, n - 1):
+        swap = next((i for i in range(k, n) if h[i][k - 1]), None)
+        if swap is None:
             continue
-        term = Poly.const(yi)
-        for j, xj in enumerate(points):
-            if j == i:
+        if swap != k:
+            h[swap], h[k] = h[k], h[swap]
+            for row in h:
+                row[swap], row[k] = row[k], row[swap]
+        t = h[k][k - 1]
+        for i in range(k + 1, n):
+            u = h[i][k - 1] / t
+            if not u:
                 continue
-            term = term * Poly((Fraction(-xj, xi - xj), Fraction(1, xi - xj)))
-        result = result + term
-    return result
+            h[i] = [a - u * b for a, b in zip(h[i], h[k])]
+            for row in h:
+                row[k] += u * row[i]
+    polys = [[Fraction(1)]]
+    for k in range(n):
+        prev = polys[k]
+        p = [Fraction(0)] + prev
+        for d, c in enumerate(prev):
+            p[d] -= h[k][k] * c
+        t = Fraction(1)
+        for i in range(1, k + 1):
+            t *= h[k - i + 1][k - i]
+            if not t:
+                break
+            c = t * h[k - i][k]
+            for d, e in enumerate(polys[k - i]):
+                p[d] -= c * e
+        polys.append(p)
+    return Poly(polys[n])

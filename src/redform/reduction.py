@@ -34,6 +34,7 @@ from .constructions import (
 from .errors import (
     DefectiveEigenstructure,
     DimensionMismatch,
+    InternalError,
     NotSemiInvariant,
     NotSplit,
     NotStable,
@@ -188,7 +189,8 @@ def constant_basis_subspace(sys: DiffSystem, c: Construction, w_vectors):
             row[i] = sign * coeff
         rows.append(row)
     kernel = nullspace(Mat(QQ, rows))
-    assert len(kernel) == d, "wedge kernel dimension mismatch"
+    if len(kernel) != d:
+        raise InternalError("wedge kernel dimension mismatch")
     return [tuple(v) for v in kernel]
 
 
@@ -452,7 +454,8 @@ def reduce_by_diagonalization(sys: DiffSystem, endo: Mat, m: int) -> ReductionCe
         basis=tuple(basis),
         coeffs=tuple(coeffs),
     )
-    assert cert.verify(sys), "certificate failed self-verification"
+    if not cert.verify(sys):
+        raise InternalError("certificate failed self-verification")
     return cert
 
 
@@ -480,7 +483,8 @@ def _diagonal_decomposition(b: Mat):
     coords = []
     for i in range(n):
         sol = solve(span, rows[i])
-        assert sol is not None
+        if sol is None:
+            raise InternalError("diagonal entry outside its own canonical span")
         coords.append(sol)
     for j in range(len(canon)):
         gen = Mat(

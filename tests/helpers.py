@@ -118,12 +118,11 @@ def const_vec(values):
 # oracle where the production solver must not check itself.
 
 
-def oracle_nullspace(rows):
-    """Null space basis of a Fraction matrix given as a list of row lists."""
-    if not rows:
-        return []
+def oracle_rref(rows):
+    """Reduced row echelon form and pivot columns of a Fraction matrix given
+    as a list of row lists, by dense Gauss-Jordan elimination."""
     work = [list(map(Fraction, r)) for r in rows]
-    cols = len(work[0])
+    cols = len(work[0]) if work else 0
     pivots = []
     r = 0
     for c in range(cols):
@@ -139,6 +138,15 @@ def oracle_nullspace(rows):
                 work[k] = [a - f * b for a, b in zip(work[k], work[r])]
         pivots.append(c)
         r += 1
+    return work, pivots
+
+
+def oracle_nullspace(rows):
+    """Null space basis of a Fraction matrix given as a list of row lists."""
+    if not rows:
+        return []
+    work, pivots = oracle_rref(rows)
+    cols = len(work[0])
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
@@ -148,3 +156,15 @@ def oracle_nullspace(rows):
             vec[p] = -work[rr][f]
         basis.append(vec)
     return basis
+
+
+def oracle_det(rows):
+    """Determinant of a square Fraction matrix by Laplace expansion."""
+    if not rows:
+        return Fraction(1)
+    total = Fraction(0)
+    for j, a in enumerate(rows[0]):
+        if a:
+            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+            total += (-1) ** j * a * oracle_det(minor)
+    return total

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from redform import cli
 from redform.cli import main
+from redform.reduction import ReductionCertificate
 from redform.jsonio import system_from_json
 
 DEMO = {"var": "x", "n": 2, "A": [["0", "1"], ["x", "1/(2*x)"]]}
@@ -186,6 +188,32 @@ class TestUsageErrors:
 
     def test_unknown_command_is_usage(self, capsys):
         assert main(["frobnicate"]) == 3
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_4(self, work, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli, "cmd_pullback", boom)
+        tmp, write = work
+        sys_path = write("a.json", DEMO)
+        code = main(["pullback", "--system", sys_path, "--pullback", "2"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.out)["error"] == {"reason": "internal_error", "message": "unexpected"}
+        assert "RuntimeError: unexpected" in captured.err
+
+    def test_failed_self_check_exits_4(self, work, capsys, monkeypatch):
+        monkeypatch.setattr(ReductionCertificate, "verify", lambda self, sys_: False)
+        tmp, write = work
+        sys_path = write("a.json", DEMO)
+        swap_path = write("n.json", SWAP)
+        code, payload = run(
+            ["reduce", "--system", sys_path, "--semiinv", swap_path, "--pullback", "2"],
+            capsys,
+        )
+        assert code == 4 and payload["error"]["reason"] == "internal_error"
 
 
 class TestStability:

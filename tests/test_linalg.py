@@ -8,7 +8,7 @@ import pytest
 from redform import Mat, Poly, QQ, RF, SingularGauge
 from redform.linalg import charpoly, in_span, mat_vec, nullspace, rank, row_space_canonical, solve
 
-from helpers import rand_invertible, rand_matrix
+from helpers import oracle_det, oracle_rref, rand_invertible, rand_matrix
 
 
 def test_inverse_roundtrip_rational_functions():
@@ -88,3 +88,76 @@ def test_series_ring_inverse_via_mat():
     m = Mat(ring, [[ring.one + t, t], [ring.zero, ring.one]])
     inv = m.inv()
     assert (m * inv) == Mat.identity(ring, 2)
+
+
+# ---------------------------------------------------------------------------
+# The integer elimination over QQ against a dense Fraction oracle
+
+
+def _check_against_oracle(rows):
+    m = Mat(QQ, rows)
+    reduced, pivots = m.rref()
+    want, want_pivots = oracle_rref(rows)
+    assert reduced.data == tuple(tuple(r) for r in want)
+    assert pivots == tuple(want_pivots)
+    if m.is_square:
+        n = m.rows
+        assert m.det() == oracle_det(m.data)
+        p = charpoly(m)
+        assert p.degree == n and p.leading == 1
+        for t in range(n + 1):
+            shifted = [
+                [(t if i == j else 0) - m.data[i][j] for j in range(n)] for i in range(n)
+            ]
+            assert p(t) == oracle_det(shifted)
+
+
+_BIG = 10**20 + 39
+
+
+def _rand_entry(rng):
+    if rng.random() < 0.45:
+        return Fraction(0)
+    num = rng.choice([rng.randint(-9, 9), rng.randint(-_BIG, _BIG)])
+    return Fraction(num, rng.choice([1, 1, 2, -3, 7, -_BIG, 2**61 - 1]))
+
+
+def test_qq_kernel_matches_dense_oracle_seeded():
+    rng = random.Random(2024)
+    for _ in range(120):
+        rows_n, cols_n = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [[_rand_entry(rng) for _ in range(cols_n)] for _ in range(rows_n)]
+        if rows_n > 2 and rng.random() < 0.4:
+            # rank deficiency: a combination of two earlier rows
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+            rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+        _check_against_oracle(rows)
+        _check_against_oracle([row[: min(rows_n, cols_n)] for row in rows[: min(rows_n, cols_n)]])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 0, 0], [0, 0, 0]],
+        [[0]],
+        [[Fraction(-7, 3)]],
+        [[1, 2], [2, 4]],
+        [[1, 2, 3, 4, 5], [2, 4, 6, 8, 10]],
+        [[0, 1, 2, 3], [0, 2, 4, 7]],
+        [[Fraction(1, _BIG), Fraction(-2, 3)], [Fraction(-_BIG, 5), Fraction(1, -_BIG)]],
+        # zero subdiagonal entry: the Hessenberg step must swap rows 1 and 2
+        [[1, 2, 3], [0, 4, 5], [6, 7, 8]],
+        [[2, 0, 1, 0], [0, 3, 0, 1], [1, 1, 0, 0], [0, 0, 1, 5]],
+    ],
+)
+def test_qq_kernel_edge_cases(rows):
+    _check_against_oracle([[Fraction(a) for a in row] for row in rows])
+
+
+def test_qq_kernel_empty_shapes():
+    empty = Mat(QQ, [])
+    assert empty.rref() == (empty, ())
+    assert empty.det() == 1 and charpoly(empty) == Poly.ONE
+    no_cols = Mat(QQ, [[], []])
+    assert no_cols.rref() == (no_cols, ())
+    assert nullspace(no_cols) == []

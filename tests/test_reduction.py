@@ -32,8 +32,10 @@ from redform import (
     verify_reduction_matrix,
     wei_norman,
 )
+from redform import reduction
+from redform.errors import InternalError
 from redform.linalg import rank
-from redform.reduction import lie_basis_flags
+from redform.reduction import ReductionCertificate, lie_basis_flags
 
 from helpers import (
     demo_system,
@@ -267,6 +269,26 @@ class TestReduceByDiagonalization:
         jordan = Mat(RF, [[rf("0"), rf("1")], [rf("0"), rf("0")]])
         with pytest.raises(DefectiveEigenstructure):
             reduce_by_diagonalization(zero, jordan, 1)
+
+
+class TestInternalGates:
+    """Self-checks raise InternalError, which survives ``python -O``."""
+
+    def test_wedge_kernel_dimension(self, monkeypatch):
+        monkeypatch.setattr(reduction, "nullspace", lambda m: [])
+        w = [(rf("5*t^2", "t"), rf("0", "t"))]
+        with pytest.raises(InternalError, match="wedge kernel"):
+            constant_basis_subspace(reduced_demo(), Base(), w)
+
+    def test_certificate_self_verification(self, monkeypatch):
+        monkeypatch.setattr(ReductionCertificate, "verify", lambda self, sys_: False)
+        with pytest.raises(InternalError, match="self-verification"):
+            reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
+
+    def test_generator_extraction_solve(self, monkeypatch):
+        monkeypatch.setattr(reduction, "solve", lambda m, rhs: None)
+        with pytest.raises(InternalError, match="canonical span"):
+            reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
 
 
 class TestCriterionConsistency:
