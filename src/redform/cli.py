@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 
 from . import jsonio
 from .constructions import parse_construction
@@ -447,6 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _internal_error(exc):
     """Payload and exit code for a bug; the traceback goes to stderr."""
+    import traceback
+
     traceback.print_exception(exc, file=sys.stderr)
     message = str(exc) or type(exc).__name__
     return {"ok": False, "error": {"reason": InternalError.reason, "message": message}}, EXIT_INTERNAL

@@ -7,23 +7,24 @@ series.  Reduced row echelon form and null spaces are only meaningful over
 the field-like rings (rationals, rational functions) and use the documented
 canonical pivot order: lowest column index first, pivots normalized to one.
 
-Over the rationals (``QQ``) every elimination runs on Python ints.  Each row
-is multiplied by the lcm of its denominators, which leaves its span alone:
+Over the rationals (``QQ``), ``rref`` and ``charpoly`` work on Python ints
+rather than ``Fraction`` entries:
 
-* ``rref`` (and through it ``inv``, ``nullspace``, ``rank``, ``solve``,
-  ``row_space_canonical`` and ``in_span``) is a Gauss-Jordan elimination on
-  sparse ``{column: int}`` rows with fraction-free cross-multiplication,
-  each updated row divided by the gcd of its entries.  The reduced row
-  echelon form of a matrix is unique, so whatever pivot rows the elimination
-  picks, the result converted back to ``Fraction`` is the same matrix the
-  dense field elimination gives, zero rows included.
-* ``det`` is Bareiss's fraction-free elimination (Bareiss 1968), divided at
-  the end by the product of the row scales.
-* ``charpoly`` reduces the matrix to upper Hessenberg form by similarity and
-  reads the polynomial off the Hessenberg recurrence (Cohen, *A Course in
-  Computational Algebraic Number Theory*, Alg. 2.2.9).
+* ``rref`` (and through it ``nullspace``, ``rank``, ``solve``,
+  ``row_space_canonical`` and ``in_span``) multiplies each row by the lcm of
+  its denominators, which leaves the row space alone, and runs Gauss-Jordan
+  elimination on sparse ``{column: int}`` rows with fraction-free
+  cross-multiplication, each updated row divided by the gcd of its entries.
+  The reduced row echelon form of a matrix is unique, so whatever pivot rows
+  the elimination picks, the result converted back to ``Fraction`` is the
+  same matrix the dense field elimination gives, zero rows included.
+* ``charpoly`` scales the matrix to integers by the lcm d of all its
+  denominators, takes the characteristic polynomial of the integer matrix
+  with Berkowitz's division-free algorithm (Berkowitz 1984), and rescales:
+  p_M(T) = d^-n p_dM(d T).
 
-Other rings use the dense loops over their own scalars.
+``det`` and ``inv`` keep the dense loops over the ring's own scalars for every
+ring; the program calls them on matrices of rational functions only.
 """
 
 from __future__ import annotations
@@ -225,19 +226,12 @@ class Mat:
         return all(a == zero for row in self.data for a in row)
 
     def det(self):
-        """Exact determinant.
-
-        Over the rationals, Bareiss's fraction-free elimination on the
-        integer-cleared rows; over other rings, cofactor expansion up to
-        size 5 and Gaussian elimination above.
-        """
+        """Exact determinant; cofactor expansion for small sizes, Gauss above."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
         if n == 0:
             return self.ring.one
-        if isinstance(self.ring, FractionField):
-            return _det_bareiss(self.data)
         if n <= 5:
             return self._det_cofactor(tuple(range(n)), 0, {})
         return self._det_gauss()
@@ -294,11 +288,6 @@ class Mat:
             raise ValueError("inverse of a non-square matrix")
         ring = self.ring
         n = self.rows
-        if isinstance(ring, FractionField):
-            reduced, pivots = self.hstack(Mat.identity(ring, n)).rref()
-            if pivots[:n] != tuple(range(n)):
-                raise SingularGauge("matrix is not invertible")
-            return Mat(ring, [row[n:] for row in reduced.data])
         work = [list(row) + list(idrow) for row, idrow in zip(self.data, Mat.identity(ring, n).data)]
         for col in range(n):
             pivot = None
@@ -354,16 +343,16 @@ class Mat:
 
 def _integer_row(row):
     """The rational row times the lcm of its denominators, as its nonzero
-    entries ``{column: int}``, and that lcm."""
+    entries ``{column: int}``."""
     nonzero = {j: a for j, a in enumerate(row) if a}
     scale = lcm(*(a.denominator for a in nonzero.values()))
-    return {j: a.numerator * (scale // a.denominator) for j, a in nonzero.items()}, scale
+    return {j: a.numerator * (scale // a.denominator) for j, a in nonzero.items()}
 
 
 def _rref_integer(m: Mat):
     """Gauss-Jordan over Q on sparse integer rows; same result as the dense
     field elimination because the reduced row echelon form is unique."""
-    active = [row for row, _ in map(_integer_row, m.data) if row]
+    active = [row for row in map(_integer_row, m.data) if row]
     done = []
     pivots = []
     for col in range(m.cols):
@@ -407,36 +396,6 @@ def _eliminate(row, pivot_row, col):
     if content > 1:
         out = {j: v // content for j, v in out.items()}
     return out
-
-
-def _det_bareiss(data):
-    """Determinant of a square rational matrix by Bareiss elimination."""
-    n = len(data)
-    work = []
-    scale = 1
-    for row in data:
-        ints, s = _integer_row(row)
-        work.append([ints.get(j, 0) for j in range(n)])
-        scale *= s
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if not work[k][k]:
-            swap = next((i for i in range(k + 1, n) if work[i][k]), None)
-            if swap is None:
-                return Fraction(0)
-            work[k], work[swap] = work[swap], work[k]
-            sign = -sign
-        pivot_row = work[k]
-        pv = pivot_row[k]
-        for i in range(k + 1, n):
-            row = work[i]
-            f = row[k]
-            work[i] = row[: k + 1] + [
-                (pv * a - f * b) // prev for a, b in zip(row[k + 1 :], pivot_row[k + 1 :])
-            ]
-        prev = pv
-    return Fraction(sign * prev, scale)
 
 
 def _dot(row, col):
@@ -512,45 +471,35 @@ def in_span(vectors, target, ring):
 def charpoly(m: Mat) -> Poly:
     """Characteristic polynomial det(T*I - m) of a rational matrix.
 
-    The matrix is reduced to upper Hessenberg form H by similarity (row and
-    column swaps, then eliminations below the subdiagonal), and the
-    characteristic polynomials p_k of the leading k x k blocks of H follow
-    from the recurrence
-    p_k = (T - h_kk) p_{k-1} - sum_i h_{k-i,k} h_{k,k-1}...h_{k-i+1,k-i} p_{k-i-1}.
+    With d the lcm of the denominators, N = d*m is an integer matrix and
+    det(T*I - m) = d^-n det(d*T*I - N).  Berkowitz's algorithm gets the
+    characteristic polynomial p_k of each leading k x k block N_k of N without
+    division: with r = N[k][:k], c = N[:k][k] and the vector
+    q = (1, -N[k][k], -r c, -r N_k c, ..., -r N_k^(k-1) c), the coefficients
+    of p_(k+1), highest degree first, are the first k+2 of the convolution
+    of q with those of p_k.
     """
     if not isinstance(m.ring, FractionField):
         raise TypeError("charpoly expects a matrix over the rationals")
     n = m.rows
-    h = [list(row) for row in m.data]
-    for k in range(1, n - 1):
-        swap = next((i for i in range(k, n) if h[i][k - 1]), None)
-        if swap is None:
-            continue
-        if swap != k:
-            h[swap], h[k] = h[k], h[swap]
-            for row in h:
-                row[swap], row[k] = row[k], row[swap]
-        t = h[k][k - 1]
-        for i in range(k + 1, n):
-            u = h[i][k - 1] / t
-            if not u:
-                continue
-            h[i] = [a - u * b for a, b in zip(h[i], h[k])]
-            for row in h:
-                row[k] += u * row[i]
-    polys = [[Fraction(1)]]
+    d = lcm(*(a.denominator for row in m.data for a in row))
+    a = [[e.numerator * (d // e.denominator) for e in row] for row in m.data]
+    p = [1]
     for k in range(n):
-        prev = polys[k]
-        p = [Fraction(0)] + prev
-        for d, c in enumerate(prev):
-            p[d] -= h[k][k] * c
-        t = Fraction(1)
-        for i in range(1, k + 1):
-            t *= h[k - i + 1][k - i]
-            if not t:
-                break
-            c = t * h[k - i][k]
-            for d, e in enumerate(polys[k - i]):
-                p[d] -= c * e
-        polys.append(p)
-    return Poly(polys[n])
+        # residue matrices are sparse, so the products run over nonzero
+        # (column, entry) pairs of r and of the rows of N_k only
+        block = [[(j, x) for j, x in enumerate(row[:k]) if x] for row in a[:k]]
+        r = [(j, x) for j, x in enumerate(a[k][:k]) if x]
+        q = [1, -a[k][k]]
+        v = [row[k] for row in a[:k]]
+        for i in range(k):
+            if i:
+                v = [sum(x * v[j] for j, x in row) for row in block]
+            q.append(-sum(x * v[j] for j, x in r))
+        p = [
+            sum(q[i - j] * p[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    # p[k] is the coefficient of T^(n-k) in det(T*I - N); in det(T*I - m)
+    # it is divided by d^k
+    return Poly([Fraction(c, d ** k) for k, c in enumerate(p)][::-1])
