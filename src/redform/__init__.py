@@ -17,7 +17,6 @@ from .errors import (
 )
 from .ratfun import (
     Poly,
-    Rat,
     RatFn,
     parse_rat,
     parse_ratfn,

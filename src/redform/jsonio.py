@@ -8,13 +8,11 @@ separators) and every value re-parses to an equal object.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import ParseError
 from .linalg import Mat, QQ, RF
 from .ratfun import RatFn, parse_rat, parse_ratfn, ratfn_str
 from .reduction import LieBasis, ReductionCertificate
-from .solutions import SemiInvariant
 from .constructions import parse_construction
 from .systems import DiffSystem
 
@@ -78,10 +76,6 @@ def matrix_from_json(payload, fallback_var=None) -> tuple:
     return var, lists_to_matrix(payload[key], var)
 
 
-def vector_to_json(v, var: str) -> dict:
-    return {"var": var, "v": [ratfn_str(e, var) for e in v]}
-
-
 def vector_from_json(payload, fallback_var=None):
     var = payload.get("var", fallback_var) if isinstance(payload, dict) else None
     if var is None:
@@ -106,13 +100,6 @@ def lie_basis_from_json(payload) -> LieBasis:
     else:
         raise ParseError("empty basis needs an explicit 'n'")
     return LieBasis(n, tuple(mats))
-
-
-def lie_basis_to_json(basis: LieBasis) -> dict:
-    return {
-        "n": basis.n,
-        "generators": [[[str(e) for e in row] for row in g.data] for g in basis.generators],
-    }
 
 
 def end_basis_from_json(payload):
@@ -177,14 +164,6 @@ def certificate_from_json(payload) -> ReductionCertificate:
     )
 
 
-def semi_invariant_to_json(si: SemiInvariant, var: str) -> dict:
-    return {
-        "constr": str(si.constr),
-        "v": [ratfn_str(e, var) for e in si.vector],
-        "rate": ratfn_str(si.rate, var),
-    }
-
-
 def series_to_json(series) -> dict:
     return {
         "var": series.var,
@@ -206,7 +185,3 @@ def load_json(path: str):
         raise ParseError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-
-
-def fraction_str(q: Fraction) -> str:
-    return str(q)

@@ -85,6 +85,16 @@ class Mat:
         self.data = data
 
     @classmethod
+    def _unchecked(cls, ring, data) -> "Mat":
+        """A matrix over ``ring`` whose ``data`` is already a rectangular
+        tuple of row tuples of ring elements: no promotion, no shape check.
+        For results built from the entries of existing matrices only."""
+        m = object.__new__(cls)
+        m.ring = ring
+        m.data = data
+        return m
+
+    @classmethod
     def identity(cls, ring, n: int) -> "Mat":
         return cls(
             ring,
@@ -136,26 +146,26 @@ class Mat:
 
     def __add__(self, other):
         self._same_shape(other)
-        return Mat(
+        return Mat._unchecked(
             self.ring,
-            [
-                [a + b for a, b in zip(ra, rb)]
+            tuple(
+                tuple([a + b for a, b in zip(ra, rb)])
                 for ra, rb in zip(self.data, other.data)
-            ],
+            ),
         )
 
     def __sub__(self, other):
         self._same_shape(other)
-        return Mat(
+        return Mat._unchecked(
             self.ring,
-            [
-                [a - b for a, b in zip(ra, rb)]
+            tuple(
+                tuple([a - b for a, b in zip(ra, rb)])
                 for ra, rb in zip(self.data, other.data)
-            ],
+            ),
         )
 
     def __neg__(self):
-        return Mat(self.ring, [[-a for a in row] for row in self.data])
+        return Mat._unchecked(self.ring, tuple(tuple([-a for a in row]) for row in self.data))
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -165,13 +175,10 @@ class Mat:
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise ValueError("inner dimension mismatch")
-            ot = other.transpose()
-            return Mat(
+            cols = tuple(zip(*other.data))
+            return Mat._unchecked(
                 self.ring,
-                [
-                    [_dot(row, col) for col in ot.data]
-                    for row in self.data
-                ],
+                tuple(tuple([_dot(row, col) for col in cols]) for row in self.data),
             )
         return self.scale(other)
 
@@ -180,13 +187,12 @@ class Mat:
 
     def scale(self, scalar):
         scalar = self.ring.promote(scalar)
-        return Mat(self.ring, [[scalar * a for a in row] for row in self.data])
+        return Mat._unchecked(
+            self.ring, tuple(tuple([scalar * a for a in row]) for row in self.data)
+        )
 
     def transpose(self) -> "Mat":
-        return Mat(
-            self.ring,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        return Mat._unchecked(self.ring, tuple(zip(*self.data)))
 
     def map_entries(self, fn, ring=None) -> "Mat":
         return Mat(ring or self.ring, [[fn(a) for a in row] for row in self.data])
@@ -377,7 +383,7 @@ def _rref_integer(m: Mat):
             dense[j] = Fraction(v, pv)
         out.append(dense)
     out.extend([zero] * m.cols for _ in range(m.rows - len(done)))
-    return Mat(m.ring, out), tuple(pivots)
+    return Mat._unchecked(m.ring, tuple(map(tuple, out))), tuple(pivots)
 
 
 def _eliminate(row, pivot_row, col):

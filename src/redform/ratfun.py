@@ -18,8 +18,6 @@ from fractions import Fraction
 
 from .errors import DivisionByZero, ParseError, PoleAtPoint
 
-Rat = Fraction
-
 
 def _rat(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -455,6 +453,13 @@ def rf_substitute_power(a: RatFn, m: int) -> RatFn:
 # ---------------------------------------------------------------------------
 # Parsing
 
+# Bounds on hostile input.  Parentheses and unary signs nest the recursive
+# descent (up to six Python frames a level), and one power can multiply the
+# degree and the coefficient size of its base by its exponent.
+_MAX_DEPTH = 100
+_MAX_POWER_DEGREE = 1000
+_MAX_POWER_BITS = 10_000
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[()^+\-*/]))"
 )
@@ -487,6 +492,7 @@ class _RatFnParser:
         self.tokens = tokens
         self.var = var
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -500,6 +506,14 @@ class _RatFnParser:
         kind, value = self.take()
         if kind != "op" or value != symbol:
             raise ParseError(f"expected {symbol!r}")
+
+    def nested(self, parse_inner) -> RatFn:
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels")
+        value = parse_inner()
+        self.depth -= 1
+        return value
 
     def parse(self) -> RatFn:
         value = self.expr()
@@ -538,7 +552,7 @@ class _RatFnParser:
         kind, op = self.peek()
         if kind == "op" and op in "+-":
             self.pos += 1
-            inner = self.factor()
+            inner = self.nested(self.factor)
             return inner if op == "+" else -inner
         return self.power()
 
@@ -550,6 +564,14 @@ class _RatFnParser:
             ekind, evalue = self.take()
             if ekind != "int":
                 raise ParseError("exponent must be a non-negative integer")
+            coeffs = base.num.coeffs + base.den.coeffs
+            degree = max(base.num.degree, base.den.degree)
+            bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs)
+            if evalue * degree > _MAX_POWER_DEGREE or evalue * bits > _MAX_POWER_BITS:
+                raise ParseError(
+                    f"power too large: a power may reach degree {_MAX_POWER_DEGREE} "
+                    f"and coefficients of {_MAX_POWER_BITS} bits"
+                )
             return base ** evalue
         return base
 
@@ -564,7 +586,7 @@ class _RatFnParser:
                 )
             return RatFn.x()
         if kind == "op" and value == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr)
             self.expect_op(")")
             return inner
         raise ParseError("unexpected end of expression" if kind is None else f"unexpected token {value!r}")
@@ -594,10 +616,6 @@ def parse_rat(text) -> Fraction:
 # Printing
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def poly_str(p: Poly, var: str = "x") -> str:
     """Canonical string, highest degree first; reparses to the same value."""
     if p.is_zero:
@@ -609,11 +627,11 @@ def poly_str(p: Poly, var: str = "x") -> str:
             continue
         mag = abs(c)
         if k == 0:
-            body = _frac_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = var if k == 1 else f"{var}^{k}"
         else:
-            body = f"{_frac_str(mag)}*{var}" if k == 1 else f"{_frac_str(mag)}*{var}^{k}"
+            body = f"{mag}*{var}" if k == 1 else f"{mag}*{var}^{k}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

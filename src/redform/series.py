@@ -1,10 +1,19 @@
 """Truncated power series at an ordinary point, and fundamental matrices.
 
 A fundamental series is the unique truncated solution of U' = A*U with
-U(x0) = Id, computed through the coefficient recurrence
-(k+1)*C_{k+1} = sum_{i+j=k} A_i*C_j where the A_i are the exact Taylor
-coefficients of A at x0 (obtained by series division, never by repeated
-differentiation).
+U(x0) = Id.  It is computed from the polynomial form of the system: with q
+the monic lcm of the denominators of A and N = q*A a polynomial matrix,
+q*U' = N*U.  Expanding q, N and U = sum C_k*u^k in the local variable
+u = x - x0 and comparing the coefficients of u^k gives
+
+    q_0*(k+1)*C_{k+1} = sum_{i=0}^{min(k, deg N)} N_i*C_{k-i}
+                        - sum_{j=1}^{min(k, deg q)} q_j*(k+1-j)*C_{k+1-j},
+
+a recurrence with at most deg N + 1 matrix products and deg q scalings per
+step.  At an ordinary point no denominator vanishes, so q_0 = q(x0) != 0.
+The C_k are determined by U(x0) = Id alone and the arithmetic is exact, so
+they equal the coefficients of the convolution with the Taylor coefficients
+of A, (k+1)*C_{k+1} = sum_{i+j=k} A_i*C_j.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from fractions import Fraction
 from .constructions import Construction, constr_dim, constr_group
 from .errors import DimensionMismatch, PoleAtPoint
 from .linalg import Mat, QQ
-from .ratfun import RatFn
+from .ratfun import Poly, RatFn
 from .systems import DiffSystem, is_ordinary_point
 
 
@@ -184,7 +193,9 @@ class SeriesMat:
         return min(e.order for row in self.mat.data for e in row)
 
     def coeff_matrix(self, k: int) -> Mat:
-        return Mat(QQ, [[e.coeff(k) for e in row] for row in self.mat.data])
+        return Mat._unchecked(
+            QQ, tuple(tuple([e.coeff(k) for e in row]) for row in self.mat.data)
+        )
 
     def coeff_matrices(self):
         return [self.coeff_matrix(k) for k in range(self.order)]
@@ -197,25 +208,35 @@ def ratfn_matrix_series(m: Mat, x0, order: int) -> Mat:
 
 
 def fundamental_series(sys: DiffSystem, x0, order: int) -> SeriesMat:
-    """Truncated fundamental solution of the system, normalized to identity."""
+    """Truncated fundamental solution of the system, normalized to identity.
+
+    The coefficient matrices C_0 = Id, C_1, ..., C_(order-1) come from the
+    recurrence of q*U' = N*U (see the module docstring), with q and N
+    expanded at x0 by ``Poly.shift``; A itself is never expanded.
+    """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
     x0 = Fraction(x0)
     if not is_ordinary_point(sys, x0):
         raise PoleAtPoint(f"{x0} is a pole of the system matrix")
     n = sys.n
-    taylor_order = max(order - 1, 1)
-    a_series = ratfn_matrix_series(sys.mat, x0, taylor_order)
-    a_coeffs = [
-        Mat(QQ, [[e.coeff(k) for e in row] for row in a_series.data])
-        for k in range(taylor_order)
+    q = Poly.ONE
+    for den in {e.den for row in sys.mat.data for e in row}:
+        q = q.lcm(den)
+    num = [[(e.num * (q // e.den)).shift(x0) for e in row] for row in sys.mat.data]
+    n_coeffs = [
+        Mat._unchecked(QQ, tuple(tuple([p.coeff(i) for p in row]) for row in num))
+        for i in range(max((p.degree for row in num for p in row), default=-1) + 1)
     ]
+    q_coeffs = q.shift(x0).coeffs
     cs = [Mat.identity(QQ, n)]
     for k in range(order - 1):
         acc = Mat.zeros(QQ, n, n)
-        for i in range(k + 1):
-            acc = acc + a_coeffs[i] * cs[k - i]
-        cs.append(acc.scale(Fraction(1, k + 1)))
+        for i in range(min(k + 1, len(n_coeffs))):
+            acc = acc + n_coeffs[i] * cs[k - i]
+        for j in range(1, min(k + 1, len(q_coeffs))):
+            acc = acc - cs[k + 1 - j].scale(q_coeffs[j] * (k + 1 - j))
+        cs.append(acc.scale(1 / (q_coeffs[0] * (k + 1))))
     ring = SeriesRing(order)
     packed = Mat(
         ring,

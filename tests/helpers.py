@@ -13,6 +13,7 @@ from redform import (
     matrix,
     parse_construction,
     parse_ratfn,
+    ratfn_matrix_series,
     system,
 )
 
@@ -168,3 +169,23 @@ def oracle_det(rows):
             minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
             total += (-1) ** j * a * oracle_det(minor)
     return total
+
+
+def oracle_fundamental_series(sys_, x0, order):
+    """Coefficient matrices C_0 = Id, ..., C_(order-1) of the normalized
+    fundamental series at x0 by the full Taylor convolution
+    (k+1)*C_(k+1) = sum_(i<=k) A_i*C_(k-i), with the A_i the Taylor
+    coefficients of the system matrix from ``ratfn_matrix_series``."""
+    taylor_order = max(order - 1, 1)
+    a_series = ratfn_matrix_series(sys_.mat, x0, taylor_order)
+    a_coeffs = [
+        Mat(QQ, [[e.coeff(k) for e in row] for row in a_series.data])
+        for k in range(taylor_order)
+    ]
+    cs = [Mat.identity(QQ, sys_.n)]
+    for k in range(order - 1):
+        acc = Mat.zeros(QQ, sys_.n, sys_.n)
+        for i in range(k + 1):
+            acc = acc + a_coeffs[i] * cs[k - i]
+        cs.append(acc.scale(Fraction(1, k + 1)))
+    return cs

@@ -172,6 +172,28 @@ class TestUsageErrors:
         code, payload = run(["series", "--system", sys_path], capsys)
         assert code == 3 and payload["error"]["reason"] == "parse_error"
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"],
+        ids=["parentheses", "signs"],
+    )
+    def test_deep_nesting_is_parse_error(self, work, capsys, entry):
+        tmp, write = work
+        sys_path = write("deep.json", {"var": "x", "n": 1, "A": [[entry]]})
+        code, payload = run(["series", "--system", sys_path], capsys)
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["x^100000000", "((x^30)^30)^30", "(3^1000)^1000"],
+        ids=["exponent", "degree-tower", "coefficient-tower"],
+    )
+    def test_oversized_power_is_parse_error(self, work, capsys, entry):
+        tmp, write = work
+        sys_path = write("power.json", {"var": "x", "n": 1, "A": [[entry]]})
+        code, payload = run(["series", "--system", sys_path], capsys)
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
+
     def test_missing_file(self, work, capsys):
         tmp, write = work
         code, payload = run(

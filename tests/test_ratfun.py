@@ -98,6 +98,18 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_ratfn("1/(x - x)")
 
+    def test_input_at_the_size_bounds_parses(self):
+        assert parse_ratfn("(" * 100 + "x" + ")" * 100) == rf("x")
+        assert parse_ratfn("-" * 100 + "x") == rf("x")
+        assert parse_ratfn("x^1000").num.degree == 1000
+        assert parse_ratfn("2^5000") == RatFn.const(2 ** 5000)
+        with pytest.raises(ParseError):
+            parse_ratfn("(" * 101 + "x" + ")" * 101)
+        with pytest.raises(ParseError):
+            parse_ratfn("x^1001")
+        with pytest.raises(ParseError):
+            parse_ratfn("2^5001")
+
 
 # ---------------------------------------------------------------------------
 # Property tests

@@ -23,7 +23,7 @@ from redform import (
 )
 from redform.series import SeriesRing, TruncSeries, series_mat_derivative
 
-from helpers import demo_system, rand_matrix, rf
+from helpers import demo_system, oracle_fundamental_series, rand_matrix, rand_ordinary_system, rf
 
 
 class TestFundamentalSeries:
@@ -57,6 +57,41 @@ class TestFundamentalSeries:
     def test_pole_rejected(self):
         with pytest.raises(PoleAtPoint):
             fundamental_series(demo_system(), 0, 4)
+
+
+class TestShortRecurrence:
+    """The recurrence of q*U' = N*U against the full Taylor convolution."""
+
+    @staticmethod
+    def _check(sys_, x0, order):
+        got = fundamental_series(sys_, x0, order)
+        assert got.order == order
+        assert got.coeff_matrices() == oracle_fundamental_series(sys_, x0, order)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [["0", "1"], ["x", "1/(2*x)"]],  # deg N > deg q
+            [["x^3 - 2", "1"], ["0", "x"]],  # polynomial, q = 1
+            [["1/x", "1/(x+1)"], ["x^2", "3/(x+2)^2"]],  # different denominators
+            [["(x^2+1)/(x*(x-2))"]],
+            [["x^4"]],
+            [["0", "0"], ["0", "0"]],
+            [["0"]],
+        ],
+    )
+    @pytest.mark.parametrize("x0", [Fraction(1), Fraction(1, 2), Fraction(-5, 3)])
+    @pytest.mark.parametrize("order", [1, 2, 3, 12])
+    def test_fixed_systems(self, rows, x0, order):
+        self._check(system("x", rows), x0, order)
+
+    def test_random_systems(self):
+        rng = random.Random(57)
+        for _ in range(40):
+            n = rng.choice([1, 2, 3])
+            x0 = rng.choice([Fraction(0), Fraction(2), Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
+            sys_ = rand_ordinary_system(rng, n, x0, max_deg=3)
+            self._check(sys_, x0, rng.choice([1, 2, 3, 7, 15]))
 
 
 def _residual_vanishes(sys, x0, order):
