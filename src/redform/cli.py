@@ -12,10 +12,11 @@ import argparse
 import sys
 
 from . import jsonio
-from .constructions import parse_construction
+from .constructions import constr_dim, constr_group, constr_lie, parse_construction
 from .errors import (
     DefectiveEigenstructure,
     InternalError,
+    InvalidArity,
     NotReduced,
     NotSemiInvariant,
     NotSplit,
@@ -41,7 +42,7 @@ from .reduction import (
 )
 from .series import fundamental_series
 from .solutions import check_semi_invariant, harvest_invariants, rational_solutions
-from .systems import gauge, pullback
+from .systems import DiffSystem, gauge, pullback
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -95,8 +96,6 @@ def cmd_pullback(args):
 def cmd_constr(args):
     c = parse_construction(args.constr)
     var, m = jsonio.matrix_from_json(jsonio.load_json(args.matrix))
-    from .constructions import constr_group, constr_lie
-
     out = constr_group(c, m) if args.mode == "group" else constr_lie(c, m)
     return jsonio.matrix_to_json(out, var), EXIT_OK
 
@@ -110,9 +109,6 @@ def cmd_series(args):
 def cmd_ratsols(args):
     sys_ = _load_system(args.system)
     c = parse_construction(args.constr)
-    from .constructions import constr_lie
-    from .systems import DiffSystem
-
     target = DiffSystem(sys_.var, constr_lie(c, sys_.mat))
     den = _parse_den(args.den, sys_.var) if args.den else None
     space = rational_solutions(
@@ -305,19 +301,18 @@ def cmd_commutant(args):
     }, EXIT_OK
 
 
-def cmd_stabilizer(args):
+def cmd_stabilizer_of_invariant(args):
     c = parse_construction(args.constr)
-    payload_in = jsonio.load_json(args.vector)
-    var, v = jsonio.vector_from_json(payload_in)
-    if args.n is not None:
-        n = args.n
-    else:
-        from .constructions import constr_dim
-
-        n = next(
-            (k for k in range(1, len(v) + 1) if constr_dim_safe(c, k) == len(v)),
-            None,
-        )
+    var, v = jsonio.vector_from_json(jsonio.load_json(args.vector))
+    n = args.n
+    if n is None:
+        for k in range(1, len(v) + 1):
+            try:
+                if constr_dim(c, k) == len(v):
+                    n = k
+                    break
+            except InvalidArity:
+                pass
         if n is None:
             raise ParseError("could not infer the base dimension; pass --n")
     mats = stabilizer_of_invariant(c, v, n)
@@ -328,24 +323,48 @@ def cmd_stabilizer(args):
     }, EXIT_OK
 
 
-def constr_dim_safe(c, k):
-    from .constructions import constr_dim
-    from .errors import InvalidArity
+# argparse options of each flag (a default applies only where it is optional)
+_FLAGS = {
+    "system": {},
+    "P": {},
+    "semiinv": {},
+    "matrix": {},
+    "vector": {},
+    "constr": {"default": "base"},
+    "constrs": {},
+    "basis": {},
+    "invariants": {},
+    "lines": {},
+    "mode": {"choices": ["group", "lie"], "default": "group"},
+    "num-deg": {"type": int, "default": 30},
+    "den": {},
+    "order": {"type": int, "default": 12},
+    "x0": {"default": "1"},
+    "pullback": {"type": int, "default": 1},
+    "pole-cap": {"type": int, "default": 10},
+    "new-var": {},
+    "n": {"type": int},
+    "out": {},
+}
 
-    try:
-        return constr_dim(c, k)
-    except InvalidArity:
-        return -1
-
-
-def _add_common(parser):
-    parser.add_argument("--num-deg", type=int, default=30, dest="num_deg")
-    parser.add_argument("--den", default=None)
-    parser.add_argument("--order", type=int, default=12)
-    parser.add_argument("--x0", default="1")
-    parser.add_argument("--pullback", type=int, default=1)
-    parser.add_argument("--pole-cap", type=int, default=10, dest="pole_cap")
-    parser.add_argument("--out", default=None)
+# subcommand: (required flags, optional flags besides --out); handler cmd_<name>, - as _
+_COMMANDS = {
+    "gauge": ("system P", ""),
+    "pullback": ("system", "pullback new-var"),
+    "constr": ("constr matrix", "mode"),
+    "series": ("system", "x0 order"),
+    "ratsols": ("system", "constr num-deg den pole-cap"),
+    "semiinv-check": ("system constr vector", ""),
+    "harvest": ("system constrs", "num-deg pole-cap"),
+    "eigenring": ("system", "num-deg den pole-cap"),
+    "wei-norman": ("system basis", ""),
+    "check-reduced": ("system", "basis constrs lines num-deg pole-cap"),
+    "verify-reduction": ("system P invariants", "x0"),
+    "reduce": ("system semiinv", "pullback"),
+    "katz-check": ("system basis", "invariants"),
+    "commutant": ("basis", ""),
+    "stabilizer-of-invariant": ("constr vector", "n"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,93 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact reduced-form analysis of linear differential systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **arguments):
-        p = sub.add_parser(name)
-        for flag, options in arguments.items():
-            p.add_argument(flag, **options)
-        _add_common(p)
-        p.set_defaults(fn=fn)
-        return p
-
-    add("gauge", cmd_gauge, **{"--system": {"required": True}, "--P": {"required": True}})
-    p = add("pullback", cmd_pullback, **{"--system": {"required": True}})
-    p.add_argument("--new-var", default=None, dest="new_var")
-    add(
-        "constr",
-        cmd_constr,
-        **{
-            "--constr": {"required": True},
-            "--matrix": {"required": True},
-            "--mode": {"choices": ["group", "lie"], "default": "group"},
-        },
-    )
-    add("series", cmd_series, **{"--system": {"required": True}})
-    add(
-        "ratsols",
-        cmd_ratsols,
-        **{"--system": {"required": True}, "--constr": {"default": "base"}},
-    )
-    add(
-        "semiinv-check",
-        cmd_semiinv_check,
-        **{
-            "--system": {"required": True},
-            "--constr": {"required": True},
-            "--vector": {"required": True},
-        },
-    )
-    add(
-        "harvest",
-        cmd_harvest,
-        **{"--system": {"required": True}, "--constrs": {"required": True}},
-    )
-    add("eigenring", cmd_eigenring, **{"--system": {"required": True}})
-    add(
-        "wei-norman",
-        cmd_wei_norman,
-        **{"--system": {"required": True}, "--basis": {"required": True}},
-    )
-    add(
-        "check-reduced",
-        cmd_check_reduced,
-        **{
-            "--system": {"required": True},
-            "--basis": {"default": None},
-            "--constrs": {"default": None},
-            "--lines": {"default": None},
-        },
-    )
-    add(
-        "verify-reduction",
-        cmd_verify_reduction,
-        **{
-            "--system": {"required": True},
-            "--P": {"required": True},
-            "--invariants": {"required": True},
-        },
-    )
-    add(
-        "reduce",
-        cmd_reduce,
-        **{"--system": {"required": True}, "--semiinv": {"required": True}},
-    )
-    add(
-        "katz-check",
-        cmd_katz_check,
-        **{
-            "--system": {"required": True},
-            "--basis": {"required": True},
-            "--invariants": {"default": None},
-        },
-    )
-    add("commutant", cmd_commutant, **{"--basis": {"required": True}})
-    p = add(
-        "stabilizer-of-invariant",
-        cmd_stabilizer,
-        **{"--constr": {"required": True}, "--vector": {"required": True}},
-    )
-    p.add_argument("--n", type=int, default=None)
+    for name, (required, optional) in _COMMANDS.items():
+        # no abbreviations: a prefix such as --n must not stand in for
+        # --new-var or --num-deg on a command that has no --n
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in required.split():
+            p.add_argument("--" + flag, required=True, **_FLAGS[flag])
+        for flag in optional.split() + ["out"]:
+            p.add_argument("--" + flag, **_FLAGS[flag])
+        p.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 

@@ -22,10 +22,10 @@ from .constructions import (
     vec_row_major,
 )
 from .errors import DimensionMismatch, NotReduced
-from .linalg import Mat, QQ, RF, RatFnField, mat_vec, nullspace, rank, solve
+from .linalg import Mat, QQ, RF, RatFnField, in_span, mat_vec, nullspace, rank, solve
 from .ratfun import RatFn
 from .reduction import LieBasis, wei_norman
-from .solutions import SolutionSpace, in_constant_span, in_ratfn_span, rational_solutions
+from .solutions import SolutionSpace, rational_solutions
 from .systems import DiffSystem
 
 
@@ -51,15 +51,14 @@ def end_basis_flags(sys: DiffSystem, basis: EndBasis):
     vectors = [vec_row_major(e) for e in basis.elements]
     independent = True
     if vectors:
-        flat = Mat(RF, [[vectors[k][i] for k in range(len(vectors))] for i in range(len(vectors[0]))])
-        independent = rank(flat) == len(vectors)
+        independent = rank(Mat.from_cols(RF, vectors)) == len(vectors)
     bracket_closed = all(
-        in_ratfn_span(vectors, vec_row_major(a * b - b * a))
+        in_span(vectors, vec_row_major(a * b - b * a), RF)
         for a in basis.elements
         for b in basis.elements
     )
     nabla_stable = all(
-        in_ratfn_span(vectors, vec_row_major(end_action(sys, e)))
+        in_span(vectors, vec_row_major(end_action(sys, e)), RF)
         for e in basis.elements
     )
     return independent, bracket_closed, nabla_stable
@@ -106,19 +105,14 @@ def check_nabla_stable_span(sys: DiffSystem, basis: EndBasis) -> StabilityReport
     """Whether the span of the elements is carried into itself by the End
     connection F -> F' - [A, F]; per-element coordinates as witnesses."""
     vectors = [vec_row_major(e) for e in basis.elements]
-    if vectors:
-        flat = Mat(RF, [[vectors[k][i] for k in range(len(vectors))] for i in range(len(vectors[0]))])
-        if rank(flat) != len(vectors):
-            raise DimensionMismatch("basis elements are dependent over the rational functions")
+    flat = Mat.from_cols(RF, vectors) if vectors else None
+    if flat is not None and rank(flat) != len(vectors):
+        raise DimensionMismatch("basis elements are dependent over the rational functions")
     entries = []
     for idx, element in enumerate(basis.elements):
         image = end_action(sys, element)
         target = vec_row_major(image)
-        if vectors:
-            m = Mat(RF, [[vectors[k][i] for k in range(len(vectors))] for i in range(len(target))])
-            coords = solve(m, list(target))
-        else:
-            coords = None
+        coords = solve(flat, list(target)) if flat is not None else None
         if coords is None and not all(e.is_zero for e in target):
             entries.append(StabilityEntry(idx, False, None, image))
         else:
@@ -205,25 +199,17 @@ def stable_subspace_criterion(
         if len(v) != dim:
             raise DimensionMismatch("subspace vector length mismatch")
 
-    w_rf = [tuple(RatFn.const(e) for e in v) for v in w_vectors]
     failures = []
     for gi, gen in enumerate(basis.generators):
         lie = constr_lie(c, gen)
         for vi, v in enumerate(w_vectors):
-            image = mat_vec(lie, v)
-            if not in_constant_span(
-                w_rf, tuple(RatFn.const(e) for e in image)
-            ):
+            if not in_span(w_vectors, mat_vec(lie, v), QQ):
                 failures.append((gi, vi))
     generator_stable = not failures
 
     lie_a = constr_lie(c, sys.mat)
-    nabla_stable = True
-    for v in w_rf:
-        image = mat_vec(lie_a, v)
-        if not in_ratfn_span(w_rf, image):
-            nabla_stable = False
-            break
+    w_rf = [tuple(RatFn.const(e) for e in v) for v in w_vectors]
+    nabla_stable = all(in_span(w_rf, mat_vec(lie_a, v), RF) for v in w_rf)
 
     return SubspaceStabilityReport(
         generator_stable=generator_stable,
@@ -254,6 +240,5 @@ def stabilizer_of_invariant(c: Construction, v, n: int):
                 ],
             )
             columns.append(mat_vec(constr_lie(c, unit), v))
-    m = Mat(RF, [[columns[k][r] for k in range(n * n)] for r in range(dim)])
-    kernel = nullspace(m)
+    kernel = nullspace(Mat.from_cols(RF, columns))
     return [mat_from_vec(vec, n, RF) for vec in kernel]

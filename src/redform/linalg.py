@@ -467,11 +467,10 @@ def row_space_canonical(vectors, ring):
 
 def in_span(vectors, target, ring):
     """Whether target lies in the span of vectors (over the ring's field)."""
-    vecs = [list(v) for v in vectors]
+    vecs = list(vectors)
     if not vecs:
         return all(ring.promote(a) == ring.zero for a in target)
-    m = Mat(ring, [[vecs[k][i] for k in range(len(vecs))] for i in range(len(vecs[0]))])
-    return solve(m, list(target)) is not None
+    return solve(Mat.from_cols(ring, vecs), list(target)) is not None
 
 
 def charpoly(m: Mat) -> Poly:

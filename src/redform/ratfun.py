@@ -368,11 +368,17 @@ class RatFn:
         return other / self
 
     def __pow__(self, k: int):
+        # powers of a coprime pair are coprime and those of a monic
+        # denominator are monic, so the result needs no gcd
+        num, den = self.num, self.den
         if k < 0:
             if self.is_zero:
                 raise DivisionByZero("zero to a negative power")
-            return RatFn(self.den, self.num) ** (-k)
-        return RatFn(self.num ** k, self.den ** k)
+            scale = Poly.const(1 / num.leading)
+            num, den, k = den * scale, num * scale, -k
+        out = RatFn.__new__(RatFn)
+        out.num, out.den = num ** k, den ** k
+        return out
 
     def inverse(self) -> "RatFn":
         if self.is_zero:
@@ -476,7 +482,12 @@ def _tokenize(text: str):
                 break
             raise ParseError(f"unexpected character {tail[0]!r} in {text!r}")
         if m.group("int") is not None:
-            tokens.append(("int", int(m.group("int"))))
+            digits = m.group("int")
+            try:
+                tokens.append(("int", int(digits)))
+            except ValueError:
+                # longer than the interpreter's int conversion limit
+                raise ParseError(f"integer literal of {len(digits)} digits is too long") from None
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name")))
         else:

@@ -41,14 +41,9 @@ from .errors import (
     PoleAtPoint,
     SingularGauge,
 )
-from .linalg import Mat, QQ, RF, nullspace, rank, row_space_canonical, solve
+from .linalg import Mat, QQ, RF, in_span, nullspace, rank, row_space_canonical, solve
 from .ratfun import Poly, RatFn, ratfn_sqrt
-from .solutions import (
-    SemiInvariant,
-    check_semi_invariant,
-    harvest_invariants,
-    in_ratfn_span,
-)
+from .solutions import SemiInvariant, check_semi_invariant, harvest_invariants
 from .systems import DiffSystem, gauge, is_ordinary_point, pullback
 
 
@@ -76,18 +71,9 @@ def lie_basis_flags(basis: LieBasis):
     for a in basis.generators:
         for b in basis.generators:
             bracket = vec_row_major(a * b - b * a)
-            if not _in_constant_vec_span(vecs, bracket):
+            if not in_span(vecs, bracket, QQ):
                 bracket_closed = False
     return independent, bracket_closed
-
-
-def _in_constant_vec_span(vecs, target) -> bool:
-    if all(c == 0 for c in target):
-        return True
-    if not vecs:
-        return False
-    rows = list(vecs)
-    return row_space_canonical(rows, QQ) == row_space_canonical(rows + [target], QQ)
 
 
 def wei_norman(sys: DiffSystem, basis: LieBasis):
@@ -98,7 +84,7 @@ def wei_norman(sys: DiffSystem, basis: LieBasis):
     if not basis.generators:
         return [] if sys.mat.is_zero else None
     cols = [vec_row_major(g) for g in basis.generators]
-    m = Mat(RF, [[RatFn.const(cols[k][i]) for k in range(len(cols))] for i in range(sys.n ** 2)])
+    m = Mat.from_cols(RF, cols)
     target = list(vec_row_major(sys.mat))
     coeffs = solve(m, target)
     if coeffs is None:
@@ -132,7 +118,7 @@ def _wedge_coordinates(vectors):
     vectors = [tuple(v) for v in vectors]
     d = len(vectors)
     size = len(vectors[0])
-    m = Mat(RF, [[vectors[k][i] for k in range(d)] for i in range(size)])
+    m = Mat.from_cols(RF, vectors)
     coords = []
     for rows_idx in combinations(range(size), d):
         coords.append(m.submatrix(rows_idx, range(d)).det())
@@ -159,7 +145,7 @@ def constant_basis_subspace(sys: DiffSystem, c: Construction, w_vectors):
             v[i].derivative() - sum((lie.data[i][j] * v[j] for j in range(dim)), RatFn.ZERO)
             for i in range(dim)
         )
-        if not in_ratfn_span(w_vectors, nabla):
+        if not in_span(w_vectors, nabla, RF):
             raise NotStable("span is not stable under the connection")
 
     d = len(w_vectors)
@@ -478,7 +464,7 @@ def _diagonal_decomposition(b: Mat):
     coeffs = [RatFn(Poly(row), den) for row in canon]
     if not canon:
         return [], []
-    span = Mat(QQ, [[canon[r][k] for r in range(len(canon))] for k in range(width)])
+    span = Mat.from_cols(QQ, canon)
     generators = []
     coords = []
     for i in range(n):

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .constructions import Construction, constr_dim, constr_lie
 from .errors import DimensionMismatch, InvalidArity, RedformError
-from .linalg import Mat, QQ, RF, charpoly, nullspace, row_space_canonical, solve
+from .linalg import Mat, QQ, charpoly, nullspace, row_space_canonical
 from .ratfun import Poly, RatFn, integer_roots
 from .systems import DiffSystem, singularities
 
@@ -158,6 +158,8 @@ def rational_solutions(
     """
     if num_deg_cap < 0:
         raise ValueError("numerator degree cap must be >= 0")
+    if pole_cap < 0:
+        raise ValueError("pole cap must be >= 0")
     n = sys.n
     if den_override is not None:
         den = den_override.monic()
@@ -318,26 +320,3 @@ def same_constant_span(vs, ws) -> bool:
     rows_v = _constant_rows(vs, den, width)
     rows_w = _constant_rows(ws, den, width)
     return row_space_canonical(rows_v, QQ) == row_space_canonical(rows_w, QQ)
-
-
-def in_constant_span(vectors, target) -> bool:
-    """Whether target is a constant linear combination of the vectors."""
-    vectors = [tuple(v) for v in vectors]
-    if all(e.is_zero for e in target):
-        return True
-    if not vectors:
-        return False
-    return same_constant_span(vectors, list(vectors) + [tuple(target)])
-
-
-def in_ratfn_span(vectors, target) -> bool:
-    """Whether target lies in the span of the vectors over the rational
-    functions."""
-    vectors = [tuple(v) for v in vectors]
-    target = tuple(target)
-    if all(e.is_zero for e in target):
-        return True
-    if not vectors:
-        return False
-    m = Mat(RF, [[vectors[k][i] for k in range(len(vectors))] for i in range(len(target))])
-    return solve(m, list(target)) is not None

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, SingularGauge
+from .errors import DimensionMismatch
 from .linalg import Mat, RF
 from .ratfun import Poly, RatFn, parse_ratfn, squarefree_factors
 
@@ -48,11 +48,10 @@ def mat_derivative(m: Mat) -> Mat:
 
 
 def gauge(sys: DiffSystem, p: Mat) -> DiffSystem:
-    """Apply the gauge transformation P to the system."""
+    """Apply the gauge transformation P to the system; a singular P raises
+    SingularGauge from its inverse."""
     if not p.is_square or p.rows != sys.n:
         raise DimensionMismatch("gauge matrix size must match the system")
-    if p.det().is_zero:
-        raise SingularGauge("gauge matrix has zero determinant")
     pinv = p.inv()
     return DiffSystem(sys.var, pinv * (sys.mat * p - mat_derivative(p)))
 

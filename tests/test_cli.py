@@ -202,6 +202,20 @@ class TestUsageErrors:
         )
         assert code == 3 and payload["error"]["reason"] == "parse_error"
 
+    def test_overlong_integer_literal_is_parse_error(self, work, capsys):
+        # 5,000 digits passes the interpreter's int conversion limit
+        tmp, write = work
+        sys_path = write("long.json", {"var": "x", "n": 1, "A": [["7" * 5000]]})
+        code, payload = run(["series", "--system", sys_path], capsys)
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
+
+    def test_negative_pole_cap_is_usage_error(self, work, capsys):
+        tmp, write = work
+        sys_path = write("a.json", DEMO)
+        code, payload = run(["ratsols", "--system", sys_path, "--pole-cap", "-1"], capsys)
+        assert code == 3
+        assert payload["error"] == {"reason": "usage_error", "message": "pole cap must be >= 0"}
+
     def test_pole_is_usage_error(self, work, capsys):
         tmp, write = work
         sys_path = write("a.json", DEMO)
@@ -433,3 +447,50 @@ class TestOtherCommands:
             capsys,
         )
         assert code == 0 and payload["dim"] == 4 and payload["n"] == 2
+
+
+# the flags each subcommand reads besides --out, written out independently
+# of the parser's table, and an argv carrying just the required ones
+READS = {
+    "gauge": ("--system --P", "--system s --P p"),
+    "pullback": ("--system --pullback --new-var", "--system s"),
+    "constr": ("--constr --matrix --mode", "--constr base --matrix m"),
+    "series": ("--system --x0 --order", "--system s"),
+    "ratsols": ("--system --constr --num-deg --den --pole-cap", "--system s"),
+    "semiinv-check": ("--system --constr --vector", "--system s --constr base --vector v"),
+    "harvest": ("--system --constrs --num-deg --pole-cap", "--system s --constrs base"),
+    "eigenring": ("--system --num-deg --den --pole-cap", "--system s"),
+    "wei-norman": ("--system --basis", "--system s --basis b"),
+    "check-reduced": ("--system --basis --constrs --lines --num-deg --pole-cap", "--system s"),
+    "verify-reduction": ("--system --P --invariants --x0", "--system s --P p --invariants i"),
+    "reduce": ("--system --semiinv --pullback", "--system s --semiinv e"),
+    "katz-check": ("--system --basis --invariants", "--system s --basis b"),
+    "commutant": ("--basis", "--basis b"),
+    "stabilizer-of-invariant": ("--constr --vector --n", "--constr base --vector v"),
+}
+ALL_FLAGS = sorted({flag for flags, _ in READS.values() for flag in flags.split()})
+UNREAD = [
+    (name, flag)
+    for name, (flags, _) in READS.items()
+    for flag in ALL_FLAGS
+    if flag not in flags.split()
+]
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("name", sorted(READS))
+    def test_subcommand_takes_exactly_the_flags_it_reads(self, name):
+        sub = next(a for a in cli.build_parser()._actions if a.choices and name in a.choices)
+        options = {s for a in sub.choices[name]._actions for s in a.option_strings}
+        assert options == set(READS[name][0].split()) | {"--out", "-h", "--help"}
+
+    @pytest.mark.parametrize("name,flag", UNREAD, ids=[f"{n}{f}" for n, f in UNREAD])
+    def test_unread_flag_is_usage_error(self, name, flag, capsys):
+        argv = [name] + READS[name][1].split()
+        cli.build_parser().parse_args(argv)  # parses without the flag
+        assert main(argv + [flag, "1"]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_flag_prefix_is_usage_error(self, capsys):
+        assert main(["series", "--system", "s", "--ord", "5"]) == 3
+        assert capsys.readouterr().out == ""

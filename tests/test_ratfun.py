@@ -1,5 +1,6 @@
 """Exact arithmetic: worked values, field axioms, and round trips."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from redform import (
 )
 from redform.ratfun import integer_roots, poly_sqrt, ratfn_sqrt
 
-from helpers import rf
+from helpers import rand_ratfn, rf
 
 
 class TestArith:
@@ -207,3 +208,20 @@ def test_ratfn_sqrt():
 def test_poly_str_roundtrip_fractional():
     p = Poly([Fraction(1, 2), 0, Fraction(-3, 2)])
     assert parse_ratfn(poly_str(p, "x"), "x") == RatFn(p)
+
+
+def test_power_matches_normalized_construction():
+    # the power skips the gcd; it must equal the normalizing constructor
+    rng = random.Random(1729)
+    cases = [RatFn.ZERO, RatFn.ONE, RatFn.const(Fraction(-2, 3)), rf("(2*x+1)/(x^2+3)")]
+    cases += [rand_ratfn(rng, max_deg=3) for _ in range(40)]
+    for r in cases:
+        for k in range(-3, 7):
+            if k < 0 and r.is_zero:
+                with pytest.raises(DivisionByZero):
+                    r ** k
+                continue
+            num, den = (r.num, r.den) if k >= 0 else (r.den, r.num)
+            expected = RatFn(num ** abs(k), den ** abs(k))
+            got = r ** k
+            assert (got.num, got.den) == (expected.num, expected.den), (r, k)
