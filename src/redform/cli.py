@@ -33,7 +33,7 @@ from .katz import (
     eigenring_matrices,
     stabilizer_of_invariant,
 )
-from .ratfun import parse_rat, parse_ratfn, ratfn_str
+from .ratfun import parse_rat, parse_ratfn, rat_str, ratfn_str
 from .reduction import (
     is_reduced,
     reduce_by_diagonalization,
@@ -207,7 +207,7 @@ def cmd_check_reduced(args):
                 "constr": str(lv.constr),
                 "is_stable_line": lv.is_stable_line,
                 "rate": ratfn_str(lv.rate, sys_.var) if lv.rate is not None else None,
-                "constant_basis": [str(c) for c in lv.constant_basis]
+                "constant_basis": [rat_str(c) for c in lv.constant_basis]
                 if lv.constant_basis is not None
                 else None,
                 "witness": None
@@ -297,7 +297,7 @@ def cmd_commutant(args):
     return {
         "n": basis.n,
         "dim": len(mats),
-        "basis": [[[str(e) for e in row] for row in m.data] for m in mats],
+        "basis": [[[rat_str(e) for e in row] for row in m.data] for m in mats],
     }, EXIT_OK
 
 

@@ -11,7 +11,7 @@ import json
 
 from .errors import ParseError
 from .linalg import Mat, QQ, RF
-from .ratfun import RatFn, parse_rat, parse_ratfn, ratfn_str
+from .ratfun import RatFn, parse_rat, parse_ratfn, rat_str, ratfn_str
 from .reduction import LieBasis, ReductionCertificate
 from .constructions import parse_construction
 from .systems import DiffSystem
@@ -147,7 +147,7 @@ def certificate_to_json(cert: ReductionCertificate) -> dict:
         "extension_order": cert.extension_order,
         "P": matrix_to_lists(cert.gauge_matrix, cert.var),
         "B": matrix_to_lists(cert.reduced, cert.var),
-        "basis": [[[str(e) for e in row] for row in g.data] for g in cert.basis],
+        "basis": [[[rat_str(e) for e in row] for row in g.data] for g in cert.basis],
         "coeffs": [ratfn_str(f, cert.var) for f in cert.coeffs],
     }
 
@@ -167,11 +167,11 @@ def certificate_from_json(payload) -> ReductionCertificate:
 def series_to_json(series) -> dict:
     return {
         "var": series.var,
-        "x0": str(series.x0),
+        "x0": rat_str(series.x0),
         "order": series.order,
         "n": series.n,
         "coeffs": [
-            [[str(e) for e in row] for row in series.coeff_matrix(k).data]
+            [[rat_str(e) for e in row] for row in series.coeff_matrix(k).data]
             for k in range(series.order)
         ],
     }

@@ -5,6 +5,12 @@ zero coefficients, rational functions keep a monic denominator coprime to the
 numerator, and zero is represented as 0/1.  Two computation paths that reach
 the same value therefore produce bit-identical representations.
 
+A polynomial stores its coefficients as a tuple of ``Fraction``s, but the hot
+kernels run on Python ints: :func:`_clear` writes a coefficient tuple as a
+primitive integer list times one rational scale, and products, the gcd (a
+primitive pseudo-remainder sequence over Z) and the normalization of a
+rational function work on those lists and rescale once at the end.
+
 Polynomials and rational functions do not carry a variable name; the name is
 supplied when parsing or printing (and by :class:`redform.systems.DiffSystem`
 for whole systems).
@@ -27,6 +33,75 @@ def _rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational constant")
 
 
+def _clear(coeffs):
+    """Return (ints, scale) with coeffs[k] == ints[k] * scale, the ints
+    coprime and scale > 0; a tuple of zeros gives zeros and scale 1."""
+    lcm = math.lcm(*[c.denominator for c in coeffs])
+    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
+    content = math.gcd(*ints) or 1
+    if content != 1:
+        ints = [a // content for a in ints]
+    return ints, Fraction(content, lcm)
+
+
+def _scaled(ints, scale: Fraction) -> tuple:
+    """The Fractions ints[k] * scale."""
+    n, d = scale.numerator, scale.denominator
+    if d == 1:
+        return tuple([Fraction(n * a) for a in ints])
+    return tuple([Fraction(n * a, d) for a in ints])
+
+
+def _prem(a, b):
+    """A nonzero multiple of the remainder of a by b over Q, on integer
+    coefficient lists (lowest degree first, b with a nonzero leading one).
+    Each step scales by lc(b)/g instead of lc(b), g = gcd(lc(b), lc(r))."""
+    r = list(a)
+    n = len(b) - 1
+    lb = b[-1]
+    while len(r) > n:
+        lr = r.pop()
+        g = math.gcd(lr, lb)
+        fr, fb = lb // g, lr // g
+        s = len(r) - n
+        if fr != 1:
+            r = [fr * c for c in r]
+        for j in range(n):
+            r[s + j] -= fb * b[j]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _int_gcd(a, b):
+    """Primitive gcd, up to sign, of two nonzero integer coefficient lists:
+    the primitive Euclidean algorithm over Z (von zur Gathen & Gerhard,
+    Modern Computer Algebra, ch. 6)."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        content = math.gcd(*r)
+        a, b = b, [c // content for c in r]
+    return [1]
+
+
+def _exquo(a, b):
+    """Quotient of integer coefficient lists when b divides a exactly."""
+    a = list(a)
+    n = len(b) - 1
+    lb = b[-1]
+    q = [0] * (len(a) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = a[k + n] // lb
+        if c:
+            for j in range(n):
+                a[k + j] -= c * b[j]
+    return q
+
+
 class Poly:
     """Dense univariate polynomial over Q, coefficients lowest degree first."""
 
@@ -37,6 +112,13 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @staticmethod
+    def _unchecked(coeffs: tuple) -> "Poly":
+        # a tuple of Fractions whose last entry is nonzero
+        p = Poly.__new__(Poly)
+        p.coeffs = coeffs
+        return p
 
     @staticmethod
     def const(c) -> "Poly":
@@ -113,13 +195,18 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        p, q = (self, other) if len(self.coeffs) >= len(other.coeffs) else (other, self)
+        if len(q.coeffs) == 1:
+            c = q.coeffs[0]
+            return p if c == 1 else Poly._unchecked(tuple([a * c for a in p.coeffs]))
+        ia, sa = _clear(p.coeffs)
+        ib, sb = _clear(q.coeffs)
+        out = [0] * (len(ia) + len(ib) - 1)
+        for i, a in enumerate(ia):
+            if a:
+                for j, b in enumerate(ib):
+                    out[i + j] += a * b
+        return Poly._unchecked(_scaled(out, sa * sb))
 
     __rmul__ = __mul__
 
@@ -167,12 +254,17 @@ class Poly:
         return (_as_poly(other) % self).is_zero
 
     def gcd(self, other) -> "Poly":
-        a, b = self, _as_poly(other)
-        while not b.is_zero:
-            a, b = b, a % b
-            if not b.is_zero:
-                b = b.monic()
-        return a.monic() if not a.is_zero else a
+        """Monic gcd; zero only when both are zero.
+
+        Runs on the primitive integer forms of both polynomials (Gauss's
+        lemma: their gcd over Z is, up to a constant, the gcd over Q), by
+        pseudo-remainders made primitive at each step.
+        """
+        other = _as_poly(other)
+        if self.is_zero or other.is_zero:
+            return other.monic() if self.is_zero else self.monic()
+        g = _int_gcd(_clear(self.coeffs)[0], _clear(other.coeffs)[0])
+        return Poly._unchecked(tuple(Fraction(c, g[-1]) for c in g))
 
     def lcm(self, other) -> "Poly":
         other = _as_poly(other)
@@ -274,14 +366,21 @@ class RatFn:
         if num.is_zero:
             self.num, self.den = Poly(), Poly.ONE
             return
-        g = num.gcd(den)
-        if g.degree > 0:
-            num, den = num // g, den // g
-        lead = den.leading
+        if num.degree > 0 and den.degree > 0:
+            na, ns = _clear(num.coeffs)
+            da, ds = _clear(den.coeffs)
+            g = _int_gcd(na, da)
+            if len(g) > 1:
+                # exact quotients over Z (Gauss's lemma), rescaled once so
+                # that den is monic
+                da = _exquo(da, g)
+                lead = da[-1]
+                self.num = Poly._unchecked(_scaled(_exquo(na, g), ns / (ds * lead)))
+                self.den = Poly._unchecked(_scaled(da, Fraction(1, lead)))
+                return
+        lead = den.coeffs[-1]
         if lead != 1:
-            inv = 1 / lead
-            num = num * Poly.const(inv)
-            den = den * Poly.const(inv)
+            num, den = num * (1 / lead), den * (1 / lead)
         self.num, self.den = num, den
 
     ZERO: "RatFn"
@@ -461,10 +560,37 @@ def rf_substitute_power(a: RatFn, m: int) -> RatFn:
 
 # Bounds on hostile input.  Parentheses and unary signs nest the recursive
 # descent (up to six Python frames a level), and one power can multiply the
-# degree and the coefficient size of its base by its exponent.
+# degree and the coefficient size of its base by its exponent.  An integer
+# literal may run a little past the interpreter's default 4,300-digit
+# conversion limit, so that printed coefficients of that size re-parse.
 _MAX_DEPTH = 100
 _MAX_POWER_DEGREE = 1000
 _MAX_POWER_BITS = 10_000
+_MAX_LITERAL_DIGITS = 4_600
+
+# Python refuses int <-> decimal conversions past sys.get_int_max_str_digits()
+# (4,300 digits by default, never below 640); longer numbers are converted
+# piecewise, in parts of at most 600 digits.
+_CHUNK_DIGITS = 600
+_CHUNK_BITS = 1_990  # 2^1990 < 10^600
+
+
+def _int_from_digits(digits: str) -> int:
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _int_from_digits(digits[:-k]) * 10 ** k + _int_from_digits(digits[-k:])
+
+
+def _int_str(n: int) -> str:
+    if n < 0:
+        return "-" + _int_str(-n)
+    if n.bit_length() <= _CHUNK_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
+    high, low = divmod(n, 10 ** k)
+    return _int_str(high) + _int_str(low).zfill(k)
+
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[()^+\-*/]))"
@@ -483,11 +609,12 @@ def _tokenize(text: str):
             raise ParseError(f"unexpected character {tail[0]!r} in {text!r}")
         if m.group("int") is not None:
             digits = m.group("int")
-            try:
-                tokens.append(("int", int(digits)))
-            except ValueError:
-                # longer than the interpreter's int conversion limit
-                raise ParseError(f"integer literal of {len(digits)} digits is too long") from None
+            if len(digits) > _MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"integer literal of {len(digits)} digits is too long "
+                    f"(at most {_MAX_LITERAL_DIGITS})"
+                )
+            tokens.append(("int", _int_from_digits(digits)))
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name")))
         else:
@@ -613,6 +740,13 @@ def parse_ratfn(text: str, var: str = "x") -> RatFn:
     return _RatFnParser(tokens, var).parse()
 
 
+def rat_str(q: Fraction) -> str:
+    """``str(q)``, also for numbers past the interpreter's digit limit."""
+    if q.denominator == 1:
+        return _int_str(q.numerator)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
+
+
 def parse_rat(text) -> Fraction:
     """Parse an exact rational constant such as ``-3/2``."""
     if isinstance(text, int):
@@ -636,10 +770,10 @@ def poly_str(p: Poly, var: str = "x") -> str:
         c = p.coeff(k)
         if c == 0:
             continue
-        mag = abs(c)
+        mag = rat_str(abs(c))
         if k == 0:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = var if k == 1 else f"{var}^{k}"
         else:
             body = f"{mag}*{var}" if k == 1 else f"{mag}*{var}^{k}"
@@ -656,18 +790,9 @@ def ratfn_str(r: RatFn, var: str = "x") -> str:
         return "0"
     if r.den == Poly.ONE:
         return poly_str(r.num, var)
-    scale = 1
-    for c in r.num.coeffs + r.den.coeffs:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    num = r.num * Poly.const(scale)
-    den = r.den * Poly.const(scale)
-    content = 0
-    for c in num.coeffs + den.coeffs:
-        content = math.gcd(content, abs(c.numerator))
-    if content > 1:
-        num = num * Poly.const(Fraction(1, content))
-        den = den * Poly.const(Fraction(1, content))
-    return f"({poly_str(num, var)})/({poly_str(den, var)})"
+    ints, _ = _clear(r.num.coeffs + r.den.coeffs)
+    k = len(r.num.coeffs)
+    return f"({poly_str(Poly(ints[:k]), var)})/({poly_str(Poly(ints[k:]), var)})"
 
 
 # ---------------------------------------------------------------------------
@@ -689,17 +814,14 @@ def _divisors(n: int):
 def integer_roots(p: Poly, search_limit: int = 10 ** 14):
     """Return (roots, certified) for the integer roots of p.
 
-    The search clears denominators and tests divisors of the trailing
-    coefficient.  When that coefficient exceeds ``search_limit`` the divisor
-    enumeration is skipped and only a small window is scanned, in which case
-    ``certified`` is False.
+    The search clears denominators and the content, and tests divisors of
+    the trailing coefficient.  When that coefficient exceeds
+    ``search_limit`` the divisor enumeration is skipped and only a small
+    window is scanned, in which case ``certified`` is False.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every integer as a root")
-    scale = 1
-    for c in p.coeffs:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    coeffs = [int(c * scale) for c in p.coeffs]
+    coeffs, _ = _clear(p.coeffs)
     valuation = 0
     while coeffs and coeffs[0] == 0:
         coeffs.pop(0)

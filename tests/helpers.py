@@ -171,6 +171,27 @@ def oracle_det(rows):
     return total
 
 
+def oracle_poly_gcd(a, b):
+    """Monic gcd of two polynomials by the Euclidean remainder sequence over
+    Q, each remainder made monic; zero only when both are zero."""
+    while not b.is_zero:
+        a, b = b, a % b
+        if not b.is_zero:
+            b = b.monic()
+    return a.monic() if not a.is_zero else a
+
+
+def oracle_poly_mul(a, b):
+    """Product of two polynomials by the schoolbook convolution on Fractions."""
+    if a.is_zero or b.is_zero:
+        return Poly()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Poly(out)
+
+
 def oracle_fundamental_series(sys_, x0, order):
     """Coefficient matrices C_0 = Id, ..., C_(order-1) of the normalized
     fundamental series at x0 by the full Taylor convolution

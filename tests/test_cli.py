@@ -8,6 +8,7 @@ from redform import cli
 from redform.cli import main
 from redform.reduction import ReductionCertificate
 from redform.jsonio import system_from_json
+from redform.ratfun import RatFn, parse_ratfn
 
 DEMO = {"var": "x", "n": 2, "A": [["0", "1"], ["x", "1/(2*x)"]]}
 SWAP = {"var": "x", "M": [["0", "1/x"], ["1", "0"]]}
@@ -302,6 +303,23 @@ class TestStability:
         from redform import pullback
 
         assert again.mat == pullback(system_from_json(DEMO), 3).mat
+
+    def test_coefficients_past_the_digit_limit_print_and_reparse(self, work, capsys):
+        # 2^15000 has 4,516 digits, past the interpreter's 4,300-digit
+        # int-to-string limit
+        tmp, write = work
+        big = RatFn.const(2 ** 15000)
+        sys_path = write("big.json", {"var": "x", "n": 1, "A": [["2^5000*2^5000*2^5000"]]})
+        code, payload = run(["pullback", "--system", sys_path, "--pullback", "1"], capsys)
+        assert code == 0
+        assert len(payload["A"][0][0]) == 4516
+        assert system_from_json(payload).mat.data[0][0] == big
+        again = write("again.json", payload)
+        code, repeated = run(["pullback", "--system", again, "--pullback", "1"], capsys)
+        assert code == 0 and repeated["A"] == payload["A"]
+        code, payload = run(["series", "--system", sys_path, "--order", "2"], capsys)
+        assert code == 0
+        assert parse_ratfn(payload["coeffs"][1][0][0]) == big
 
 
 class TestOtherCommands:

@@ -21,9 +21,9 @@ from redform import (
     rf_eval,
     rf_substitute_power,
 )
-from redform.ratfun import integer_roots, poly_sqrt, ratfn_sqrt
+from redform.ratfun import integer_roots, poly_sqrt, rat_str, ratfn_sqrt
 
-from helpers import rand_ratfn, rf
+from helpers import oracle_poly_gcd, oracle_poly_mul, rand_ratfn, rf
 
 
 class TestArith:
@@ -225,3 +225,123 @@ def test_power_matches_normalized_construction():
             expected = RatFn(num ** abs(k), den ** abs(k))
             got = r ** k
             assert (got.num, got.den) == (expected.num, expected.den), (r, k)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the Euclidean algorithm over Q
+
+_BIG = 10 ** 20
+_KERNEL_COEFFS = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, -7),
+                  _BIG + 3, Fraction(-_BIG, 7), Fraction(3, _BIG - 1), Fraction(_BIG + 1, -(_BIG + 9))]
+
+
+def _kernel_poly(rng, deg):
+    coeffs = [Fraction(rng.choice(_KERNEL_COEFFS)) for _ in range(deg)]
+    return Poly(coeffs + [Fraction(rng.choice(_KERNEL_COEFFS[1:]))])
+
+
+def _kernel_pairs():
+    rng = random.Random(8191)
+    pairs = []
+    for _ in range(150):
+        f = _kernel_poly(rng, rng.randint(0, 3))
+        if rng.random() < 0.3:
+            f = oracle_poly_mul(f, f)  # repeated factors
+        a = oracle_poly_mul(f, _kernel_poly(rng, rng.randint(0, 3)))
+        b = oracle_poly_mul(f, _kernel_poly(rng, rng.randint(0, 3)))
+        pairs.append((a, b))
+    edge = [
+        Poly(),
+        Poly.const(Fraction(-5, 3)),
+        Poly.const(_BIG),
+        Poly([1, -3, -2]),  # negative leading coefficient
+        Poly([1, 2, 1]),  # (x + 1)^2
+        Poly([Fraction(1, -_BIG), 0, Fraction(_BIG, 3)]),
+        Poly.x(),
+    ]
+    pairs += [(p, q) for p in edge for q in edge]
+    # the gcd is one of the arguments
+    pairs.append((Poly([1, 2, 1]), Poly([1, 3, 3, 1])))
+    pairs.append((Poly([-2, -2]), Poly([-1, 0, 1])))
+    return pairs
+
+
+_PAIRS = _kernel_pairs()
+
+
+def _is_canonical(p):
+    return all(type(c) is Fraction for c in p.coeffs) and (not p.coeffs or p.coeffs[-1] != 0)
+
+
+def test_gcd_and_lcm_match_the_euclidean_oracle():
+    for a, b in _PAIRS:
+        g = a.gcd(b)
+        assert g.coeffs == oracle_poly_gcd(a, b).coeffs, (a, b)
+        assert _is_canonical(g)
+        lcm = a.lcm(b)
+        if a.is_zero or b.is_zero:
+            assert lcm.is_zero
+        else:
+            assert lcm.coeffs == (oracle_poly_mul(a, b) // g).monic().coeffs, (a, b)
+
+
+def test_product_matches_the_convolution():
+    for a, b in _PAIRS:
+        got = a * b
+        assert got.coeffs == oracle_poly_mul(a, b).coeffs, (a, b)
+        assert _is_canonical(got)
+
+
+def test_normalization_matches_the_euclidean_oracle():
+    for num, den in _PAIRS:
+        if den.is_zero:
+            with pytest.raises(DivisionByZero):
+                RatFn(num, den)
+            continue
+        got = RatFn(num, den)
+        if num.is_zero:
+            assert (got.num.coeffs, got.den.coeffs) == ((), (1,))
+            continue
+        g = oracle_poly_gcd(num, den)
+        n, d = num // g, den // g
+        lead = d.leading
+        expected = (tuple(c / lead for c in n.coeffs), tuple(c / lead for c in d.coeffs))
+        assert (got.num.coeffs, got.den.coeffs) == expected, (num, den)
+        assert _is_canonical(got.num) and _is_canonical(got.den)
+
+
+def test_ratfn_str_prints_the_integer_cleared_pair():
+    r = RatFn(Poly([Fraction(1, 3), Fraction(1, 2)]), Poly([Fraction(1, 5), 0, Fraction(1, 4)]))
+    assert ratfn_str(r) == "(30*x + 20)/(15*x^2 + 12)"
+    r = RatFn(Poly([0, Fraction(-4, 3)]), Poly([Fraction(2, 9), Fraction(2, 3)]))
+    assert ratfn_str(r) == "(-6*x)/(3*x + 1)"
+
+
+def test_integer_roots_divide_out_the_content():
+    # 10^15 (x - 2)(x - 3): the cleared trailing coefficient is 6, not 6*10^15,
+    # so the divisor search runs and the answer is certified
+    p = Poly([6 * 10 ** 15, -5 * 10 ** 15, 10 ** 15])
+    assert integer_roots(p) == ([2, 3], True)
+    assert integer_roots(Poly([0, 0, Fraction(-3, 4), Fraction(3, 8)])) == ([0, 2], True)
+
+
+# ---------------------------------------------------------------------------
+# Numbers past the interpreter's int <-> decimal digit limit
+
+
+def test_rat_str_past_the_digit_limit():
+    assert rat_str(Fraction(10 ** 5000 + 7)) == "1" + "0" * 4999 + "7"
+    assert rat_str(Fraction(-(10 ** 4000) * 3 - 5)) == "-3" + "0" * 3999 + "5"
+    assert rat_str(Fraction(10 ** 6000 - 1, 10 ** 4400 + 1)) == "9" * 6000 + "/1" + "0" * 4399 + "1"
+    assert rat_str(Fraction(-7, 12)) == "-7/12"
+    assert rat_str(Fraction(0)) == "0"
+
+
+def test_literal_digit_bound_and_round_trip():
+    value = 2 ** 15000  # 4,516 digits
+    text = ratfn_str(RatFn.const(value))
+    assert len(text) == 4516
+    assert parse_ratfn(text) == RatFn.const(value)
+    assert parse_ratfn("0" * 10 + "7" * 4590) == RatFn.const(7 * (10 ** 4590 - 1) // 9)
+    with pytest.raises(ParseError):
+        parse_ratfn("7" * 4601)
