@@ -367,13 +367,23 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command-line parser.  When ``argv`` starts with a subcommand name,
+    only that subcommand's parser is added; otherwise (no argv, ``-h``, an
+    unknown command) every subcommand is.  Usage and error messages are the
+    same either way."""
     parser = argparse.ArgumentParser(
         prog="redform",
         description="Exact reduced-form analysis of linear differential systems",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (required, optional) in _COMMANDS.items():
+    selected = argv[0] if argv and argv[0] in _COMMANDS else None
+    # with one subcommand added, the metavar keeps the top-level usage line
+    # (printed for unrecognized arguments) listing them all
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}" if selected else None
+    )
+    for name in [selected] if selected else _COMMANDS:
+        required, optional = _COMMANDS[name]
         # no abbreviations: a prefix such as --n must not stand in for
         # --new-var or --num-deg on a command that has no --n
         p = sub.add_parser(name, allow_abbrev=False)
@@ -395,7 +405,8 @@ def _internal_error(exc):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

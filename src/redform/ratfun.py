@@ -228,19 +228,30 @@ class Poly:
             return NotImplemented
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             return Poly(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading
+        if len(other.coeffs) == 1:
+            return self * (1 / other.coeffs[0]), Poly()
+        # pseudo-division of the integer forms: after scaling the dividend
+        # by lb^(dq+1) every quotient coefficient is an exact integer
+        ia, sa = _clear(self.coeffs)
+        ib, sb = _clear(other.coeffs)
+        n = len(ib) - 1
+        lb = ib[-1]
+        scale = lb ** (dq + 1)
+        rem = [a * scale for a in ia]
+        quot = [0] * (dq + 1)
         for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quot[k] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(quot), Poly(rem[: other.degree if other.degree > 0 else 0])
+            c = quot[k] = rem[k + n] // lb
+            if c:
+                for j in range(n):
+                    rem[k + j] -= c * ib[j]
+        del rem[n:]
+        while rem and not rem[-1]:
+            rem.pop()
+        sa = sa / scale
+        return Poly._unchecked(_scaled(quot, sa / sb)), Poly._unchecked(_scaled(rem, sa))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -747,14 +758,42 @@ def rat_str(q: Fraction) -> str:
     return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
+# the constant syntax of Fraction(str): -3/2, 1.5, 2e-3, 1_000
+_RAT_RE = re.compile(
+    r"""\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
+    (?:(?:/(?P<denom>\d+(_\d+)*))?|(?:\.(?P<decimal>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
+    \s*""",
+    re.VERBOSE | re.IGNORECASE,
+)
+
+
 def parse_rat(text) -> Fraction:
-    """Parse an exact rational constant such as ``-3/2``."""
+    """Parse an exact rational constant such as ``-3/2``, ``1.5`` or
+    ``2e-3``; its digits plus its decimal exponent may not exceed
+    ``_MAX_LITERAL_DIGITS``."""
     if isinstance(text, int):
         return Fraction(text)
+    m = _RAT_RE.fullmatch(str(text))
+    if m is None:
+        raise ParseError(f"invalid rational constant {text!r}")
+    num, denom, decimal, exp = (
+        (m.group(k) or "").replace("_", "") for k in ("num", "denom", "decimal", "exp")
+    )
+    exp_digits = exp.lstrip("+-").lstrip("0")
+    shift = int(exp_digits or 0) if len(exp_digits) <= len(str(_MAX_LITERAL_DIGITS)) else None
+    if shift is None or len(num + denom + decimal) + shift > _MAX_LITERAL_DIGITS:
+        raise ParseError(
+            f"rational constant too large: its digits and decimal exponent "
+            f"may reach {_MAX_LITERAL_DIGITS}"
+        )
     try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        value = Fraction(
+            _int_from_digits(num + decimal or "0"), _int_from_digits(denom or "1") * 10 ** len(decimal)
+        )
+    except ZeroDivisionError as exc:
         raise ParseError(f"invalid rational constant {text!r}") from exc
+    value *= Fraction(10) ** (-shift if exp.startswith("-") else shift)
+    return -value if m.group("sign") == "-" else value
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ universal denominator candidate and u a polynomial vector of bounded degree;
 equating polynomial coefficients of v' - B*v = 0 yields an exact linear
 system over Q whose null space is returned, echelonized canonically
 (unknowns ordered entry-major then by ascending power, pivots normalized
-to one).
+to one).  The system is built directly as rows of Python ints, one block of
+rows per equation, each block cleared of denominators by one common lcm;
+the elimination over Q reads such rows as they are.
 
 Denominator bounds: at a finite place where every entry has at most a simple
 pole, a rational solution with a pole of order k forces -k to be an integer
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .constructions import Construction, constr_dim, constr_lie
 from .errors import DimensionMismatch, InvalidArity, RedformError
@@ -68,18 +71,24 @@ def _residue_matrix(sys: DiffSystem, place: Poly) -> Mat:
     n = sys.n
     deg = place.degree
     deriv = place.derivative()
+    # inverse of the cofactor den/place * place' modulo the place, once per
+    # distinct entry denominator the place divides
+    inverses = {}
+    for den in dict.fromkeys(e.den for row in sys.mat.data for e in row):
+        if place.divides(den):
+            g, inv, _ = ((den // place) * deriv).xgcd(place)
+            if g.degree != 0:
+                raise RedformError("place not coprime to residual denominator")
+            inverses[den] = inv
     blocks = []
     for i in range(n):
         row_blocks = []
         for j in range(n):
             entry = sys.mat.data[i][j]
-            if not place.divides(entry.den):
+            inv = inverses.get(entry.den)
+            if inv is None:
                 row_blocks.append(None)
                 continue
-            cofactor = (entry.den // place) * deriv
-            g, inv, _ = cofactor.xgcd(place)
-            if g.degree != 0:
-                raise RedformError("place not coprime to residual denominator")
             residue = (entry.num * inv) % place
             cols = []
             for k in range(deg):
@@ -106,11 +115,10 @@ def _integer_eigenvalues(m: Mat):
 
 def denominator_bound(sys: DiffSystem, pole_cap: int = 10) -> Poly:
     """Universal denominator candidate for rational solutions of the system."""
-    return _denominator_bound_info(sys, pole_cap)[0]
+    return _denominator_bound_info(sys, pole_cap, singularities(sys))[0]
 
 
-def _denominator_bound_info(sys: DiffSystem, pole_cap: int):
-    report = singularities(sys)
+def _denominator_bound_info(sys: DiffSystem, pole_cap: int, report):
     den = Poly.ONE
     certified = True
     for place, order in report.finite_places:
@@ -126,11 +134,10 @@ def _denominator_bound_info(sys: DiffSystem, pole_cap: int):
     return den.monic(), certified
 
 
-def _infinity_degree_info(sys: DiffSystem):
+def _infinity_degree_info(sys: DiffSystem, report):
     """(bounded, dmax): when entries vanish at infinity, solution degrees are
     bounded by the largest integer eigenvalue of the 1/x coefficient matrix
     (None when there is none, meaning only the zero solution is rational)."""
-    report = singularities(sys)
     if report.order_at_infinity > -1:
         return False, None, True
     n = sys.n
@@ -143,6 +150,61 @@ def _infinity_degree_info(sys: DiffSystem):
     eigen, eigen_certified = _integer_eigenvalues(Mat(QQ, lead))
     dmax = max(eigen) if eigen else None
     return True, dmax, eigen_certified
+
+
+def _ansatz_rows(sys: DiffSystem, den: Poly, cap: int) -> tuple:
+    """The coefficient system of the ansatz v = u/den, deg u <= cap, as rows
+    of Python ints.
+
+    With lead_a = clear*den, lead_b = clear*den' and P = clear*den*B, where
+    the polynomial clear makes every P_ij a polynomial, clear*den^2 times
+    v' - B*v = 0 reads lead_a*u' - lead_b*u - P*u = 0.  Unknown u_{j,s}, the
+    coefficient of x^s in entry j, is column j*(cap+1)+s; row (i, k) is the
+    coefficient of x^k in equation i:
+        -P_ij[k-s] + [i=j]*(s*lead_a[k-s+1] - lead_b[k-s]),
+    times the lcm of the denominators of P_i*, lead_a and lead_b.  Rows run
+    over k = 0..K for the largest K with a nonzero entry, and at least k = 0,
+    so a zero system keeps all n*(cap+1) columns.
+    """
+    n = sys.n
+    width = cap + 1
+    # P_ij = num_ij * (clear*den / den_ij), once per distinct denominator
+    dens = dict.fromkeys(e.den for row in sys.mat.data for e in row)
+    clear = Poly.ONE
+    for d in dens:
+        clear = clear.lcm(d // d.gcd(den))
+    lead_a = clear * den
+    lead_b = clear * den.derivative()
+    factors = {d: lead_a // d for d in dens}
+    polys = [[(e.num * factors[e.den]).coeffs for e in row] for row in sys.mat.data]
+    height = cap + max(
+        len(lead_a.coeffs) - 1, len(lead_b.coeffs), *(len(p) for row in polys for p in row)
+    )
+    lead_scale = lcm(*(c.denominator for c in lead_a.coeffs + lead_b.coeffs))
+
+    def ints(coeffs, scale):
+        return [c.numerator * (scale // c.denominator) for c in coeffs]
+
+    blocks = []
+    for i, row in enumerate(polys):
+        scale = lcm(lead_scale, *(c.denominator for p in row for c in p))
+        eq = [[0] * (n * width) for _ in range(max(height, 1))]
+        for j, p in enumerate(row):
+            for t, c in enumerate(ints(p, scale)):
+                if c:
+                    for s in range(width):
+                        eq[t + s][j * width + s] -= c
+        a, b = ints(lead_a.coeffs, scale), ints(lead_b.coeffs, scale)
+        for s in range(width):
+            col = i * width + s
+            for t, c in enumerate(b):
+                eq[t + s][col] -= c
+            if s:
+                for t, c in enumerate(a):
+                    eq[t + s - 1][col] += s * c
+        blocks.append(eq)
+    last = max((k for eq in blocks for k, r in enumerate(eq) if any(r)), default=0)
+    return tuple(tuple(r) for eq in blocks for r in eq[: last + 1])
 
 
 def rational_solutions(
@@ -165,45 +227,12 @@ def rational_solutions(
         den = den_override.monic()
         den_certified = False
     else:
-        den, den_certified = _denominator_bound_info(sys, pole_cap)
+        report = singularities(sys)
+        den, den_certified = _denominator_bound_info(sys, pole_cap, report)
     # the cap applies to the ansatz numerator; make sure constants stay
     # representable even for large denominators
     cap = max(num_deg_cap, den.degree)
-
-    den_diff = den.derivative()
-    scaled = sys.mat.map_entries(lambda e: e * RatFn(den))
-    clear = Poly.ONE
-    for row in scaled.data:
-        for e in row:
-            clear = clear.lcm(e.den)
-    poly_system = [
-        [(e * RatFn(clear)).num for e in row] for row in scaled.data
-    ]
-    lead_a = clear * den
-    lead_b = clear * den_diff
-
-    # unknown u_{j,s}: entry j, coefficient of x^s; flat index j*(cap+1)+s
-    columns = []
-    max_deg = 0
-    for j in range(n):
-        for s in range(cap + 1):
-            eq_entries = []
-            for i in range(n):
-                poly = -(poly_system[i][j] * Poly.monomial(1, s))
-                if i == j:
-                    if s >= 1:
-                        poly = poly + lead_a * Poly.monomial(s, s - 1)
-                    poly = poly - lead_b * Poly.monomial(1, s)
-                eq_entries.append(poly)
-                if poly.degree > max_deg:
-                    max_deg = poly.degree
-            columns.append(eq_entries)
-
-    rows = []
-    for i in range(n):
-        for k in range(max_deg + 1):
-            rows.append([col[i].coeff(k) for col in columns])
-    kernel = nullspace(Mat(QQ, rows)) if rows else []
+    kernel = nullspace(Mat._unchecked(QQ, _ansatz_rows(sys, den, cap)))
     canonical = row_space_canonical(kernel, QQ)
 
     basis = []
@@ -216,7 +245,7 @@ def rational_solutions(
 
     complete = False
     if den_override is None and den_certified:
-        bounded, dmax, inf_certified = _infinity_degree_info(sys)
+        bounded, dmax, inf_certified = _infinity_degree_info(sys, report)
         if bounded and inf_certified:
             if dmax is None:
                 complete = True

@@ -116,14 +116,20 @@ def _multiplicity(place: Poly, den: Poly) -> int:
 
 
 def singularities(sys: DiffSystem) -> SingularityReport:
-    dens = [e.den for row in sys.mat.data for e in row if e.den.degree >= 1]
+    """Finite places and growth at infinity of the system.
+
+    The places are the coprime refinement of the squarefree factors of the
+    distinct entry denominators, each with its largest pole order over
+    those denominators.
+    """
+    dens = list(dict.fromkeys(e.den for row in sys.mat.data for e in row if e.den.degree >= 1))
     # feed every squarefree multiplicity level into the refinement so places
     # with different pole orders at different entries split apart
     claims = [s for d in dens for s, _ in squarefree_factors(d)]
     places = _coprime_basis(claims)
     report = []
     for p in places:
-        order = max(_multiplicity(p, e.den) for row in sys.mat.data for e in row)
+        order = max(_multiplicity(p, d) for d in dens)
         report.append((p, order))
     report.sort(key=lambda item: (item[0].degree, item[0].coeffs))
     growth = max(

@@ -192,6 +192,56 @@ def oracle_poly_mul(a, b):
     return Poly(out)
 
 
+def oracle_poly_divmod(a, b):
+    """Quotient and remainder of a by a nonzero b by long division on the
+    Fraction coefficients."""
+    rem = list(a.coeffs)
+    db = b.degree
+    if len(rem) <= db:
+        return Poly(), a
+    quot = [Fraction(0)] * (len(rem) - db)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + db] / b.leading
+        for j, y in enumerate(b.coeffs):
+            rem[k + j] -= c * y
+    return Poly(quot), Poly(rem[:db])
+
+
+def oracle_ansatz_rows(sys_, den, cap):
+    """Coefficient rows of the rational-solution ansatz u/den, deg u <= cap,
+    as dense Fraction lists, assembled from polynomial products.
+
+    With P = clear*den*B a polynomial matrix, lead_a = clear*den and
+    lead_b = clear*den', unknown u_(j,s) contributes to equation i the
+    polynomial -P_ij*x^s + [i=j]*(s*lead_a*x^(s-1) - lead_b*x^s); row (i, k)
+    holds the x^k coefficients, for k up to the largest degree of any such
+    polynomial (at least 0)."""
+    n = sys_.n
+    scaled = sys_.mat.map_entries(lambda e: e * RatFn(den))
+    clear = Poly.ONE
+    for row in scaled.data:
+        for e in row:
+            clear = clear.lcm(e.den)
+    poly_system = [[(e * RatFn(clear)).num for e in row] for row in scaled.data]
+    lead_a = clear * den
+    lead_b = clear * den.derivative()
+    columns = []
+    max_deg = 0
+    for j in range(n):
+        for s in range(cap + 1):
+            eq_entries = []
+            for i in range(n):
+                poly = -(poly_system[i][j] * Poly.monomial(1, s))
+                if i == j:
+                    if s >= 1:
+                        poly = poly + lead_a * Poly.monomial(s, s - 1)
+                    poly = poly - lead_b * Poly.monomial(1, s)
+                eq_entries.append(poly)
+                max_deg = max(max_deg, poly.degree)
+            columns.append(eq_entries)
+    return [[col[i].coeff(k) for col in columns] for i in range(n) for k in range(max_deg + 1)]
+
+
 def oracle_fundamental_series(sys_, x0, order):
     """Coefficient matrices C_0 = Id, ..., C_(order-1) of the normalized
     fundamental series at x0 by the full Taylor convolution

@@ -210,6 +210,33 @@ class TestUsageErrors:
         code, payload = run(["series", "--system", sys_path], capsys)
         assert code == 3 and payload["error"]["reason"] == "parse_error"
 
+    def test_huge_decimal_exponent_is_parse_error(self, work, capsys):
+        # Fraction("1e100000") is a 100,001-digit number
+        tmp, write = work
+        sys_path = write("a.json", DEMO)
+        code, payload = run(["series", "--system", sys_path, "--x0", "1e100000"], capsys)
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
+
+    def test_huge_constant_generator_entry_is_parse_error(self, work, capsys):
+        tmp, write = work
+        sys_path = write("b.json", {"var": "t", "n": 2, "A": [["2*t^2", "0"], ["0", "-2*t^2"]]})
+        basis = {"n": 2, "generators": [[["1e100000", "0"], ["0", "-1"]]]}
+        code, payload = run(
+            ["wei-norman", "--system", sys_path, "--basis", write("basis.json", basis)], capsys
+        )
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
+
+    def test_long_x0_prints_and_reparses(self, work, capsys):
+        tmp, write = work
+        sys_path = write("a.json", DEMO)
+        x0 = "12" * 2258  # 4,516 digits
+        code, payload = run(["series", "--system", sys_path, "--x0", x0, "--order", "2"], capsys)
+        assert code == 0 and payload["x0"] == x0
+        code, again = run(
+            ["series", "--system", sys_path, "--x0", payload["x0"], "--order", "2"], capsys
+        )
+        assert code == 0 and again == payload
+
     def test_negative_pole_cap_is_usage_error(self, work, capsys):
         tmp, write = work
         sys_path = write("a.json", DEMO)

@@ -21,9 +21,9 @@ from redform import (
     rf_eval,
     rf_substitute_power,
 )
-from redform.ratfun import integer_roots, poly_sqrt, rat_str, ratfn_sqrt
+from redform.ratfun import integer_roots, parse_rat, poly_sqrt, rat_str, ratfn_sqrt
 
-from helpers import oracle_poly_gcd, oracle_poly_mul, rand_ratfn, rf
+from helpers import oracle_poly_divmod, oracle_poly_gcd, oracle_poly_mul, rand_ratfn, rf
 
 
 class TestArith:
@@ -290,6 +290,48 @@ def test_product_matches_the_convolution():
         got = a * b
         assert got.coeffs == oracle_poly_mul(a, b).coeffs, (a, b)
         assert _is_canonical(got)
+
+
+def test_divmod_matches_long_division():
+    rng = random.Random(4099)
+    pairs = [(a, b) for a, b in _PAIRS if not b.is_zero]
+    pairs += [(_kernel_poly(rng, rng.randint(0, 6)), _kernel_poly(rng, rng.randint(0, 3))) for _ in range(150)]
+    pairs += [
+        (Poly([1, 2, 3, 4, 5]), Poly([Fraction(1, 3), 0, Fraction(-5, 2)])),  # non-monic, rational
+        (Poly([7, Fraction(-1, 2), 3]), Poly.const(Fraction(-3, 7))),  # constant divisor
+        (Poly([1, 1]), Poly([0, 0, Fraction(2, 5)])),  # deg a < deg b
+        (Poly(), Poly([1, -3, -2])),  # zero dividend, negative leading coefficient
+        (Poly([_BIG, -_BIG, 1, _BIG + 1]), Poly([-(_BIG - 1), Fraction(-_BIG, 3)])),
+    ]
+    for a, b in pairs:
+        quot, rem = divmod(a, b)
+        want_quot, want_rem = oracle_poly_divmod(a, b)
+        assert (quot.coeffs, rem.coeffs) == (want_quot.coeffs, want_rem.coeffs), (a, b)
+        assert (a // b).coeffs == want_quot.coeffs and (a % b).coeffs == want_rem.coeffs
+        assert _is_canonical(quot) and _is_canonical(rem)
+
+
+def test_parse_rat_accepts_the_fraction_syntax():
+    cases = {
+        "-3/2": Fraction(-3, 2), " +3/2 ": Fraction(3, 2), "1.": 1, ".5": Fraction(1, 2),
+        "-1.25e-3": Fraction(-1, 800), "1e5": 10 ** 5, "2E+2": 200, "1_000": 1000,
+        "0.000_1": Fraction(1, 10000), "7/0_3": Fraction(7, 3), "\t8\n": 8, "-0": 0,
+    }
+    for text, value in cases.items():
+        assert parse_rat(text) == value, text
+    for text in ["", "1/0", "1 / 2", "1.5/2", "1__0", "_1", "x", "1e", "--1", "1.2.3"]:
+        with pytest.raises(ParseError):
+            parse_rat(text)
+
+
+def test_parse_rat_bounds_digits_and_exponent():
+    assert parse_rat("1e4599") == 10 ** 4599
+    assert parse_rat("-3e-4599") == Fraction(-3, 10 ** 4599)
+    # 4,516 digits, past the interpreter's int conversion limit
+    assert parse_rat("12" * 2258 + "/7") == Fraction(12 * (10 ** 4516 - 1) // 99, 7)
+    for text in ["1e4600", "1e-4600", "1e100000", "1.5e4599", "9" * 4601, "1e" + "9" * 5000]:
+        with pytest.raises(ParseError):
+            parse_rat(text)
 
 
 def test_normalization_matches_the_euclidean_oracle():

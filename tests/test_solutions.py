@@ -25,8 +25,17 @@ from redform import (
     vec_row_major,
 )
 from redform.linalg import mat_vec
+from redform.solutions import _ansatz_rows
 
-from helpers import demo_system, rand_invertible, rf, weighted_swap
+from helpers import (
+    demo_system,
+    oracle_ansatz_rows,
+    oracle_rref,
+    rand_invertible,
+    rand_matrix,
+    rf,
+    weighted_swap,
+)
 
 
 def _check_solution(sys_, v):
@@ -199,3 +208,49 @@ class TestHarvest:
         )
         assert entries[0].space is None and entries[0].error is not None
         assert entries[1].space is not None
+
+
+class TestAnsatzRows:
+    """The integer rows against the dense assembly from polynomial products:
+    same shape, each row a positive multiple of the oracle's, same RREF."""
+
+    @staticmethod
+    def _check(sys_, den, cap):
+        rows = _ansatz_rows(sys_, den, cap)
+        oracle = oracle_ansatz_rows(sys_, den, cap)
+        assert all(type(a) is int for row in rows for a in row)
+        assert len(rows) == len(oracle) and {len(row) for row in rows} == {sys_.n * (cap + 1)}
+        for row, want in zip(rows, oracle):
+            ratios = {a / b if b else None for a, b in zip(row, want) if a or b}
+            assert len(ratios) <= 1 and None not in ratios and all(q > 0 for q in ratios)
+        got_rref, got_pivots = oracle_rref(rows)
+        want_rref, want_pivots = oracle_rref(oracle)
+        assert got_pivots == want_pivots
+        assert got_rref[: len(got_pivots)] == want_rref[: len(want_pivots)]
+
+    def test_seeded_systems_match_the_dense_assembly(self):
+        rng = random.Random(6121)
+        overrides = [Poly.ONE, rf("x^2+1/3").num, rf("x^3*(x-1)").num]
+        for _ in range(40):
+            n = rng.choice([1, 2, 3])
+            sys_ = system("x", rand_matrix(rng, n, max_deg=2, density=0.7).data)
+            den = denominator_bound(sys_, pole_cap=2) if rng.random() < 0.5 else rng.choice(overrides)
+            self._check(sys_, den, rng.randint(0, 4))
+
+    def test_zero_system(self):
+        for n, cap in [(1, 0), (2, 0), (2, 3)]:
+            zero = system("x", [["0"] * n for _ in range(n)])
+            self._check(zero, Poly.ONE, cap)
+        assert _ansatz_rows(system("x", [["0", "0"], ["0", "0"]]), Poly.ONE, 0) == ((0, 0), (0, 0))
+
+    def test_edge_cases(self):
+        rational = system("x", [["(3/2*x+1)/(5*x-1/3)", "2/(3*x)"], ["-5/7", "x/(2*x+1)"]])
+        cases = [
+            (rational, denominator_bound(rational), 0),  # cap = 0
+            (rational, rf("x^2+1/3").num, 2),  # an override unrelated to the poles
+            (system("x", [["-4/x"]]), rf("x^4").num, 1),  # n = 1, den degree above the cap
+            (demo_system(), rf("x^3*(x-1)").num, 2),
+            (system("x", [["2/x"]]), Poly.ONE, 2),  # the top coefficient cancels
+        ]
+        for sys_, den, cap in cases:
+            self._check(sys_, den, cap)

@@ -128,6 +128,15 @@ class TestSingularities:
         places = {tuple(p.coeffs): k for p, k in report.finite_places}
         assert places == {(0, 1): 2, (1, 1): 2}
 
+    def test_repeated_denominators(self):
+        a = system("x", [["1/x", "2/x", "1/x^2"], ["3/x", "1/x^2", "0"], ["1/x", "5", "1/x"]])
+        assert singularities(a).finite_places == ((Poly.x(), 2),)
+
+    def test_places_refine_the_entries_not_their_lcm(self):
+        # the lcm x^2 - x is squarefree, but the places are x and x - 1
+        a = system("x", [["1/(x^2-x)", "1/x"], ["0", "0"]])
+        assert singularities(a).finite_places == ((Poly([-1, 1]), 1), (Poly.x(), 1))
+
     def test_refinement_against_planted_factorizations(self):
         # build denominators from explicit linear factors, then check the
         # report: pairwise coprime places and the planted max pole orders
