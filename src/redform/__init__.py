@@ -14,6 +14,7 @@ from .errors import (
     PoleAtPoint,
     RedformError,
     SingularGauge,
+    Unsupported,
 )
 from .ratfun import (
     Poly,

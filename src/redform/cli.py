@@ -23,6 +23,7 @@ from .errors import (
     NotStable,
     ParseError,
     RedformError,
+    Unsupported,
 )
 from .katz import (
     EndBasis,
@@ -416,16 +417,14 @@ def main(argv=None) -> int:
         payload, code = args.fn(args)
     except InternalError as exc:
         payload, code = _internal_error(exc)
-    except _VERDICT_ERRORS as exc:
-        payload, code = (
-            {"ok": False, "error": {"reason": exc.reason, "message": str(exc)}},
-            EXIT_NEGATIVE,
-        )
     except RedformError as exc:
-        payload, code = (
-            {"ok": False, "error": {"reason": exc.reason, "message": str(exc)}},
-            EXIT_USAGE,
-        )
+        if isinstance(exc, _VERDICT_ERRORS):
+            code = EXIT_NEGATIVE
+        elif isinstance(exc, Unsupported):
+            code = EXIT_INCONCLUSIVE
+        else:
+            code = EXIT_USAGE
+        payload = {"ok": False, "error": {"reason": exc.reason, "message": str(exc)}}
     except (OSError, ValueError) as exc:
         payload, code = (
             {"ok": False, "error": {"reason": "usage_error", "message": str(exc)}},

@@ -1,39 +1,37 @@
 """Exact matrices over pluggable scalar rings.
 
-A ring object supplies ``zero``, ``one``, ``promote`` and ``is_unit``; the
-scalars themselves implement Python arithmetic operators.  The same matrix
-code then serves exact rationals, rational functions and truncated power
-series.  Reduced row echelon form and null spaces are only meaningful over
-the field-like rings (rationals, rational functions) and use the documented
-canonical pivot order: lowest column index first, pivots normalized to one.
+A ring object supplies ``zero``, ``one`` and ``promote``; the scalars
+implement Python arithmetic operators.  The same matrix code serves exact
+rationals (``QQ``), rational functions (``RF``) and truncated power series.
+Reduced row echelon forms and null spaces are defined over the fields Q and
+Q(x), with pivots normalized to one.  The form is unique, so whatever pivot
+rows an elimination picks, its result is the one dense field elimination
+gives.  Elimination runs on Python ints, in one of two kernels:
 
-Over the rationals (``QQ``), ``rref`` and ``charpoly`` work on Python ints
-rather than ``Fraction`` entries:
+* ``_rref_integer``, Gauss-Jordan on sparse ``{column: int}`` rows kept
+  primitive, is ``rref`` over Q (so ``nullspace``, ``rank``, ``solve``,
+  ``row_space_canonical``, ``in_span`` and ``inv``).  Primitive rows beat
+  fraction-free elimination on the large sparse systems over Q.
+* ``_ffgj``, fraction-free Gauss-Jordan on rows cleared to Z[x] (integer
+  coefficient lists), one exact division by the previous pivot per step and
+  no gcd, is ``rref`` over Q(x) and the one ``det``: the signed last pivot
+  over the row scales.  Other rings ``lift`` their entries to Q(x) for it.
 
-* ``rref`` (and through it ``nullspace``, ``rank``, ``solve``,
-  ``row_space_canonical`` and ``in_span``) multiplies each row by the lcm of
-  its denominators, which leaves the row space alone, and runs Gauss-Jordan
-  elimination on sparse ``{column: int}`` rows with fraction-free
-  cross-multiplication, each updated row divided by the gcd of its entries.
-  The reduced row echelon form of a matrix is unique, so whatever pivot rows
-  the elimination picks, the result converted back to ``Fraction`` is the
-  same matrix the dense field elimination gives, zero rows included.
-* ``charpoly`` scales the matrix to integers by the lcm d of all its
-  denominators, takes the characteristic polynomial of the integer matrix
-  with Berkowitz's division-free algorithm (Berkowitz 1984), and rescales:
-  p_M(T) = d^-n p_dM(d T).
-
-``det`` and ``inv`` keep the dense loops over the ring's own scalars for every
-ring; the program calls them on matrices of rational functions only.
+``inv`` over Q and Q(x) is the right half of ``rref([m | I])``; over the
+power series it pivots on units (``is_unit``).  ``charpoly`` runs
+Berkowitz's division-free algorithm (Berkowitz 1984) on the integer matrix
+d*m, d the lcm of the denominators of m: p_m(T) = d^-n p_dm(d T).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, zip_longest
 from math import gcd, lcm
 
 from .errors import SingularGauge
-from .ratfun import Poly, RatFn, as_ratfn
+from .ratfun import Poly, RatFn, _clear, _int_divmod, _int_mul, as_ratfn
 
 
 class FractionField:
@@ -48,9 +46,8 @@ class FractionField:
             return Fraction(value)
         raise TypeError(f"cannot promote {value!r} to a rational constant")
 
-    @staticmethod
-    def is_unit(value) -> bool:
-        return value != 0
+    lift = staticmethod(RatFn.const)
+    lower = staticmethod(RatFn.constant_value)
 
 
 class RatFnField:
@@ -60,10 +57,6 @@ class RatFnField:
     @staticmethod
     def promote(value):
         return as_ratfn(value)
-
-    @staticmethod
-    def is_unit(value) -> bool:
-        return not value.is_zero
 
 
 QQ = FractionField()
@@ -125,9 +118,6 @@ class Mat:
     def __getitem__(self, key):
         i, j = key
         return self.data[i][j]
-
-    def row(self, i):
-        return self.data[i]
 
     def col(self, j):
         return tuple(self.data[i][j] for i in range(self.rows))
@@ -232,119 +222,117 @@ class Mat:
         return all(a == zero for row in self.data for a in row)
 
     def det(self):
-        """Exact determinant; cofactor expansion for small sizes, Gauss above."""
+        """Exact determinant, the signed last pivot of ``_ffgj`` over the row
+        scales; a polynomial in the entries, so other rings lift to Q(x)."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return self.ring.one
-        if n <= 5:
-            return self._det_cofactor(tuple(range(n)), 0, {})
-        return self._det_gauss()
-
-    def _det_cofactor(self, cols, row, memo):
-        if len(cols) == 1:
-            return self.data[row][cols[0]]
-        key = cols
-        if row == self.rows - len(cols):
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-        total = self.ring.zero
-        sign = True
-        for pos, j in enumerate(cols):
-            a = self.data[row][j]
-            if a != self.ring.zero:
-                rest = cols[:pos] + cols[pos + 1 :]
-                sub = self._det_cofactor(rest, row + 1, memo)
-                term = a * sub
-                total = total + term if sign else total - term
-            sign = not sign
-        memo[key] = total
-        return total
-
-    def _det_gauss(self):
         ring = self.ring
-        n = self.rows
-        work = [list(row) for row in self.data]
-        det = ring.one
-        for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if ring.is_unit(work[r][col]):
-                    pivot = r
-                    break
-            if pivot is None:
-                return ring.zero
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            pv = work[col][col]
-            det = det * pv
-            for r in range(col + 1, n):
-                factor = work[r][col] / pv
-                if factor == ring.zero:
-                    continue
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return det
+        if ring is not RF:
+            lifted = tuple(tuple([ring.lift(e) for e in row]) for row in self.data)
+            return ring.lower(Mat._unchecked(RF, lifted).det())
+        rows, num, den = _cleared_rows(self)
+        top, pivots, sign = _ffgj(rows, self.cols)
+        if len(pivots) < self.rows:
+            return RatFn.ZERO
+        return RatFn(Poly(top) * (sign * num), den)
 
     def inv(self) -> "Mat":
-        """Gauss-Jordan inverse with unit pivots; raises SingularGauge."""
+        """Inverse; raises SingularGauge.  Over Q and Q(x) it is the right
+        half of rref([m | I]).  Over a local ring such as the truncated power
+        series, where fraction-free division is not exact, Gauss-Jordan
+        pivots on units."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         ring = self.ring
         n = self.rows
+        if ring in (QQ, RF):
+            reduced, pivots = self.hstack(Mat.identity(ring, n)).rref()
+            if pivots != tuple(range(n)):
+                raise SingularGauge("matrix is not invertible")
+            return Mat._unchecked(ring, tuple(row[n:] for row in reduced.data))
         work = [list(row) + list(idrow) for row, idrow in zip(self.data, Mat.identity(ring, n).data)]
         for col in range(n):
-            pivot = None
-            for r in range(col, n):
-                if ring.is_unit(work[r][col]):
-                    pivot = r
-                    break
+            pivot = next((r for r in range(col, n) if ring.is_unit(work[r][col])), None)
             if pivot is None:
                 raise SingularGauge("matrix is not invertible")
             work[col], work[pivot] = work[pivot], work[col]
             pv = work[col][col]
             work[col] = [a / pv for a in work[col]]
             for r in range(n):
-                if r == col:
-                    continue
                 factor = work[r][col]
-                if factor == ring.zero:
-                    continue
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+                if r != col and factor != ring.zero:
+                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
         return Mat(ring, [row[n:] for row in work])
 
     def rref(self):
-        """Reduced row echelon form over a field; returns (matrix, pivot cols)."""
-        ring = self.ring
-        if isinstance(ring, FractionField):
+        """Reduced row echelon form over Q or Q(x); returns (matrix, pivot cols)."""
+        if self.ring is QQ:
             return _rref_integer(self)
-        work = [list(row) for row in self.data]
-        pivots = []
-        r = 0
-        for col in range(self.cols):
-            if r >= len(work):
-                break
-            pivot = None
-            for k in range(r, len(work)):
-                if work[k][col] != ring.zero:
-                    pivot = k
-                    break
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            pv = work[r][col]
-            work[r] = [a / pv for a in work[r]]
-            for k in range(len(work)):
-                if k == r:
-                    continue
-                factor = work[k][col]
-                if factor != ring.zero:
-                    work[k] = [a - factor * b for a, b in zip(work[k], work[r])]
-            pivots.append(col)
-            r += 1
-        return Mat(ring, work), tuple(pivots)
+        if self.ring is not RF:
+            raise TypeError("rref expects a matrix over Q or Q(x)")
+        rows, _, _ = _cleared_rows(self)
+        den, pivots, _ = _ffgj(rows, self.cols)
+        top = Poly(den)
+        out = [
+            tuple([RatFn.ONE if e == den else RatFn(Poly(e), top) if e else RatFn.ZERO for e in row])
+            for row in rows[: len(pivots)]
+        ]
+        out.extend([(RatFn.ZERO,) * self.cols] * (self.rows - len(pivots)))
+        return Mat._unchecked(RF, tuple(out)), tuple(pivots)
+
+
+def _cleared_rows(m: Mat):
+    """(rows, num, den): row i of ``m`` over Q(x) is ``rows[i]``, a row of
+    integer coefficient lists (lowest degree first, [] for zero), times
+    num_i/den_i, with num_i in Q and den_i the lcm of the row's denominators;
+    ``num`` and ``den`` are the products of the num_i and of the den_i."""
+    rows, num, den = [], Fraction(1), Poly.ONE
+    for row in m.data:
+        dens = {e.den for e in row}
+        common = reduce(Poly.lcm, dens, Poly.ONE)
+        quotients = {d: common // d if d != common else Poly.ONE for d in dens}
+        polys = [(e.num * quotients[e.den]).coeffs for e in row]
+        ints, scale = _clear([c for p in polys for c in p])
+        ends = list(accumulate(map(len, polys)))
+        rows.append([ints[k - len(p) : k] for p, k in zip(polys, ends)])
+        num, den = num * scale, den * common
+    return rows, num, den
+
+
+def _ffgj(rows, width):
+    """Fraction-free Gauss-Jordan (FFGJ: Bareiss 1968; Nakos, Turner &
+    Williams 1997) of ``rows`` of integer coefficient lists, in place.  At
+    the pivot p in column j every other row becomes (p*row - row[j]*prow)/d,
+    d the previous pivot, an exact division in Z[x].  Returns (den, pivots,
+    sign): the first len(pivots) rows are then den times the reduced row
+    echelon form, the others zero; sign is the parity of the row swaps, and
+    sign*den the determinant of a square matrix of full rank."""
+    den, pivots, sign = [1], [], 1
+    for j in range(width):
+        i = len(pivots)
+        k = next((k for k in range(i, len(rows)) if rows[k][j]), None)
+        if k is None:
+            continue
+        if k != i:
+            rows[i], rows[k] = rows[k], rows[i]
+            sign = -sign
+        prow = rows[i]
+        p = prow[j]
+        for r, row in enumerate(rows):
+            if r != i:
+                f = row[j]
+                row[:] = [_cross(p, a, f, b, den) for a, b in zip(row, prow)]
+        den = p
+        pivots.append(j)
+    return den, pivots, sign
+
+
+def _cross(p, a, f, b, d):
+    """(p*a - f*b) / d on integer coefficient lists, d dividing exactly."""
+    out = [x - y for x, y in zip_longest(_int_mul(p, a), _int_mul(f, b), fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out if d == [1] else _int_divmod(out, d)[0]
 
 
 def _integer_row(row):

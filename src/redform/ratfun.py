@@ -88,18 +88,34 @@ def _int_gcd(a, b):
     return [1]
 
 
-def _exquo(a, b):
-    """Quotient of integer coefficient lists when b divides a exactly."""
-    a = list(a)
+def _int_mul(a, b):
+    """Product of two integer coefficient lists; [] when either is zero."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_divmod(a, b):
+    """Quotient and remainder of integer coefficient lists, for b dividing a
+    exactly or a scaled by lc(b)^(len(a) - len(b) + 1) (pseudo-division)."""
+    r = list(a)
     n = len(b) - 1
     lb = b[-1]
-    q = [0] * (len(a) - n)
+    q = [0] * (len(r) - n)
     for k in range(len(q) - 1, -1, -1):
-        c = q[k] = a[k + n] // lb
+        c = q[k] = r[k + n] // lb
         if c:
             for j in range(n):
-                a[k + j] -= c * b[j]
-    return q
+                r[k + j] -= c * b[j]
+    del r[n:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
 
 class Poly:
@@ -201,12 +217,7 @@ class Poly:
             return p if c == 1 else Poly._unchecked(tuple([a * c for a in p.coeffs]))
         ia, sa = _clear(p.coeffs)
         ib, sb = _clear(q.coeffs)
-        out = [0] * (len(ia) + len(ib) - 1)
-        for i, a in enumerate(ia):
-            if a:
-                for j, b in enumerate(ib):
-                    out[i + j] += a * b
-        return Poly._unchecked(_scaled(out, sa * sb))
+        return Poly._unchecked(_scaled(_int_mul(ia, ib), sa * sb))
 
     __rmul__ = __mul__
 
@@ -237,19 +248,8 @@ class Poly:
         # by lb^(dq+1) every quotient coefficient is an exact integer
         ia, sa = _clear(self.coeffs)
         ib, sb = _clear(other.coeffs)
-        n = len(ib) - 1
-        lb = ib[-1]
-        scale = lb ** (dq + 1)
-        rem = [a * scale for a in ia]
-        quot = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = quot[k] = rem[k + n] // lb
-            if c:
-                for j in range(n):
-                    rem[k + j] -= c * ib[j]
-        del rem[n:]
-        while rem and not rem[-1]:
-            rem.pop()
+        scale = ib[-1] ** (dq + 1)
+        quot, rem = _int_divmod([a * scale for a in ia], ib)
         sa = sa / scale
         return Poly._unchecked(_scaled(quot, sa / sb)), Poly._unchecked(_scaled(rem, sa))
 
@@ -281,6 +281,8 @@ class Poly:
         other = _as_poly(other)
         if self.is_zero or other.is_zero:
             return Poly()
+        if self.degree == 0 or other.degree == 0:
+            return (other if self.degree == 0 else self).monic()
         g = self.gcd(other)
         return ((self * other) // g).monic()
 
@@ -336,12 +338,6 @@ class Poly:
             out[k * m] = c
         return Poly(out)
 
-    def radical(self) -> "Poly":
-        """Monic squarefree part (characteristic zero)."""
-        if self.degree < 1:
-            return Poly.const(1) if not self.is_zero else Poly()
-        return (self // self.gcd(self.derivative())).monic()
-
     def __repr__(self):
         return f"Poly[{poly_str(self, 'x')}]"
 
@@ -384,9 +380,9 @@ class RatFn:
             if len(g) > 1:
                 # exact quotients over Z (Gauss's lemma), rescaled once so
                 # that den is monic
-                da = _exquo(da, g)
+                da = _int_divmod(da, g)[0]
                 lead = da[-1]
-                self.num = Poly._unchecked(_scaled(_exquo(na, g), ns / (ds * lead)))
+                self.num = Poly._unchecked(_scaled(_int_divmod(na, g)[0], ns / (ds * lead)))
                 self.den = Poly._unchecked(_scaled(da, Fraction(1, lead)))
                 return
         lead = den.coeffs[-1]
@@ -871,17 +867,17 @@ def integer_roots(p: Poly, search_limit: int = 10 ** 14):
     if not coeffs:
         return sorted(roots), True
     a0 = abs(coeffs[0])
-    stripped = Poly(coeffs)
-    if a0 <= search_limit:
-        for d in _divisors(a0):
-            for cand in (d, -d):
-                if stripped(cand) == 0:
-                    roots.add(cand)
-        return sorted(roots), True
-    for cand in range(-64, 65):
-        if cand != 0 and stripped(cand) == 0:
+    certified = a0 <= search_limit
+    # the constant term is nonzero, so 0 is never a root of the rest
+    cands = [s * d for d in _divisors(a0) for s in (1, -1)] if certified else range(-64, 65)
+    high_first = coeffs[::-1]
+    for cand in cands:
+        acc = 0
+        for c in high_first:  # integer Horner
+            acc = acc * cand + c
+        if acc == 0:
             roots.add(cand)
-    return sorted(roots), False
+    return sorted(roots), certified
 
 
 def squarefree_factors(p: Poly):

@@ -40,6 +40,7 @@ from .errors import (
     NotStable,
     PoleAtPoint,
     SingularGauge,
+    Unsupported,
 )
 from .linalg import Mat, QQ, RF, in_span, nullspace, rank, row_space_canonical, solve
 from .ratfun import Poly, RatFn, ratfn_sqrt
@@ -344,9 +345,6 @@ class ReductionCertificate:
     basis: tuple
     coeffs: tuple
 
-    def reduced_system(self) -> DiffSystem:
-        return DiffSystem(self.var, self.reduced)
-
     def verify(self, original: DiffSystem) -> bool:
         pulled = pullback(original, self.extension_order, new_var=self.var)
         if gauge(pulled, self.gauge_matrix).mat != self.reduced:
@@ -360,8 +358,9 @@ class ReductionCertificate:
 
 def _eigenvalues_ratfn(m: Mat):
     """Eigenvalues of a matrix over the rational functions, requiring them to
-    be rational functions themselves (triangular matrices and the quadratic
-    case; NotSplit otherwise)."""
+    be rational functions themselves: triangular matrices and the quadratic
+    case, NotSplit when the 2x2 eigenvalues are not rational functions, and
+    Unsupported for any other matrix."""
     n = m.rows
     if n == 1:
         return [m.data[0][0]]
@@ -381,7 +380,7 @@ def _eigenvalues_ratfn(m: Mat):
             )
         half = RatFn.const(Fraction(1, 2))
         return [(tr + root) * half, (tr - root) * half]
-    raise NotSplit(
+    raise Unsupported(
         "eigenvalue extraction beyond triangular or 2x2 matrices is unsupported"
     )
 

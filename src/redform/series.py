@@ -175,6 +175,14 @@ class SeriesRing:
     def is_unit(value) -> bool:
         return value.is_unit()
 
+    # to and from the polynomials in the local variable, for Mat.det
+    @staticmethod
+    def lift(value) -> RatFn:
+        return RatFn(Poly(value.coeffs))
+
+    def lower(self, value: RatFn) -> TruncSeries:
+        return TruncSeries(value.num.coeffs, self.order)
+
 
 @dataclass(frozen=True)
 class SeriesMat:

@@ -115,14 +115,15 @@ def const_vec(values):
 
 
 # ---------------------------------------------------------------------------
-# A tiny independent Gaussian elimination over Fraction rows, used as an
-# oracle where the production solver must not check itself.
+# A tiny independent Gaussian elimination over Fraction or RatFn rows, used
+# as an oracle where the production solver must not check itself.
 
 
 def oracle_rref(rows):
-    """Reduced row echelon form and pivot columns of a Fraction matrix given
-    as a list of row lists, by dense Gauss-Jordan elimination."""
-    work = [list(map(Fraction, r)) for r in rows]
+    """Reduced row echelon form and pivot columns of a matrix over Q or Q(x)
+    given as a list of row lists, by dense Gauss-Jordan elimination with
+    field division; entries other than ``RatFn`` are taken as Fractions."""
+    work = [[a if isinstance(a, RatFn) else Fraction(a) for a in r] for r in rows]
     cols = len(work[0]) if work else 0
     pivots = []
     r = 0
@@ -160,7 +161,8 @@ def oracle_nullspace(rows):
 
 
 def oracle_det(rows):
-    """Determinant of a square Fraction matrix by Laplace expansion."""
+    """Determinant of a square matrix of Fractions or RatFns (or any
+    commutative ring elements) by Laplace expansion along the first row."""
     if not rows:
         return Fraction(1)
     total = Fraction(0)

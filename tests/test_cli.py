@@ -165,6 +165,20 @@ class TestVerdicts:
         )
         assert code == 1 and payload["error"]["reason"] == "not_split"
 
+    def test_reduce_beyond_eigenvalue_extractor_is_unsupported(self, work, capsys):
+        # the constant companion matrix of (T-1)(T-2)(T-3) commutes with
+        # itself, so it spans a stable line of the system it defines; its
+        # eigenvalues 1, 2, 3 are rational, so not_split would be a false
+        # negative: the reducer cannot extract them and says so
+        companion = [["0", "0", "6"], ["1", "0", "-11"], ["0", "1", "6"]]
+        sys_path = work[1]("s.json", {"var": "x", "n": 3, "A": companion})
+        endo_path = work[1]("e.json", {"var": "x", "M": companion})
+        code, payload = run(
+            ["reduce", "--system", sys_path, "--semiinv", endo_path, "--pullback", "1"],
+            capsys,
+        )
+        assert code == 2 and payload["error"]["reason"] == "unsupported"
+
 
 class TestUsageErrors:
     def test_malformed_expression(self, work, capsys):

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from redform import Mat, Poly, QQ, RF, SingularGauge
+from redform import Mat, Poly, QQ, RF, RatFn, SingularGauge
 from redform.linalg import charpoly, in_span, mat_vec, nullspace, rank, row_space_canonical, solve
 
-from helpers import oracle_det, oracle_rref, rand_invertible, rand_matrix
+from helpers import oracle_det, oracle_rref, rand_invertible, rand_matrix, rf
 
 
 def test_inverse_roundtrip_rational_functions():
@@ -31,12 +31,6 @@ def test_det_multiplicative():
         a = rand_matrix(rng, 3)
         b = rand_matrix(rng, 3)
         assert (a * b).det() == a.det() * b.det()
-
-
-def test_det_gauss_matches_cofactor():
-    rng = random.Random(13)
-    m = rand_matrix(rng, 4)
-    assert m._det_gauss() == m._det_cofactor(tuple(range(4)), 0, {})
 
 
 def test_nullspace_vectors_annihilate():
@@ -167,3 +161,94 @@ def test_qq_kernel_empty_shapes():
     no_cols = Mat(QQ, [[], []])
     assert no_cols.rref() == (no_cols, ())
     assert nullspace(no_cols) == []
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free elimination over Q(x) against the dense field oracle
+
+
+def _check_rf_against_oracle(rows):
+    m = Mat(RF, rows)
+    reduced, pivots = m.rref()
+    want, want_pivots = oracle_rref(rows)
+    assert reduced.data == tuple(tuple(r) for r in want)
+    assert pivots == tuple(want_pivots)
+    if m.is_square:
+        n = m.rows
+        det = oracle_det(m.data)
+        assert m.det() == det
+        if det:
+            assert m * m.inv() == Mat.identity(RF, n)
+        else:
+            with pytest.raises(SingularGauge):
+                m.inv()
+        if n > 5:
+            return
+        # the wide [m | I] shape that inv eliminates
+        wide = [list(r) + [RatFn.ONE if i == j else RatFn.ZERO for j in range(n)] for i, r in enumerate(rows)]
+        reduced, pivots = Mat(RF, wide).rref()
+        want, want_pivots = oracle_rref(wide)
+        assert reduced.data == tuple(tuple(r) for r in want)
+        assert pivots == tuple(want_pivots)
+
+
+# distinct denominators, non-monic ones included (normalized to monic)
+_RF_DENS = ["1", "1", "x", "x+1", "2*x-3", "x^2+1", "3*x^2-x"]
+
+
+def _rand_rf_entry(rng):
+    if rng.random() < 0.3:
+        return RatFn.ZERO
+    # non-monic numerators with rational coefficients
+    num = Poly([Fraction(rng.randint(-4, 4), rng.choice([1, 2, -3, 5])) for _ in range(rng.randint(1, 3))])
+    return RatFn(num, rf(rng.choice(_RF_DENS)).num)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 6])
+def test_rf_kernel_matches_dense_oracle_seeded(n):
+    # n = 5 and 6 lie on both sides of the old cofactor/Gauss size switch
+    rng = random.Random(300 + n)
+    for trial in range({0: 1, 1: 12, 2: 12, 3: 8, 5: 3, 6: 2}[n]):
+        rows = [[_rand_rf_entry(rng) for _ in range(n)] for _ in range(n)]
+        if n > 2 and trial % 2:
+            # rank deficiency: a Q(x)-combination of two earlier rows
+            c = _rand_rf_entry(rng) or RatFn.ONE
+            rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+        _check_rf_against_oracle(rows)
+
+
+def test_rf_kernel_non_square_seeded():
+    rng = random.Random(41)
+    for _ in range(10):
+        rows_n, cols_n = rng.randint(1, 4), rng.randint(1, 6)
+        _check_rf_against_oracle([[_rand_rf_entry(rng) for _ in range(cols_n)] for _ in range(rows_n)])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [["0", "0"], ["0", "0"]],
+        [["0", "0", "0"]],
+        [["1/x", "1/(x+1)"], ["x+1", "x"]],
+        [["x", "1"], ["x^2", "x"]],
+        [["0", "1/(2*x)", "3/7"], ["0", "x/(x-1)", "-1"], ["0", "0", "0"]],
+        [["2/3", "x"], ["-5/2*x", "1/(3*x^2+1)"]],
+    ],
+)
+def test_rf_kernel_edge_cases(rows):
+    _check_rf_against_oracle([[rf(a) for a in row] for row in rows])
+
+
+def test_series_ring_det_matches_laplace():
+    from redform.series import SeriesRing, TruncSeries
+
+    ring = SeriesRing(5)
+    rng = random.Random(43)
+    rows = [
+        [TruncSeries([rng.randint(-3, 3) for _ in range(5)], 5) for _ in range(3)]
+        for _ in range(3)
+    ]
+    rows[0][0] = TruncSeries([0, 1], 5)  # no unit in the leading entry
+    m = Mat(ring, rows)
+    assert m.det() == oracle_det(rows)
+    assert Mat(ring, [[TruncSeries([0, 2], 5)]]).det() == TruncSeries([0, 2], 5)
