@@ -74,9 +74,10 @@ def _prem(a, b):
 
 
 def _int_gcd(a, b):
-    """Primitive gcd, up to sign, of two nonzero integer coefficient lists:
-    the primitive Euclidean algorithm over Z (von zur Gathen & Gerhard,
-    Modern Computer Algebra, ch. 6)."""
+    """Primitive gcd, up to sign, of two nonzero primitive integer coefficient
+    lists: the primitive Euclidean algorithm over Z (von zur Gathen & Gerhard,
+    Modern Computer Algebra, ch. 6).  A non-primitive input may come back
+    as it is, content included."""
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
@@ -834,50 +835,55 @@ def ratfn_str(r: RatFn, var: str = "x") -> str:
 # Root utilities
 
 
-def _divisors(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _horner(ints, x):
+    """Value at the integer x of an integer coefficient list."""
+    acc = 0
+    for c in reversed(ints):
+        acc = acc * x + c
+    return acc
 
 
-def integer_roots(p: Poly, search_limit: int = 10 ** 14):
-    """Return (roots, certified) for the integer roots of p.
+def integer_roots(p: Poly):
+    """Sorted integer roots of p, each once, found exactly at any size by
+    p-adic Newton lifting (Loos 1983, SIAM J. Comput. 12, cut down to
+    integer roots).
 
-    The search clears denominators and the content, and tests divisors of
-    the trailing coefficient.  When that coefficient exceeds
-    ``search_limit`` the divisor enumeration is skipped and only a small
-    window is scanned, in which case ``certified`` is False.
+    p is cleared to a primitive integer list f; its factors of x give the
+    root 0.  Then g = f/gcd(f, f') is squarefree with g(0) != 0, so every
+    other integer root z divides g(0).  At the first odd prime q where every
+    root of g mod q is simple, z mod q is one of those roots; each is lifted
+    to a modulus m > 2|g(0)|, and its symmetric residue is kept when g
+    vanishes there.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every integer as a root")
-    coeffs, _ = _clear(p.coeffs)
-    valuation = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        valuation += 1
-    roots = set()
-    if valuation:
-        roots.add(0)
-    if not coeffs:
-        return sorted(roots), True
-    a0 = abs(coeffs[0])
-    certified = a0 <= search_limit
-    # the constant term is nonzero, so 0 is never a root of the rest
-    cands = [s * d for d in _divisors(a0) for s in (1, -1)] if certified else range(-64, 65)
-    high_first = coeffs[::-1]
-    for cand in cands:
-        acc = 0
-        for c in high_first:  # integer Horner
-            acc = acc * cand + c
-        if acc == 0:
-            roots.add(cand)
-    return sorted(roots), certified
+    f, _ = _clear(p.coeffs)
+    k = next(i for i, c in enumerate(f) if c)
+    roots = [0] if k else []
+    f = f[k:]
+    if len(f) < 2:
+        return roots
+    df = [i * c for i, c in enumerate(f)][1:]
+    content = math.gcd(*df)
+    g = _int_divmod(f, _int_gcd(f, [c // content for c in df]))[0]
+    dg = [i * c for i, c in enumerate(g)][1:]
+    q = 3
+    while True:
+        if all(q % d for d in range(3, math.isqrt(q) + 1, 2)):
+            residues = [r for r in range(q) if _horner(g, r) % q == 0]
+            if all(_horner(dg, r) % q for r in residues):
+                break
+        q += 2
+    bound = 2 * abs(g[0])
+    for r in residues:
+        m = q
+        while m <= bound:
+            m *= m
+            r = (r - _horner(g, r) * pow(_horner(dg, r), -1, m)) % m
+        z = r - m if 2 * r > m else r
+        if _horner(g, z) == 0:
+            roots.append(z)
+    return sorted(roots)
 
 
 def squarefree_factors(p: Poly):

@@ -15,10 +15,11 @@ eigenvalue of the residue matrix there, so the exponent
 max(|z| : z integer eigenvalue of the residue) is a valid (if sometimes
 generous) bound.  Places with higher-order poles fall back to a user cap and
 disqualify completeness claims.  The result is labeled complete only when
-every finite place was bounded by residue analysis, the entries vanish at
-infinity (degree growth <= -1, so integer eigenvalues of the leading
-coefficient there bound solution degrees), the numerator cap covers the
-certified degree, and no denominator override was supplied.
+every finite place is a simple pole, the entries vanish at infinity (degree
+growth <= -1, so integer eigenvalues of the leading coefficient there bound
+solution degrees), the numerator cap covers that degree bound, and no
+denominator override was supplied.  Integer eigenvalues come from
+ratfun.integer_roots, which finds every one exactly, whatever its size.
 """
 
 from __future__ import annotations
@@ -108,30 +109,22 @@ def _residue_matrix(sys: DiffSystem, place: Poly) -> Mat:
     return Mat(QQ, big)
 
 
-def _integer_eigenvalues(m: Mat):
-    """Integer roots of the characteristic polynomial, with certainty flag."""
-    return integer_roots(charpoly(m))
-
-
 def denominator_bound(sys: DiffSystem, pole_cap: int = 10) -> Poly:
     """Universal denominator candidate for rational solutions of the system."""
-    return _denominator_bound_info(sys, pole_cap, singularities(sys))[0]
+    return _denominator_bound(sys, pole_cap, singularities(sys))
 
 
-def _denominator_bound_info(sys: DiffSystem, pole_cap: int, report):
+def _denominator_bound(sys: DiffSystem, pole_cap: int, report) -> Poly:
     den = Poly.ONE
-    certified = True
     for place, order in report.finite_places:
         if order == 1:
-            eigen, eigen_certified = _integer_eigenvalues(_residue_matrix(sys, place))
-            certified = certified and eigen_certified
+            eigen = integer_roots(charpoly(_residue_matrix(sys, place)))
             exponent = max((abs(z) for z in eigen), default=0)
         else:
             exponent = pole_cap
-            certified = False
         if exponent > 0:
             den = den * place ** exponent
-    return den.monic(), certified
+    return den.monic()
 
 
 def _infinity_degree_info(sys: DiffSystem, report):
@@ -139,7 +132,7 @@ def _infinity_degree_info(sys: DiffSystem, report):
     bounded by the largest integer eigenvalue of the 1/x coefficient matrix
     (None when there is none, meaning only the zero solution is rational)."""
     if report.order_at_infinity > -1:
-        return False, None, True
+        return False, None
     n = sys.n
     lead = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -147,9 +140,8 @@ def _infinity_degree_info(sys: DiffSystem, report):
             e = sys.mat.data[i][j]
             if not e.is_zero and e.num.degree - e.den.degree == -1:
                 lead[i][j] = e.num.leading / e.den.leading
-    eigen, eigen_certified = _integer_eigenvalues(Mat(QQ, lead))
-    dmax = max(eigen) if eigen else None
-    return True, dmax, eigen_certified
+    eigen = integer_roots(charpoly(Mat(QQ, lead)))
+    return True, max(eigen, default=None)
 
 
 def _ansatz_rows(sys: DiffSystem, den: Poly, cap: int) -> tuple:
@@ -225,10 +217,9 @@ def rational_solutions(
     n = sys.n
     if den_override is not None:
         den = den_override.monic()
-        den_certified = False
     else:
         report = singularities(sys)
-        den, den_certified = _denominator_bound_info(sys, pole_cap, report)
+        den = _denominator_bound(sys, pole_cap, report)
     # the cap applies to the ansatz numerator; make sure constants stay
     # representable even for large denominators
     cap = max(num_deg_cap, den.degree)
@@ -244,14 +235,10 @@ def rational_solutions(
         basis.append(vec)
 
     complete = False
-    if den_override is None and den_certified:
-        bounded, dmax, inf_certified = _infinity_degree_info(sys, report)
-        if bounded and inf_certified:
-            if dmax is None:
-                complete = True
-            else:
-                needed = dmax + den.degree
-                complete = needed < 0 or cap >= needed
+    if den_override is None and all(order == 1 for _, order in report.finite_places):
+        bounded, dmax = _infinity_degree_info(sys, report)
+        # cap >= 0, so a negative needed degree dmax + deg(den) always passes
+        complete = bounded and (dmax is None or cap >= dmax + den.degree)
     return SolutionSpace(n, tuple(basis), den, cap, complete)
 
 

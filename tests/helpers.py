@@ -1,5 +1,6 @@
 """Shared fixtures and random generators for the test suite."""
 
+import math
 from fractions import Fraction
 
 from redform import (
@@ -207,6 +208,32 @@ def oracle_poly_divmod(a, b):
         for j, y in enumerate(b.coeffs):
             rem[k + j] -= c * y
     return Poly(quot), Poly(rem[:db])
+
+
+def oracle_integer_roots(p):
+    """Integer roots of a nonzero polynomial by divisor enumeration: clear it
+    to coprime integers, strip the factors of x (0 is then a root), and test
+    every divisor of the trailing coefficient, up to |a0| = 10^8, by exact
+    evaluation on Fractions."""
+    scale = 1
+    for c in p.coeffs:
+        scale = scale * c.denominator // math.gcd(scale, c.denominator)
+    ints = [int(c * scale) for c in p.coeffs]
+    content = math.gcd(*ints)
+    ints = [a // content for a in ints]
+    roots = {0} if ints[0] == 0 else set()
+    while ints[0] == 0:
+        ints.pop(0)
+    a0 = abs(ints[0])
+    if a0 > 10 ** 8:
+        raise ValueError("trailing coefficient too large for the oracle")
+    if len(ints) > 1:
+        for d in range(1, math.isqrt(a0) + 1):
+            if a0 % d == 0:
+                for z in (d, -d, a0 // d, -a0 // d):
+                    if p(z) == 0:
+                        roots.add(z)
+    return sorted(roots)
 
 
 def oracle_ansatz_rows(sys_, den, cap):

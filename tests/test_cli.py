@@ -132,6 +132,22 @@ class TestVerdicts:
         assert code == 0 and payload["complete"] is True
         assert payload["basis"] == [["(1)/(x)"]]
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            # 2000000000000001/2 is past where a divisor scan of the charpoly's
+            # trailing coefficient stops; 99999999999973 is a prime below it
+            "(2000000000000001)/(2*x)",
+            "99999999999973/(2*x)",
+        ],
+    )
+    def test_ratsols_complete_for_large_non_integer_residue(self, work, capsys, entry):
+        tmp, write = work
+        sys_path = write("z.json", {"var": "x", "n": 1, "A": [[entry]]})
+        code, payload = run(["ratsols", "--system", sys_path], capsys)
+        assert code == 0 and payload["complete"] is True
+        assert payload["dim"] == 0 and payload["denominator"] == "1"
+
     def test_ratsols_with_denominator_override(self, work, capsys):
         tmp, write = work
         sys_path = write("z.json", {"var": "x", "n": 1, "A": [["-1/x"]]})

@@ -1,5 +1,6 @@
 """Exact arithmetic: worked values, field axioms, and round trips."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,7 +24,14 @@ from redform import (
 )
 from redform.ratfun import integer_roots, parse_rat, poly_sqrt, rat_str, ratfn_sqrt
 
-from helpers import oracle_poly_divmod, oracle_poly_gcd, oracle_poly_mul, rand_ratfn, rf
+from helpers import (
+    oracle_integer_roots,
+    oracle_poly_divmod,
+    oracle_poly_gcd,
+    oracle_poly_mul,
+    rand_ratfn,
+    rf,
+)
 
 
 class TestArith:
@@ -188,10 +196,53 @@ def test_substitution_is_a_field_morphism(a, m):
 
 def test_integer_roots():
     p = Poly([6, -5, 1])  # (x-2)(x-3)
-    roots, certified = integer_roots(p)
-    assert roots == [2, 3] and certified
-    roots, _ = integer_roots(Poly([0, Fraction(1, 2), Fraction(-1, 2)]))  # x(1-x)/2
-    assert roots == [0, 1]
+    assert integer_roots(p) == [2, 3]
+    assert integer_roots(Poly([0, Fraction(1, 2), Fraction(-1, 2)])) == [0, 1]  # x(1-x)/2
+    # 1, 4, 6, 8 collide mod 3, 5 and 7, where the collided roots are not
+    # simple and cannot be lifted, so lifting starts at 11
+    p = Poly([-1, 1]) * Poly([-4, 1]) * Poly([-6, 1]) * Poly([-8, 1])
+    assert integer_roots(p) == [1, 4, 6, 8]
+
+
+def test_integer_roots_past_any_search_window():
+    # (x - 10^20)(x + 3)(2x - 1)^2 x: a root far outside any scan window, a
+    # repeated rational non-integer factor, and the root 0
+    p = Poly([0, 1])
+    for factor in ([-(10 ** 20), 1], [3, 1], [-1, 2], [-1, 2]):
+        p = p * Poly(factor)
+    assert integer_roots(p) == [-3, 0, 10 ** 20]
+    # a prime trailing coefficient just below 10^14, the old divisor scan's
+    # slowest case, and one far past it
+    assert integer_roots(Poly([99999999999973, 0, 1])) == []
+    assert integer_roots(Poly([-(10 ** 40 + 1) * 3, 10 ** 40 - 2, 1])) == [-(10 ** 40) - 1, 3]
+
+
+def _seeded_root_poly(rng):
+    """A nonzero polynomial mixing the shapes the root finder must handle:
+    integer roots of multiplicity up to 3, a power of 2x - 1, an irreducible
+    quadratic, a power of x, non-unit content and Fraction coefficients."""
+    p = Poly([rng.choice([Fraction(1), Fraction(rng.randint(-30, 30) or 7, rng.randint(1, 12))])])
+    budget = 6  # total integer-root multiplicity: |a0| <= 9^6 * 50 after clearing
+    for _ in range(rng.randint(0, 3)):
+        mult = rng.randint(1, min(3, budget)) if budget else 0
+        budget -= mult
+        z = rng.randint(-9, 9) or 1
+        p = p * Poly([-z, 1]) ** mult
+    if rng.random() < 0.4:
+        p = p * Poly([-1, 2]) ** rng.randint(1, 2)
+    if rng.random() < 0.4:
+        c = rng.choice([c for c in range(-50, 51) if c < 0 or math.isqrt(c) ** 2 != c])
+        p = p * Poly([-c, 0, 1])  # x^2 - c, c not a square
+    return p * Poly([0, 1]) ** rng.choice([0, 0, 0, 1, 2, 3])
+
+
+def test_integer_roots_match_the_divisor_oracle_seeded():
+    rng = random.Random(8)
+    polys = [_seeded_root_poly(rng) for _ in range(300)]
+    # the draw reaches constants, linear and high-degree polynomials
+    assert {p.degree for p in polys} >= {0, 1, 2, 6, 10}
+    for i, p in enumerate(polys):
+        assert integer_roots(p) == oracle_integer_roots(p), (i, p.coeffs)
 
 
 def test_poly_sqrt():
@@ -360,11 +411,10 @@ def test_ratfn_str_prints_the_integer_cleared_pair():
 
 
 def test_integer_roots_divide_out_the_content():
-    # 10^15 (x - 2)(x - 3): the cleared trailing coefficient is 6, not 6*10^15,
-    # so the divisor search runs and the answer is certified
+    # 10^15 (x - 2)(x - 3): the content does not change the roots
     p = Poly([6 * 10 ** 15, -5 * 10 ** 15, 10 ** 15])
-    assert integer_roots(p) == ([2, 3], True)
-    assert integer_roots(Poly([0, 0, Fraction(-3, 4), Fraction(3, 8)])) == ([0, 2], True)
+    assert integer_roots(p) == [2, 3]
+    assert integer_roots(Poly([0, 0, Fraction(-3, 4), Fraction(3, 8)])) == [0, 2]
 
 
 # ---------------------------------------------------------------------------
