@@ -170,10 +170,7 @@ def series_to_json(series) -> dict:
         "x0": rat_str(series.x0),
         "order": series.order,
         "n": series.n,
-        "coeffs": [
-            [[rat_str(e) for e in row] for row in series.coeff_matrix(k).data]
-            for k in range(series.order)
-        ],
+        "coeffs": [[[rat_str(e) for e in row] for row in c.data] for c in series.coeffs],
     }
 
 

@@ -3,29 +3,40 @@
 A fundamental series is the unique truncated solution of U' = A*U with
 U(x0) = Id.  It is computed from the polynomial form of the system: with q
 the monic lcm of the denominators of A and N = q*A a polynomial matrix,
-q*U' = N*U.  Expanding q, N and U = sum C_k*u^k in the local variable
-u = x - x0 and comparing the coefficients of u^k gives
+q*U' = N*U.  Expanding q and N in the local variable u = x - x0 and
+clearing all their coefficients together (one lcm of their denominators,
+one content) gives, for one rational s > 0, integers Q_j = s*q_j and
+integer matrices N_i = s*N_i(x0).  Writing U = sum C_k*u^k and comparing
+the coefficients of u^k then gives
 
-    q_0*(k+1)*C_{k+1} = sum_{i=0}^{min(k, deg N)} N_i*C_{k-i}
-                        - sum_{j=1}^{min(k, deg q)} q_j*(k+1-j)*C_{k+1-j},
+    Q_0*(k+1)*C_{k+1} = sum_{i=0}^{k} (N_i - (k-i)*Q_{i+1}*Id)*C_{k-i},
 
-a recurrence with at most deg N + 1 matrix products and deg q scalings per
-step.  At an ordinary point no denominator vanishes, so q_0 = q(x0) != 0.
-The C_k are determined by U(x0) = Id alone and the arithmetic is exact, so
-they equal the coefficients of the convolution with the Taylor coefficients
-of A, (k+1)*C_{k+1} = sum_{i+j=k} A_i*C_j.
+with N_i = 0 past deg N and Q_j = 0 past deg q: at most
+max(deg N + 1, deg q) integer matrix products per step.  At an ordinary
+point no denominator vanishes, so Q_0 = s*q(x0) != 0 (it may be negative).
+
+Each C_k is kept as M_k/d_k, an integer matrix over one denominator d_k > 0
+with gcd(content(M_k), d_k) = 1.  A step multiplies each M_{k-i} by
+L/d_{k-i}, L the lcm of the d's it reads, takes d = L*Q_0*(k+1), and
+divides M and d by one gcd.  Fractions are built only for the result, one
+per entry.  The C_k are determined by U(x0) = Id alone and the arithmetic
+is exact, so they equal the coefficients of the convolution with the
+Taylor coefficients of A, (k+1)*C_{k+1} = sum_{i+j=k} A_i*C_j.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .constructions import Construction, constr_dim, constr_group
 from .errors import DimensionMismatch, PoleAtPoint
 from .linalg import Mat, QQ
-from .ratfun import Poly, RatFn
-from .systems import DiffSystem, is_ordinary_point
+from .ratfun import Poly, RatFn, _clear
+from .systems import DiffSystem
 
 
 class TruncSeries:
@@ -186,27 +197,38 @@ class SeriesRing:
 
 @dataclass(frozen=True)
 class SeriesMat:
-    """Matrix of truncated series around x0; coefficient view available."""
+    """Truncated matrix series sum C_k*(x - x0)^k, stored as the tuple of its
+    coefficient matrices C_0, ..., C_(order-1) over Q."""
 
     var: str
     x0: Fraction
-    mat: Mat
+    coeffs: tuple
 
     @property
     def n(self) -> int:
-        return self.mat.rows
+        return self.coeffs[0].rows
 
     @property
     def order(self) -> int:
-        return min(e.order for row in self.mat.data for e in row)
+        return len(self.coeffs)
 
     def coeff_matrix(self, k: int) -> Mat:
-        return Mat._unchecked(
-            QQ, tuple(tuple([e.coeff(k) for e in row]) for row in self.mat.data)
-        )
+        return self.coeffs[k]
 
     def coeff_matrices(self):
-        return [self.coeff_matrix(k) for k in range(self.order)]
+        return list(self.coeffs)
+
+    @property
+    def mat(self) -> Mat:
+        """The same series as one matrix of ``TruncSeries``, built on demand."""
+        n, order = self.n, self.order
+        return Mat._unchecked(
+            SeriesRing(order),
+            tuple(
+                tuple(TruncSeries([c.data[i][j] for c in self.coeffs], order) for j in range(n))
+                for i in range(n)
+            ),
+        )
 
 
 def ratfn_matrix_series(m: Mat, x0, order: int) -> Mat:
@@ -219,41 +241,64 @@ def fundamental_series(sys: DiffSystem, x0, order: int) -> SeriesMat:
     """Truncated fundamental solution of the system, normalized to identity.
 
     The coefficient matrices C_0 = Id, C_1, ..., C_(order-1) come from the
-    recurrence of q*U' = N*U (see the module docstring), with q and N
-    expanded at x0 by ``Poly.shift``; A itself is never expanded.
+    integer recurrence of q*U' = N*U (see the module docstring): q and N are
+    expanded at x0 by ``Poly.shift`` and cleared together by one ``_clear``
+    (one lcm), each C_k is carried as M_k/d_k with one gcd per order, and
+    one ``Fraction`` per entry is built at the end.  A itself is never
+    expanded.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
     x0 = Fraction(x0)
-    if not is_ordinary_point(sys, x0):
-        raise PoleAtPoint(f"{x0} is a pole of the system matrix")
     n = sys.n
+    dens = {e.den for row in sys.mat.data for e in row}
     q = Poly.ONE
-    for den in {e.den for row in sys.mat.data for e in row}:
+    for den in dens:
         q = q.lcm(den)
-    num = [[(e.num * (q // e.den)).shift(x0) for e in row] for row in sys.mat.data]
-    n_coeffs = [
-        Mat._unchecked(QQ, tuple(tuple([p.coeff(i) for p in row]) for row in num))
-        for i in range(max((p.degree for row in num for p in row), default=-1) + 1)
-    ]
     q_coeffs = q.shift(x0).coeffs
-    cs = [Mat.identity(QQ, n)]
+    if not q_coeffs[0]:
+        raise PoleAtPoint(f"{x0} is a pole of the system matrix")
+    cofactors = {den: q // den for den in dens}
+    polys = [q_coeffs]
+    polys += [(e.num * cofactors[e.den]).shift(x0).coeffs for row in sys.mat.data for e in row]
+    ints, _ = _clear([c for p in polys for c in p])
+    qs, *entries = [ints[k - len(p) : k] for p, k in zip(polys, accumulate(map(len, polys)))]
+    # the step to C_(k+1) multiplies C_(k-i) by N_i - (k-i)*Q_(i+1)*Id, for
+    # i < width; the N_i (as rows) and the Q_(i+1) are padded with zeros
+    width = max([len(qs) - 1, *map(len, entries)])
+    ns = [
+        [[p[i] if i < len(p) else 0 for p in entries[r * n : r * n + n]] for r in range(n)]
+        for i in range(width)
+    ]
+    diag = qs[1:] + [0] * (width - len(qs) + 1)
+    # C_k = M_k/d_k with M_k stored by columns
+    ms = [[[int(i == j) for i in range(n)] for j in range(n)]]
+    ds = [1]
     for k in range(order - 1):
-        acc = Mat.zeros(QQ, n, n)
-        for i in range(min(k + 1, len(n_coeffs))):
-            acc = acc + n_coeffs[i] * cs[k - i]
-        for j in range(1, min(k + 1, len(q_coeffs))):
-            acc = acc - cs[k + 1 - j].scale(q_coeffs[j] * (k + 1 - j))
-        cs.append(acc.scale(1 / (q_coeffs[0] * (k + 1))))
-    ring = SeriesRing(order)
-    packed = Mat(
-        ring,
-        [
-            [TruncSeries([cs[k].data[i][j] for k in range(order)], order) for j in range(n)]
-            for i in range(n)
-        ],
+        terms = range(min(k + 1, width))
+        lcm = math.lcm(*[ds[k - i] for i in terms])
+        # entry (r, c) of sum_i (lcm/d_(k-i))*(N_i - (k-i)*Q_(i+1)*Id)*M_(k-i)
+        # is one dot product: row r of the scaled factors laid end to end,
+        # with column c of the M_(k-i) laid end to end
+        rows = [[] for _ in range(n)]
+        for i in terms:
+            f = lcm // ds[k - i]
+            t = diag[i] * (k - i)
+            for r, (row, out) in enumerate(zip(ns[i], rows)):
+                out.extend(f * (a - t if c == r else a) for c, a in enumerate(row))
+        cols = [[e for i in terms for e in ms[k - i][c]] for c in range(n)]
+        new = [[sum(map(mul, row, col)) for row in rows] for col in cols]
+        d = lcm * qs[0] * (k + 1)
+        g = math.gcd(d, *[e for col in new for e in col])
+        if d < 0:
+            g = -g
+        ms.append([[e // g for e in col] for col in new])
+        ds.append(d // g)
+    coeffs = tuple(
+        Mat._unchecked(QQ, tuple(tuple([Fraction(e, d) for e in row]) for row in zip(*m)))
+        for m, d in zip(ms, ds)
     )
-    return SeriesMat(sys.var, x0, packed)
+    return SeriesMat(sys.var, x0, coeffs)
 
 
 def series_mat_derivative(s: Mat) -> Mat:

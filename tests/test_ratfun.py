@@ -217,6 +217,21 @@ def test_integer_roots_past_any_search_window():
     assert integer_roots(Poly([-(10 ** 40 + 1) * 3, 10 ** 40 - 2, 1])) == [-(10 ** 40) - 1, 3]
 
 
+@pytest.mark.parametrize(
+    "factors, roots",
+    [
+        ([[-1, 1], [-4, 1]], [1, 4]),  # squarefree, 1 = 4 mod 3
+        ([[-2, 1], [-2, 1], [3, 1]], [-3, 2]),  # not squarefree
+        ([[1, 0, 1], [1, 0, 1], [-2, 1]], [2]),  # (x^2+1)^2 has no root mod 3
+    ],
+)
+def test_integer_roots_collisions_mod_3_and_repeated_roots(factors, roots):
+    p = Poly([1])
+    for factor in factors:
+        p = p * Poly(factor)
+    assert integer_roots(p) == roots
+
+
 def _seeded_root_poly(rng):
     """A nonzero polynomial mixing the shapes the root finder must handle:
     integer roots of multiplicity up to 3, a power of 2x - 1, an irreducible

@@ -10,6 +10,7 @@ from redform import (
     DiffSystem,
     Mat,
     PoleAtPoint,
+    Poly,
     QQ,
     RatFn,
     END_CONSTRUCTION,
@@ -78,6 +79,7 @@ class TestShortRecurrence:
             [["x^4"]],
             [["0", "0"], ["0", "0"]],
             [["0"]],
+            [["1/(x^2+4)", "0"], ["1/x^3", "0"]],  # deg q > deg N + 1
         ],
     )
     @pytest.mark.parametrize("x0", [Fraction(1), Fraction(1, 2), Fraction(-5, 3)])
@@ -92,6 +94,51 @@ class TestShortRecurrence:
             x0 = rng.choice([Fraction(0), Fraction(2), Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)])
             sys_ = rand_ordinary_system(rng, n, x0, max_deg=3)
             self._check(sys_, x0, rng.choice([1, 2, 3, 7, 15]))
+
+
+def _fuchsian(rng, n, places):
+    """A = sum R_k/(x - a_k) with small integer and half-integer residues."""
+    residues = [
+        [[Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2])) for _ in range(n)] for _ in range(n)]
+        for _ in places
+    ]
+    return system(
+        "x",
+        [
+            [" + ".join(f"({r[i][j]})/(x - ({a}))" for r, a in zip(residues, places)) for j in range(n)]
+            for i in range(n)
+        ],
+    )
+
+
+class TestIntegerKernel:
+    """The integer recurrence against the Taylor convolution at the shapes
+    of the series benchmark: n = 4, orders 20-40, two Fuchsian places."""
+
+    @pytest.mark.parametrize(
+        "places, x0, order",
+        [
+            ((0, 1), Fraction(3), 20),
+            ((-1, 2), Fraction(10 ** 12 + 1, 7), 30),  # large numerator and denominator
+            ((0, 2), Fraction(1, 2), 40),  # q(x0) = x0*(x0 - 2) < 0
+            ((-1, 1), Fraction(-1, 3), 25),  # q(x0) < 0 again
+        ],
+    )
+    def test_fuchsian_systems(self, places, x0, order):
+        sys_ = _fuchsian(random.Random(order), 4, places)
+        q = Poly.ONE
+        for row in sys_.mat.data:
+            for e in row:
+                q = q.lcm(e.den)
+        assert q == Poly([-places[0], 1]) * Poly([-places[1], 1])  # so q(x0) has the noted sign
+        u = fundamental_series(sys_, x0, order)
+        assert (u.n, u.order) == (4, order)
+        assert u.coeff_matrices() == oracle_fundamental_series(sys_, x0, order)
+        # the on-demand TruncSeries packing holds the same coefficients
+        packed = u.mat
+        for k in range(order):
+            c = u.coeff_matrix(k)
+            assert all(packed[(i, j)].coeff(k) == c[(i, j)] for i in range(4) for j in range(4))
 
 
 def _residual_vanishes(sys, x0, order):
