@@ -34,9 +34,15 @@ def matrix_to_lists(m: Mat, var: str):
     return [[ratfn_str(e, var) for e in row] for row in m.data]
 
 
-def lists_to_matrix(rows, var: str) -> Mat:
+def _rows(rows) -> list:
+    """``rows``, checked to be a non-empty list of lists."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ParseError("matrix must be a non-empty list of rows")
+    return rows
+
+
+def lists_to_matrix(rows, var: str) -> Mat:
+    rows = _rows(rows)
     parsed = [[parse_ratfn(e, var) if isinstance(e, str) else _const_entry(e) for e in row] for row in rows]
     return Mat(RF, parsed)
 
@@ -85,9 +91,7 @@ def vector_from_json(payload, fallback_var=None):
 
 
 def constant_matrix_from_lists(rows) -> Mat:
-    if not isinstance(rows, list) or not rows:
-        raise ParseError("matrix must be a non-empty list of rows")
-    return Mat(QQ, [[parse_rat(e) for e in row] for row in rows])
+    return Mat(QQ, [[parse_rat(e) for e in row] for row in _rows(rows)])
 
 
 def lie_basis_from_json(payload) -> LieBasis:
@@ -95,6 +99,8 @@ def lie_basis_from_json(payload) -> LieBasis:
     mats = [constant_matrix_from_lists(g) for g in gens]
     if "n" in payload:
         n = payload["n"]
+        if type(n) is not int or n < 1:
+            raise ParseError("field 'n' must be a positive integer")
     elif mats:
         n = mats[0].rows
     else:
@@ -108,26 +114,22 @@ def end_basis_from_json(payload):
     return var, [lists_to_matrix(e, var) for e in elements]
 
 
-def invariants_from_json(payload):
+def _constr_vectors(payload, key: str):
     var = _require(payload, "var", str)
-    items = _require(payload, "invariants", list)
     out = []
-    for item in items:
+    for item in _require(payload, key, list):
         c = parse_construction(_require(item, "constr", str))
         entries = _require(item, "v", list)
         out.append((c, tuple(parse_ratfn(e, var) for e in entries)))
     return var, out
+
+
+def invariants_from_json(payload):
+    return _constr_vectors(payload, "invariants")
 
 
 def lines_from_json(payload):
-    var = _require(payload, "var", str)
-    items = _require(payload, "lines", list)
-    out = []
-    for item in items:
-        c = parse_construction(_require(item, "constr", str))
-        entries = _require(item, "v", list)
-        out.append((c, tuple(parse_ratfn(e, var) for e in entries)))
-    return var, out
+    return _constr_vectors(payload, "lines")
 
 
 def solution_space_to_json(space, var: str) -> dict:
@@ -182,3 +184,5 @@ def load_json(path: str):
         raise ParseError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"JSON in {path} is nested too deeply") from exc

@@ -13,9 +13,9 @@ gives.  Elimination runs on Python ints, in one of two kernels:
   ``row_space_canonical``, ``in_span`` and ``inv``).  Primitive rows beat
   fraction-free elimination on the large sparse systems over Q.
 * ``_ffgj``, fraction-free Gauss-Jordan on rows cleared to Z[x] (integer
-  coefficient lists), one exact division by the previous pivot per step and
-  no gcd, is ``rref`` over Q(x) and the one ``det``: the signed last pivot
-  over the row scales.  Other rings ``lift`` their entries to Q(x) for it.
+  coefficient lists, each row over its ``ratfun.common_denominator``), one
+  exact division by the previous pivot per step and no gcd, is ``rref`` over
+  Q(x) and the one ``det``: the signed last pivot over the row scales.  Other rings ``lift`` their entries to Q(x) for it.
 
 ``inv`` over Q and Q(x) is the right half of ``rref([m | I])``; over the
 power series it pivots on units (``is_unit``).  ``charpoly`` runs
@@ -26,12 +26,11 @@ d*m, d the lcm of the denominators of m: p_m(T) = d^-n p_dm(d T).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import SingularGauge
-from .ratfun import Poly, RatFn, _clear, _int_divmod, _int_mul, as_ratfn
+from .ratfun import Poly, RatFn, _clear_all, _int_divmod, _int_mul, as_ratfn, common_denominator
 
 
 class FractionField:
@@ -284,17 +283,14 @@ class Mat:
 def _cleared_rows(m: Mat):
     """(rows, num, den): row i of ``m`` over Q(x) is ``rows[i]``, a row of
     integer coefficient lists (lowest degree first, [] for zero), times
-    num_i/den_i, with num_i in Q and den_i the lcm of the row's denominators;
-    ``num`` and ``den`` are the products of the num_i and of the den_i."""
+    num_i/den_i, with den_i the row's ``common_denominator`` and num_i in Q
+    the scale of ``_clear_all`` on its numerators; ``num`` and ``den`` are
+    the products of the num_i and of the den_i."""
     rows, num, den = [], Fraction(1), Poly.ONE
     for row in m.data:
-        dens = {e.den for e in row}
-        common = reduce(Poly.lcm, dens, Poly.ONE)
-        quotients = {d: common // d if d != common else Poly.ONE for d in dens}
-        polys = [(e.num * quotients[e.den]).coeffs for e in row]
-        ints, scale = _clear([c for p in polys for c in p])
-        ends = list(accumulate(map(len, polys)))
-        rows.append([ints[k - len(p) : k] for p, k in zip(polys, ends)])
+        common, nums = common_denominator(row)
+        ints, scale = _clear_all(nums)
+        rows.append(ints)
         num, den = num * scale, den * common
     return rows, num, den
 

@@ -11,6 +11,11 @@ primitive integer list times one rational scale, and products, the gcd (a
 primitive pseudo-remainder sequence over Z) and the normalization of a
 rational function work on those lists and rescale once at the end.
 
+This module also owns the common-denominator integer form that the other
+modules hand to their integer kernels: :func:`common_denominator` writes
+rational functions over their monic lcm denominator, and :func:`_clear_all`
+clears several polynomials to integer lists over one scale.
+
 Polynomials and rational functions do not carry a variable name; the name is
 supplied when parsing or printing (and by :class:`redform.systems.DiffSystem`
 for whole systems).
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import islice
 
 from .errors import DivisionByZero, ParseError, PoleAtPoint
 
@@ -42,6 +48,15 @@ def _clear(coeffs):
     if content != 1:
         ints = [a // content for a in ints]
     return ints, Fraction(content, lcm)
+
+
+def _clear_all(polys):
+    """Return (int_lists, scale) with polys[i].coeffs[k] ==
+    int_lists[i][k] * scale: the coefficients of all polys cleared together
+    by one :func:`_clear`."""
+    ints, scale = _clear([c for p in polys for c in p.coeffs])
+    it = iter(ints)
+    return [list(islice(it, len(p.coeffs))) for p in polys], scale
 
 
 def _scaled(ints, scale: Fraction) -> tuple:
@@ -534,6 +549,18 @@ def as_ratfn(value) -> RatFn:
     return out
 
 
+def common_denominator(entries):
+    """Return (den, nums) with entries[i] == nums[i] / den: den is the monic
+    lcm of the denominators and nums[i] = num_i * (den // den_i), one exact
+    division per distinct denominator."""
+    dens = dict.fromkeys(e.den for e in entries)
+    den = Poly.ONE
+    for d in dens:
+        den = den.lcm(d)
+    cofactors = {d: den // d if d != den else Poly.ONE for d in dens}
+    return den, [e.num * cofactors[e.den] for e in entries]
+
+
 # ---------------------------------------------------------------------------
 # Operation surface
 
@@ -826,9 +853,8 @@ def ratfn_str(r: RatFn, var: str = "x") -> str:
         return "0"
     if r.den == Poly.ONE:
         return poly_str(r.num, var)
-    ints, _ = _clear(r.num.coeffs + r.den.coeffs)
-    k = len(r.num.coeffs)
-    return f"({poly_str(Poly(ints[:k]), var)})/({poly_str(Poly(ints[k:]), var)})"
+    (num, den), _ = _clear_all([r.num, r.den])
+    return f"({poly_str(Poly(num), var)})/({poly_str(Poly(den), var)})"
 
 
 # ---------------------------------------------------------------------------
@@ -919,29 +945,23 @@ def _fraction_sqrt(q: Fraction):
 
 
 def poly_sqrt(p: Poly):
-    """Exact square root of a polynomial over Q, or None."""
+    """Exact square root of a polynomial over Q, or None.
+
+    With p = lc * prod s_k^k (``squarefree_factors``), p is a square exactly
+    when lc is the square of a rational and every k is even; its root with a
+    positive leading coefficient is then sqrt(lc) * prod s_k^(k/2).
+    """
     if p.is_zero:
         return Poly()
-    if p.degree % 2 != 0:
-        return None
     lead = _fraction_sqrt(p.leading)
     if lead is None:
         return None
-    half = p.degree // 2
-    root = [Fraction(0)] * (half + 1)
-    root[half] = lead
-    for k in range(half - 1, -1, -1):
-        # match the coefficient of x^(k + half) in root^2
-        acc = Fraction(0)
-        for i in range(k + 1, half + 1):
-            j = k + half - i
-            if 0 <= j <= half:
-                acc += root[i] * root[j]
-        root[k] = (p.coeff(k + half) - acc) / (2 * lead)
-    candidate = Poly(root)
-    if candidate * candidate == p:
-        return candidate
-    return None
+    root = Poly.const(lead)
+    for s, k in squarefree_factors(p):
+        if k % 2:
+            return None
+        root = root * s ** (k // 2)
+    return root
 
 
 def ratfn_sqrt(r: RatFn):

@@ -43,7 +43,7 @@ from .errors import (
     Unsupported,
 )
 from .linalg import Mat, QQ, RF, in_span, nullspace, rank, row_space_canonical, solve
-from .ratfun import Poly, RatFn, ratfn_sqrt
+from .ratfun import Poly, RatFn, common_denominator, ratfn_sqrt
 from .solutions import SemiInvariant, check_semi_invariant, harvest_invariants
 from .systems import DiffSystem, gauge, is_ordinary_point, pullback
 
@@ -414,14 +414,9 @@ def reduce_by_diagonalization(sys: DiffSystem, endo: Mat, m: int) -> ReductionCe
         kernel = nullspace(shifted)
         if len(kernel) != 1:
             raise DefectiveEigenstructure("eigenspace dimension is not one")
-        vec = list(kernel[0])
-        pivot = next(i for i in range(n) if not vec[i].is_zero)
-        vec = [e / vec[pivot] for e in vec]
-        clear = Poly.ONE
-        for e in vec:
-            clear = clear.lcm(e.den)
-        vec = [e * RatFn(clear) for e in vec]
-        columns.append(vec)
+        pivot = next(e for e in kernel[0] if not e.is_zero)
+        _, nums = common_denominator([e / pivot for e in kernel[0]])
+        columns.append([RatFn(p) for p in nums])
     p = Mat.from_cols(RF, columns)
     reduced_sys = gauge(pulled, p)
     b = reduced_sys.mat
@@ -453,10 +448,7 @@ def _diagonal_decomposition(b: Mat):
     """
     n = b.rows
     diag = [b.data[i][i] for i in range(n)]
-    den = Poly.ONE
-    for e in diag:
-        den = den.lcm(e.den)
-    numerators = [(e * RatFn(den)).num for e in diag]
+    den, numerators = common_denominator(diag)
     width = max((p.degree for p in numerators), default=0) + 1
     rows = [[p.coeff(k) for k in range(width)] for p in numerators]
     canon = row_space_canonical(rows, QQ)

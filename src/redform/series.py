@@ -29,33 +29,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from operator import mul
 
 from .constructions import Construction, constr_dim, constr_group
 from .errors import DimensionMismatch, PoleAtPoint
 from .linalg import Mat, QQ
-from .ratfun import Poly, RatFn, _clear
+from .ratfun import Poly, RatFn, _clear_all, common_denominator
 from .systems import DiffSystem
 
 
 class TruncSeries:
-    """Power series in the local variable known through order-1 terms."""
+    """Power series in the local variable, known through its u^(order-1)
+    term and held as the ``Poly`` of the known terms; each ring operation
+    is one ``Poly`` operation truncated to the smaller order."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("poly", "order")
 
     def __init__(self, coeffs, order: int):
         if order < 0:
             raise ValueError("series order must be >= 0")
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        cs = cs[:order]
-        cs.extend([Fraction(0)] * (order - len(cs)))
-        self.coeffs = tuple(cs)
+        p = coeffs if isinstance(coeffs, Poly) else Poly(coeffs)
+        self.poly = p if p.degree < order else Poly(p.coeffs[:order])
         self.order = order
 
     @staticmethod
     def constant(c, order: int) -> "TruncSeries":
-        return TruncSeries([Fraction(c)], order)
+        return TruncSeries([c], order)
 
     @staticmethod
     def from_ratfn(r: RatFn, x0, order: int) -> "TruncSeries":
@@ -64,25 +63,27 @@ class TruncSeries:
         den = r.den.shift(x0)
         if den.coeff(0) == 0:
             raise PoleAtPoint(f"pole at {x0}")
-        num = r.num.shift(x0)
-        num_s = TruncSeries([num.coeff(k) for k in range(order)], order)
-        den_s = TruncSeries([den.coeff(k) for k in range(order)], order)
-        return num_s * den_s.inverse()
+        return TruncSeries(r.num.shift(x0), order) * TruncSeries(den, order).inverse()
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients of u^0, ..., u^(order-1), zeros included."""
+        return self.poly.coeffs + (Fraction(0),) * (self.order - len(self.poly.coeffs))
 
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k]
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.poly.is_zero
 
     def is_unit(self) -> bool:
-        return self.order >= 1 and self.coeffs[0] != 0
+        return self.poly.coeff(0) != 0
 
     def truncate(self, order: int) -> "TruncSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.coeffs[:order], order)
+        return TruncSeries(self.poly, order)
 
     def _coerce(self, other):
         if isinstance(other, TruncSeries):
@@ -95,17 +96,16 @@ class TruncSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.poly == other.poly
 
     def __hash__(self):
-        return hash(("TruncSeries", self.order, self.coeffs))
+        return hash(("TruncSeries", self.order, self.poly.coeffs))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        k = min(self.order, other.order)
-        return TruncSeries([a + b for a, b in zip(self.coeffs[:k], other.coeffs[:k])], k)
+        return TruncSeries(self.poly + other.poly, min(self.order, other.order))
 
     __radd__ = __add__
 
@@ -113,8 +113,7 @@ class TruncSeries:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        k = min(self.order, other.order)
-        return TruncSeries([a - b for a, b in zip(self.coeffs[:k], other.coeffs[:k])], k)
+        return TruncSeries(self.poly - other.poly, min(self.order, other.order))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -123,35 +122,24 @@ class TruncSeries:
         return other - self
 
     def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs], self.order)
+        return TruncSeries(-self.poly, self.order)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        k = min(self.order, other.order)
-        out = [Fraction(0)] * k
-        for i, a in enumerate(self.coeffs[:k]):
-            if a == 0:
-                continue
-            for j in range(k - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncSeries(out, k)
+        return TruncSeries(self.poly * other.poly, min(self.order, other.order))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncSeries":
         if not self.is_unit():
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * (self.order - 1)
+        cs = self.coeffs
+        inv0 = 1 / cs[0]
+        out = [inv0]
         for k in range(1, self.order):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * out[k - i]
-            out[k] = -inv0 * acc
+            out.append(-inv0 * sum(cs[i] * out[k - i] for i in range(1, k + 1)))
         return TruncSeries(out, self.order)
 
     def __truediv__(self, other):
@@ -161,9 +149,7 @@ class TruncSeries:
         return self * other.inverse()
 
     def derivative(self) -> "TruncSeries":
-        return TruncSeries(
-            [k * c for k, c in enumerate(self.coeffs) if k >= 1], self.order - 1
-        )
+        return TruncSeries(self.poly.derivative(), self.order - 1)
 
     def __repr__(self):
         return f"TruncSeries({list(self.coeffs)!r}, order={self.order})"
@@ -189,10 +175,10 @@ class SeriesRing:
     # to and from the polynomials in the local variable, for Mat.det
     @staticmethod
     def lift(value) -> RatFn:
-        return RatFn(Poly(value.coeffs))
+        return RatFn(value.poly)
 
     def lower(self, value: RatFn) -> TruncSeries:
-        return TruncSeries(value.num.coeffs, self.order)
+        return TruncSeries(value.num, self.order)
 
 
 @dataclass(frozen=True)
@@ -241,28 +227,21 @@ def fundamental_series(sys: DiffSystem, x0, order: int) -> SeriesMat:
     """Truncated fundamental solution of the system, normalized to identity.
 
     The coefficient matrices C_0 = Id, C_1, ..., C_(order-1) come from the
-    integer recurrence of q*U' = N*U (see the module docstring): q and N are
-    expanded at x0 by ``Poly.shift`` and cleared together by one ``_clear``
-    (one lcm), each C_k is carried as M_k/d_k with one gcd per order, and
-    one ``Fraction`` per entry is built at the end.  A itself is never
-    expanded.
+    integer recurrence of q*U' = N*U (see the module docstring): q and N
+    come from ``common_denominator``, are expanded at x0 by ``Poly.shift``
+    and cleared together by one ``_clear_all`` (one lcm), each C_k is
+    carried as M_k/d_k with one gcd per order, and one ``Fraction`` per
+    entry is built at the end.  A itself is never expanded.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
     x0 = Fraction(x0)
     n = sys.n
-    dens = {e.den for row in sys.mat.data for e in row}
-    q = Poly.ONE
-    for den in dens:
-        q = q.lcm(den)
-    q_coeffs = q.shift(x0).coeffs
-    if not q_coeffs[0]:
+    q, nums = common_denominator([e for row in sys.mat.data for e in row])
+    q = q.shift(x0)
+    if not q.coeffs[0]:
         raise PoleAtPoint(f"{x0} is a pole of the system matrix")
-    cofactors = {den: q // den for den in dens}
-    polys = [q_coeffs]
-    polys += [(e.num * cofactors[e.den]).shift(x0).coeffs for row in sys.mat.data for e in row]
-    ints, _ = _clear([c for p in polys for c in p])
-    qs, *entries = [ints[k - len(p) : k] for p, k in zip(polys, accumulate(map(len, polys)))]
+    (qs, *entries), _ = _clear_all([q, *(p.shift(x0) for p in nums)])
     # the step to C_(k+1) multiplies C_(k-i) by N_i - (k-i)*Q_(i+1)*Id, for
     # i < width; the N_i (as rows) and the Q_(i+1) are padded with zeros
     width = max([len(qs) - 1, *map(len, entries)])

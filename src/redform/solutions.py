@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .constructions import Construction, constr_dim, constr_lie
 from .errors import DimensionMismatch, InvalidArity, RedformError
 from .linalg import Mat, QQ, charpoly, nullspace, row_space_canonical
-from .ratfun import Poly, RatFn, integer_roots
+from .ratfun import Poly, RatFn, _clear_all, common_denominator, integer_roots
 from .systems import DiffSystem, singularities
 
 
@@ -154,39 +153,31 @@ def _ansatz_rows(sys: DiffSystem, den: Poly, cap: int) -> tuple:
     coefficient of x^s in entry j, is column j*(cap+1)+s; row (i, k) is the
     coefficient of x^k in equation i:
         -P_ij[k-s] + [i=j]*(s*lead_a[k-s+1] - lead_b[k-s]),
-    times the lcm of the denominators of P_i*, lead_a and lead_b.  Rows run
-    over k = 0..K for the largest K with a nonzero entry, and at least k = 0,
-    so a zero system keeps all n*(cap+1) columns.
+    times the one positive rational that clears P_i*, lead_a and lead_b to
+    coprime integers (``_clear_all``).  Rows run over k = 0..K for the
+    largest K with a nonzero entry, and at least k = 0, so a zero system
+    keeps all n*(cap+1) columns.
     """
     n = sys.n
     width = cap + 1
-    # P_ij = num_ij * (clear*den / den_ij), once per distinct denominator
-    dens = dict.fromkeys(e.den for row in sys.mat.data for e in row)
-    clear = Poly.ONE
-    for d in dens:
-        clear = clear.lcm(d // d.gcd(den))
-    lead_a = clear * den
-    lead_b = clear * den.derivative()
-    factors = {d: lead_a // d for d in dens}
-    polys = [[(e.num * factors[e.den]).coeffs for e in row] for row in sys.mat.data]
-    height = cap + max(
-        len(lead_a.coeffs) - 1, len(lead_b.coeffs), *(len(p) for row in polys for p in row)
+    # lcm(den, den_ij...) = clear*den, so the common denominator of 1/den and
+    # the B_ij is lead_a, over which 1/den reads clear and B_ij reads P_ij
+    lead_a, (clear, *entries) = common_denominator(
+        [RatFn(Poly.ONE, den), *(e for row in sys.mat.data for e in row)]
     )
-    lead_scale = lcm(*(c.denominator for c in lead_a.coeffs + lead_b.coeffs))
-
-    def ints(coeffs, scale):
-        return [c.numerator * (scale // c.denominator) for c in coeffs]
-
+    lead_b = clear * den.derivative()
+    height = cap + max(
+        len(lead_a.coeffs) - 1, len(lead_b.coeffs), *(len(p.coeffs) for p in entries)
+    )
     blocks = []
-    for i, row in enumerate(polys):
-        scale = lcm(lead_scale, *(c.denominator for p in row for c in p))
+    for i in range(n):
+        (a, b, *row), _ = _clear_all([lead_a, lead_b, *entries[i * n : i * n + n]])
         eq = [[0] * (n * width) for _ in range(max(height, 1))]
         for j, p in enumerate(row):
-            for t, c in enumerate(ints(p, scale)):
+            for t, c in enumerate(p):
                 if c:
                     for s in range(width):
                         eq[t + s][j * width + s] -= c
-        a, b = ints(lead_a.coeffs, scale), ints(lead_b.coeffs, scale)
         for s in range(width):
             col = i * width + s
             for t, c in enumerate(b):
@@ -300,19 +291,6 @@ def harvest_invariants(
 # Span comparison over the constants
 
 
-def _constant_rows(vectors, den: Poly, width: int):
-    rows = []
-    for v in vectors:
-        row = []
-        for e in v:
-            scaled = e * RatFn(den)
-            if scaled.den != Poly.ONE:
-                raise ValueError("common denominator does not clear the vector")
-            row.extend(scaled.num.coeff(k) for k in range(width))
-        rows.append(row)
-    return rows
-
-
 def same_constant_span(vs, ws) -> bool:
     """Whether two families of rational-function vectors have the same span
     over the constants (exact echelon comparison on a joint denominator)."""
@@ -323,16 +301,9 @@ def same_constant_span(vs, ws) -> bool:
     sizes = {len(v) for v in vs} | {len(w) for w in ws}
     if len(sizes) != 1:
         return False
-    den = Poly.ONE
-    for fam in (vs, ws):
-        for v in fam:
-            for e in v:
-                den = den.lcm(e.den)
-    width = 1
-    for fam in (vs, ws):
-        for v in fam:
-            for e in v:
-                width = max(width, (e * RatFn(den)).num.degree + 1)
-    rows_v = _constant_rows(vs, den, width)
-    rows_w = _constant_rows(ws, den, width)
-    return row_space_canonical(rows_v, QQ) == row_space_canonical(rows_w, QQ)
+    _, nums = common_denominator([e for v in vs + ws for e in v])
+    width = max([1] + [p.degree + 1 for p in nums])
+    flat = [p.coeff(k) for p in nums for k in range(width)]
+    size = sizes.pop() * width
+    rows = [flat[i * size : (i + 1) * size] for i in range(len(vs) + len(ws))]
+    return row_space_canonical(rows[: len(vs)], QQ) == row_space_canonical(rows[len(vs) :], QQ)

@@ -195,6 +195,33 @@ def oracle_poly_mul(a, b):
     return Poly(out)
 
 
+def oracle_poly_sqrt(p):
+    """Square root of a polynomial with a positive leading coefficient, or
+    None: the top half of the root's coefficients from matching those of
+    root^2 one at a time, then a trial squaring."""
+    if p.is_zero:
+        return Poly()
+    if p.degree % 2 != 0 or p.leading < 0:
+        return None
+    lead_num, lead_den = math.isqrt(p.leading.numerator), math.isqrt(p.leading.denominator)
+    if lead_num ** 2 != p.leading.numerator or lead_den ** 2 != p.leading.denominator:
+        return None
+    lead = Fraction(lead_num, lead_den)
+    half = p.degree // 2
+    root = [Fraction(0)] * (half + 1)
+    root[half] = lead
+    for k in range(half - 1, -1, -1):
+        # match the coefficient of x^(k + half) in root^2
+        acc = Fraction(0)
+        for i in range(k + 1, half + 1):
+            j = k + half - i
+            if 0 <= j <= half:
+                acc += root[i] * root[j]
+        root[k] = (p.coeff(k + half) - acc) / (2 * lead)
+    candidate = Poly(root)
+    return candidate if oracle_poly_mul(candidate, candidate) == p else None
+
+
 def oracle_poly_divmod(a, b):
     """Quotient and remainder of a by a nonzero b by long division on the
     Fraction coefficients."""

@@ -256,6 +256,31 @@ class TestUsageErrors:
         )
         assert code == 3 and payload["error"]["reason"] == "parse_error"
 
+    def test_deeply_nested_json_is_parse_error(self, work, capsys):
+        tmp, write = work
+        path = tmp / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code, payload = run(["series", "--system", str(path)], capsys)
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            {"n": 2, "generators": [["12", "34"]]},
+            {"n": 2, "generators": [[5, 6]]},
+            {"n": "2", "generators": []},
+            {"n": 2.5, "generators": []},
+            {"n": -1, "generators": []},
+            {"n": 0, "generators": []},
+            {"n": True, "generators": [[["1"]]]},
+        ],
+        ids=["string-rows", "int-rows", "string-n", "float-n", "negative-n", "zero-n", "bool-n"],
+    )
+    def test_malformed_basis_is_parse_error(self, work, capsys, basis):
+        tmp, write = work
+        code, payload = run(["commutant", "--basis", write("basis.json", basis)], capsys)
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
+
     def test_long_x0_prints_and_reparses(self, work, capsys):
         tmp, write = work
         sys_path = write("a.json", DEMO)

@@ -22,13 +22,23 @@ from redform import (
     rf_eval,
     rf_substitute_power,
 )
-from redform.ratfun import integer_roots, parse_rat, poly_sqrt, rat_str, ratfn_sqrt
+from redform.ratfun import (
+    _clear_all,
+    common_denominator,
+    integer_roots,
+    parse_rat,
+    poly_sqrt,
+    rat_str,
+    ratfn_sqrt,
+)
 
 from helpers import (
     oracle_integer_roots,
     oracle_poly_divmod,
     oracle_poly_gcd,
     oracle_poly_mul,
+    oracle_poly_sqrt,
+    rand_poly,
     rand_ratfn,
     rf,
 )
@@ -269,6 +279,74 @@ def test_poly_sqrt():
 def test_ratfn_sqrt():
     assert ratfn_sqrt(rf("(x^2+2*x+1)/(4)")) == rf("(x+1)/2")
     assert ratfn_sqrt(rf("1/x")) is None
+
+
+def _nonzero_poly(rng, max_deg):
+    p = Poly()
+    while p.is_zero:
+        p = rand_poly(rng, max_deg)
+    return p
+
+
+def test_poly_sqrt_and_ratfn_sqrt_match_the_recurrence():
+    """squares s^2 (with s of either sign), non-squares s^2*(x+1) and
+    s^2*(x^2+2), and square polynomials times a non-square or negative
+    leading coefficient"""
+    rng = random.Random(2718)
+    for _ in range(120):
+        s = _nonzero_poly(rng, 4)
+        square = s * s
+        cases = [square, square * Poly([1, 1]), square * Poly([2, 0, 1])]
+        cases += [square * c for c in (2, Fraction(3, 2), -1, Fraction(9, 4))]
+        for p in cases:
+            assert poly_sqrt(p) == oracle_poly_sqrt(p), p.coeffs
+        assert poly_sqrt(square) == (s if s.leading > 0 else -s)
+        t = _nonzero_poly(rng, 3).monic()
+        for num, den in ((square, t * t), (square, t * t * Poly([1, 1])), (-square, t * t)):
+            r = RatFn(num, den)
+            roots = oracle_poly_sqrt(r.num), oracle_poly_sqrt(r.den)
+            want = None if None in roots else RatFn(*roots)
+            assert ratfn_sqrt(r) == want
+
+
+def test_common_denominator_and_clear_all_match_scaling_by_the_lcm():
+    """against the route they replace: den the Poly.lcm of the entries'
+    denominators, numerators (e * RatFn(den)).num, and the coefficients of
+    all numerators cleared together by one _clear"""
+    x = Poly([0, 1])
+    fixed = [
+        [RatFn.ZERO],
+        [RatFn.const(Fraction(3, 4)), RatFn.const(-2)],
+        [rf("1/x"), rf("3/x"), rf("x/(x+1)")],  # repeated
+        [rf("1/(x-1)"), rf("2/(x+2)"), rf("(x^2+1)/(3*x+1)")],  # coprime
+        [rf("1/x"), rf("1/x^2"), rf("5/x^3"), rf("1/(x^2*(x+1))")],  # nested
+        [RatFn.ZERO, rf("7/(2*x-1)"), RatFn.ZERO, RatFn.const(Fraction(1, 3))],
+    ]
+    rng = random.Random(3141)
+    dens = [Poly.ONE, x, x * x, Poly([1, 1]), Poly([-1, 1]) ** 2, Poly([1, 0, 1])]
+    drawn = [
+        [
+            RatFn(rand_poly(rng, 3), rng.choice(dens) * rng.choice(dens)) if rng.random() < 0.8 else RatFn.ZERO
+            for _ in range(rng.randint(1, 6))
+        ]
+        for _ in range(150)
+    ]
+    for entries in fixed + drawn:
+        den, nums = common_denominator(entries)
+        want = Poly.ONE
+        for e in entries:
+            want = want.lcm(e.den)
+        assert den == want
+        scaled = [e * RatFn(want) for e in entries]
+        assert all(r.den == Poly.ONE for r in scaled)
+        assert nums == [r.num for r in scaled]
+        ints, scale = _clear_all(nums)
+        assert scale > 0
+        assert [len(a) for a in ints] == [len(p.coeffs) for p in nums]
+        assert all(type(c) is int for a in ints for c in a)
+        assert [[c * scale for c in a] for a in ints] == [list(p.coeffs) for p in nums]
+        flat = [c for a in ints for c in a]
+        assert math.gcd(*flat) == (1 if any(flat) else 0)
 
 
 def test_poly_str_roundtrip_fractional():

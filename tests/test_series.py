@@ -24,7 +24,15 @@ from redform import (
 )
 from redform.series import SeriesRing, TruncSeries, series_mat_derivative
 
-from helpers import demo_system, oracle_fundamental_series, rand_matrix, rand_ordinary_system, rf
+from helpers import (
+    demo_system,
+    oracle_fundamental_series,
+    oracle_poly_mul,
+    rand_matrix,
+    rand_ordinary_system,
+    rand_ratfn,
+    rf,
+)
 
 
 class TestFundamentalSeries:
@@ -139,6 +147,70 @@ class TestIntegerKernel:
         for k in range(order):
             c = u.coeff_matrix(k)
             assert all(packed[(i, j)].coeff(k) == c[(i, j)] for i in range(4) for j in range(4))
+
+
+def _padded(coeffs, order):
+    """The first ``order`` coefficients of a Fraction list, zero-padded."""
+    return tuple(list(coeffs[:order]) + [Fraction(0)] * (order - len(coeffs)))
+
+
+def _oracle_mul(a, b, order):
+    """Truncated product of two coefficient lists by Fraction convolution."""
+    return _padded(oracle_poly_mul(Poly(a), Poly(b)).coeffs, order)
+
+
+class TestTruncSeriesOracle:
+    """The Poly-backed series operations against Fraction convolution,
+    truncated; operands longer than their order check the truncation."""
+
+    @staticmethod
+    def _draw(rng, order):
+        pool = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 5)]
+        return TruncSeries([rng.choice(pool) for _ in range(rng.randint(0, order + 2))], order)
+
+    def test_ring_operations(self):
+        rng = random.Random(1618)
+        for _ in range(300):
+            a, b = self._draw(rng, rng.randint(0, 8)), self._draw(rng, rng.randint(0, 8))
+            k = min(a.order, b.order)
+            assert len(a.coeffs) == a.order and all(type(c) is Fraction for c in a.coeffs)
+            assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs[:k], b.coeffs[:k]))
+            assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs[:k], b.coeffs[:k]))
+            assert (3 - a).coeffs == tuple(x - y for x, y in zip(_padded([3], a.order), a.coeffs))
+            assert (-a).coeffs == tuple(-c for c in a.coeffs)
+            assert (a * b).coeffs == _oracle_mul(a.coeffs, b.coeffs, k)
+            assert ((a * b).order, (a + b).order, (a - b).order) == (k, k, k)
+            if a.order:
+                da = a.derivative()
+                assert da.order == a.order - 1
+                assert da.coeffs == tuple(j * c for j, c in enumerate(a.coeffs) if j)
+            if a.is_unit():
+                inv = a.inverse()
+                assert inv.order == a.order
+                assert _oracle_mul(a.coeffs, inv.coeffs, a.order) == _padded([1], a.order)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    a.inverse()
+
+    def test_from_ratfn(self):
+        rng = random.Random(1414)
+        for _ in range(150):
+            r = rand_ratfn(rng, 3)
+            x0 = rng.choice([Fraction(2), Fraction(1, 2), Fraction(-3, 4), Fraction(3)])
+            order = rng.randint(1, 10)
+            series = TruncSeries.from_ratfn(r, x0, order)
+            num, den = r.num.shift(x0), r.den.shift(x0)
+            assert series.order == order
+            # series * den(x0 + u) == num(x0 + u) through the truncation
+            assert _oracle_mul(series.coeffs, den.coeffs, order) == _padded(num.coeffs, order)
+        with pytest.raises(PoleAtPoint):
+            TruncSeries.from_ratfn(rf("1/(x-1)"), 1, 4)
+
+    def test_entries_are_exact_rationals(self):
+        assert TruncSeries([1, Fraction(1, 2), 0, 0], 6).coeffs == (1, Fraction(1, 2), 0, 0, 0, 0)
+        for bad in (0.5, "1/2"):
+            with pytest.raises(TypeError):
+                TruncSeries([1, bad], 3)
 
 
 def _residual_vanishes(sys, x0, order):
