@@ -61,7 +61,6 @@ from .series import (
     SeriesMat,
     TruncSeries,
     fundamental_series,
-    ratfn_matrix_series,
     series_eval_transport,
 )
 from .solutions import (

@@ -35,10 +35,23 @@ def matrix_to_lists(m: Mat, var: str):
 
 
 def _rows(rows) -> list:
-    """``rows``, checked to be a non-empty list of lists."""
+    """``rows``, checked to be a non-empty list of lists of equal length."""
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ParseError("matrix must be a non-empty list of rows")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ParseError("matrix rows must have equal lengths")
     return rows
+
+
+def _declared_size(payload):
+    """The optional field 'n', an int (not a bool) of at least 1; None when
+    the field is absent."""
+    if "n" not in payload:
+        return None
+    n = payload["n"]
+    if type(n) is not int or n < 1:
+        raise ParseError("field 'n' must be a positive integer")
+    return n
 
 
 def lists_to_matrix(rows, var: str) -> Mat:
@@ -61,7 +74,8 @@ def system_from_json(payload) -> DiffSystem:
     var = _require(payload, "var", str)
     rows = _require(payload, "A", list)
     mat = lists_to_matrix(rows, var)
-    if "n" in payload and payload["n"] != mat.rows:
+    n = _declared_size(payload)
+    if n is not None and n != mat.rows:
         raise ParseError("declared size does not match the matrix")
     if not mat.is_square:
         raise ParseError("system matrix must be square")
@@ -97,14 +111,11 @@ def constant_matrix_from_lists(rows) -> Mat:
 def lie_basis_from_json(payload) -> LieBasis:
     gens = _require(payload, "generators", list)
     mats = [constant_matrix_from_lists(g) for g in gens]
-    if "n" in payload:
-        n = payload["n"]
-        if type(n) is not int or n < 1:
-            raise ParseError("field 'n' must be a positive integer")
-    elif mats:
+    n = _declared_size(payload)
+    if n is None:
+        if not mats:
+            raise ParseError("empty basis needs an explicit 'n'")
         n = mats[0].rows
-    else:
-        raise ParseError("empty basis needs an explicit 'n'")
     return LieBasis(n, tuple(mats))
 
 

@@ -1,12 +1,12 @@
-"""Exact matrices over pluggable scalar rings.
+"""Exact matrices over the rationals (``QQ``) and the rational functions
+(``RF``).
 
 A ring object supplies ``zero``, ``one`` and ``promote``; the scalars
-implement Python arithmetic operators.  The same matrix code serves exact
-rationals (``QQ``), rational functions (``RF``) and truncated power series.
-Reduced row echelon forms and null spaces are defined over the fields Q and
-Q(x), with pivots normalized to one.  The form is unique, so whatever pivot
-rows an elimination picks, its result is the one dense field elimination
-gives.  Elimination runs on Python ints, in one of two kernels:
+implement Python arithmetic operators.  Reduced row echelon forms and null
+spaces are defined over the fields Q and Q(x), with pivots normalized to
+one.  The form is unique, so whatever pivot rows an elimination picks, its
+result is the one dense field elimination gives.  Elimination runs on Python
+ints, in one of two kernels:
 
 * ``_rref_integer``, Gauss-Jordan on sparse ``{column: int}`` rows kept
   primitive, is ``rref`` over Q (so ``nullspace``, ``rank``, ``solve``,
@@ -15,10 +15,10 @@ gives.  Elimination runs on Python ints, in one of two kernels:
 * ``_ffgj``, fraction-free Gauss-Jordan on rows cleared to Z[x] (integer
   coefficient lists, each row over its ``ratfun.common_denominator``), one
   exact division by the previous pivot per step and no gcd, is ``rref`` over
-  Q(x) and the one ``det``: the signed last pivot over the row scales.  Other rings ``lift`` their entries to Q(x) for it.
+  Q(x) and the one ``det``: the signed last pivot over the row scales.  A
+  matrix over Q takes it as a matrix of constants in Q(x).
 
-``inv`` over Q and Q(x) is the right half of ``rref([m | I])``; over the
-power series it pivots on units (``is_unit``).  ``charpoly`` runs
+``inv`` is the right half of ``rref([m | I])``.  ``charpoly`` runs
 Berkowitz's division-free algorithm (Berkowitz 1984) on the integer matrix
 d*m, d the lcm of the denominators of m: p_m(T) = d^-n p_dm(d T).
 """
@@ -44,9 +44,6 @@ class FractionField:
         if isinstance(value, int):
             return Fraction(value)
         raise TypeError(f"cannot promote {value!r} to a rational constant")
-
-    lift = staticmethod(RatFn.const)
-    lower = staticmethod(RatFn.constant_value)
 
 
 class RatFnField:
@@ -222,13 +219,11 @@ class Mat:
 
     def det(self):
         """Exact determinant, the signed last pivot of ``_ffgj`` over the row
-        scales; a polynomial in the entries, so other rings lift to Q(x)."""
+        scales; over Q, that of the same matrix of constants in Q(x)."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        ring = self.ring
-        if ring is not RF:
-            lifted = tuple(tuple([ring.lift(e) for e in row]) for row in self.data)
-            return ring.lower(Mat._unchecked(RF, lifted).det())
+        if self.ring is QQ:
+            return self.map_entries(RatFn.const, RF).det().constant_value()
         rows, num, den = _cleared_rows(self)
         top, pivots, sign = _ffgj(rows, self.cols)
         if len(pivots) < self.rows:
@@ -236,32 +231,14 @@ class Mat:
         return RatFn(Poly(top) * (sign * num), den)
 
     def inv(self) -> "Mat":
-        """Inverse; raises SingularGauge.  Over Q and Q(x) it is the right
-        half of rref([m | I]).  Over a local ring such as the truncated power
-        series, where fraction-free division is not exact, Gauss-Jordan
-        pivots on units."""
+        """Inverse, the right half of rref([m | I]); raises SingularGauge."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
-        ring = self.ring
         n = self.rows
-        if ring in (QQ, RF):
-            reduced, pivots = self.hstack(Mat.identity(ring, n)).rref()
-            if pivots != tuple(range(n)):
-                raise SingularGauge("matrix is not invertible")
-            return Mat._unchecked(ring, tuple(row[n:] for row in reduced.data))
-        work = [list(row) + list(idrow) for row, idrow in zip(self.data, Mat.identity(ring, n).data)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if ring.is_unit(work[r][col])), None)
-            if pivot is None:
-                raise SingularGauge("matrix is not invertible")
-            work[col], work[pivot] = work[pivot], work[col]
-            pv = work[col][col]
-            work[col] = [a / pv for a in work[col]]
-            for r in range(n):
-                factor = work[r][col]
-                if r != col and factor != ring.zero:
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return Mat(ring, [row[n:] for row in work])
+        reduced, pivots = self.hstack(Mat.identity(self.ring, n)).rref()
+        if pivots != tuple(range(n)):
+            raise SingularGauge("matrix is not invertible")
+        return Mat._unchecked(self.ring, tuple(row[n:] for row in reduced.data))
 
     def rref(self):
         """Reduced row echelon form over Q or Q(x); returns (matrix, pivot cols)."""

@@ -1,4 +1,4 @@
-"""Truncated power series at an ordinary point, and fundamental matrices.
+"""Fundamental matrices at an ordinary point, as truncated power series.
 
 A fundamental series is the unique truncated solution of U' = A*U with
 U(x0) = Id.  It is computed from the polynomial form of the system: with q
@@ -22,6 +22,12 @@ divides M and d by one gcd.  Fractions are built only for the result, one
 per entry.  The C_k are determined by U(x0) = Id alone and the arithmetic
 is exact, so they equal the coefficients of the convolution with the
 Taylor coefficients of A, (k+1)*C_{k+1} = sum_{i+j=k} A_i*C_j.
+
+Series are values, not a ring: a ``SeriesMat`` holds the C_k, and a
+``TruncSeries`` the Taylor coefficients of one rational function.  The
+transport of an invariant under Constr(U) is read off the fundamental series
+of the construction system constr_lie(c, A), which is Constr(U) by
+functoriality.
 """
 
 from __future__ import annotations
@@ -31,154 +37,43 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .constructions import Construction, constr_dim, constr_group
+from .constructions import Construction, constr_dim, constr_lie
 from .errors import DimensionMismatch, PoleAtPoint
-from .linalg import Mat, QQ
-from .ratfun import Poly, RatFn, _clear_all, common_denominator
-from .systems import DiffSystem
+from .linalg import Mat, QQ, mat_vec
+from .ratfun import RatFn, _clear_all, _rat, common_denominator
+from .systems import DiffSystem, is_ordinary_point
 
 
 class TruncSeries:
-    """Power series in the local variable, known through its u^(order-1)
-    term and held as the ``Poly`` of the known terms; each ring operation
-    is one ``Poly`` operation truncated to the smaller order."""
+    """The Taylor coefficients c_0, ..., c_(order-1) of a function in the
+    local variable u = x - x0: a value holding ``coeffs``, zero-padded to
+    ``order``, with no ring operations."""
 
-    __slots__ = ("poly", "order")
+    __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order: int):
         if order < 0:
             raise ValueError("series order must be >= 0")
-        p = coeffs if isinstance(coeffs, Poly) else Poly(coeffs)
-        self.poly = p if p.degree < order else Poly(p.coeffs[:order])
+        coeffs = [_rat(c) for c in coeffs[:order]]
+        self.coeffs = tuple(coeffs) + (Fraction(0),) * (order - len(coeffs))
         self.order = order
-
-    @staticmethod
-    def constant(c, order: int) -> "TruncSeries":
-        return TruncSeries([c], order)
 
     @staticmethod
     def from_ratfn(r: RatFn, x0, order: int) -> "TruncSeries":
-        """Taylor expansion of r at x0 by exact series division."""
+        """Taylor expansion of r = a/b at x0 by exact series division:
+        c_k = (a_k - sum_(i>=1) b_i*c_(k-i)) / b_0 in the local variable."""
         x0 = Fraction(x0)
-        den = r.den.shift(x0)
-        if den.coeff(0) == 0:
+        b = r.den.shift(x0).coeffs
+        if b[0] == 0:
             raise PoleAtPoint(f"pole at {x0}")
-        return TruncSeries(r.num.shift(x0), order) * TruncSeries(den, order).inverse()
-
-    @property
-    def coeffs(self) -> tuple:
-        """The coefficients of u^0, ..., u^(order-1), zeros included."""
-        return self.poly.coeffs + (Fraction(0),) * (self.order - len(self.poly.coeffs))
+        a = r.num.shift(x0)
+        out = []
+        for k in range(order):
+            out.append((a.coeff(k) - sum(map(mul, b[1:], reversed(out)))) / b[0])
+        return TruncSeries(out, order)
 
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k]
-
-    @property
-    def is_zero(self) -> bool:
-        return self.poly.is_zero
-
-    def is_unit(self) -> bool:
-        return self.poly.coeff(0) != 0
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.poly, order)
-
-    def _coerce(self, other):
-        if isinstance(other, TruncSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return TruncSeries.constant(other, self.order)
-        return None
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.order == other.order and self.poly == other.poly
-
-    def __hash__(self):
-        return hash(("TruncSeries", self.order, self.poly.coeffs))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return TruncSeries(self.poly + other.poly, min(self.order, other.order))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return TruncSeries(self.poly - other.poly, min(self.order, other.order))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return TruncSeries(-self.poly, self.order)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return TruncSeries(self.poly * other.poly, min(self.order, other.order))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "TruncSeries":
-        if not self.is_unit():
-            raise ZeroDivisionError("series with zero constant term has no inverse")
-        cs = self.coeffs
-        inv0 = 1 / cs[0]
-        out = [inv0]
-        for k in range(1, self.order):
-            out.append(-inv0 * sum(cs[i] * out[k - i] for i in range(1, k + 1)))
-        return TruncSeries(out, self.order)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def derivative(self) -> "TruncSeries":
-        return TruncSeries(self.poly.derivative(), self.order - 1)
-
-    def __repr__(self):
-        return f"TruncSeries({list(self.coeffs)!r}, order={self.order})"
-
-
-class SeriesRing:
-    def __init__(self, order: int):
-        self.order = order
-        self.zero = TruncSeries([], order)
-        self.one = TruncSeries.constant(1, order)
-
-    def promote(self, value):
-        if isinstance(value, TruncSeries):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return TruncSeries.constant(value, self.order)
-        raise TypeError(f"cannot promote {value!r} to a truncated series")
-
-    @staticmethod
-    def is_unit(value) -> bool:
-        return value.is_unit()
-
-    # to and from the polynomials in the local variable, for Mat.det
-    @staticmethod
-    def lift(value) -> RatFn:
-        return RatFn(value.poly)
-
-    def lower(self, value: RatFn) -> TruncSeries:
-        return TruncSeries(value.num, self.order)
 
 
 @dataclass(frozen=True)
@@ -203,24 +98,6 @@ class SeriesMat:
 
     def coeff_matrices(self):
         return list(self.coeffs)
-
-    @property
-    def mat(self) -> Mat:
-        """The same series as one matrix of ``TruncSeries``, built on demand."""
-        n, order = self.n, self.order
-        return Mat._unchecked(
-            SeriesRing(order),
-            tuple(
-                tuple(TruncSeries([c.data[i][j] for c in self.coeffs], order) for j in range(n))
-                for i in range(n)
-            ),
-        )
-
-
-def ratfn_matrix_series(m: Mat, x0, order: int) -> Mat:
-    """Expand a matrix of rational functions into a series matrix at x0."""
-    ring = SeriesRing(order)
-    return m.map_entries(lambda e: TruncSeries.from_ratfn(e, x0, order), ring)
 
 
 def fundamental_series(sys: DiffSystem, x0, order: int) -> SeriesMat:
@@ -280,37 +157,28 @@ def fundamental_series(sys: DiffSystem, x0, order: int) -> SeriesMat:
     return SeriesMat(sys.var, x0, coeffs)
 
 
-def series_mat_derivative(s: Mat) -> Mat:
-    order = min(e.order for row in s.data for e in row) - 1
-    return s.map_entries(lambda e: e.derivative(), SeriesRing(order))
-
-
 def series_eval_transport(
     sys: DiffSystem, c: Construction, x0, v, order: int
 ) -> bool:
-    """Whether v(x) = constr_group(c, U)*v(x0) holds through the truncation.
+    """Whether v(x) = Constr(U)*v(x0) holds through the truncation, U the
+    normalized fundamental series of the system at the ordinary point x0.
 
     This is the defining transport property of an invariant's coordinate
-    vector with respect to the normalized fundamental series U.
+    vector.  By functoriality Constr(U) is the normalized fundamental series
+    of the construction system constr_lie(c, A), so with w = v(x0) the check
+    is C_k*w = v_k for each of its coefficient matrices C_k and the Taylor
+    coefficients v_k of v.
     """
     v = tuple(v)
     dim = constr_dim(c, sys.n)
     if len(v) != dim:
         raise DimensionMismatch(f"vector length {len(v)} != construction dim {dim}")
     x0 = Fraction(x0)
-    for e in v:
-        if e.has_pole_at(x0):
-            raise PoleAtPoint(f"vector entry has a pole at {x0}")
-    fundamental = fundamental_series(sys, x0, order)
-    transported_mat = constr_group(c, fundamental.mat)
-    w = [e(x0) for e in v]
-    check_order = min(e.order for row in transported_mat.data for e in row)
-    for i in range(dim):
-        acc = TruncSeries([], check_order)
-        for j in range(dim):
-            if w[j] != 0:
-                acc = acc + transported_mat.data[i][j] * w[j]
-        lhs = TruncSeries.from_ratfn(v[i], x0, check_order)
-        if lhs != acc:
-            return False
-    return True
+    if not is_ordinary_point(sys, x0):
+        raise PoleAtPoint(f"{x0} is a pole of the system matrix")
+    big = fundamental_series(DiffSystem(sys.var, constr_lie(c, sys.mat)), x0, order)
+    taylor = [TruncSeries.from_ratfn(e, x0, order).coeffs for e in v]
+    w = [t[0] for t in taylor]
+    return all(
+        mat_vec(ck, w) == tuple(t[k] for t in taylor) for k, ck in enumerate(big.coeffs)
+    )

@@ -11,10 +11,11 @@ from redform import (
     QQ,
     RF,
     RatFn,
+    TruncSeries,
+    constr_group,
     matrix,
     parse_construction,
     parse_ratfn,
-    ratfn_matrix_series,
     system,
 )
 
@@ -302,11 +303,14 @@ def oracle_fundamental_series(sys_, x0, order):
     """Coefficient matrices C_0 = Id, ..., C_(order-1) of the normalized
     fundamental series at x0 by the full Taylor convolution
     (k+1)*C_(k+1) = sum_(i<=k) A_i*C_(k-i), with the A_i the Taylor
-    coefficients of the system matrix from ``ratfn_matrix_series``."""
+    coefficients of the entries of the system matrix from
+    ``TruncSeries.from_ratfn``."""
     taylor_order = max(order - 1, 1)
-    a_series = ratfn_matrix_series(sys_.mat, x0, taylor_order)
+    a_series = [
+        [TruncSeries.from_ratfn(e, x0, taylor_order) for e in row] for row in sys_.mat.data
+    ]
     a_coeffs = [
-        Mat(QQ, [[e.coeff(k) for e in row] for row in a_series.data])
+        Mat(QQ, [[e.coeff(k) for e in row] for row in a_series])
         for k in range(taylor_order)
     ]
     cs = [Mat.identity(QQ, sys_.n)]
@@ -316,3 +320,39 @@ def oracle_fundamental_series(sys_, x0, order):
             acc = acc + a_coeffs[i] * cs[k - i]
         cs.append(acc.scale(Fraction(1, k + 1)))
     return cs
+
+
+def series_poly_matrix(coeffs):
+    """The truncated series sum C_k*u^k of coefficient matrices over Q as one
+    matrix over Q(u) of polynomials in the local variable u = x - x0."""
+    n, m = coeffs[0].rows, coeffs[0].cols
+    return Mat(RF, [[RatFn(Poly([c.data[i][j] for c in coeffs])) for j in range(m)] for i in range(n)])
+
+
+def truncated_coeffs(m, order):
+    """The coefficient matrices of u^0, ..., u^(order-1) of the Taylor
+    expansion at u = 0 of a matrix over Q(u)."""
+    polys = [
+        [e.num if e.den == Poly.ONE else Poly(TruncSeries.from_ratfn(e, 0, order).coeffs) for e in row]
+        for row in m.data
+    ]
+    return [Mat(QQ, [[p.coeff(k) for p in row] for row in polys]) for k in range(order)]
+
+
+def constr_series_agrees(c, u, uc):
+    """Whether the coefficient matrices ``uc`` are those of Constr(U) through
+    the truncation, U given by the coefficient matrices ``u`` with U(x0) = Id.
+
+    For tensor(base,dual(base)), Constr(U) is U (x) U^-T; instead of
+    inverting U over Q(u) the check is Uc*(I (x) U^T) == U (x) I mod
+    u^order, equivalent because I (x) U^T is invertible mod u^order.  Any
+    other construction is compared with ``constr_group`` of the polynomial
+    matrix U, expanded at u = 0."""
+    order = len(u)
+    big, poly = series_poly_matrix(uc), series_poly_matrix(u)
+    if c == END:
+        eye = Mat.identity(RF, poly.rows)
+        lhs, rhs = big * eye.kron(poly.transpose()), poly.kron(eye)
+    else:
+        lhs, rhs = big, constr_group(c, poly)
+    return truncated_coeffs(lhs, order) == truncated_coeffs(rhs, order)

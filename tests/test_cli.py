@@ -281,6 +281,33 @@ class TestUsageErrors:
         code, payload = run(["commutant", "--basis", write("basis.json", basis)], capsys)
         assert code == 3 and payload["error"]["reason"] == "parse_error"
 
+    @pytest.mark.parametrize("n", [True, 1.0, None, "1"], ids=["bool-n", "float-n", "null-n", "string-n"])
+    def test_malformed_system_size_is_parse_error(self, work, capsys, n):
+        tmp, write = work
+        sys_path = write("s.json", {"var": "x", "n": n, "A": [["1/x"]]})
+        code, payload = run(["series", "--system", sys_path, "--x0", "1", "--order", "2"], capsys)
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
+
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("system", {"var": "x", "A": [["0", "1"], ["0"]]}),
+            ("matrix", {"var": "x", "P": [["1", "0"], ["0"]]}),
+            ("basis", {"n": 2, "generators": [[["1", "0"], ["0"]]]}),
+        ],
+        ids=["system", "matrix", "basis"],
+    )
+    def test_ragged_matrix_is_parse_error(self, work, capsys, kind, payload):
+        tmp, write = work
+        path = write("ragged.json", payload)
+        argv = {
+            "system": ["series", "--system", path],
+            "matrix": ["gauge", "--system", write("a.json", DEMO), "--P", path],
+            "basis": ["commutant", "--basis", path],
+        }[kind]
+        code, out = run(argv, capsys)
+        assert code == 3 and out["error"]["reason"] == "parse_error"
+
     def test_long_x0_prints_and_reparses(self, work, capsys):
         tmp, write = work
         sys_path = write("a.json", DEMO)

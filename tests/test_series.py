@@ -13,18 +13,20 @@ from redform import (
     Poly,
     QQ,
     RatFn,
+    TruncSeries,
     END_CONSTRUCTION,
     constr_group,
     constr_lie,
     fundamental_series,
+    is_ordinary_point,
+    parse_construction,
     rational_solutions,
-    ratfn_matrix_series,
     series_eval_transport,
     system,
 )
-from redform.series import SeriesRing, TruncSeries, series_mat_derivative
 
 from helpers import (
+    constr_series_agrees,
     demo_system,
     oracle_fundamental_series,
     oracle_poly_mul,
@@ -32,6 +34,8 @@ from helpers import (
     rand_ordinary_system,
     rand_ratfn,
     rf,
+    series_poly_matrix,
+    truncated_coeffs,
 )
 
 
@@ -142,11 +146,6 @@ class TestIntegerKernel:
         u = fundamental_series(sys_, x0, order)
         assert (u.n, u.order) == (4, order)
         assert u.coeff_matrices() == oracle_fundamental_series(sys_, x0, order)
-        # the on-demand TruncSeries packing holds the same coefficients
-        packed = u.mat
-        for k in range(order):
-            c = u.coeff_matrix(k)
-            assert all(packed[(i, j)].coeff(k) == c[(i, j)] for i in range(4) for j in range(4))
 
 
 def _padded(coeffs, order):
@@ -160,37 +159,7 @@ def _oracle_mul(a, b, order):
 
 
 class TestTruncSeriesOracle:
-    """The Poly-backed series operations against Fraction convolution,
-    truncated; operands longer than their order check the truncation."""
-
-    @staticmethod
-    def _draw(rng, order):
-        pool = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 5)]
-        return TruncSeries([rng.choice(pool) for _ in range(rng.randint(0, order + 2))], order)
-
-    def test_ring_operations(self):
-        rng = random.Random(1618)
-        for _ in range(300):
-            a, b = self._draw(rng, rng.randint(0, 8)), self._draw(rng, rng.randint(0, 8))
-            k = min(a.order, b.order)
-            assert len(a.coeffs) == a.order and all(type(c) is Fraction for c in a.coeffs)
-            assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs[:k], b.coeffs[:k]))
-            assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs[:k], b.coeffs[:k]))
-            assert (3 - a).coeffs == tuple(x - y for x, y in zip(_padded([3], a.order), a.coeffs))
-            assert (-a).coeffs == tuple(-c for c in a.coeffs)
-            assert (a * b).coeffs == _oracle_mul(a.coeffs, b.coeffs, k)
-            assert ((a * b).order, (a + b).order, (a - b).order) == (k, k, k)
-            if a.order:
-                da = a.derivative()
-                assert da.order == a.order - 1
-                assert da.coeffs == tuple(j * c for j, c in enumerate(a.coeffs) if j)
-            if a.is_unit():
-                inv = a.inverse()
-                assert inv.order == a.order
-                assert _oracle_mul(a.coeffs, inv.coeffs, a.order) == _padded([1], a.order)
-            else:
-                with pytest.raises(ZeroDivisionError):
-                    a.inverse()
+    """Taylor coefficients by series division against Fraction convolution."""
 
     def test_from_ratfn(self):
         rng = random.Random(1414)
@@ -214,11 +183,9 @@ class TestTruncSeriesOracle:
 
 
 def _residual_vanishes(sys, x0, order):
-    u = fundamental_series(sys, x0, order)
-    du = series_mat_derivative(u.mat)
-    a = ratfn_matrix_series(sys.mat, x0, order - 1)
-    residual = du - a * u.mat.map_entries(lambda e: e.truncate(order - 1), SeriesRing(order - 1))
-    return all(e.is_zero for row in residual.data for e in row)
+    """dU - A*U vanishes through u^(order-2) and U(x0) = Id: the coefficients
+    are those of the Taylor convolution (k+1)*C_(k+1) = sum A_i*C_(k-i)."""
+    return fundamental_series(sys, x0, order).coeff_matrices() == oracle_fundamental_series(sys, x0, order)
 
 
 class TestResidual:
@@ -231,8 +198,6 @@ class TestResidual:
             n = rng.choice([1, 2, 3])
             sys_ = system("x", rand_matrix(rng, n).data)
             x0 = Fraction(rng.choice([0, 1, 2, -2]))
-            from redform import is_ordinary_point
-
             if not is_ordinary_point(sys_, x0):
                 continue
             assert _residual_vanishes(sys_, x0, 9)
@@ -241,42 +206,33 @@ class TestResidual:
 class TestFunctoriality:
     def test_series_of_construction(self):
         rng = random.Random(56)
-        from helpers import rand_ordinary_system
-
-        for text in ["ext(2,base)", "tensor(base,dual(base))"]:
-            from redform import parse_construction
-
-            c = parse_construction(text)
-            sys_ = rand_ordinary_system(rng, 2, 1)
-            order = 8
-            u = fundamental_series(sys_, 1, order)
-            lhs = constr_group(c, u.mat)
-            big = DiffSystem("x", constr_lie(c, sys_.mat))
-            rhs = fundamental_series(big, 1, order).mat
-            assert lhs == rhs
+        order = 8
+        for sys_ in (demo_system(), rand_ordinary_system(rng, 3, 1)):
+            u = fundamental_series(sys_, 1, order).coeff_matrices()
+            for text in ["ext(2,base)", "tensor(base,dual(base))"]:
+                c = parse_construction(text)
+                big = DiffSystem("x", constr_lie(c, sys_.mat))
+                assert constr_series_agrees(c, u, fundamental_series(big, 1, order).coeff_matrices())
 
     def test_construction_series_normalized(self):
-        u = fundamental_series(demo_system(), 1, 6)
-        big = constr_group(END_CONSTRUCTION, u.mat)
-        for i in range(4):
-            for j in range(4):
-                assert big.data[i][j].coeff(0) == (1 if i == j else 0)
+        # Constr(U), with U inverted over Q(u) in full, has the Taylor
+        # coefficients of the End system's fundamental series, so C_0 = Id
+        order = 6
+        u = fundamental_series(demo_system(), 1, order).coeff_matrices()
+        big = constr_group(END_CONSTRUCTION, series_poly_matrix(u))
+        end_sys = DiffSystem("x", constr_lie(END_CONSTRUCTION, demo_system().mat))
+        assert truncated_coeffs(big, order) == fundamental_series(end_sys, 1, order).coeff_matrices()
 
     def test_derivative_compatibility_on_series(self):
-        # dU = A*U implies d Constr(U) = constr_lie(c, A) * Constr(U)
+        # dU = A*U implies d Constr(U) = constr_lie(c, A) * Constr(U): with
+        # Constr(U)(x0) = Id, Constr(U) is the Taylor convolution of constr_lie
         order = 9
         sys_ = demo_system()
-        u = fundamental_series(sys_, 1, order)
+        u = fundamental_series(sys_, 1, order).coeff_matrices()
         for text in ["ext(2,base)", "tensor(base,dual(base))", "sym(2,base)"]:
-            from redform import parse_construction
-
             c = parse_construction(text)
-            big = constr_group(c, u.mat)
-            lie = constr_lie(c, sys_.mat)
-            lie_series = ratfn_matrix_series(lie, 1, order - 1)
-            trimmed = big.map_entries(lambda e: e.truncate(order - 1), SeriesRing(order - 1))
-            residual = series_mat_derivative(big) - lie_series * trimmed
-            assert all(e.is_zero for row in residual.data for e in row)
+            lie = DiffSystem("x", constr_lie(c, sys_.mat))
+            assert constr_series_agrees(c, u, oracle_fundamental_series(lie, 1, order))
 
 
 class TestTransport:

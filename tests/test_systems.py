@@ -20,7 +20,6 @@ from redform import (
     singularities,
     system,
 )
-from redform.series import TruncSeries
 
 from helpers import demo_system, rand_invertible, rand_matrix
 
@@ -92,19 +91,17 @@ class TestPullback:
         m, s, order = 2, Fraction(1), 8
         direct = fundamental_series(pullback(a, m), s, order)
         original = fundamental_series(a, s ** m, order)
-        # (x - x0) = t^m - s^m expanded in u = t - s
+        # (x - x0) = t^m - s^m expanded in u = t - s, composed into each
+        # entry sum_k C_k*(x - x0)^k by Horner's rule and truncated
         shift = Poly([s, 1]) ** m - Poly.const(s ** m)
-        local = TruncSeries([shift.coeff(k) for k in range(order)], order)
         for i in range(2):
             for j in range(2):
-                acc = TruncSeries([], order)
-                power = TruncSeries.constant(1, order)
-                for k in range(order):
-                    coeff = original.mat.data[i][j].coeff(k)
-                    if coeff:
-                        acc = acc + power * coeff
-                    power = power * local
-                assert acc == direct.mat.data[i][j]
+                acc = Poly()
+                for c in reversed(original.coeff_matrices()):
+                    acc = acc * shift + Poly.const(c[(i, j)])
+                assert [acc.coeff(k) for k in range(order)] == [
+                    direct.coeff_matrix(k)[(i, j)] for k in range(order)
+                ]
 
 
 class TestSingularities:
