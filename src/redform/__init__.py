@@ -14,7 +14,6 @@ from .errors import (
     PoleAtPoint,
     RedformError,
     SingularGauge,
-    Unsupported,
 )
 from .ratfun import (
     Poly,
@@ -65,7 +64,6 @@ from .series import (
 )
 from .solutions import (
     HarvestEntry,
-    SemiInvariant,
     SolutionSpace,
     check_semi_invariant,
     denominator_bound,

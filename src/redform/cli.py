@@ -23,7 +23,6 @@ from .errors import (
     NotStable,
     ParseError,
     RedformError,
-    Unsupported,
 )
 from .katz import (
     EndBasis,
@@ -418,12 +417,7 @@ def main(argv=None) -> int:
     except InternalError as exc:
         payload, code = _internal_error(exc)
     except RedformError as exc:
-        if isinstance(exc, _VERDICT_ERRORS):
-            code = EXIT_NEGATIVE
-        elif isinstance(exc, Unsupported):
-            code = EXIT_INCONCLUSIVE
-        else:
-            code = EXIT_USAGE
+        code = EXIT_NEGATIVE if isinstance(exc, _VERDICT_ERRORS) else EXIT_USAGE
         payload = {"ok": False, "error": {"reason": exc.reason, "message": str(exc)}}
     except (OSError, ValueError) as exc:
         payload, code = (

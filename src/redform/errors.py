@@ -51,12 +51,6 @@ class NotReduced(RedformError):
     reason = "not_reduced"
 
 
-class Unsupported(RedformError):
-    """Valid input outside what the implementation decides: never a verdict."""
-
-    reason = "unsupported"
-
-
 class InternalError(RedformError):
     """A self-check of the library failed: a bug, never a verdict."""
 

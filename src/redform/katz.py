@@ -23,7 +23,7 @@ from .constructions import (
 )
 from .errors import DimensionMismatch, NotReduced
 from .linalg import Mat, QQ, RF, RatFnField, in_span, mat_vec, nullspace, rank, solve
-from .ratfun import RatFn
+from .ratfun import RatFn, _rat
 from .reduction import LieBasis, wei_norman
 from .solutions import SolutionSpace, rational_solutions
 from .systems import DiffSystem
@@ -193,7 +193,7 @@ def stable_subspace_criterion(
     coeffs = wei_norman(sys, basis)
     if coeffs is None:
         raise NotReduced("system matrix is not in the span of the generators")
-    w_vectors = [tuple(Fraction(e) if not isinstance(e, Fraction) else e for e in v) for v in w_vectors]
+    w_vectors = [tuple(_rat(e) for e in v) for v in w_vectors]
     dim = constr_dim(c, sys.n)
     for v in w_vectors:
         if len(v) != dim:

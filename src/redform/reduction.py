@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
+from math import lcm
 
 from .constructions import (
     Construction,
@@ -40,11 +41,10 @@ from .errors import (
     NotStable,
     PoleAtPoint,
     SingularGauge,
-    Unsupported,
 )
-from .linalg import Mat, QQ, RF, in_span, nullspace, rank, row_space_canonical, solve
-from .ratfun import Poly, RatFn, common_denominator, ratfn_sqrt
-from .solutions import SemiInvariant, check_semi_invariant, harvest_invariants
+from .linalg import Mat, QQ, RF, charpoly, in_span, nullspace, rank, row_space_canonical, solve
+from .ratfun import Poly, RatFn, _rat, common_denominator, integer_roots, poly_str, ratfn_sqrt, ratfn_str
+from .solutions import check_semi_invariant, harvest_invariants
 from .systems import DiffSystem, gauge, is_ordinary_point, pullback
 
 
@@ -242,11 +242,7 @@ def is_reduced(
         wn_coeffs = tuple(coeffs) if coeffs is not None else None
 
     line_verdicts = []
-    for entry in lines:
-        if isinstance(entry, SemiInvariant):
-            c, v = entry.constr, entry.vector
-        else:
-            c, v = entry
+    for c, v in lines:
         v = tuple(v)
         rate = check_semi_invariant(sys, c, v)
         if rate is None:
@@ -298,7 +294,7 @@ def is_reduced(
 
 def transport_gauge(p: Mat, x0) -> Mat:
     """Right-normalize a gauge matrix so it fixes values at x0: P*P(x0)^-1."""
-    x0 = Fraction(x0)
+    x0 = _rat(x0)
     values = []
     for row in p.data:
         values.append([e(x0) for e in row])
@@ -309,7 +305,7 @@ def transport_gauge(p: Mat, x0) -> Mat:
 def verify_reduction_matrix(sys: DiffSystem, p: Mat, x0, invariants) -> bool:
     """Whether every invariant satisfies v(x) = constr_group(c, P)*v(x0)
     as an exact identity of rational functions."""
-    x0 = Fraction(x0)
+    x0 = _rat(x0)
     if not is_ordinary_point(sys, x0):
         raise PoleAtPoint(f"{x0} is a pole of the system")
     if p.det().is_zero:
@@ -356,33 +352,50 @@ class ReductionCertificate:
         return acc == self.reduced
 
 
-def _eigenvalues_ratfn(m: Mat):
-    """Eigenvalues of a matrix over the rational functions, requiring them to
-    be rational functions themselves: triangular matrices and the quadratic
-    case, NotSplit when the 2x2 eigenvalues are not rational functions, and
-    Unsupported for any other matrix."""
+def _eigenvalues_ratfn(m: Mat, var: str):
+    """Pairwise distinct eigenvalues of a stable-line endomorphism F over the
+    rational functions in ``var``, or a NotSplit or DefectiveEigenstructure
+    verdict naming its witness.
+
+    F' = [A, F] + f*F makes the eigenvalues h*mu_i with h' = f*h and constant
+    mu_i.  If they are rational functions, not all zero, then tr(F^2) made
+    monic is the square of some g, a constant multiple of h, and the mu_i (up
+    to that constant) are the eigenvalues of the constant matrix F/g.
+    """
     n = m.rows
-    if n == 1:
-        return [m.data[0][0]]
-    upper = all(m.data[i][j].is_zero for i in range(n) for j in range(i))
-    lower = all(m.data[i][j].is_zero for i in range(n) for j in range(i + 1, n))
-    if upper or lower:
-        return [m.data[i][i] for i in range(n)]
-    if n == 2:
-        tr = m.data[0][0] + m.data[1][1]
-        det = m.data[0][0] * m.data[1][1] - m.data[0][1] * m.data[1][0]
-        disc = tr * tr - RatFn.const(4) * det
-        root = ratfn_sqrt(disc)
-        if root is None:
-            raise NotSplit(
-                "eigenvalues do not lie in the rational functions; "
-                "a larger radical extension is needed"
-            )
-        half = RatFn.const(Fraction(1, 2))
-        return [(tr + root) * half, (tr - root) * half]
-    raise Unsupported(
-        "eigenvalue extraction beyond triangular or 2x2 matrices is unsupported"
-    )
+    q, nums = common_denominator([e for row in m.data for e in row])
+    f = [nums[i * n : (i + 1) * n] for i in range(n)]
+    trace = RatFn(sum((f[i][j] * f[j][i] for i in range(n) for j in range(n)), Poly()), q * q)
+    if trace.is_zero:
+        power = m
+        for _ in range(n - 1):
+            power = power * m
+        if power.is_zero:
+            raise DefectiveEigenstructure("eigenvalues are not pairwise distinct: F is nilpotent")
+        raise NotSplit("tr(F^2) = 0 but F is not nilpotent, so some eigenvalues are irrational")
+    monic = RatFn(trace.num.monic(), trace.den)
+    g = ratfn_sqrt(monic)
+    if g is None:
+        raise NotSplit(
+            f"tr(F^2) made monic, {ratfn_str(monic, var)}, is not a square; "
+            "a larger radical extension is needed"
+        )
+    # g^2 is tr(F^2) made monic, so g has no pole where q has no zero
+    x0 = next(x for x in count() if q(x) and g.num(x))
+    scale = q(x0) * g(x0)
+    const = [[p(x0) / scale for p in row] for row in f]
+    chi = charpoly(Mat(QQ, const))
+    # d*F/g is an integer matrix, so its rational eigenvalues are integers
+    d = lcm(*(e.denominator for row in const for e in row))
+    roots = integer_roots(Poly([c * d ** (n - k) for k, c in enumerate(chi.coeffs)]))
+    if len(roots) < n:
+        if chi.gcd(chi.derivative()).degree > 0:
+            raise DefectiveEigenstructure("eigenvalues are not pairwise distinct")
+        raise NotSplit(
+            f"F/g has the constant characteristic polynomial {poly_str(chi, 'T')}, "
+            "whose roots are not all rational"
+        )
+    return [g * Fraction(r, d) for r in roots]
 
 
 def _eigen_sort_key(value: RatFn):
@@ -402,9 +415,7 @@ def reduce_by_diagonalization(sys: DiffSystem, endo: Mat, m: int) -> ReductionCe
     pulled = pullback(sys, m)
     endo_t = endo.map_entries(lambda e: e.substitute_power(m))
 
-    eigen = _eigenvalues_ratfn(endo_t)
-    if len({e for e in eigen}) != len(eigen):
-        raise DefectiveEigenstructure("eigenvalues are not pairwise distinct")
+    eigen = _eigenvalues_ratfn(endo_t, pulled.var)
     eigen.sort(key=_eigen_sort_key, reverse=True)
 
     n = sys.n
@@ -413,7 +424,7 @@ def reduce_by_diagonalization(sys: DiffSystem, endo: Mat, m: int) -> ReductionCe
         shifted = endo_t - Mat.identity(RF, n).scale(value)
         kernel = nullspace(shifted)
         if len(kernel) != 1:
-            raise DefectiveEigenstructure("eigenspace dimension is not one")
+            raise InternalError("eigenspace of a simple eigenvalue is not one-dimensional")
         pivot = next(e for e in kernel[0] if not e.is_zero)
         _, nums = common_denominator([e / pivot for e in kernel[0]])
         columns.append([RatFn(p) for p in nums])
@@ -423,7 +434,7 @@ def reduce_by_diagonalization(sys: DiffSystem, endo: Mat, m: int) -> ReductionCe
     for i in range(n):
         for j in range(n):
             if i != j and not b.data[i][j].is_zero:
-                raise DefectiveEigenstructure("gauge did not diagonalize the system")
+                raise InternalError("eigenvector gauge did not diagonalize the system")
 
     basis, coeffs = _diagonal_decomposition(b)
     cert = ReductionCertificate(

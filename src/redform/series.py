@@ -62,7 +62,7 @@ class TruncSeries:
     def from_ratfn(r: RatFn, x0, order: int) -> "TruncSeries":
         """Taylor expansion of r = a/b at x0 by exact series division:
         c_k = (a_k - sum_(i>=1) b_i*c_(k-i)) / b_0 in the local variable."""
-        x0 = Fraction(x0)
+        x0 = _rat(x0)
         b = r.den.shift(x0).coeffs
         if b[0] == 0:
             raise PoleAtPoint(f"pole at {x0}")
@@ -112,7 +112,7 @@ def fundamental_series(sys: DiffSystem, x0, order: int) -> SeriesMat:
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
-    x0 = Fraction(x0)
+    x0 = _rat(x0)
     n = sys.n
     q, nums = common_denominator([e for row in sys.mat.data for e in row])
     q = q.shift(x0)
@@ -173,7 +173,7 @@ def series_eval_transport(
     dim = constr_dim(c, sys.n)
     if len(v) != dim:
         raise DimensionMismatch(f"vector length {len(v)} != construction dim {dim}")
-    x0 = Fraction(x0)
+    x0 = _rat(x0)
     if not is_ordinary_point(sys, x0):
         raise PoleAtPoint(f"{x0} is a pole of the system matrix")
     big = fundamental_series(DiffSystem(sys.var, constr_lie(c, sys.mat)), x0, order)

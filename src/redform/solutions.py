@@ -49,16 +49,6 @@ class SolutionSpace:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class SemiInvariant:
-    """A coordinate vector spanning a stable line, with its rate f:
-    v' = (constr_lie(c, A) + f*Id) v."""
-
-    constr: Construction
-    vector: tuple
-    rate: RatFn
-
-
 def _residue_matrix(sys: DiffSystem, place: Poly) -> Mat:
     """Residue at a simple place as a Q-linear operator on (Q[x]/(place))^n.
 

@@ -9,11 +9,10 @@ the independent variable.  Gauge transformations act by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DimensionMismatch
 from .linalg import Mat, RF
-from .ratfun import Poly, RatFn, parse_ratfn, squarefree_factors
+from .ratfun import Poly, RatFn, _rat, parse_ratfn, squarefree_factors
 
 
 @dataclass(frozen=True)
@@ -139,5 +138,5 @@ def singularities(sys: DiffSystem) -> SingularityReport:
 
 
 def is_ordinary_point(sys: DiffSystem, x0) -> bool:
-    x0 = Fraction(x0)
+    x0 = _rat(x0)
     return all(not e.has_pole_at(x0) for row in sys.mat.data for e in row)

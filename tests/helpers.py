@@ -18,6 +18,7 @@ from redform import (
     parse_ratfn,
     system,
 )
+from redform.ratfun import ratfn_sqrt
 
 END = parse_construction("tensor(base,dual(base))")
 
@@ -221,6 +222,18 @@ def oracle_poly_sqrt(p):
         root[k] = (p.coeff(k + half) - acc) / (2 * lead)
     candidate = Poly(root)
     return candidate if oracle_poly_mul(candidate, candidate) == p else None
+
+
+def oracle_eigenvalues_2x2(m):
+    """Eigenvalues (tr +- sqrt(disc))/2 of a 2x2 matrix over Q(x) by the
+    quadratic formula, or None when they are not rational functions."""
+    (a, b), (c, d) = m.data
+    tr = a + d
+    root = ratfn_sqrt(tr * tr - RatFn.const(4) * (a * d - b * c))
+    if root is None:
+        return None
+    half = RatFn.const(Fraction(1, 2))
+    return [(tr + root) * half, (tr - root) * half]
 
 
 def oracle_poly_divmod(a, b):

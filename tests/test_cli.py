@@ -7,7 +7,7 @@ import pytest
 from redform import cli
 from redform.cli import main
 from redform.reduction import ReductionCertificate
-from redform.jsonio import system_from_json
+from redform.jsonio import certificate_from_json, system_from_json
 from redform.ratfun import RatFn, parse_ratfn
 
 DEMO = {"var": "x", "n": 2, "A": [["0", "1"], ["x", "1/(2*x)"]]}
@@ -181,19 +181,59 @@ class TestVerdicts:
         )
         assert code == 1 and payload["error"]["reason"] == "not_split"
 
-    def test_reduce_beyond_eigenvalue_extractor_is_unsupported(self, work, capsys):
+    def test_reduce_companion_with_rational_eigenvalues(self, work, capsys):
         # the constant companion matrix of (T-1)(T-2)(T-3) commutes with
-        # itself, so it spans a stable line of the system it defines; its
-        # eigenvalues 1, 2, 3 are rational, so not_split would be a false
-        # negative: the reducer cannot extract them and says so
+        # itself, so it spans a stable line of the system it defines
         companion = [["0", "0", "6"], ["1", "0", "-11"], ["0", "1", "6"]]
-        sys_path = work[1]("s.json", {"var": "x", "n": 3, "A": companion})
+        sys_json = {"var": "x", "n": 3, "A": companion}
+        sys_path = work[1]("s.json", sys_json)
         endo_path = work[1]("e.json", {"var": "x", "M": companion})
         code, payload = run(
             ["reduce", "--system", sys_path, "--semiinv", endo_path, "--pullback", "1"],
             capsys,
         )
-        assert code == 2 and payload["error"]["reason"] == "unsupported"
+        assert code == 0
+        assert payload["B"] == [["3", "0", "0"], ["0", "2", "0"], ["0", "0", "1"]]
+        assert certificate_from_json(payload).verify(system_from_json(sys_json))
+
+    @pytest.mark.parametrize(
+        "companion, witness",
+        [
+            # eigenvalues +-sqrt(2): the constant charpoly is the witness
+            ([["0", "2"], ["1", "0"]], "T^2 - 2"),
+            # cube roots of unity: tr(F^2) = 0 while F^3 = Id
+            ([["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]], "tr(F^2) = 0"),
+        ],
+        ids=["T^2-2", "T^3-1"],
+    )
+    def test_reduce_companion_with_irrational_eigenvalues_not_split(
+        self, work, capsys, companion, witness
+    ):
+        sys_path = work[1]("s.json", {"var": "x", "A": companion})
+        endo_path = work[1]("e.json", {"var": "x", "M": companion})
+        code, payload = run(
+            ["reduce", "--system", sys_path, "--semiinv", endo_path, "--pullback", "1"],
+            capsys,
+        )
+        assert code == 1 and payload["error"]["reason"] == "not_split"
+        assert witness in payload["error"]["message"]
+
+    def test_reduce_block_system(self, work, capsys):
+        # the README system plus a zero block, with the weighted swap on the
+        # first two coordinates: eigenvalues 0 and +-t^-1 over x = t^2 only
+        tmp, write = work
+        sys_json = {"var": "x", "A": [["0", "1", "0"], ["x", "1/(2*x)", "0"], ["0", "0", "0"]]}
+        sys_path = write("s.json", sys_json)
+        endo_path = write(
+            "e.json", {"var": "x", "M": [["0", "1/x", "0"], ["1", "0", "0"], ["0", "0", "0"]]}
+        )
+        argv = ["reduce", "--system", sys_path, "--semiinv", endo_path, "--pullback"]
+        code, payload = run(argv + ["1"], capsys)
+        assert code == 1 and payload["error"]["reason"] == "not_split"
+        code, payload = run(argv + ["2"], capsys)
+        assert code == 0
+        assert payload["B"] == [["0", "0", "0"], ["0", "2*t^2", "0"], ["0", "0", "-2*t^2"]]
+        assert certificate_from_json(payload).verify(system_from_json(sys_json))
 
 
 class TestUsageErrors:

@@ -7,6 +7,8 @@ import pytest
 
 from redform import (
     Base,
+    DefectiveEigenstructure,
+    DiffSystem,
     END_CONSTRUCTION,
     LieBasis,
     Mat,
@@ -40,6 +42,9 @@ from redform.reduction import ReductionCertificate, lie_basis_flags
 from helpers import (
     demo_system,
     diag_basis,
+    oracle_eigenvalues_2x2,
+    rand_poly,
+    rand_ratfn,
     reduced_demo,
     rf,
     weighted_swap,
@@ -263,12 +268,50 @@ class TestReduceByDiagonalization:
     def test_nilpotent_endomorphism_is_defective(self):
         # a Jordan block spans a stable line of the zero system but cannot be
         # diagonalized
-        from redform import DefectiveEigenstructure
-
         zero = system("x", [["0", "0"], ["0", "0"]])
         jordan = Mat(RF, [[rf("0"), rf("1")], [rf("0"), rf("0")]])
         with pytest.raises(DefectiveEigenstructure):
             reduce_by_diagonalization(zero, jordan, 1)
+
+    def test_repeated_eigenvalue_is_defective(self):
+        # tr(F^2) = 2 is a square, but F/1 has charpoly (T - 1)^2
+        zero = system("x", [["0", "0"], ["0", "0"]])
+        jordan = Mat(RF, [[rf("1"), rf("1")], [rf("0"), rf("1")]])
+        with pytest.raises(DefectiveEigenstructure):
+            reduce_by_diagonalization(zero, jordan, 1)
+
+
+class TestEigenvalues:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_gauged_diagonal_endomorphism(self, n):
+        # F = g*diag(mu) spans a stable line of a diagonal system for any
+        # rational function g; a unimodular polynomial gauge P hides the
+        # diagonal form
+        def diagonal(entries):
+            return Mat(RF, [[e if i == j else RatFn.ZERO for j in range(n)] for i, e in enumerate(entries)])
+
+        rng = random.Random(1200 + n)
+        for _ in range(3):
+            diag = DiffSystem("x", diagonal([rand_ratfn(rng, 1) for _ in range(n)]))
+            g = RatFn.ZERO
+            while g.is_zero:
+                g = rand_ratfn(rng, 1)
+            mu = rng.sample([-3, -2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-5, 3)], n)
+            p = Mat.identity(RF, n)
+            for _ in range(n + 1):
+                i, j = rng.sample(range(n), 2)
+                rows = list(p.data)
+                factor = RatFn(rand_poly(rng, 1))
+                rows[i] = [a + factor * b for a, b in zip(rows[i], rows[j])]
+                p = Mat(RF, rows)
+            endo = p.inv() * diagonal([g * m for m in mu]) * p
+            sys_ = gauge(diag, p)
+            eigen = reduction._eigenvalues_ratfn(endo, "x")
+            assert sorted(eigen, key=str) == sorted((g * m for m in mu), key=str)
+            if n == 2:
+                assert set(oracle_eigenvalues_2x2(endo)) == set(eigen)
+            cert = reduce_by_diagonalization(sys_, endo, 1)
+            assert cert.verify(sys_)
 
 
 class TestInternalGates:
@@ -283,6 +326,16 @@ class TestInternalGates:
     def test_certificate_self_verification(self, monkeypatch):
         monkeypatch.setattr(ReductionCertificate, "verify", lambda self, sys_: False)
         with pytest.raises(InternalError, match="self-verification"):
+            reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
+
+    def test_eigenspace_dimension(self, monkeypatch):
+        monkeypatch.setattr(reduction, "nullspace", lambda m: [])
+        with pytest.raises(InternalError, match="eigenspace"):
+            reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
+
+    def test_diagonalizing_gauge(self, monkeypatch):
+        monkeypatch.setattr(reduction, "gauge", lambda sys_, p: sys_)
+        with pytest.raises(InternalError, match="diagonalize"):
             reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
 
     def test_generator_extraction_solve(self, monkeypatch):

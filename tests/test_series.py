@@ -12,6 +12,7 @@ from redform import (
     PoleAtPoint,
     Poly,
     QQ,
+    RF,
     RatFn,
     TruncSeries,
     END_CONSTRUCTION,
@@ -22,17 +23,22 @@ from redform import (
     parse_construction,
     rational_solutions,
     series_eval_transport,
+    stable_subspace_criterion,
     system,
+    transport_gauge,
+    verify_reduction_matrix,
 )
 
 from helpers import (
     constr_series_agrees,
     demo_system,
+    diag_basis,
     oracle_fundamental_series,
     oracle_poly_mul,
     rand_matrix,
     rand_ordinary_system,
     rand_ratfn,
+    reduced_demo,
     rf,
     series_poly_matrix,
     truncated_coeffs,
@@ -261,3 +267,32 @@ class TestTransport:
         a = demo_system()
         v = tuple(rf(s) for s in ("1", "0", "0", "1"))
         assert series_eval_transport(a, END_CONSTRUCTION, 1, v, 8)
+
+
+@pytest.mark.parametrize("point", [0.1, "1/2"], ids=["float", "string"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda x0: fundamental_series(demo_system(), x0, 3),
+        lambda x0: TruncSeries.from_ratfn(rf("1/(x+2)"), x0, 3),
+        lambda x0: series_eval_transport(demo_system(), Base(), x0, (rf("1"), rf("0")), 3),
+        lambda x0: is_ordinary_point(demo_system(), x0),
+        lambda x0: transport_gauge(Mat.identity(RF, 2), x0),
+        lambda x0: verify_reduction_matrix(demo_system(), Mat.identity(RF, 2), x0, []),
+        lambda x0: stable_subspace_criterion(reduced_demo(), diag_basis(), Base(), [(x0, 1)]),
+    ],
+    ids=[
+        "fundamental_series",
+        "from_ratfn",
+        "series_eval_transport",
+        "is_ordinary_point",
+        "transport_gauge",
+        "verify_reduction_matrix",
+        "stable_subspace_criterion",
+    ],
+)
+def test_inexact_point_is_type_error(entry, point):
+    # Fraction(0.1) and Fraction("1/2") would expand at a binary float or
+    # parse a string; exact points are ints and Fractions only
+    with pytest.raises(TypeError):
+        entry(point)
