@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import count
 
 from . import jsonio
-from .constructions import constr_dim, constr_group, constr_lie, parse_construction
+from .constructions import _MAX_DIM, constr_dim, constr_group, constr_lie, parse_construction
 from .errors import (
     DefectiveEigenstructure,
     InternalError,
@@ -304,17 +305,17 @@ def cmd_commutant(args):
 def cmd_stabilizer_of_invariant(args):
     c = parse_construction(args.constr)
     var, v = jsonio.vector_from_json(jsonio.load_json(args.vector))
-    n = args.n
-    if n is None:
-        for k in range(1, len(v) + 1):
-            try:
-                if constr_dim(c, k) == len(v):
-                    n = k
-                    break
-            except InvalidArity:
-                pass
-        if n is None:
-            raise ParseError("could not infer the base dimension; pass --n")
+    # constr_dim(c, k) increases strictly with k on the range where it is
+    # defined (below it an ext power exceeds its child, above it the size
+    # bound is exceeded), so only the first k whose dimension reaches the
+    # vector length can fit; past len(v) + 1000 none can
+    for n in count(1):
+        try:
+            if constr_dim(c, n) >= len(v):
+                break
+        except InvalidArity:
+            if n > len(v) + _MAX_DIM:
+                raise
     mats = stabilizer_of_invariant(c, v, n)
     return {
         "n": n,
@@ -343,7 +344,6 @@ _FLAGS = {
     "pullback": {"type": int, "default": 1},
     "pole-cap": {"type": int, "default": 10},
     "new-var": {},
-    "n": {"type": int},
     "out": {},
 }
 
@@ -363,7 +363,7 @@ _COMMANDS = {
     "reduce": ("system semiinv", "pullback"),
     "katz-check": ("system basis", "invariants"),
     "commutant": ("basis", ""),
-    "stabilizer-of-invariant": ("constr vector", "n"),
+    "stabilizer-of-invariant": ("constr vector", ""),
 }
 
 
@@ -385,7 +385,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     for name in [selected] if selected else _COMMANDS:
         required, optional = _COMMANDS[name]
         # no abbreviations: a prefix such as --n must not stand in for
-        # --new-var or --num-deg on a command that has no --n
+        # --new-var or --num-deg
         p = sub.add_parser(name, allow_abbrev=False)
         for flag in required.split():
             p.add_argument("--" + flag, required=True, **_FLAGS[flag])

@@ -20,16 +20,25 @@ Canonical basis orders (fixed so every matrix is reproducible bit-exactly):
 The endomorphism space is identified with tensor(base, dual(base)) through
 row-major matrix flattening; this is the only built-in identification between
 isomorphic constructions.
+
+Both levels build sym(r) and ext(r) with the one routine ``_power``: the
+group level expands the image of a basis tuple one slot at a time, the Lie
+level replaces one slot at a time, and ``_place`` sorts (and for ext signs)
+each resulting index tuple.  ``constr_dim`` owns the size of a
+construction and bounds it; ``constr_vector`` checks a coordinate vector
+against it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .errors import DimensionMismatch, InvalidArity, ParseError
 from .linalg import Mat
+from .ratfun import _MAX_LITERAL_DIGITS, _int_from_digits
 from .systems import DiffSystem, mat_derivative
 
 
@@ -114,7 +123,9 @@ def parse_construction(text: str) -> Construction:
                 break
             raise ParseError(f"unexpected character {tail[0]!r} in construction")
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1))))
+            if len(m.group(1)) > _MAX_LITERAL_DIGITS:
+                raise ParseError(f"integer literal exceeds {_MAX_LITERAL_DIGITS} digits in construction")
+            tokens.append(("int", _int_from_digits(m.group(1))))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2)))
         else:
@@ -171,17 +182,18 @@ def parse_construction(text: str) -> Construction:
 # Dimensions and basis labels
 
 
-def _binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+# the largest sym/ext power; every node of a construction on an
+# n-dimensional space has at most max(_MAX_DIM, n) dimensions
+_MAX_DIM = 1000
 
 
 def constr_dim(c: Construction, n: int) -> int:
-    """Dimension of the construction applied to an n-dimensional space."""
+    """Dimension of the construction applied to an n-dimensional space.
+
+    A sym or ext power above 1,000, an ext power above its child's
+    dimension, or a node of more than max(1000, n) dimensions raises
+    InvalidArity.
+    """
     if n < 1:
         raise InvalidArity("base dimension must be >= 1")
     if isinstance(c, Base):
@@ -189,18 +201,30 @@ def constr_dim(c: Construction, n: int) -> int:
     if isinstance(c, Dual):
         return constr_dim(c.child, n)
     if isinstance(c, Tensor):
-        return constr_dim(c.left, n) * constr_dim(c.right, n)
-    if isinstance(c, DirectSum):
-        return constr_dim(c.left, n) + constr_dim(c.right, n)
-    if isinstance(c, Sym):
+        dim = constr_dim(c.left, n) * constr_dim(c.right, n)
+    elif isinstance(c, DirectSum):
+        dim = constr_dim(c.left, n) + constr_dim(c.right, n)
+    elif isinstance(c, (Sym, Ext)):
         d = constr_dim(c.child, n)
-        return _binomial(d + c.r - 1, c.r)
-    if isinstance(c, Ext):
-        d = constr_dim(c.child, n)
-        if c.r > d:
+        if c.r > _MAX_DIM:
+            raise InvalidArity(f"{'ext' if isinstance(c, Ext) else 'sym'} power above {_MAX_DIM}")
+        if isinstance(c, Ext) and c.r > d:
             raise InvalidArity(f"ext({c.r}) exceeds child dimension {d}")
-        return _binomial(d, c.r)
-    raise TypeError(f"not a construction: {c!r}")
+        dim = comb(d, c.r) if isinstance(c, Ext) else comb(d + c.r - 1, c.r)
+    else:
+        raise TypeError(f"not a construction: {c!r}")
+    if dim > max(_MAX_DIM, n):
+        raise InvalidArity(f"{c} exceeds {max(_MAX_DIM, n)} dimensions on a {n}-dimensional space")
+    return dim
+
+
+def constr_vector(c: Construction, n: int, v) -> tuple:
+    """``tuple(v)``, checked to have the construction's dimension."""
+    v = tuple(v)
+    dim = constr_dim(c, n)
+    if len(v) != dim:
+        raise DimensionMismatch(f"vector length {len(v)} != construction dim {dim}")
+    return v
 
 
 def basis_labels(c: Construction, n: int):
@@ -218,18 +242,9 @@ def basis_labels(c: Construction, n: int):
         right = basis_labels(c.right, n)
         return tuple(("L", a) for a in left) + tuple(("R", b) for b in right)
     if isinstance(c, Sym):
-        d = constr_dim(c.child, n)
-        child = basis_labels(c.child, n)
-        return tuple(
-            tuple(child[i] for i in idx)
-            for idx in combinations_with_replacement(range(d), c.r)
-        )
+        return tuple(combinations_with_replacement(basis_labels(c.child, n), c.r))
     if isinstance(c, Ext):
-        d = constr_dim(c.child, n)
-        child = basis_labels(c.child, n)
-        return tuple(
-            tuple(child[i] for i in idx) for idx in combinations(range(d), c.r)
-        )
+        return tuple(combinations(basis_labels(c.child, n), c.r))
     raise TypeError(f"not a construction: {c!r}")
 
 
@@ -237,75 +252,52 @@ def basis_labels(c: Construction, n: int):
 # Induced matrices
 
 
-def _sym_group(s: Mat, r: int) -> Mat:
-    ring = s.ring
-    d = s.rows
-    labels = list(combinations_with_replacement(range(d), r))
+def _place(terms: dict, ks, coeff, alternating: bool):
+    """Add coeff times the basis tuple ks to ``terms``, keyed by sorted(ks);
+    for ext a tuple that repeats an index vanishes and the rest are signed by
+    the parity of the sorting permutation."""
+    if alternating:
+        if len(set(ks)) < len(ks):
+            return
+        if sum(a > b for a, b in combinations(ks, 2)) % 2:
+            coeff = -coeff
+    key = tuple(sorted(ks))
+    terms[key] = terms[key] + coeff if key in terms else coeff
+
+
+def _power(m: Mat, r: int, alternating: bool, image) -> Mat:
+    """Matrix of sym(r), or ext(r) when ``alternating``, induced by m; column
+    beta is ``image(m, beta, alternating)``, a dict built by ``_place``."""
+    labels = list((combinations if alternating else combinations_with_replacement)(range(m.rows), r))
     index = {lbl: i for i, lbl in enumerate(labels)}
-    out = [[ring.zero for _ in labels] for _ in labels]
+    out = [[m.ring.zero] * len(labels) for _ in labels]
     for col, beta in enumerate(labels):
-        supports = []
-        for b in beta:
-            supports.append([k for k in range(d) if s.data[k][b] != ring.zero])
-        for ks in product(*supports):
-            coeff = ring.one
-            for k, b in zip(ks, beta):
-                coeff = coeff * s.data[k][b]
-            row = index[tuple(sorted(ks))]
-            out[row][col] = out[row][col] + coeff
-    return Mat(ring, out)
+        for ks, coeff in image(m, beta, alternating).items():
+            out[index[ks]][col] = coeff
+    return Mat(m.ring, out)
 
 
-def _sym_lie(l: Mat, r: int) -> Mat:
-    ring = l.ring
-    d = l.rows
-    labels = list(combinations_with_replacement(range(d), r))
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    out = [[ring.zero for _ in labels] for _ in labels]
-    for col, beta in enumerate(labels):
-        for j in range(r):
-            for k in range(d):
-                coeff = l.data[k][beta[j]]
-                if coeff == ring.zero:
-                    continue
-                target = list(beta)
-                target[j] = k
-                row = index[tuple(sorted(target))]
-                out[row][col] = out[row][col] + coeff
-    return Mat(ring, out)
+def _group_image(s: Mat, beta, alternating: bool) -> dict:
+    """s acts on every slot: the product of the slot images, expanded one
+    slot at a time over the column supports."""
+    terms = {(): s.ring.one}
+    for b in beta:
+        support = [(k, s.data[k][b]) for k in range(s.rows) if s.data[k][b] != s.ring.zero]
+        prev, terms = terms, {}
+        for ks, coeff in prev.items():
+            for k, entry in support:
+                _place(terms, ks + (k,), coeff * entry, alternating)
+    return terms
 
 
-def _ext_group(s: Mat, r: int) -> Mat:
-    ring = s.ring
-    d = s.rows
-    labels = list(combinations(range(d), r))
-    out = [
-        [s.submatrix(rows_idx, cols_idx).det() for cols_idx in labels]
-        for rows_idx in labels
-    ]
-    return Mat(ring, out)
-
-
-def _ext_lie(l: Mat, r: int) -> Mat:
-    ring = l.ring
-    d = l.rows
-    labels = list(combinations(range(d), r))
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    out = [[ring.zero for _ in labels] for _ in labels]
-    for col, jtuple in enumerate(labels):
-        for j in range(r):
-            rest = jtuple[:j] + jtuple[j + 1 :]
-            for k in range(d):
-                coeff = l.data[k][jtuple[j]]
-                if coeff == ring.zero or k in rest:
-                    continue
-                pos = sum(1 for e in rest if e < k)
-                target = tuple(sorted(rest + (k,)))
-                sign = (j - pos) % 2
-                row = index[target]
-                entry = out[row][col]
-                out[row][col] = entry - coeff if sign else entry + coeff
-    return Mat(ring, out)
+def _lie_image(l: Mat, beta, alternating: bool) -> dict:
+    """l acts as a derivation: it replaces one slot at a time."""
+    terms = {}
+    for j, b in enumerate(beta):
+        for k in range(l.rows):
+            if l.data[k][b] != l.ring.zero:
+                _place(terms, beta[:j] + (k,) + beta[j + 1 :], l.data[k][b], alternating)
+    return terms
 
 
 def constr_group(c: Construction, p: Mat) -> Mat:
@@ -328,10 +320,8 @@ def _group(c: Construction, p: Mat) -> Mat:
         return _group(c.left, p).kron(_group(c.right, p))
     if isinstance(c, DirectSum):
         return _group(c.left, p).block_diag(_group(c.right, p))
-    if isinstance(c, Sym):
-        return _sym_group(_group(c.child, p), c.r)
-    if isinstance(c, Ext):
-        return _ext_group(_group(c.child, p), c.r)
+    if isinstance(c, (Sym, Ext)):
+        return _power(_group(c.child, p), c.r, isinstance(c, Ext), _group_image)
     raise TypeError(f"not a construction: {c!r}")
 
 
@@ -356,10 +346,8 @@ def _lie(c: Construction, m: Mat) -> Mat:
         return left.kron(eye_r) + eye_l.kron(right)
     if isinstance(c, DirectSum):
         return _lie(c.left, m).block_diag(_lie(c.right, m))
-    if isinstance(c, Sym):
-        return _sym_lie(_lie(c.child, m), c.r)
-    if isinstance(c, Ext):
-        return _ext_lie(_lie(c.child, m), c.r)
+    if isinstance(c, (Sym, Ext)):
+        return _power(_lie(c.child, m), c.r, isinstance(c, Ext), _lie_image)
     raise TypeError(f"not a construction: {c!r}")
 
 

@@ -25,7 +25,7 @@ def _require(mapping, key, kind=None):
     if not isinstance(mapping, dict) or key not in mapping:
         raise ParseError(f"missing field {key!r}")
     value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ParseError(f"field {key!r} has the wrong type")
     return value
 
@@ -56,14 +56,18 @@ def _declared_size(payload):
 
 def lists_to_matrix(rows, var: str) -> Mat:
     rows = _rows(rows)
-    parsed = [[parse_ratfn(e, var) if isinstance(e, str) else _const_entry(e) for e in row] for row in rows]
+    parsed = [
+        [parse_ratfn(e, var) if isinstance(e, str) else RatFn.const(_const_entry(e)) for e in row]
+        for row in rows
+    ]
     return Mat(RF, parsed)
 
 
-def _const_entry(value) -> RatFn:
-    if isinstance(value, int):
-        return RatFn.const(value)
-    raise ParseError(f"matrix entries must be strings, got {value!r}")
+def _const_entry(value):
+    """A constant matrix entry: a string or an int, never a bool or a float."""
+    if isinstance(value, str) or type(value) is int:
+        return parse_rat(value)
+    raise ParseError(f"matrix entries must be strings or integers, got {value!r}")
 
 
 def system_to_json(sys: DiffSystem) -> dict:
@@ -105,7 +109,7 @@ def vector_from_json(payload, fallback_var=None):
 
 
 def constant_matrix_from_lists(rows) -> Mat:
-    return Mat(QQ, [[parse_rat(e) for e in row] for row in _rows(rows)])
+    return Mat(QQ, [[_const_entry(e) for e in row] for row in _rows(rows)])
 
 
 def lie_basis_from_json(payload) -> LieBasis:

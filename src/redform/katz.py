@@ -15,8 +15,8 @@ from fractions import Fraction
 from .constructions import (
     END_CONSTRUCTION,
     Construction,
-    constr_dim,
     constr_lie,
+    constr_vector,
     end_action,
     mat_from_vec,
     vec_row_major,
@@ -145,10 +145,7 @@ def annihilates_invariants(generators, invariants) -> AnnihilationReport:
     for gi, gen in enumerate(generators):
         gen_rf = gen if isinstance(gen.ring, RatFnField) else gen.map_entries(RatFn.const, RF)
         for ii, (c, v) in enumerate(invariants):
-            v = tuple(v)
-            dim = constr_dim(c, gen.rows)
-            if len(v) != dim:
-                raise DimensionMismatch("invariant length mismatch")
+            v = constr_vector(c, gen.rows, v)
             image = mat_vec(constr_lie(c, gen_rf), v)
             ok = all(e.is_zero for e in image)
             entries.append(AnnihilationEntry(gi, ii, ok, None if ok else image))
@@ -193,11 +190,7 @@ def stable_subspace_criterion(
     coeffs = wei_norman(sys, basis)
     if coeffs is None:
         raise NotReduced("system matrix is not in the span of the generators")
-    w_vectors = [tuple(_rat(e) for e in v) for v in w_vectors]
-    dim = constr_dim(c, sys.n)
-    for v in w_vectors:
-        if len(v) != dim:
-            raise DimensionMismatch("subspace vector length mismatch")
+    w_vectors = [constr_vector(c, sys.n, map(_rat, v)) for v in w_vectors]
 
     failures = []
     for gi, gen in enumerate(basis.generators):
@@ -225,10 +218,7 @@ def stabilizer_of_invariant(c: Construction, v, n: int):
     Columns of the defining linear map are produced from the elementary
     matrices; the null space is computed over the rational functions.
     """
-    v = tuple(v)
-    dim = constr_dim(c, n)
-    if len(v) != dim:
-        raise DimensionMismatch("vector length mismatch")
+    v = constr_vector(c, n, v)
     columns = []
     for i in range(n):
         for j in range(n):

@@ -27,9 +27,9 @@ from math import lcm
 from .constructions import (
     Construction,
     END_CONSTRUCTION,
-    constr_dim,
     constr_group,
     constr_lie,
+    constr_vector,
     vec_row_major,
 )
 from .errors import (
@@ -133,13 +133,10 @@ def constant_basis_subspace(sys: DiffSystem, c: Construction, w_vectors):
     of the family to be a rational multiple of a constant vector; the kernel
     of v -> wedge ^ v is then computed over Q and spans the same subspace.
     """
-    w_vectors = [tuple(v) for v in w_vectors]
+    w_vectors = [constr_vector(c, sys.n, v) for v in w_vectors]
     if not w_vectors:
         raise ValueError("empty family")
-    dim = constr_dim(c, sys.n)
-    for v in w_vectors:
-        if len(v) != dim:
-            raise DimensionMismatch("vector length mismatch")
+    dim = len(w_vectors[0])
     lie = constr_lie(c, sys.mat)
     for v in w_vectors:
         nabla = tuple(
@@ -311,10 +308,8 @@ def verify_reduction_matrix(sys: DiffSystem, p: Mat, x0, invariants) -> bool:
     if p.det().is_zero:
         raise SingularGauge("reduction matrix is singular")
     for c, v in invariants:
-        v = tuple(v)
-        dim = constr_dim(c, sys.n)
-        if len(v) != dim:
-            raise DimensionMismatch("invariant length mismatch")
+        v = constr_vector(c, sys.n, v)
+        dim = len(v)
         for e in v:
             if e.has_pole_at(x0):
                 raise PoleAtPoint(f"invariant has a pole at {x0}")
@@ -464,23 +459,10 @@ def _diagonal_decomposition(b: Mat):
     rows = [[p.coeff(k) for k in range(width)] for p in numerators]
     canon = row_space_canonical(rows, QQ)
     coeffs = [RatFn(Poly(row), den) for row in canon]
-    if not canon:
-        return [], []
-    span = Mat.from_cols(QQ, canon)
-    generators = []
-    coords = []
-    for i in range(n):
-        sol = solve(span, rows[i])
-        if sol is None:
-            raise InternalError("diagonal entry outside its own canonical span")
-        coords.append(sol)
-    for j in range(len(canon)):
-        gen = Mat(
-            QQ,
-            [
-                [coords[i][j] if i == k else Fraction(0) for k in range(n)]
-                for i in range(n)
-            ],
-        )
-        generators.append(gen)
+    # a row's coordinates on the echelon basis are its entries at the pivots
+    pivots = [next(k for k, a in enumerate(row) if a) for row in canon]
+    generators = [
+        Mat(QQ, [[rows[i][p] if i == k else Fraction(0) for k in range(n)] for i in range(n)])
+        for p in pivots
+    ]
     return generators, coeffs

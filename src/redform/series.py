@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .constructions import Construction, constr_dim, constr_lie
-from .errors import DimensionMismatch, PoleAtPoint
+from .constructions import Construction, constr_lie, constr_vector
+from .errors import PoleAtPoint
 from .linalg import Mat, QQ, mat_vec
 from .ratfun import RatFn, _clear_all, _rat, common_denominator
 from .systems import DiffSystem, is_ordinary_point
@@ -169,10 +169,7 @@ def series_eval_transport(
     is C_k*w = v_k for each of its coefficient matrices C_k and the Taylor
     coefficients v_k of v.
     """
-    v = tuple(v)
-    dim = constr_dim(c, sys.n)
-    if len(v) != dim:
-        raise DimensionMismatch(f"vector length {len(v)} != construction dim {dim}")
+    v = constr_vector(c, sys.n, v)
     x0 = _rat(x0)
     if not is_ordinary_point(sys, x0):
         raise PoleAtPoint(f"{x0} is a pole of the system matrix")

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructions import Construction, constr_dim, constr_lie
+from .constructions import Construction, constr_lie, constr_vector
 from .errors import DimensionMismatch, InvalidArity, RedformError
 from .linalg import Mat, QQ, charpoly, nullspace, row_space_canonical
 from .ratfun import Poly, RatFn, _clear_all, common_denominator, integer_roots
@@ -70,31 +70,18 @@ def _residue_matrix(sys: DiffSystem, place: Poly) -> Mat:
             if g.degree != 0:
                 raise RedformError("place not coprime to residual denominator")
             inverses[den] = inv
-    blocks = []
+    big = [[Fraction(0)] * (n * deg) for _ in range(n * deg)]
     for i in range(n):
-        row_blocks = []
         for j in range(n):
             entry = sys.mat.data[i][j]
             inv = inverses.get(entry.den)
             if inv is None:
-                row_blocks.append(None)
                 continue
             residue = (entry.num * inv) % place
-            cols = []
             for k in range(deg):
                 shifted = (residue * Poly.monomial(1, k)) % place
-                cols.append([shifted.coeff(r) for r in range(deg)])
-            row_blocks.append(cols)
-        blocks.append(row_blocks)
-    big = [[Fraction(0)] * (n * deg) for _ in range(n * deg)]
-    for i in range(n):
-        for j in range(n):
-            cell = blocks[i][j]
-            if cell is None:
-                continue
-            for k in range(deg):
                 for r in range(deg):
-                    big[i * deg + r][j * deg + k] = cell[k][r]
+                    big[i * deg + r][j * deg + k] = shifted.coeff(r)
     return Mat(QQ, big)
 
 
@@ -225,10 +212,8 @@ def rational_solutions(
 
 def check_semi_invariant(sys: DiffSystem, c: Construction, v):
     """Rate f with v' - constr_lie(c, A)*v = f*v, or None if no such f."""
-    v = tuple(v)
-    dim = constr_dim(c, sys.n)
-    if len(v) != dim:
-        raise DimensionMismatch(f"vector length {len(v)} != construction dim {dim}")
+    v = constr_vector(c, sys.n, v)
+    dim = len(v)
     if all(e.is_zero for e in v):
         raise ValueError("semi-invariant candidate must be nonzero")
     lie = constr_lie(c, sys.mat)

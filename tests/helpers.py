@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 
 from redform import (
     DiffSystem,
@@ -234,6 +235,72 @@ def oracle_eigenvalues_2x2(m):
         return None
     half = RatFn.const(Fraction(1, 2))
     return [(tr + root) * half, (tr - root) * half]
+
+
+def oracle_sym_group(s, r):
+    """r-th symmetric power of the map with matrix s in the monomial basis:
+    column beta expanded into every product of one entry per slot."""
+    ring, d = s.ring, s.rows
+    labels = list(combinations_with_replacement(range(d), r))
+    index = {lbl: i for i, lbl in enumerate(labels)}
+    out = [[ring.zero for _ in labels] for _ in labels]
+    for col, beta in enumerate(labels):
+        supports = [[k for k in range(d) if s.data[k][b] != ring.zero] for b in beta]
+        for ks in product(*supports):
+            coeff = ring.one
+            for k, b in zip(ks, beta):
+                coeff = coeff * s.data[k][b]
+            row = index[tuple(sorted(ks))]
+            out[row][col] = out[row][col] + coeff
+    return Mat(ring, out)
+
+
+def oracle_sym_lie(m, r):
+    """r-th symmetric power of the derivation with matrix m: column beta is
+    the sum over slots j of beta with slot j replaced by each k."""
+    ring, d = m.ring, m.rows
+    labels = list(combinations_with_replacement(range(d), r))
+    index = {lbl: i for i, lbl in enumerate(labels)}
+    out = [[ring.zero for _ in labels] for _ in labels]
+    for col, beta in enumerate(labels):
+        for j in range(r):
+            for k in range(d):
+                target = list(beta)
+                target[j] = k
+                row = index[tuple(sorted(target))]
+                out[row][col] = out[row][col] + m.data[k][beta[j]]
+    return Mat(ring, out)
+
+
+def oracle_ext_group(s, r):
+    """r-th exterior power of the map with matrix s: the r x r minors, each
+    by Laplace expansion."""
+    labels = list(combinations(range(s.rows), r))
+    return Mat(
+        s.ring,
+        [[oracle_det([[s.data[i][j] for j in cols] for i in rows]) for cols in labels] for rows in labels],
+    )
+
+
+def oracle_ext_lie(m, r):
+    """r-th exterior power of the derivation with matrix m: slot j of the
+    increasing tuple replaced by k outside the rest, signed by the number of
+    transpositions that move k back into increasing position."""
+    ring, d = m.ring, m.rows
+    labels = list(combinations(range(d), r))
+    index = {lbl: i for i, lbl in enumerate(labels)}
+    out = [[ring.zero for _ in labels] for _ in labels]
+    for col, jtuple in enumerate(labels):
+        for j in range(r):
+            rest = jtuple[:j] + jtuple[j + 1 :]
+            for k in range(d):
+                if k in rest:
+                    continue
+                coeff = m.data[k][jtuple[j]]
+                pos = sum(1 for e in rest if e < k)
+                row = index[tuple(sorted(rest + (k,)))]
+                out[row][col] = out[row][col] - coeff if (j - pos) % 2 else out[row][col] + coeff
+    return Mat(ring, out)
 
 
 def oracle_poly_divmod(a, b):

@@ -1,12 +1,14 @@
 """End-to-end CLI: exit-code triage, determinism, JSON round trips."""
 
 import json
+import time
 
 import pytest
 
 from redform import cli
 from redform.cli import main
 from redform.reduction import ReductionCertificate
+from redform.errors import ParseError
 from redform.jsonio import certificate_from_json, system_from_json
 from redform.ratfun import RatFn, parse_ratfn
 
@@ -348,6 +350,52 @@ class TestUsageErrors:
         code, out = run(argv, capsys)
         assert code == 3 and out["error"]["reason"] == "parse_error"
 
+    @pytest.mark.parametrize("constr", ["sym(40,sym(3,base))", "sym(3000000,base)"], ids=["dimension", "power"])
+    def test_oversized_construction_is_invalid_arity(self, work, capsys, constr):
+        tmp, write = work
+        sys_path = write("a.json", DEMO)
+        start = time.perf_counter()
+        code, payload = run(["ratsols", "--system", sys_path, "--constr", constr], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and payload["error"]["reason"] == "invalid_arity"
+
+    def test_overlong_power_literal_is_parse_error(self, work, capsys):
+        tmp, write = work
+        sys_path = write("a.json", DEMO)
+        constr = "sym(" + "9" * 5000 + ",base)"
+        code, payload = run(["ratsols", "--system", sys_path, "--constr", constr], capsys)
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
+
+    @pytest.mark.parametrize("entry", [True, False, 1.5], ids=["true", "false", "float"])
+    def test_non_string_system_entry_is_parse_error(self, work, capsys, entry):
+        tmp, write = work
+        sys_path = write("s.json", {"var": "x", "A": [[entry]]})
+        code, payload = run(["series", "--system", sys_path], capsys)
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
+
+    def test_bool_generator_entries_are_parse_error(self, work, capsys):
+        tmp, write = work
+        basis = {"generators": [[[True, False], [False, True]]]}
+        code, payload = run(["commutant", "--basis", write("basis.json", basis)], capsys)
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
+
+    def test_float_generator_entry_is_parse_error(self, work, capsys):
+        # str() of this float would be read as 1543209862654321/12500000000000000
+        tmp, write = work
+        sys_path = write("b.json", {"var": "t", "n": 2, "A": [["2*t^2", "0"], ["0", "-2*t^2"]]})
+        basis = {"n": 2, "generators": [[[0.12345678901234567890, "0"], ["0", "-1"]]]}
+        code, payload = run(
+            ["wei-norman", "--system", sys_path, "--basis", write("basis.json", basis)], capsys
+        )
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
+
+    @pytest.mark.parametrize("order", [True, 2.0, "2"], ids=["bool", "float", "string"])
+    def test_malformed_extension_order_is_parse_error(self, order):
+        cert = {"var": "t", "extension_order": order, "P": [["1"]], "B": [["0"]], "basis": [], "coeffs": []}
+        assert certificate_from_json(dict(cert, extension_order=2)).extension_order == 2
+        with pytest.raises(ParseError):
+            certificate_from_json(cert)
+
     def test_long_x0_prints_and_reparses(self, work, capsys):
         tmp, write = work
         sys_path = write("a.json", DEMO)
@@ -615,6 +663,32 @@ class TestOtherCommands:
         )
         assert code == 0 and payload["dim"] == 4 and payload["n"] == 2
 
+    @pytest.mark.parametrize(
+        "constr, v, n, dim",
+        [("ext(2,base)", ["1"], 2, 3), ("sym(2,base)", ["1", "0", "1"], 2, 1), ("base", ["0", "0", "1"], 3, 6)],
+        ids=["ext", "sym", "base"],
+    )
+    def test_stabilizer_infers_n_from_the_vector_length(self, work, capsys, constr, v, n, dim):
+        tmp, write = work
+        vec_path = write("v.json", {"var": "x", "v": v})
+        code, payload = run(["stabilizer-of-invariant", "--constr", constr, "--vector", vec_path], capsys)
+        assert code == 0 and payload["n"] == n and payload["dim"] == dim
+
+    @pytest.mark.parametrize(
+        "constr, length, reason",
+        [
+            ("tensor(base,dual(base))", 5, "dimension_mismatch"),
+            ("tensor(base,base)", 1100, "invalid_arity"),
+            ("sym(3000000,base)", 1, "invalid_arity"),
+        ],
+        ids=["between-sizes", "above-bound", "power"],
+    )
+    def test_stabilizer_without_a_fitting_n(self, work, capsys, constr, length, reason):
+        tmp, write = work
+        vec_path = write("v.json", {"var": "x", "v": ["1"] * length})
+        code, payload = run(["stabilizer-of-invariant", "--constr", constr, "--vector", vec_path], capsys)
+        assert code == 3 and payload["error"]["reason"] == reason
+
 
 # the flags each subcommand reads besides --out, written out independently
 # of the parser's table, and an argv carrying just the required ones
@@ -633,9 +707,10 @@ READS = {
     "reduce": ("--system --semiinv --pullback", "--system s --semiinv e"),
     "katz-check": ("--system --basis --invariants", "--system s --basis b"),
     "commutant": ("--basis", "--basis b"),
-    "stabilizer-of-invariant": ("--constr --vector --n", "--constr base --vector v"),
+    "stabilizer-of-invariant": ("--constr --vector", "--constr base --vector v"),
 }
-ALL_FLAGS = sorted({flag for flags, _ in READS.values() for flag in flags.split()})
+# --n, which stabilizer-of-invariant once read, is now read by none
+ALL_FLAGS = sorted({flag for flags, _ in READS.values() for flag in flags.split()} | {"--n"})
 UNREAD = [
     (name, flag)
     for name, (flags, _) in READS.items()

@@ -28,7 +28,18 @@ from redform import (
 )
 from redform.linalg import mat_vec
 
-from helpers import demo_system, rand_invertible, rand_matrix, rf, weighted_swap
+from helpers import (
+    demo_system,
+    oracle_ext_group,
+    oracle_ext_lie,
+    oracle_sym_group,
+    oracle_sym_lie,
+    rand_constant_matrix,
+    rand_invertible,
+    rand_matrix,
+    rf,
+    weighted_swap,
+)
 
 
 class TestDimensions:
@@ -41,6 +52,33 @@ class TestDimensions:
     def test_invalid_ext_arity(self):
         with pytest.raises(InvalidArity):
             constr_dim(parse_construction("ext(3,base)"), 2)
+
+
+class TestSizeBound:
+    def test_base_may_exceed_the_bound(self):
+        assert constr_dim(Base(), 1001) == 1001
+
+    def test_node_above_the_bound_raises(self):
+        assert constr_dim(parse_construction("dsum(base,base)"), 500) == 1000
+        with pytest.raises(InvalidArity):
+            constr_dim(parse_construction("dsum(base,base)"), 600)
+
+    def test_power_above_the_bound_raises(self):
+        # on a 1-dimensional space every symmetric power has dimension 1
+        assert constr_dim(Sym(1000, Base()), 1) == 1
+        with pytest.raises(InvalidArity):
+            constr_dim(Sym(1001, Base()), 1)
+
+    def test_bound_is_checked_before_building(self):
+        with pytest.raises(InvalidArity):
+            constr_group(parse_construction("sym(40,sym(3,base))"), Mat.identity(RF, 2))
+        with pytest.raises(InvalidArity):
+            constr_lie(Sym(3_000_000, Base()), Mat.identity(RF, 1))
+
+    def test_overlong_power_literal_is_parse_error(self):
+        # 5,000 digits passes the interpreter's int conversion limit
+        with pytest.raises(ParseError):
+            parse_construction("sym(" + "9" * 5000 + ",base)")
 
 
 class TestParsing:
@@ -242,3 +280,40 @@ class TestMorphismLaws:
         out = constr_lie(parse_construction("ext(3,base)"), a)
         trace = a.data[0][0] + a.data[1][1] + a.data[2][2]
         assert out.rows == 1 and out[(0, 0)] == trace
+
+
+def _rand_pair(rng, ring, n):
+    """An invertible matrix and an arbitrary one, both n x n over Q or Q(x)."""
+    if ring == "RF":
+        return rand_invertible(rng, n), rand_matrix(rng, n)
+    p = rand_constant_matrix(rng, n)
+    while p.det() == 0:
+        p = rand_constant_matrix(rng, n)
+    return p, rand_constant_matrix(rng, n)
+
+
+class TestPowersAgainstOracles:
+    @pytest.mark.parametrize("ring", ["QQ", "RF"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_sym_and_ext(self, ring, r):
+        rng = random.Random(60 + r)
+        for n in (1, 2, 3):
+            for _ in range(2):
+                p, m = _rand_pair(rng, ring, n)
+                assert constr_group(Sym(r, Base()), p) == oracle_sym_group(p, r)
+                assert constr_lie(Sym(r, Base()), m) == oracle_sym_lie(m, r)
+                if r <= n:  # r == n is the top power
+                    assert constr_group(Ext(r, Base()), p) == oracle_ext_group(p, r)
+                    assert constr_lie(Ext(r, Base()), m) == oracle_ext_lie(m, r)
+
+    @pytest.mark.parametrize("ring", ["QQ", "RF"])
+    def test_nested_powers(self, ring):
+        rng = random.Random(70)
+        ext_sym = parse_construction("ext(2,sym(2,base))")
+        sym_dual = parse_construction("sym(2,dual(base))")
+        for n in (2, 3):
+            p, m = _rand_pair(rng, ring, n)
+            assert constr_group(ext_sym, p) == oracle_ext_group(oracle_sym_group(p, 2), 2)
+            assert constr_lie(ext_sym, m) == oracle_ext_lie(oracle_sym_lie(m, 2), 2)
+            assert constr_group(sym_dual, p) == oracle_sym_group(p.inv().transpose(), 2)
+            assert constr_lie(sym_dual, m) == oracle_sym_lie(-m.transpose(), 2)

@@ -338,11 +338,6 @@ class TestInternalGates:
         with pytest.raises(InternalError, match="diagonalize"):
             reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
 
-    def test_generator_extraction_solve(self, monkeypatch):
-        monkeypatch.setattr(reduction, "solve", lambda m, rhs: None)
-        with pytest.raises(InternalError, match="canonical span"):
-            reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
-
 
 class TestCriterionConsistency:
     def test_generators_annihilate_harvested_invariants(self):
