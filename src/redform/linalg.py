@@ -20,17 +20,21 @@ ints, in one of two kernels:
 
 ``inv`` is the right half of ``rref([m | I])``.  ``charpoly`` runs
 Berkowitz's division-free algorithm (Berkowitz 1984) on the integer matrix
-d*m, d the lcm of the denominators of m: p_m(T) = d^-n p_dm(d T).
+d*m, d the lcm of the denominators of m: p_m(T) = d^-n p_dm(d T).  Products
+over Q(x) sum each entry as ``ratfun`` integer pairs and normalize it once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import zip_longest
 from math import gcd, lcm
+from operator import add
 
 from .errors import SingularGauge
 from .ratfun import Poly, RatFn, _clear_all, _int_divmod, _int_mul, as_ratfn, common_denominator
+from .ratfun import _pair_add, _pair_mul, _pair_ratfn, _ratfn_pair
 
 
 class FractionField:
@@ -161,10 +165,9 @@ class Mat:
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise ValueError("inner dimension mismatch")
-            cols = tuple(zip(*other.data))
+            rows, cols = _dot_rows(self.ring, self.data), _dot_rows(self.ring, zip(*other.data))
             return Mat._unchecked(
-                self.ring,
-                tuple(tuple([_dot(row, col) for col in cols]) for row in self.data),
+                self.ring, tuple(tuple([_dot(self.ring, row, col) for col in cols]) for row in rows)
             )
         return self.scale(other)
 
@@ -365,20 +368,26 @@ def _eliminate(row, pivot_row, col):
     return out
 
 
-def _dot(row, col):
-    it = iter(zip(row, col))
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
+def _dot_rows(ring, rows):
+    # over RF, _dot takes each entry as an integer pair
+    return [[_ratfn_pair(as_ratfn(e)) for e in row] for row in rows] if ring is RF else list(rows)
+
+
+def _dot(ring, row, col):
+    """sum_k row[k] * col[k] of two ``_dot_rows`` rows.  Over RF the products
+    are summed as pairs and the entry is normalized once."""
+    if ring is RF:
+        terms = [_pair_mul(a, b) for a, b in zip(row, col) if a[0] and b[0]]
+        return _pair_ratfn(*reduce(_pair_add, terms)) if terms else RatFn.ZERO
+    return reduce(add, [a * b for a, b in zip(row, col)])
 
 
 def mat_vec(m: Mat, vec):
     vec = tuple(vec)
     if m.cols != len(vec):
         raise ValueError("matrix/vector size mismatch")
-    return tuple(_dot(row, vec) for row in m.data)
+    (col,) = _dot_rows(m.ring, [vec])
+    return tuple(_dot(m.ring, row, col) for row in _dot_rows(m.ring, m.data))
 
 
 def nullspace(m: Mat):

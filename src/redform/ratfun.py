@@ -11,6 +11,13 @@ primitive integer list times one rational scale, and products, the gcd (a
 primitive pseudo-remainder sequence over Z) and the normalization of a
 rational function work on those lists and rescale once at the end.
 
+Sums and products of several rational functions run on unnormalized pairs
+(num, den) of integer lists: the expression parser carries one through each
+entry and ``linalg`` one through each entry of a Q(x) matrix product.  Pairs
+add over the lcm of their denominators and multiply with Henrici's
+cross-cancellation; :func:`_pair_ratfn`, one primitive gcd and one rescale to
+a monic denominator, is the one normalizer, also behind ``RatFn(num, den)``.
+
 This module also owns the common-denominator integer form that the other
 modules hand to their integer kernels: :func:`common_denominator` writes
 rational functions over their monic lcm denominator, and :func:`_clear_all`
@@ -26,7 +33,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, zip_longest
 
 from .errors import DivisionByZero, ParseError, PoleAtPoint
 
@@ -89,12 +96,14 @@ def _prem(a, b):
 
 
 def _int_gcd(a, b):
-    """Primitive gcd, up to sign, of two nonzero primitive integer coefficient
-    lists: the primitive Euclidean algorithm over Z (von zur Gathen & Gerhard,
-    Modern Computer Algebra, ch. 6).  A non-primitive input may come back
-    as it is, content included."""
+    """Primitive gcd, up to sign, of two nonzero integer coefficient lists:
+    the primitive Euclidean algorithm over Z (von zur Gathen & Gerhard,
+    Modern Computer Algebra, ch. 6).  Being primitive, it divides each input
+    exactly over Z (Gauss's lemma)."""
     if len(a) < len(b):
         a, b = b, a
+    content = math.gcd(*b)
+    b = [c // content for c in b]
     while len(b) > 1:
         r = _prem(a, b)
         if not r:
@@ -102,6 +111,14 @@ def _int_gcd(a, b):
         content = math.gcd(*r)
         a, b = b, [c // content for c in r]
     return [1]
+
+
+def _int_add(a, b):
+    """Sum of two integer coefficient lists, trailing zeros trimmed."""
+    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _int_mul(a, b):
@@ -337,11 +354,19 @@ class Poly:
     def shift(self, x0) -> "Poly":
         """Return p(u + x0), the expansion around x0 in the local variable u."""
         x0 = _rat(x0)
-        shifted_x = Poly((x0, 1))
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * shifted_x + Poly.const(c)
-        return acc
+        if not x0 or len(self.coeffs) < 2:
+            return self
+        # x0 = a/b, p = s * f: b^d p(u + x0) = s * g(b u + a) with the integer
+        # list g(y) = b^d f(y / b), shifted by a in Horner's synthetic division
+        f, s = _clear(self.coeffs)
+        a, b = x0.numerator, x0.denominator
+        d = len(f) - 1
+        g = [c * b ** (d - k) for k, c in enumerate(f)]
+        for i in range(d):
+            for k in range(d - 1, i - 1, -1):
+                g[k] += a * g[k + 1]
+        n, m = s.numerator, s.denominator
+        return Poly._unchecked(tuple([Fraction(n * c, m * b ** (d - k)) for k, c in enumerate(g)]))
 
     def substitute_power(self, m: int) -> "Poly":
         """Return p(t^m) as a polynomial in t."""
@@ -387,22 +412,12 @@ class RatFn:
         if den.is_zero:
             raise DivisionByZero("zero denominator")
         if num.is_zero:
-            self.num, self.den = Poly(), Poly.ONE
-            return
-        if num.degree > 0 and den.degree > 0:
-            na, ns = _clear(num.coeffs)
-            da, ds = _clear(den.coeffs)
-            g = _int_gcd(na, da)
-            if len(g) > 1:
-                # exact quotients over Z (Gauss's lemma), rescaled once so
-                # that den is monic
-                da = _int_divmod(da, g)[0]
-                lead = da[-1]
-                self.num = Poly._unchecked(_scaled(_int_divmod(na, g)[0], ns / (ds * lead)))
-                self.den = Poly._unchecked(_scaled(da, Fraction(1, lead)))
-                return
-        lead = den.coeffs[-1]
-        if lead != 1:
+            num, den = Poly(), Poly.ONE
+        elif num.degree > 0 and den.degree > 0:
+            r = _pair_ratfn(*_clear_all([num, den])[0])
+            num, den = r.num, r.den
+        elif den.coeffs[-1] != 1:
+            lead = den.coeffs[-1]
             num, den = num * (1 / lead), den * (1 / lead)
         self.num, self.den = num, den
 
@@ -412,10 +427,6 @@ class RatFn:
     @staticmethod
     def const(c) -> "RatFn":
         return RatFn(Poly.const(c))
-
-    @staticmethod
-    def x() -> "RatFn":
-        return RatFn(Poly.x())
 
     @property
     def is_zero(self) -> bool:
@@ -562,6 +573,59 @@ def common_denominator(entries):
 
 
 # ---------------------------------------------------------------------------
+# Unnormalized pairs: (num, den) integer coefficient lists for num/den, den
+# nonzero; zero is any ([], den).
+
+
+def _cancel(a, b):
+    """a and b divided by their primitive gcd when both are non-constant."""
+    if len(a) > 1 and len(b) > 1:
+        g = _int_gcd(a, b)
+        if len(g) > 1:
+            return _int_divmod(a, g)[0], _int_divmod(b, g)[0]
+    return a, b
+
+
+def _pair_ratfn(num, den) -> RatFn:
+    """The RatFn num/den: the one Q(x) normalizer.  One primitive gcd, then
+    one rescale to a monic denominator."""
+    if not num:
+        return RatFn.ZERO
+    num, den = _cancel(num, den)
+    scale = Fraction(1, den[-1])
+    out = RatFn.__new__(RatFn)
+    out.num = Poly._unchecked(_scaled(num, scale))
+    out.den = Poly._unchecked(_scaled(den, scale))
+    return out
+
+
+def _ratfn_pair(r: RatFn):
+    return tuple(_clear_all([r.num, r.den])[0])
+
+
+def _pair_add(p, q):
+    """p + q over lcm(b, d) = (b/g) * d, g the primitive gcd of the
+    denominators; no gcd when they are equal."""
+    (a, b), (c, d) = p, q
+    if b == d:
+        return _int_add(a, c), b
+    bg, dg = _cancel(b, d)
+    return _int_add(_int_mul(a, dg), _int_mul(c, bg)), _int_mul(bg, d)
+
+
+def _pair_neg(p):
+    return [-c for c in p[0]], p[1]
+
+
+def _pair_mul(p, q):
+    """p * q with Henrici's cross-cancellation of gcd(a, d) and gcd(c, b)."""
+    (a, b), (c, d) = p, q
+    a, d = _cancel(a, d)
+    c, b = _cancel(c, b)
+    return _int_mul(a, c), _int_mul(b, d)
+
+
+# ---------------------------------------------------------------------------
 # Operation surface
 
 
@@ -659,7 +723,8 @@ def _tokenize(text: str):
 
 
 class _RatFnParser:
-    """Recursive descent for integers, one variable, + - * / ^ and parens."""
+    """Recursive descent for integers, one variable, + - * / ^ and parens.
+    Subexpressions are unnormalized integer pairs; ``parse`` normalizes once."""
 
     def __init__(self, tokens, var):
         self.tokens = tokens
@@ -680,7 +745,7 @@ class _RatFnParser:
         if kind != "op" or value != symbol:
             raise ParseError(f"expected {symbol!r}")
 
-    def nested(self, parse_inner) -> RatFn:
+    def nested(self, parse_inner):
         self.depth += 1
         if self.depth > _MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels")
@@ -692,44 +757,43 @@ class _RatFnParser:
         value = self.expr()
         if self.pos != len(self.tokens):
             raise ParseError("trailing input after expression")
-        return value
+        return _pair_ratfn(*value)
 
-    def expr(self) -> RatFn:
+    def expr(self):
         value = self.term()
         while True:
             kind, op = self.peek()
             if kind == "op" and op in "+-":
                 self.pos += 1
                 rhs = self.term()
-                value = value + rhs if op == "+" else value - rhs
+                value = _pair_add(value, rhs if op == "+" else _pair_neg(rhs))
             else:
                 return value
 
-    def term(self) -> RatFn:
+    def term(self):
         value = self.factor()
         while True:
             kind, op = self.peek()
             if kind == "op" and op in "*/":
                 self.pos += 1
                 rhs = self.factor()
-                if op == "*":
-                    value = value * rhs
-                else:
-                    if rhs.is_zero:
+                if op == "/":
+                    if not rhs[0]:
                         raise ParseError("division by zero in expression")
-                    value = value / rhs
+                    rhs = rhs[::-1]
+                value = _pair_mul(value, rhs)
             else:
                 return value
 
-    def factor(self) -> RatFn:
+    def factor(self):
         kind, op = self.peek()
         if kind == "op" and op in "+-":
             self.pos += 1
             inner = self.nested(self.factor)
-            return inner if op == "+" else -inner
+            return inner if op == "+" else _pair_neg(inner)
         return self.power()
 
-    def power(self) -> RatFn:
+    def power(self):
         base = self.atom()
         kind, op = self.peek()
         if kind == "op" and op == "^":
@@ -737,6 +801,7 @@ class _RatFnParser:
             ekind, evalue = self.take()
             if ekind != "int":
                 raise ParseError("exponent must be a non-negative integer")
+            base = _pair_ratfn(*base)
             coeffs = base.num.coeffs + base.den.coeffs
             degree = max(base.num.degree, base.den.degree)
             bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs)
@@ -745,19 +810,19 @@ class _RatFnParser:
                     f"power too large: a power may reach degree {_MAX_POWER_DEGREE} "
                     f"and coefficients of {_MAX_POWER_BITS} bits"
                 )
-            return base ** evalue
+            return _ratfn_pair(base ** evalue)
         return base
 
-    def atom(self) -> RatFn:
+    def atom(self):
         kind, value = self.take()
         if kind == "int":
-            return RatFn.const(value)
+            return [value] if value else [], [1]
         if kind == "name":
             if value != self.var:
                 raise ParseError(
                     f"unknown symbol {value!r}, expected variable {self.var!r}"
                 )
-            return RatFn.x()
+            return [0, 1], [1]
         if kind == "op" and value == "(":
             inner = self.nested(self.expr)
             self.expect_op(")")
@@ -889,9 +954,7 @@ def integer_roots(p: Poly):
     f = f[k:]
     if len(f) < 2:
         return roots
-    df = [i * c for i, c in enumerate(f)][1:]
-    content = math.gcd(*df)
-    g = _int_divmod(f, _int_gcd(f, [c // content for c in df]))[0]
+    g = _int_divmod(f, _int_gcd(f, [i * c for i, c in enumerate(f)][1:]))[0]
     dg = [i * c for i, c in enumerate(g)][1:]
     q = 3
     while True:

@@ -42,7 +42,7 @@ from .errors import (
     PoleAtPoint,
     SingularGauge,
 )
-from .linalg import Mat, QQ, RF, charpoly, in_span, nullspace, rank, row_space_canonical, solve
+from .linalg import Mat, QQ, RF, charpoly, in_span, mat_vec, nullspace, rank, row_space_canonical, solve
 from .ratfun import Poly, RatFn, _rat, common_denominator, integer_roots, poly_str, ratfn_sqrt, ratfn_str
 from .solutions import check_semi_invariant, harvest_invariants
 from .systems import DiffSystem, gauge, is_ordinary_point, pullback
@@ -139,10 +139,7 @@ def constant_basis_subspace(sys: DiffSystem, c: Construction, w_vectors):
     dim = len(w_vectors[0])
     lie = constr_lie(c, sys.mat)
     for v in w_vectors:
-        nabla = tuple(
-            v[i].derivative() - sum((lie.data[i][j] * v[j] for j in range(dim)), RatFn.ZERO)
-            for i in range(dim)
-        )
+        nabla = tuple(e.derivative() - w for e, w in zip(v, mat_vec(lie, v)))
         if not in_span(w_vectors, nabla, RF):
             raise NotStable("span is not stable under the connection")
 
@@ -309,19 +306,11 @@ def verify_reduction_matrix(sys: DiffSystem, p: Mat, x0, invariants) -> bool:
         raise SingularGauge("reduction matrix is singular")
     for c, v in invariants:
         v = constr_vector(c, sys.n, v)
-        dim = len(v)
         for e in v:
             if e.has_pole_at(x0):
                 raise PoleAtPoint(f"invariant has a pole at {x0}")
-        values = [e(x0) for e in v]
-        big = constr_group(c, p)
-        for i in range(dim):
-            acc = RatFn.ZERO
-            for j in range(dim):
-                if values[j] != 0:
-                    acc = acc + big.data[i][j] * values[j]
-            if acc != v[i]:
-                return False
+        if mat_vec(constr_group(c, p), [e(x0) for e in v]) != v:
+            return False
     return True
 
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .constructions import Construction, constr_lie, constr_vector
 from .errors import DimensionMismatch, InvalidArity, RedformError
-from .linalg import Mat, QQ, charpoly, nullspace, row_space_canonical
+from .linalg import Mat, QQ, charpoly, mat_vec, nullspace, row_space_canonical
 from .ratfun import Poly, RatFn, _clear_all, common_denominator, integer_roots
 from .systems import DiffSystem, singularities
 
@@ -217,12 +217,7 @@ def check_semi_invariant(sys: DiffSystem, c: Construction, v):
     if all(e.is_zero for e in v):
         raise ValueError("semi-invariant candidate must be nonzero")
     lie = constr_lie(c, sys.mat)
-    residual = []
-    for i in range(dim):
-        acc = v[i].derivative()
-        for j in range(dim):
-            acc = acc - lie.data[i][j] * v[j]
-        residual.append(acc)
+    residual = [e.derivative() - w for e, w in zip(v, mat_vec(lie, v))]
     pivot = next(i for i in range(dim) if not v[i].is_zero)
     rate = residual[pivot] / v[pivot]
     for i in range(dim):

@@ -6,6 +6,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 from redform import (
     DiffSystem,
+    ParseError,
     LieBasis,
     Mat,
     Poly,
@@ -19,6 +20,7 @@ from redform import (
     parse_ratfn,
     system,
 )
+from redform import ratfun
 from redform.ratfun import ratfn_sqrt
 
 END = parse_construction("tensor(base,dual(base))")
@@ -303,6 +305,14 @@ def oracle_ext_lie(m, r):
     return Mat(ring, out)
 
 
+def oracle_poly_shift(p, x0):
+    """p(u + x0) by Horner's rule on ``Poly`` products."""
+    acc = Poly()
+    for c in reversed(p.coeffs):
+        acc = acc * Poly([x0, 1]) + Poly.const(c)
+    return acc
+
+
 def oracle_poly_divmod(a, b):
     """Quotient and remainder of a by a nonzero b by long division on the
     Fraction coefficients."""
@@ -316,6 +326,96 @@ def oracle_poly_divmod(a, b):
         for j, y in enumerate(b.coeffs):
             rem[k + j] -= c * y
     return Poly(quot), Poly(rem[:db])
+
+
+class _OracleParser(ratfun._RatFnParser):
+    """The grammar of ``parse_ratfn`` with full ``RatFn`` arithmetic,
+    normalized after every operation; only the token handling and the depth
+    bound are inherited."""
+
+    def parse(self) -> RatFn:
+        value = self.expr()
+        if self.pos != len(self.tokens):
+            raise ParseError("trailing input after expression")
+        return value
+
+    def expr(self) -> RatFn:
+        value = self.term()
+        while True:
+            kind, op = self.peek()
+            if kind == "op" and op in "+-":
+                self.pos += 1
+                rhs = self.term()
+                value = value + rhs if op == "+" else value - rhs
+            else:
+                return value
+
+    def term(self) -> RatFn:
+        value = self.factor()
+        while True:
+            kind, op = self.peek()
+            if kind == "op" and op in "*/":
+                self.pos += 1
+                rhs = self.factor()
+                if op == "*":
+                    value = value * rhs
+                else:
+                    if rhs.is_zero:
+                        raise ParseError("division by zero in expression")
+                    value = value / rhs
+            else:
+                return value
+
+    def factor(self) -> RatFn:
+        kind, op = self.peek()
+        if kind == "op" and op in "+-":
+            self.pos += 1
+            inner = self.nested(self.factor)
+            return inner if op == "+" else -inner
+        return self.power()
+
+    def power(self) -> RatFn:
+        base = self.atom()
+        kind, op = self.peek()
+        if kind == "op" and op == "^":
+            self.pos += 1
+            ekind, evalue = self.take()
+            if ekind != "int":
+                raise ParseError("exponent must be a non-negative integer")
+            coeffs = base.num.coeffs + base.den.coeffs
+            degree = max(base.num.degree, base.den.degree)
+            bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs)
+            if evalue * degree > ratfun._MAX_POWER_DEGREE or evalue * bits > ratfun._MAX_POWER_BITS:
+                raise ParseError(
+                    f"power too large: a power may reach degree {ratfun._MAX_POWER_DEGREE} "
+                    f"and coefficients of {ratfun._MAX_POWER_BITS} bits"
+                )
+            return base ** evalue
+        return base
+
+    def atom(self) -> RatFn:
+        kind, value = self.take()
+        if kind == "int":
+            return RatFn.const(value)
+        if kind == "name":
+            if value != self.var:
+                raise ParseError(
+                    f"unknown symbol {value!r}, expected variable {self.var!r}"
+                )
+            return RatFn(Poly.x())
+        if kind == "op" and value == "(":
+            inner = self.nested(self.expr)
+            self.expect_op(")")
+            return inner
+        raise ParseError("unexpected end of expression" if kind is None else f"unexpected token {value!r}")
+
+
+def oracle_parse_ratfn(text, var="x"):
+    """``parse_ratfn`` with the same bounds and errors, on ``RatFn`` values."""
+    tokens = ratfun._tokenize(text)
+    if not tokens:
+        raise ParseError("empty expression")
+    return _OracleParser(tokens, var).parse()
 
 
 def oracle_integer_roots(p):

@@ -22,8 +22,10 @@ from redform import (
     rf_eval,
     rf_substitute_power,
 )
+from redform.linalg import RF, Mat, mat_vec
 from redform.ratfun import (
     _clear_all,
+    _int_gcd,
     common_denominator,
     integer_roots,
     parse_rat,
@@ -34,10 +36,13 @@ from redform.ratfun import (
 
 from helpers import (
     oracle_integer_roots,
+    oracle_parse_ratfn,
     oracle_poly_divmod,
     oracle_poly_gcd,
     oracle_poly_mul,
+    oracle_poly_shift,
     oracle_poly_sqrt,
+    rand_matrix,
     rand_poly,
     rand_ratfn,
     rf,
@@ -530,3 +535,113 @@ def test_literal_digit_bound_and_round_trip():
     assert parse_ratfn("0" * 10 + "7" * 4590) == RatFn.const(7 * (10 ** 4590 - 1) // 9)
     with pytest.raises(ParseError):
         parse_ratfn("7" * 4601)
+
+
+# ---------------------------------------------------------------------------
+# The integer-pair parser and RF products against RatFn arithmetic
+
+
+def _parse_outcome(parse, text):
+    try:
+        r = parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    return r.num.coeffs, r.den.coeffs
+
+
+_LEAVES = ["0", "1", "2", "3", "x", "(x-1)", "(2*x+2)", "(-2*x+1)", "(x+1)"]
+
+
+def _rand_expr(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(_LEAVES)
+    kind = rng.choice("+-*/^nn")
+    if kind == "n":
+        return "-" + _rand_expr(rng, depth - 1)
+    if kind == "^":
+        return f"({_rand_expr(rng, depth - 1)})^{rng.randint(0, 3)}"
+    return f"({_rand_expr(rng, depth - 1)}){kind}({_rand_expr(rng, depth - 1)})"
+
+
+def test_parse_matches_the_ratfn_arithmetic_oracle_on_random_trees():
+    rng = random.Random(14)
+    errors = 0
+    for _ in range(400):
+        text = _rand_expr(rng, 4)
+        got = _parse_outcome(parse_ratfn, text)
+        assert got == _parse_outcome(oracle_parse_ratfn, text), text
+        errors += got[0] == "error"
+    assert 0 < errors < 100
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/x + 1/(2*x)",
+        "1/x - 1/(2*x)",
+        "(2*x+2)/(x+1)",
+        "x/(2*x)",
+        "3/(-2*x^2+1) + x",
+        "(x+1)/(x-1) - (x+1)/(x-1)",
+        "1/(x-1) + 1/(1-x)",
+        "(x^2-1)/(x-1)*0",
+        "((x+1)/(2*x-2))^3 * ((x-1)/(x+1))^2",
+        "((2*x^2-2)/(4*x+4))^2",
+        "(1/(x-1) + 1/(x+1))^2 / (x/(x^2-1))",
+    ],
+)
+def test_parse_edge_cases_match_the_oracle(text):
+    assert _parse_outcome(parse_ratfn, text) == _parse_outcome(oracle_parse_ratfn, text)
+
+
+@pytest.mark.parametrize(
+    "text", ["1/(x-x)", "1/0", "x/(x^2-x^2)", "x^1001", "2^5001", "((x+1)/x)^1001", "(2*x/3)^5000"]
+)
+def test_parse_errors_match_the_oracle(text):
+    got = _parse_outcome(parse_ratfn, text)
+    assert got[0] == "error"
+    assert got == _parse_outcome(oracle_parse_ratfn, text)
+
+
+def test_power_bound_reads_the_normalized_base():
+    # each base is x + 1, of degree 1: 600 <= 1000.  The quotient cancels in
+    # the pair product; the difference, a pair of degree 2, only when the
+    # base is normalized
+    for text in ["((x^2-1)/(x-1))^600", "(x^2/(x-1) - 1/(x-1))^600"]:
+        assert parse_ratfn(text) == RatFn(Poly([1, 1]) ** 600)
+
+
+def test_int_gcd_is_primitive():
+    # a non-primitive input that divides the other: x against 2x
+    assert _int_gcd([0, 1], [0, 2]) in ([0, 1], [0, -1])
+    assert _int_gcd([0, 6], [0, 4]) in ([0, 1], [0, -1])
+    assert _int_gcd([2, 2, 4, 4], [6, 6]) in ([1, 1], [-1, -1])
+
+
+def test_shift_matches_horner_on_poly_products():
+    rng = random.Random(11)
+    for _ in range(200):
+        p = rand_poly(rng, 6)
+        x0 = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        assert p.shift(x0).coeffs == oracle_poly_shift(p, x0).coeffs, (p, x0)
+    p = rand_poly(rng, 6)
+    assert p.shift(0) is p
+
+
+def _fold(row, col):
+    acc = row[0] * col[0]
+    for a, b in zip(row[1:], col[1:]):
+        acc = acc + a * b
+    return acc
+
+
+def test_rf_matmul_and_mat_vec_match_the_fold():
+    rng = random.Random(5)
+    for n in range(1, 5):
+        for _ in range(6):
+            a, b = rand_matrix(rng, n), rand_matrix(rng, n)
+            cols = list(zip(*b.data))
+            expected = [[_fold(row, col) for col in cols] for row in a.data]
+            assert [list(row) for row in (a * b).data] == expected
+            assert list(mat_vec(a, cols[0])) == [_fold(row, cols[0]) for row in a.data]
+    assert (Mat.zeros(RF, 2, 3) * Mat.zeros(RF, 3, 2)) == Mat.zeros(RF, 2, 2)
