@@ -33,7 +33,7 @@ from math import gcd, lcm
 from operator import add
 
 from .errors import SingularGauge
-from .ratfun import Poly, RatFn, _clear_all, _int_divmod, _int_mul, as_ratfn, common_denominator
+from .ratfun import Poly, RatFn, _clear_all, _from_ints, _int_divmod, _int_mul, as_ratfn, common_denominator
 from .ratfun import _pair_add, _pair_mul, _pair_ratfn, _ratfn_pair
 
 
@@ -56,7 +56,7 @@ class RatFnField:
 
     @staticmethod
     def promote(value):
-        return as_ratfn(value)
+        return value if isinstance(value, RatFn) else as_ratfn(value)
 
 
 QQ = FractionField()
@@ -251,9 +251,8 @@ class Mat:
             raise TypeError("rref expects a matrix over Q or Q(x)")
         rows, _, _ = _cleared_rows(self)
         den, pivots, _ = _ffgj(rows, self.cols)
-        top = Poly(den)
         out = [
-            tuple([RatFn.ONE if e == den else RatFn(Poly(e), top) if e else RatFn.ZERO for e in row])
+            tuple([RatFn.ONE if e == den else _pair_ratfn(e, den) for e in row])
             for row in rows[: len(pivots)]
         ]
         out.extend([(RatFn.ZERO,) * self.cols] * (self.rows - len(pivots)))
@@ -369,8 +368,9 @@ def _eliminate(row, pivot_row, col):
 
 
 def _dot_rows(ring, rows):
-    # over RF, _dot takes each entry as an integer pair
-    return [[_ratfn_pair(as_ratfn(e)) for e in row] for row in rows] if ring is RF else list(rows)
+    # over RF, _dot takes each entry as an integer pair, every zero as one
+    # shared pair
+    return [[_ratfn_pair(e) for e in row] for row in rows] if ring is RF else list(rows)
 
 
 def _dot(ring, row, col):
@@ -386,7 +386,7 @@ def mat_vec(m: Mat, vec):
     vec = tuple(vec)
     if m.cols != len(vec):
         raise ValueError("matrix/vector size mismatch")
-    (col,) = _dot_rows(m.ring, [vec])
+    (col,) = _dot_rows(m.ring, [[m.ring.promote(a) for a in vec]])
     return tuple(_dot(m.ring, row, col) for row in _dot_rows(m.ring, m.data))
 
 
@@ -476,5 +476,9 @@ def charpoly(m: Mat) -> Poly:
             for i in range(k + 2)
         ]
     # p[k] is the coefficient of T^(n-k) in det(T*I - N); in det(T*I - m)
-    # it is divided by d^k
-    return Poly([Fraction(c, d ** k) for k, c in enumerate(p)][::-1])
+    # it is divided by d^k, so the coefficient of T^j is p[n-j] d^j / d^n
+    ints, power = [], 1
+    for c in reversed(p):
+        ints.append(c * power)
+        power *= d
+    return _from_ints(ints, 1, power // d)

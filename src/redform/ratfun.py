@@ -5,11 +5,14 @@ zero coefficients, rational functions keep a monic denominator coprime to the
 numerator, and zero is represented as 0/1.  Two computation paths that reach
 the same value therefore produce bit-identical representations.
 
-A polynomial stores its coefficients as a tuple of ``Fraction``s, but the hot
-kernels run on Python ints: :func:`_clear` writes a coefficient tuple as a
-primitive integer list times one rational scale, and products, the gcd (a
-primitive pseudo-remainder sequence over Z) and the normalization of a
-rational function work on those lists and rescale once at the end.
+A polynomial is stored in its integer form, as FLINT's ``fmpq_poly`` is: a
+primitive tuple of Python ints ``ints`` (lowest degree first, last entry
+nonzero, carrying the sign) times one positive ``Fraction`` ``scale``.  The
+form is unique, so equality and hashing read it, and arithmetic runs on the
+ints: a product of primitive lists is primitive (Gauss's lemma), so ``*``
+only multiplies the scales; a sum takes one content; the gcd is a primitive
+pseudo-remainder sequence over Z.  The ``Fraction`` coefficients ``coeffs``
+are built only when read, for printing and the series recurrence.
 
 Sums and products of several rational functions run on unnormalized pairs
 (num, den) of integer lists: the expression parser carries one through each
@@ -21,7 +24,7 @@ a monic denominator, is the one normalizer, also behind ``RatFn(num, den)``.
 This module also owns the common-denominator integer form that the other
 modules hand to their integer kernels: :func:`common_denominator` writes
 rational functions over their monic lcm denominator, and :func:`_clear_all`
-clears several polynomials to integer lists over one scale.
+writes several polynomials as integer lists over one scale.
 
 Polynomials and rational functions do not carry a variable name; the name is
 supplied when parsing or printing (and by :class:`redform.systems.DiffSystem`
@@ -33,9 +36,11 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from itertools import islice, zip_longest
+from itertools import zip_longest
 
 from .errors import DivisionByZero, ParseError, PoleAtPoint
+
+_ONE = Fraction(1)
 
 
 def _rat(value) -> Fraction:
@@ -46,32 +51,19 @@ def _rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational constant")
 
 
-def _clear(coeffs):
-    """Return (ints, scale) with coeffs[k] == ints[k] * scale, the ints
-    coprime and scale > 0; a tuple of zeros gives zeros and scale 1."""
-    lcm = math.lcm(*[c.denominator for c in coeffs])
-    ints = [c.numerator * (lcm // c.denominator) for c in coeffs]
-    content = math.gcd(*ints) or 1
-    if content != 1:
-        ints = [a // content for a in ints]
-    return ints, Fraction(content, lcm)
-
-
 def _clear_all(polys):
     """Return (int_lists, scale) with polys[i].coeffs[k] ==
-    int_lists[i][k] * scale: the coefficients of all polys cleared together
-    by one :func:`_clear`."""
-    ints, scale = _clear([c for p in polys for c in p.coeffs])
-    it = iter(ints)
-    return [list(islice(it, len(p.coeffs))) for p in polys], scale
-
-
-def _scaled(ints, scale: Fraction) -> tuple:
-    """The Fractions ints[k] * scale."""
-    n, d = scale.numerator, scale.denominator
-    if d == 1:
-        return tuple([Fraction(n * a) for a in ints])
-    return tuple([Fraction(n * a, d) for a in ints])
+    int_lists[i][k] * scale, the lists coprime together and scale > 0.  Each
+    poly's ints are primitive, so the common scale is the gcd of the scale
+    numerators over the lcm of the scale denominators."""
+    scales = [p.scale for p in polys if p.ints] or [_ONE]
+    g = math.gcd(*[s.numerator for s in scales])
+    m = math.lcm(*[s.denominator for s in scales])
+    out = []
+    for p in polys:
+        f = p.scale.numerator // g * (m // p.scale.denominator)
+        out.append([c * f for c in p.ints])
+    return out, Fraction(g, m)
 
 
 def _prem(a, b):
@@ -134,91 +126,154 @@ def _int_mul(a, b):
 
 
 def _int_divmod(a, b):
-    """Quotient and remainder of integer coefficient lists, for b dividing a
-    exactly or a scaled by lc(b)^(len(a) - len(b) + 1) (pseudo-division)."""
+    """(quot, rem, m) with m * a == quot * b + rem on integer coefficient
+    lists, deg rem < deg b: long division that scales the partial
+    remainder by |lc(b)|/g, g = gcd(lc(b), its leading coefficient), only at
+    steps where lc(b) does not divide it, so m = 1 when b divides a over Z."""
     r = list(a)
     n = len(b) - 1
     lb = b[-1]
     q = [0] * (len(r) - n)
+    m = 1
     for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + n] // lb
-        if c:
-            for j in range(n):
-                r[k + j] -= c * b[j]
+        top = r[k + n]
+        if not top:
+            continue
+        c, rest = divmod(top, lb)
+        if rest:
+            f = abs(lb) // math.gcd(top, lb)
+            r = [f * x for x in r]
+            q = [f * x for x in q]
+            m *= f
+            c = top * f // lb
+        q[k] = c
+        for j in range(n):
+            r[k + j] -= c * b[j]
     del r[n:]
     while r and not r[-1]:
         r.pop()
-    return q, r
+    return q, r, m
+
+
+def _poly(ints: tuple, scale: Fraction) -> "Poly":
+    """The Poly stored as ``ints`` over ``scale``, already in integer form."""
+    p = object.__new__(Poly)
+    p.ints = ints
+    p.scale = scale
+    return p
+
+
+def _from_ints(ints, n: int, d: int = 1) -> "Poly":
+    """The Poly ints * n/d, for an integer list whose last entry is nonzero
+    (or empty) and integers n != 0, d > 0: the content of the list and the
+    sign of n move into the scale, which is built once."""
+    if not ints:
+        return Poly.ZERO
+    content = math.gcd(*ints)
+    if n < 0:
+        content = -content
+    if content != 1:
+        ints = [a // content for a in ints]
+    return _poly(tuple(ints), Fraction(n * content, d))
+
+
+def _monic(ints) -> "Poly":
+    """The monic Poly of a primitive nonempty integer list."""
+    if ints[-1] < 0:
+        ints = _neg(ints)
+    return _poly(tuple(ints), Fraction(1, ints[-1]))
+
+
+def _neg(ints) -> tuple:
+    return tuple([-c for c in ints])
 
 
 class Poly:
-    """Dense univariate polynomial over Q, coefficients lowest degree first."""
+    """Dense univariate polynomial over Q, in integer form: coefficient k is
+    ``ints[k] * scale`` with ``ints`` a primitive tuple of ints whose last
+    entry is nonzero and carries the sign, and ``scale`` a positive
+    Fraction; zero is () over 1.  ``coeffs``, the tuple of Fraction
+    coefficients lowest degree first, is computed when read."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "scale")
 
     def __init__(self, coeffs=()):
         cs = [_rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def _unchecked(coeffs: tuple) -> "Poly":
-        # a tuple of Fractions whose last entry is nonzero
-        p = Poly.__new__(Poly)
-        p.coeffs = coeffs
-        return p
+        lcm = math.lcm(*[c.denominator for c in cs])
+        p = _from_ints([c.numerator * (lcm // c.denominator) for c in cs], 1, lcm)
+        self.ints, self.scale = p.ints, p.scale
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly((_rat(c),))
+        c = _rat(c)
+        if not c:
+            return Poly.ZERO
+        return _poly((1,), c) if c > 0 else _poly((-1,), -c)
 
     @staticmethod
     def x() -> "Poly":
-        return Poly((0, 1))
+        return _poly((0, 1), _ONE)
 
     @staticmethod
     def monomial(c, k: int) -> "Poly":
-        return Poly((0,) * k + (_rat(c),))
+        p = Poly.const(c)
+        return _poly((0,) * k + p.ints, p.scale) if p.ints else p
 
     ZERO: "Poly"
     ONE: "Poly"
 
     @property
+    def coeffs(self) -> tuple:
+        n, d = self.scale.as_integer_ratio()
+        return tuple([Fraction(n * a, d) for a in self.ints])
+
+    @property
     def degree(self) -> int:
         # -1 for the zero polynomial
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.ints[-1] * self.scale if self.ints else Fraction(0)
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.ints[k] * self.scale if 0 <= k < len(self.ints) else Fraction(0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.ints == other.ints and self.scale == other.scale
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        return hash((self.ints, self.scale.numerator, self.scale.denominator))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __add__(self, other):
+        # over the common scale: the gcd of the scale numerators over the
+        # lcm of their denominators
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
+        a, b = self.ints, other.ints
+        if not a or not b:
+            return self if a else other
+        (na, da), (nb, db) = self.scale.as_integer_ratio(), other.scale.as_integer_ratio()
+        g, m = math.gcd(na, nb), math.lcm(da, db)
+        fa, fb = na // g * (m // da), nb // g * (m // db)
+        out = [fa * x + fb * y for x, y in zip_longest(a, b, fillvalue=0)]
+        while out and not out[-1]:
+            out.pop()
+        return _from_ints(out, g, m)
 
     __radd__ = __add__
 
@@ -226,8 +281,7 @@ class Poly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self.coeff(k) - other.coeff(k) for k in range(n)))
+        return self + -other
 
     def __rsub__(self, other):
         other = _as_poly(other)
@@ -236,21 +290,23 @@ class Poly:
         return other - self
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly(_neg(self.ints), self.scale)
 
     def __mul__(self, other):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly()
-        p, q = (self, other) if len(self.coeffs) >= len(other.coeffs) else (other, self)
-        if len(q.coeffs) == 1:
-            c = q.coeffs[0]
-            return p if c == 1 else Poly._unchecked(tuple([a * c for a in p.coeffs]))
-        ia, sa = _clear(p.coeffs)
-        ib, sb = _clear(q.coeffs)
-        return Poly._unchecked(_scaled(_int_mul(ia, ib), sa * sb))
+        a, b = self.ints, other.ints
+        if not a or not b:
+            return Poly.ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) > 1:
+            return _poly(tuple(_int_mul(a, b)), self.scale * other.scale)
+        # times the constant b[0] * scale, b[0] = +-1
+        if b[0] < 0:
+            a = _neg(a)
+        return _poly(a, self.scale * other.scale)
 
     __rmul__ = __mul__
 
@@ -270,32 +326,22 @@ class Poly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        if other.is_zero:
+        a, b = self.ints, other.ints
+        if not b:
             raise DivisionByZero("polynomial division by zero")
-        dq = len(self.coeffs) - len(other.coeffs)
+        dq = len(a) - len(b)
         if dq < 0:
-            return Poly(), self
-        if len(other.coeffs) == 1:
-            return self * (1 / other.coeffs[0]), Poly()
-        # pseudo-division of the integer forms: after scaling the dividend
-        # by lb^(dq+1) every quotient coefficient is an exact integer
-        ia, sa = _clear(self.coeffs)
-        ib, sb = _clear(other.coeffs)
-        scale = ib[-1] ** (dq + 1)
-        quot, rem = _int_divmod([a * scale for a in ia], ib)
-        sa = sa / scale
-        return Poly._unchecked(_scaled(quot, sa / sb)), Poly._unchecked(_scaled(rem, sa))
+            return Poly.ZERO, self
+        quot, rem, m = _int_divmod(a, b)
+        na, da = self.scale.numerator, self.scale.denominator * m
+        nb, db = other.scale.numerator, other.scale.denominator
+        return _from_ints(quot, na * db, da * nb), _from_ints(rem, na, da)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
-
-    def divides(self, other) -> bool:
-        if self.is_zero:
-            return _as_poly(other).is_zero
-        return (_as_poly(other) % self).is_zero
 
     def gcd(self, other) -> "Poly":
         """Monic gcd; zero only when both are zero.
@@ -307,17 +353,18 @@ class Poly:
         other = _as_poly(other)
         if self.is_zero or other.is_zero:
             return other.monic() if self.is_zero else self.monic()
-        g = _int_gcd(_clear(self.coeffs)[0], _clear(other.coeffs)[0])
-        return Poly._unchecked(tuple(Fraction(c, g[-1]) for c in g))
+        return _monic(_int_gcd(self.ints, other.ints))
 
     def lcm(self, other) -> "Poly":
+        """Monic lcm, a / g * b on the integer forms: the primitive gcd g
+        divides a exactly over Z, and the product is primitive."""
         other = _as_poly(other)
         if self.is_zero or other.is_zero:
-            return Poly()
-        if self.degree == 0 or other.degree == 0:
-            return (other if self.degree == 0 else self).monic()
-        g = self.gcd(other)
-        return ((self * other) // g).monic()
+            return Poly.ZERO
+        a, b = self.ints, other.ints
+        if len(a) == 1 or len(b) == 1:
+            return (other if len(a) == 1 else self).monic()
+        return _monic(_int_mul(_int_divmod(a, _int_gcd(a, b))[0], b))
 
     def xgcd(self, other):
         """Extended Euclid: return (g, s, t) with s*self + t*other = g, g monic."""
@@ -331,60 +378,65 @@ class Poly:
             ta, tb = tb, ta - q * tb
         if a.is_zero:
             return a, sa, ta
-        lead = a.leading
-        inv = Poly.const(1 / lead)
+        inv = Poly.const(1 / a.leading)
         return a.monic(), sa * inv, ta * inv
 
     def monic(self) -> "Poly":
-        if self.is_zero or self.leading == 1:
+        if self.is_zero:
             return self
-        inv = 1 / self.leading
-        return Poly(tuple(c * inv for c in self.coeffs))
+        p = _monic(self.ints)
+        return self if p.scale == self.scale and p.ints[-1] == self.ints[-1] else p
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
+        s = self.scale
+        return _from_ints([k * c for k, c in enumerate(self.ints)][1:], s.numerator, s.denominator)
 
     def __call__(self, x0) -> Fraction:
+        # a/b: sum ints[k] a^k b^(d-k), over b^d, by Horner's rule on ints
         x0 = _rat(x0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+        a, b = x0.numerator, x0.denominator
+        acc, power = 0, 1
+        for c in reversed(self.ints):
+            acc = acc * a + c * power
+            power *= b
+        if b == 1 or not acc:
+            return acc * self.scale
+        return Fraction(acc, power // b) * self.scale
 
     def shift(self, x0) -> "Poly":
         """Return p(u + x0), the expansion around x0 in the local variable u."""
         x0 = _rat(x0)
-        if not x0 or len(self.coeffs) < 2:
+        if not x0 or len(self.ints) < 2:
             return self
         # x0 = a/b, p = s * f: b^d p(u + x0) = s * g(b u + a) with the integer
         # list g(y) = b^d f(y / b), shifted by a in Horner's synthetic division
-        f, s = _clear(self.coeffs)
+        f = self.ints
         a, b = x0.numerator, x0.denominator
         d = len(f) - 1
         g = [c * b ** (d - k) for k, c in enumerate(f)]
         for i in range(d):
             for k in range(d - 1, i - 1, -1):
                 g[k] += a * g[k + 1]
-        n, m = s.numerator, s.denominator
-        return Poly._unchecked(tuple([Fraction(n * c, m * b ** (d - k)) for k, c in enumerate(g)]))
+        if b != 1:
+            g = [c * b ** k for k, c in enumerate(g)]
+        return _from_ints(g, self.scale.numerator, self.scale.denominator * b ** d)
 
     def substitute_power(self, m: int) -> "Poly":
         """Return p(t^m) as a polynomial in t."""
         if m < 1:
             raise ValueError("substitution exponent must be >= 1")
-        if self.is_zero:
+        if m == 1 or len(self.ints) < 2:
             return self
-        out = [Fraction(0)] * (self.degree * m + 1)
-        for k, c in enumerate(self.coeffs):
-            out[k * m] = c
-        return Poly(out)
+        out = [0] * (self.degree * m + 1)
+        out[::m] = self.ints
+        return _poly(tuple(out), self.scale)
 
     def __repr__(self):
         return f"Poly[{poly_str(self, 'x')}]"
 
 
-Poly.ZERO = Poly()
-Poly.ONE = Poly.const(1)
+Poly.ZERO = _poly((), _ONE)
+Poly.ONE = _poly((1,), _ONE)
 
 
 def _as_poly(value):
@@ -393,6 +445,10 @@ def _as_poly(value):
     if isinstance(value, (int, Fraction)):
         return Poly.const(value)
     return None
+
+
+def _is_one(r: "RatFn") -> bool:
+    return r.num.ints == (1,) and r.den.ints == (1,) and r.num.scale == 1
 
 
 class RatFn:
@@ -411,22 +467,16 @@ class RatFn:
             raise TypeError("RatFn components must be Poly or rational constants")
         if den.is_zero:
             raise DivisionByZero("zero denominator")
-        if num.is_zero:
-            num, den = Poly(), Poly.ONE
-        elif num.degree > 0 and den.degree > 0:
-            r = _pair_ratfn(*_clear_all([num, den])[0])
-            num, den = r.num, r.den
-        elif den.coeffs[-1] != 1:
-            lead = den.coeffs[-1]
-            num, den = num * (1 / lead), den * (1 / lead)
-        self.num, self.den = num, den
+        (nn, nd), (dn, dd) = num.scale.as_integer_ratio(), den.scale.as_integer_ratio()
+        r = _pair_ratfn(num.ints, den.ints, nn * dd, nd * dn)
+        self.num, self.den = r.num, r.den
 
     ZERO: "RatFn"
     ONE: "RatFn"
 
     @staticmethod
     def const(c) -> "RatFn":
-        return RatFn(Poly.const(c))
+        return _ratfn(Poly.const(c), Poly.ONE)
 
     @property
     def is_zero(self) -> bool:
@@ -434,7 +484,7 @@ class RatFn:
 
     @property
     def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den == Poly.ONE
+        return len(self.num.ints) <= 1 and len(self.den.ints) == 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
@@ -451,12 +501,17 @@ class RatFn:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("RatFn", self.num.coeffs, self.den.coeffs))
+        # den is monic, so its ints determine it
+        return hash((self.num.ints, self.num.scale.numerator, self.num.scale.denominator, self.den.ints))
 
     def __add__(self, other):
         other = _as_ratfn(other)
         if other is None:
             return NotImplemented
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
         return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -465,7 +520,7 @@ class RatFn:
         other = _as_ratfn(other)
         if other is None:
             return NotImplemented
-        return RatFn(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + -other
 
     def __rsub__(self, other):
         other = _as_ratfn(other)
@@ -474,14 +529,18 @@ class RatFn:
         return other - self
 
     def __neg__(self):
-        out = RatFn.__new__(RatFn)
-        out.num, out.den = -self.num, self.den
-        return out
+        return _ratfn(-self.num, self.den)
 
     def __mul__(self, other):
         other = _as_ratfn(other)
         if other is None:
             return NotImplemented
+        if self.is_zero or other.is_zero:
+            return RatFn.ZERO
+        if _is_one(other):
+            return self
+        if _is_one(self):
+            return other
         return RatFn(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -509,9 +568,7 @@ class RatFn:
                 raise DivisionByZero("zero to a negative power")
             scale = Poly.const(1 / num.leading)
             num, den, k = den * scale, num * scale, -k
-        out = RatFn.__new__(RatFn)
-        out.num, out.den = num ** k, den ** k
-        return out
+        return _ratfn(num ** k, den ** k)
 
     def inverse(self) -> "RatFn":
         if self.is_zero:
@@ -541,8 +598,15 @@ class RatFn:
         return f"RatFn[{ratfn_str(self, 'x')}]"
 
 
-RatFn.ZERO = RatFn(Poly())
-RatFn.ONE = RatFn(Poly.ONE)
+def _ratfn(num: Poly, den: Poly) -> RatFn:
+    """The RatFn num/den for a num coprime to the monic den."""
+    out = object.__new__(RatFn)
+    out.num, out.den = num, den
+    return out
+
+
+RatFn.ZERO = _ratfn(Poly.ZERO, Poly.ONE)
+RatFn.ONE = _ratfn(Poly.ONE, Poly.ONE)
 
 
 def _as_ratfn(value):
@@ -576,6 +640,8 @@ def common_denominator(entries):
 # Unnormalized pairs: (num, den) integer coefficient lists for num/den, den
 # nonzero; zero is any ([], den).
 
+_ZERO_PAIR = ([], [1])
+
 
 def _cancel(a, b):
     """a and b divided by their primitive gcd when both are non-constant."""
@@ -586,21 +652,19 @@ def _cancel(a, b):
     return a, b
 
 
-def _pair_ratfn(num, den) -> RatFn:
-    """The RatFn num/den: the one Q(x) normalizer.  One primitive gcd, then
+def _pair_ratfn(num, den, n: int = 1, d: int = 1) -> RatFn:
+    """The RatFn n/d * num/den for integer lists num and den, den nonzero,
+    and integers n, d > 0: the one Q(x) normalizer.  One primitive gcd, then
     one rescale to a monic denominator."""
     if not num:
         return RatFn.ZERO
     num, den = _cancel(num, den)
-    scale = Fraction(1, den[-1])
-    out = RatFn.__new__(RatFn)
-    out.num = Poly._unchecked(_scaled(num, scale))
-    out.den = Poly._unchecked(_scaled(den, scale))
-    return out
+    sign, lead = (1, den[-1]) if den[-1] > 0 else (-1, -den[-1])
+    return _ratfn(_from_ints(num, sign * n, d * lead), _from_ints(den, sign, lead))
 
 
 def _ratfn_pair(r: RatFn):
-    return tuple(_clear_all([r.num, r.den])[0])
+    return tuple(_clear_all([r.num, r.den])[0]) if r.num.ints else _ZERO_PAIR
 
 
 def _pair_add(p, q):
@@ -948,7 +1012,7 @@ def integer_roots(p: Poly):
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every integer as a root")
-    f, _ = _clear(p.coeffs)
+    f = p.ints
     k = next(i for i, c in enumerate(f) if c)
     roots = [0] if k else []
     f = f[k:]

@@ -65,12 +65,14 @@ def _residue_matrix(sys: DiffSystem, place: Poly) -> Mat:
     # distinct entry denominator the place divides
     inverses = {}
     for den in dict.fromkeys(e.den for row in sys.mat.data for e in row):
-        if place.divides(den):
+        if not den % place:
             g, inv, _ = ((den // place) * deriv).xgcd(place)
             if g.degree != 0:
                 raise RedformError("place not coprime to residual denominator")
             inverses[den] = inv
-    big = [[Fraction(0)] * (n * deg) for _ in range(n * deg)]
+    zero = Fraction(0)
+    low = place.monic().coeffs[:-1]
+    big = [[zero] * (n * deg) for _ in range(n * deg)]
     for i in range(n):
         for j in range(n):
             entry = sys.mat.data[i][j]
@@ -78,10 +80,17 @@ def _residue_matrix(sys: DiffSystem, place: Poly) -> Mat:
             if inv is None:
                 continue
             residue = (entry.num * inv) % place
+            # column k is x^k * residue mod the monic place, one step of
+            # multiplication by x from column k - 1
+            col = [residue.coeff(r) for r in range(deg)]
             for k in range(deg):
-                shifted = (residue * Poly.monomial(1, k)) % place
+                if k:
+                    top = col[-1]
+                    col = [zero, *col[:-1]]
+                    if top:
+                        col = [c - top * a for c, a in zip(col, low)]
                 for r in range(deg):
-                    big[i * deg + r][j * deg + k] = shifted.coeff(r)
+                    big[i * deg + r][j * deg + k] = col[r]
     return Mat(QQ, big)
 
 
@@ -143,9 +152,7 @@ def _ansatz_rows(sys: DiffSystem, den: Poly, cap: int) -> tuple:
         [RatFn(Poly.ONE, den), *(e for row in sys.mat.data for e in row)]
     )
     lead_b = clear * den.derivative()
-    height = cap + max(
-        len(lead_a.coeffs) - 1, len(lead_b.coeffs), *(len(p.coeffs) for p in entries)
-    )
+    height = cap + max(lead_a.degree, len(lead_b.ints), *(len(p.ints) for p in entries))
     blocks = []
     for i in range(n):
         (a, b, *row), _ = _clear_all([lead_a, lead_b, *entries[i * n : i * n + n]])

@@ -108,10 +108,11 @@ def _coprime_basis(polys):
 
 def _multiplicity(place: Poly, den: Poly) -> int:
     k = 0
-    while place.divides(den):
-        den = den // place
-        k += 1
-    return k
+    while True:
+        quot, rem = divmod(den, place)
+        if rem:
+            return k
+        den, k = quot, k + 1
 
 
 def singularities(sys: DiffSystem) -> SingularityReport:

@@ -181,12 +181,45 @@ def oracle_det(rows):
 
 def oracle_poly_gcd(a, b):
     """Monic gcd of two polynomials by the Euclidean remainder sequence over
-    Q, each remainder made monic; zero only when both are zero."""
+    Q on the Fraction coefficients, each remainder made monic; zero only
+    when both are zero."""
     while not b.is_zero:
-        a, b = b, a % b
+        a, b = b, oracle_poly_divmod(a, b)[1]
         if not b.is_zero:
-            b = b.monic()
-    return a.monic() if not a.is_zero else a
+            b = oracle_poly_monic(b)
+    return oracle_poly_monic(a)
+
+
+def oracle_poly_monic(p):
+    """p with every Fraction coefficient divided by the leading one."""
+    return Poly([c / p.coeffs[-1] for c in p.coeffs]) if p.coeffs else p
+
+
+def oracle_poly_add(a, b, sign=1):
+    """a + sign * b, coefficient by coefficient on the Fractions."""
+    n = max(len(a.coeffs), len(b.coeffs))
+    pad = [Fraction(0)] * n
+    ca, cb = list(a.coeffs) + pad, list(b.coeffs) + pad
+    return Poly([ca[k] + sign * cb[k] for k in range(n)])
+
+
+def oracle_poly_derivative(p):
+    return Poly([k * c for k, c in enumerate(p.coeffs)][1:])
+
+
+def oracle_poly_eval(p, x0):
+    """p(x0) by Horner's rule on the Fractions."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x0 + c
+    return acc
+
+
+def oracle_poly_substitute_power(p, m):
+    out = [Fraction(0)] * (max(p.degree, 0) * m + 1)
+    for k, c in enumerate(p.coeffs):
+        out[k * m] = c
+    return Poly(out)
 
 
 def oracle_poly_mul(a, b):
@@ -306,10 +339,11 @@ def oracle_ext_lie(m, r):
 
 
 def oracle_poly_shift(p, x0):
-    """p(u + x0) by Horner's rule on ``Poly`` products."""
+    """p(u + x0) by Horner's rule on the Fraction oracles' products and
+    sums."""
     acc = Poly()
     for c in reversed(p.coeffs):
-        acc = acc * Poly([x0, 1]) + Poly.const(c)
+        acc = oracle_poly_add(oracle_poly_mul(acc, Poly([x0, 1])), Poly([c]))
     return acc
 
 

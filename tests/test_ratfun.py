@@ -37,10 +37,15 @@ from redform.ratfun import (
 from helpers import (
     oracle_integer_roots,
     oracle_parse_ratfn,
+    oracle_poly_add,
+    oracle_poly_derivative,
     oracle_poly_divmod,
+    oracle_poly_eval,
     oracle_poly_gcd,
+    oracle_poly_monic,
     oracle_poly_mul,
     oracle_poly_shift,
+    oracle_poly_substitute_power,
     oracle_poly_sqrt,
     rand_matrix,
     rand_poly,
@@ -317,7 +322,7 @@ def test_poly_sqrt_and_ratfn_sqrt_match_the_recurrence():
 def test_common_denominator_and_clear_all_match_scaling_by_the_lcm():
     """against the route they replace: den the Poly.lcm of the entries'
     denominators, numerators (e * RatFn(den)).num, and the coefficients of
-    all numerators cleared together by one _clear"""
+    all numerators cleared together to coprime integers"""
     x = Poly([0, 1])
     fixed = [
         [RatFn.ZERO],
@@ -645,3 +650,171 @@ def test_rf_matmul_and_mat_vec_match_the_fold():
             assert [list(row) for row in (a * b).data] == expected
             assert list(mat_vec(a, cols[0])) == [_fold(row, cols[0]) for row in a.data]
     assert (Mat.zeros(RF, 2, 3) * Mat.zeros(RF, 3, 2)) == Mat.zeros(RF, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# The integer form of Poly against the Fraction-tuple oracles
+
+_SCALES = [Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-2, 9), Fraction(1, 10 ** 30 + 3),
+           Fraction(-(2 ** 70), 3 ** 45), Fraction(10 ** 20 + 1, 2 ** 64)]
+
+
+def _int_form_poly(rng):
+    """Zero, constants, and polynomials of degree up to 5 with a negative or
+    non-unit leading coefficient, over a scale with a large denominator."""
+    kind = rng.random()
+    if kind < 0.06:
+        return Poly()
+    deg = 0 if kind < 0.18 else rng.randint(1, 5)
+    coeffs = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 10 ** 12 + 39])) for _ in range(deg)]
+    coeffs.append(Fraction(rng.choice([-6, -3, -1, 1, 2, 5])))
+    scale = rng.choice(_SCALES)
+    return Poly([c * scale for c in coeffs])
+
+
+def _assert_int_form(p):
+    assert type(p.ints) is tuple and all(type(c) is int for c in p.ints), p
+    assert type(p.scale) is Fraction and p.scale > 0, p
+    if p.ints:
+        assert p.ints[-1] != 0 and math.gcd(*p.ints) == 1, p
+    else:
+        assert p.scale == 1
+    assert p.coeffs == tuple(c * p.scale for c in p.ints)
+
+
+def _assert_same(got, want):
+    """got is in integer form and is want: equal Fractions, equal integer
+    form, == and the same hash."""
+    _assert_int_form(got)
+    assert got.coeffs == want.coeffs, (got, want)
+    assert (got.ints, got.scale) == (want.ints, want.scale)
+    assert got == want and hash(got) == hash(want)
+
+
+def _int_form_pairs():
+    rng = random.Random(1515)
+    pairs = [(_int_form_poly(rng), _int_form_poly(rng)) for _ in range(300)]
+    for _ in range(60):
+        # a common factor, so that gcds, quotients and sums cancel
+        f = _int_form_poly(rng)
+        pairs.append((oracle_poly_mul(f, _int_form_poly(rng)), oracle_poly_mul(f, _int_form_poly(rng))))
+    edge = [
+        Poly(), Poly.const(-7), Poly.const(Fraction(1, 10 ** 40)), Poly([3, -1]), Poly([0, 0, Fraction(-2, 3)]),
+    ]
+    pairs += [(p, q) for p in edge for q in edge]
+    return pairs
+
+
+_INT_FORM_PAIRS = _int_form_pairs()
+
+
+def test_int_form_sum_difference_negation_and_product_match_the_oracle():
+    for a, b in _INT_FORM_PAIRS:
+        _assert_same(a + b, oracle_poly_add(a, b))
+        _assert_same(a - b, oracle_poly_add(a, b, -1))
+        _assert_same(-a, oracle_poly_add(Poly(), a, -1))
+        _assert_same(a * b, oracle_poly_mul(a, b))
+        _assert_same(a ** 2, oracle_poly_mul(a, a))
+    a = Poly([1, Fraction(-1, 2)])
+    _assert_same(a + 3, oracle_poly_add(a, Poly([3])))
+    _assert_same(3 - a, oracle_poly_add(Poly([3]), a, -1))
+    _assert_same(a * Fraction(-2, 5), oracle_poly_mul(a, Poly([Fraction(-2, 5)])))
+
+
+def test_int_form_division_gcd_and_lcm_match_the_oracle():
+    for a, b in _INT_FORM_PAIRS:
+        g = a.gcd(b)
+        _assert_same(g, oracle_poly_gcd(a, b))
+        if not (a.is_zero or b.is_zero):
+            _assert_same(a.lcm(b), oracle_poly_monic(oracle_poly_divmod(oracle_poly_mul(a, b), g)[0]))
+        if b.is_zero:
+            continue
+        quot, rem = divmod(a, b)
+        want_quot, want_rem = oracle_poly_divmod(a, b)
+        _assert_same(quot, want_quot)
+        _assert_same(rem, want_rem)
+        if not a.is_zero:
+            d, s, t = a.xgcd(b)
+            _assert_same(d, g)
+            assert oracle_poly_add(oracle_poly_mul(s, a), oracle_poly_mul(t, b)) == g
+
+
+def test_int_form_unary_operations_match_the_oracle():
+    rng = random.Random(1516)
+    for a, _ in _INT_FORM_PAIRS:
+        _assert_same(a.monic(), oracle_poly_monic(a))
+        _assert_same(a.derivative(), oracle_poly_derivative(a))
+        m = rng.randint(1, 3)
+        _assert_same(a.substitute_power(m), oracle_poly_substitute_power(a, m))
+        x0 = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 10 ** 15 + 37]))
+        assert a(x0) == oracle_poly_eval(a, x0) and type(a(x0)) is Fraction
+        assert a(3) == oracle_poly_eval(a, Fraction(3))
+        _assert_same(a.shift(x0), oracle_poly_shift(a, x0))
+
+
+def test_equal_values_built_along_different_paths_hash_alike():
+    x = Poly.x()
+    polys = [
+        (Poly([Fraction(2, 4)]), Poly.const(Fraction(1, 2))),
+        (Poly.monomial(-3, 2), Poly([0, 0, -3])),
+        (Poly([0, 1]), x),
+        ((x * 6 + 4) // Poly.const(2), Poly([2, 3])),
+        ((Poly([1, 2]) * Poly([-3, 5])) // Poly([1, 2]), Poly([-3, 5])),
+        (Poly([Fraction(1, 3), 1]) + Poly([Fraction(2, 3), -1]), Poly.ONE),
+        (Poly([1, 1]) - Poly([1, 1]), Poly()),
+        (Poly([4, 6]).monic(), Poly([Fraction(2, 3), 1])),
+    ]
+    for p, q in polys:
+        _assert_same(p, q)
+    ratfns = [
+        (RatFn(Poly.const(2), Poly.const(2)), RatFn.ONE),
+        (RatFn(Poly([-2, 0, 2]), Poly([-3, 3])), RatFn(Poly([Fraction(2, 3), Fraction(2, 3)]))),
+        (RatFn(6, Poly([2, 4])), RatFn(Poly.const(Fraction(3, 2)), Poly([Fraction(1, 2), 1]))),
+        (rf("x/x") - 1, RatFn.ZERO),
+        (RatFn.const(3), RatFn(Poly.const(-6), -2)),
+    ]
+    for r, s in ratfns:
+        assert r == s and hash(r) == hash(s)
+        _assert_same(r.num, s.num)
+        _assert_same(r.den, s.den)
+
+
+def _ratfn_general(op, a, b):
+    """a op b through RatFn(num, den), the path the zero and one cases skip."""
+    if op == "mul":
+        return RatFn(a.num * b.num, a.den * b.den)
+    sign = 1 if op == "add" else -1
+    return RatFn(a.num * b.den + sign * (b.num * a.den), a.den * b.den)
+
+
+def test_ratfn_zero_and_one_operands_match_the_general_path():
+    rng = random.Random(1517)
+    zeros = [RatFn.ZERO, RatFn(Poly(), Poly([1, 1])), rf("x - x")]
+    ones = [RatFn.ONE, RatFn(Poly.const(2), Poly.const(2)), rf("(x+1)/(x+1)")]
+    others = [rand_ratfn(rng, 3) for _ in range(40)] + zeros + ones + [RatFn.const(Fraction(-5, 3))]
+    for r in others:
+        for z in zeros + ones:
+            for op in ("add", "sub", "mul"):
+                for got, want in ((rf_arith(r, z, op), _ratfn_general(op, r, z)),
+                                  (rf_arith(z, r, op), _ratfn_general(op, z, r))):
+                    assert got == want and hash(got) == hash(want), (op, r, z)
+                    _assert_same(got.num, want.num)
+                    _assert_same(got.den, want.den)
+        assert r + 0 == r and 0 + r == r and r * 1 == r and 1 * r == r and r * 0 == RatFn.ZERO
+
+
+def test_rf_mat_vec_with_zero_rows_and_columns_matches_the_fold():
+    rng = random.Random(1518)
+    for n in range(1, 6):
+        for _ in range(5):
+            rows = [list(row) for row in rand_matrix(rng, n, density=0.6).data]
+            rows[rng.randrange(n)] = [RatFn.ZERO] * n
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = RatFn.ZERO
+            m = Mat(RF, rows)
+            vec = [rand_ratfn(rng) if rng.random() < 0.6 else RatFn.ZERO for _ in range(n)]
+            got = mat_vec(m, vec)
+            assert list(got) == [_fold(row, vec) for row in rows]
+            assert all(hash(a) == hash(_fold(row, vec)) for a, row in zip(got, rows))
+            assert mat_vec(m, [0] * n) == (RatFn.ZERO,) * n
