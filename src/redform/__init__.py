@@ -22,10 +22,6 @@ from .ratfun import (
     parse_ratfn,
     poly_str,
     ratfn_str,
-    rf_arith,
-    rf_diff,
-    rf_eval,
-    rf_substitute_power,
 )
 from .linalg import Mat, QQ, RF
 from .systems import (

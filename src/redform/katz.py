@@ -24,7 +24,7 @@ from .constructions import (
 from .errors import DimensionMismatch, NotReduced
 from .linalg import Mat, QQ, RF, RatFnField, in_span, mat_vec, nullspace, rank, solve
 from .ratfun import RatFn, _rat
-from .reduction import LieBasis, wei_norman
+from .reduction import LieBasis, lie_basis_flags, wei_norman
 from .solutions import SolutionSpace, rational_solutions
 from .systems import DiffSystem
 
@@ -45,18 +45,13 @@ class EndBasis:
 def end_basis_flags(sys: DiffSystem, basis: EndBasis):
     """(independent, bracket_closed, nabla_stable) for the element span.
 
-    Independence and bracket closure are taken over the rational functions;
-    stability refers to the End connection F -> F' - [A, F].
+    Independence and bracket closure are those of ``lie_basis_flags``, over
+    the ring of the elements; stability refers to the End connection
+    F -> F' - [A, F].
     """
+    n = basis.elements[0].rows if basis.elements else 0
+    independent, bracket_closed = lie_basis_flags(LieBasis(n, basis.elements))
     vectors = [vec_row_major(e) for e in basis.elements]
-    independent = True
-    if vectors:
-        independent = rank(Mat.from_cols(RF, vectors)) == len(vectors)
-    bracket_closed = all(
-        in_span(vectors, vec_row_major(a * b - b * a), RF)
-        for a in basis.elements
-        for b in basis.elements
-    )
     nabla_stable = all(
         in_span(vectors, vec_row_major(end_action(sys, e)), RF)
         for e in basis.elements

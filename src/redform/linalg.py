@@ -191,12 +191,6 @@ class Mat:
             raise ValueError("row mismatch")
         return Mat(self.ring, [ra + rb for ra, rb in zip(self.data, other.data)])
 
-    def submatrix(self, row_idx, col_idx) -> "Mat":
-        return Mat(
-            self.ring,
-            [[self.data[i][j] for j in col_idx] for i in row_idx],
-        )
-
     def kron(self, other) -> "Mat":
         """Kronecker product; pairs (i, j) are flattened row-major."""
         out = []

@@ -66,27 +66,6 @@ def _clear_all(polys):
     return out, Fraction(g, m)
 
 
-def _prem(a, b):
-    """A nonzero multiple of the remainder of a by b over Q, on integer
-    coefficient lists (lowest degree first, b with a nonzero leading one).
-    Each step scales by lc(b)/g instead of lc(b), g = gcd(lc(b), lc(r))."""
-    r = list(a)
-    n = len(b) - 1
-    lb = b[-1]
-    while len(r) > n:
-        lr = r.pop()
-        g = math.gcd(lr, lb)
-        fr, fb = lb // g, lr // g
-        s = len(r) - n
-        if fr != 1:
-            r = [fr * c for c in r]
-        for j in range(n):
-            r[s + j] -= fb * b[j]
-        while r and not r[-1]:
-            r.pop()
-    return r
-
-
 def _int_gcd(a, b):
     """Primitive gcd, up to sign, of two nonzero integer coefficient lists:
     the primitive Euclidean algorithm over Z (von zur Gathen & Gerhard,
@@ -97,7 +76,7 @@ def _int_gcd(a, b):
     content = math.gcd(*b)
     b = [c // content for c in b]
     while len(b) > 1:
-        r = _prem(a, b)
+        r = _int_divmod(a, b)[1]
         if not r:
             return b
         content = math.gcd(*r)
@@ -687,35 +666,6 @@ def _pair_mul(p, q):
     a, d = _cancel(a, d)
     c, b = _cancel(c, b)
     return _int_mul(a, c), _int_mul(b, d)
-
-
-# ---------------------------------------------------------------------------
-# Operation surface
-
-
-def rf_arith(a: RatFn, b: RatFn, op: str) -> RatFn:
-    """Exact field arithmetic; ``op`` is one of add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def rf_diff(a: RatFn) -> RatFn:
-    return a.derivative()
-
-
-def rf_eval(a: RatFn, x0) -> Fraction:
-    return a(x0)
-
-
-def rf_substitute_power(a: RatFn, m: int) -> RatFn:
-    return a.substitute_power(m)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ decomposition), constant bases for supplied stable lines, and constancy of
 every harvested invariant (the last is only conclusive under complete
 reducibility, which is not decided here and is flagged as a caveat).
 
-Constant bases for stable subspaces use the wedge trick: if W has dimension d
-and w spans its d-th exterior power with constant coordinates, the kernel of
-v -> w ^ v is W and is computed over the constants, so it carries a constant
-basis.
+A stable subspace W has a constant basis exactly when its reduced row echelon
+form over Q(x) is constant: that form is unique, and computed from a constant
+basis it stays in Q.
 
 The reducer covers the diagonalizable case: given an endomorphism spanning a
 stable line in End and a radical extension x = t^m over which it has distinct
@@ -62,18 +61,18 @@ class LieBasis:
 
 
 def lie_basis_flags(basis: LieBasis):
-    """(independent, bracket_closed) of the generator span over Q."""
-    vecs = [vec_row_major(g) for g in basis.generators]
-    independent = True
-    if vecs:
-        m = Mat(QQ, vecs)
-        independent = rank(m) == len(vecs)
-    bracket_closed = True
-    for a in basis.generators:
-        for b in basis.generators:
-            bracket = vec_row_major(a * b - b * a)
-            if not in_span(vecs, bracket, QQ):
-                bracket_closed = False
+    """(independent, bracket_closed) of the generator span, over the ring of
+    the generators: Q for constant ones, Q(x) for rational-function ones."""
+    mats = basis.generators
+    if not mats:
+        return True, True
+    ring = mats[0].ring
+    vecs = [vec_row_major(g) for g in mats]
+    independent = rank(Mat(ring, vecs)) == len(vecs)
+    # [a, a] = 0 and [b, a] = -[a, b], so each unordered pair is bracketed once
+    bracket_closed = all(
+        in_span(vecs, vec_row_major(a * b - b * a), ring) for a, b in combinations(mats, 2)
+    )
     return independent, bracket_closed
 
 
@@ -114,65 +113,29 @@ def constant_basis_line(v):
     return g, tuple(consts)
 
 
-def _wedge_coordinates(vectors):
-    """Coordinates of v1 ^ ... ^ vd over increasing index tuples (lex)."""
-    vectors = [tuple(v) for v in vectors]
-    d = len(vectors)
-    size = len(vectors[0])
-    m = Mat.from_cols(RF, vectors)
-    coords = []
-    for rows_idx in combinations(range(size), d):
-        coords.append(m.submatrix(rows_idx, range(d)).det())
-    return tuple(coords)
-
-
 def constant_basis_subspace(sys: DiffSystem, c: Construction, w_vectors):
     """Constant basis of the stable span of the given vectors, or None.
 
-    Verifies stability first (NotStable otherwise), then requires the wedge
-    of the family to be a rational multiple of a constant vector; the kernel
-    of v -> wedge ^ v is then computed over Q and spans the same subspace.
+    Verifies stability first (NotStable otherwise), then echelonizes the
+    family over the rational functions with the columns in reverse order:
+    the span has a constant basis exactly when that echelon form is constant,
+    and its rows, reversed back, are then that basis.
     """
     w_vectors = [constr_vector(c, sys.n, v) for v in w_vectors]
     if not w_vectors:
         raise ValueError("empty family")
-    dim = len(w_vectors[0])
     lie = constr_lie(c, sys.mat)
     for v in w_vectors:
         nabla = tuple(e.derivative() - w for e, w in zip(v, mat_vec(lie, v)))
         if not in_span(w_vectors, nabla, RF):
             raise NotStable("span is not stable under the connection")
 
-    d = len(w_vectors)
-    wedge = _wedge_coordinates(w_vectors)
-    if all(e.is_zero for e in wedge):
+    echelon = row_space_canonical([v[::-1] for v in w_vectors], RF)
+    if len(echelon) < len(w_vectors):
         raise ValueError("family is dependent over the rational functions")
-    line = constant_basis_line(wedge)
-    if line is None:
+    if not all(e.is_constant for row in echelon for e in row):
         return None
-    _, wedge_const = line
-
-    if d >= dim:
-        return [tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim)) for i in range(dim)]
-
-    labels = list(combinations(range(dim), d))
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    rows = []
-    for big in combinations(range(dim), d + 1):
-        row = [Fraction(0)] * dim
-        for pos, i in enumerate(big):
-            rest = big[:pos] + big[pos + 1 :]
-            coeff = wedge_const[index[rest]]
-            if coeff == 0:
-                continue
-            # moving the appended vector from slot d to slot pos
-            sign = -1 if (d - pos) % 2 else 1
-            row[i] = sign * coeff
-        rows.append(row)
-    kernel = nullspace(Mat(QQ, rows))
-    if len(kernel) != d:
-        raise InternalError("wedge kernel dimension mismatch")
-    return [tuple(v) for v in kernel]
+    return [tuple(e.constant_value() for e in reversed(row)) for row in reversed(echelon)]
 
 
 @dataclass(frozen=True)

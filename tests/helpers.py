@@ -9,18 +9,23 @@ from redform import (
     ParseError,
     LieBasis,
     Mat,
+    NotStable,
     Poly,
     QQ,
     RF,
     RatFn,
     TruncSeries,
+    constant_basis_line,
     constr_group,
+    constr_lie,
     matrix,
     parse_construction,
     parse_ratfn,
     system,
 )
 from redform import ratfun
+from redform.constructions import constr_vector
+from redform.linalg import in_span, mat_vec
 from redform.ratfun import ratfn_sqrt
 
 END = parse_construction("tensor(base,dual(base))")
@@ -177,6 +182,47 @@ def oracle_det(rows):
             minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
             total += (-1) ** j * a * oracle_det(minor)
     return total
+
+
+def oracle_constant_basis_subspace(sys_, c, w_vectors):
+    """Constant basis of a stable span by the wedge trick: if W has dimension
+    d and its Plucker coordinates (the d x d minors of the family) are a
+    rational multiple of a constant vector w, the kernel of v -> w ^ v is W
+    and is computed over Q.  Same checks, errors and return value as
+    ``constant_basis_subspace``."""
+    w_vectors = [constr_vector(c, sys_.n, v) for v in w_vectors]
+    if not w_vectors:
+        raise ValueError("empty family")
+    dim = len(w_vectors[0])
+    lie = constr_lie(c, sys_.mat)
+    for v in w_vectors:
+        nabla = tuple(e.derivative() - w for e, w in zip(v, mat_vec(lie, v)))
+        if not in_span(w_vectors, nabla, RF):
+            raise NotStable("span is not stable under the connection")
+    d = len(w_vectors)
+    wedge = [
+        Mat(RF, [[w_vectors[k][i] for k in range(d)] for i in rows]).det()
+        for rows in combinations(range(dim), d)
+    ]
+    if all(e.is_zero for e in wedge):
+        raise ValueError("family is dependent over the rational functions")
+    line = constant_basis_line(wedge)
+    if line is None:
+        return None
+    if d == dim:
+        return [tuple(Fraction(int(j == i)) for j in range(dim)) for i in range(dim)]
+    index = {lbl: i for i, lbl in enumerate(combinations(range(dim), d))}
+    rows = []
+    for big in combinations(range(dim), d + 1):
+        row = [Fraction(0)] * dim
+        for pos, i in enumerate(big):
+            # moving the appended vector from slot d to slot pos
+            sign = -1 if (d - pos) % 2 else 1
+            row[i] = sign * line[1][index[big[:pos] + big[pos + 1 :]]]
+        rows.append(row)
+    kernel = oracle_nullspace(rows)
+    assert len(kernel) == d, "wedge kernel dimension mismatch"
+    return [tuple(v) for v in kernel]
 
 
 def oracle_poly_gcd(a, b):

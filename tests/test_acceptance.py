@@ -295,7 +295,7 @@ def test_criterion_6_wedge_kernel_suite():
         m_joint = Mat(RF, [[joint[r][i] for r in range(len(joint))] for i in range(size)])
         m_w = Mat(RF, [[w[r][i] for r in range(len(w))] for i in range(size)])
         assert rank(m_joint) == rank(m_w) == dim_w
-    _finish(f"criterion 6 (wedge kernel, {len(cases)} cases)", started, 60)
+    _finish(f"criterion 6 (constant bases, {len(cases)} cases)", started, 60)
 
 
 def test_criterion_7_transport_of_invariants():

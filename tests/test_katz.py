@@ -98,6 +98,22 @@ class TestEndBasisFlags:
         )
         assert independent and bracket_closed and not nabla_stable
 
+    def test_bracket_outside_the_span(self):
+        from redform.katz import end_basis_flags
+
+        # [E12, E21/x] = diag(1, -1)/x is not a combination of E12 and E21/x
+        e12 = Mat(RF, [[rf("0"), rf("1")], [rf("0"), rf("0")]])
+        e21 = Mat(RF, [[rf("0"), rf("0")], [rf("1/x"), rf("0")]])
+        independent, bracket_closed, _ = end_basis_flags(demo_system(), EndBasis((e12, e21)))
+        assert independent and not bracket_closed
+
+    def test_repeated_element(self):
+        from redform.katz import end_basis_flags
+
+        basis = EndBasis((weighted_swap(), weighted_swap()))
+        independent, bracket_closed, nabla_stable = end_basis_flags(demo_system(), basis)
+        assert not independent and bracket_closed and nabla_stable
+
 
 class TestNablaStableSpan:
     def test_weighted_swap_is_stable(self):

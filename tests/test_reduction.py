@@ -1,4 +1,4 @@
-"""Reduction criteria, constant bases, the wedge kernel, and the reducer."""
+"""Reduction criteria, constant bases, and the reducer."""
 
 import random
 from fractions import Fraction
@@ -36,12 +36,14 @@ from redform import (
 )
 from redform import reduction
 from redform.errors import InternalError
-from redform.linalg import rank
+from redform.linalg import mat_vec, rank
 from redform.reduction import ReductionCertificate, lie_basis_flags
 
 from helpers import (
+    const_vec,
     demo_system,
     diag_basis,
+    oracle_constant_basis_subspace,
     oracle_eigenvalues_2x2,
     rand_poly,
     rand_ratfn,
@@ -147,6 +149,66 @@ class TestConstantBasisSubspace:
             m_joint = Mat(RF, [[joint[r][i] for r in range(len(joint))] for i in range(3)])
             m_w = Mat(RF, [[w[r][i] for r in range(len(w))] for i in range(3)])
             assert rank(m_joint) == rank(m_w) == len(w)
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _mixed(rng, vectors, rows):
+    """``rows`` random Q(x) combinations of the given vectors."""
+    return [
+        tuple(sum((f * e for f, e in zip(coeffs, col)), RatFn.ZERO) for col in zip(*vectors))
+        for coeffs in ([rand_ratfn(rng, 1) for _ in vectors] for _ in range(rows))
+    ]
+
+
+def test_constant_basis_subspace_matches_the_wedge_oracle():
+    rng = random.Random(1601)
+    zero = {n: DiffSystem("x", Mat.zeros(RF, n, n)) for n in range(1, 8)}
+    cases = []
+    for _ in range(120):
+        # a random constant subspace of Q^n, mixed over Q(x); a singular mix
+        # makes the family dependent or its span unstable
+        n = rng.randint(1, 7)
+        d = rng.randint(1, min(n, 4))
+        basis = [const_vec(rng.randint(-2, 2) for _ in range(n)) for _ in range(d)]
+        cases.append((zero[n], Base(), _mixed(rng, basis, d)))
+    for _ in range(30):
+        # gauging the zero system by P = I + f*E_ij moves each stable subspace
+        # to its image under P^-1 = I - f*E_ij, rarely one with a constant basis
+        n = rng.randint(2, 4)
+        i, j = rng.sample(range(n), 2)
+        f = rand_ratfn(rng, 1)
+        p = Mat(RF, [[f if (r, s) == (i, j) else int(r == s) for s in range(n)] for r in range(n)])
+        d = rng.randint(1, n - 1)
+        pinv = p.inv()
+        basis = [mat_vec(pinv, const_vec(rng.randint(-2, 2) for _ in range(n))) for _ in range(d)]
+        cases.append((gauge(zero[n], p), Base(), _mixed(rng, basis, d)))
+    for n in (1, 3, 7):
+        vectors = [const_vec(rng.randint(-2, 2) for _ in range(n)) for _ in range(n - 1)]
+        vectors.append(const_vec([1] * n))
+        cases.append((zero[n], Base(), [(RatFn.ZERO,) * n]))
+        cases.append((zero[n], Base(), _mixed(rng, vectors, n)))
+        if n > 1:
+            # d = n with the last vector a Q(x) combination of the others
+            dependent = _mixed(rng, vectors[:-1], n - 1)
+            cases.append((zero[n], Base(), dependent + _mixed(rng, dependent, 1)))
+    scalars_and_e12 = [const_vec((1, 0, 0, 1)), const_vec((0, 1, 0, 0))]
+    cases.append((zero[2], END_CONSTRUCTION, _mixed(rng, scalars_and_e12, 2)))
+    cases.append((demo_system(), END_CONSTRUCTION, [vec_row_major(weighted_swap())]))
+    cases.append((demo_system(), Base(), [(rf("1"), rf("0"))]))
+    seen = set()
+    for sys_, c, w in cases:
+        got = _outcome(constant_basis_subspace, sys_, c, w)
+        want = _outcome(oracle_constant_basis_subspace, sys_, c, w)
+        assert got == want, (c, w)
+        seen.add(got[0].__name__ if isinstance(got, tuple) else type(got).__name__)
+    assert seen == {"list", "NoneType", "ValueError", "NotStable"}
 
 
 class TestIsReduced:
@@ -317,12 +379,6 @@ class TestEigenvalues:
 class TestInternalGates:
     """Self-checks raise InternalError, which survives ``python -O``."""
 
-    def test_wedge_kernel_dimension(self, monkeypatch):
-        monkeypatch.setattr(reduction, "nullspace", lambda m: [])
-        w = [(rf("5*t^2", "t"), rf("0", "t"))]
-        with pytest.raises(InternalError, match="wedge kernel"):
-            constant_basis_subspace(reduced_demo(), Base(), w)
-
     def test_certificate_self_verification(self, monkeypatch):
         monkeypatch.setattr(ReductionCertificate, "verify", lambda self, sys_: False)
         with pytest.raises(InternalError, match="self-verification"):
@@ -337,6 +393,25 @@ class TestInternalGates:
         monkeypatch.setattr(reduction, "gauge", lambda sys_, p: sys_)
         with pytest.raises(InternalError, match="diagonalize"):
             reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
+
+
+class TestLieBasisFlags:
+    E12 = Mat(QQ, [[0, 1], [0, 0]])
+    E21 = Mat(QQ, [[0, 0], [1, 0]])
+
+    def test_bracket_outside_the_span(self):
+        # [E12, E21] = diag(1, -1) is not a combination of E12 and E21
+        assert lie_basis_flags(LieBasis(2, (self.E12, self.E21))) == (True, False)
+
+    def test_repeated_generator(self):
+        assert lie_basis_flags(LieBasis(2, (self.E12, self.E12))) == (False, True)
+
+    def test_sl2_is_closed(self):
+        h = Mat(QQ, [[1, 0], [0, -1]])
+        assert lie_basis_flags(LieBasis(2, (self.E12, self.E21, h))) == (True, True)
+
+    def test_empty(self):
+        assert lie_basis_flags(LieBasis(2, ())) == (True, True)
 
 
 class TestCriterionConsistency:
