@@ -22,9 +22,9 @@ from .constructions import (
     vec_row_major,
 )
 from .errors import DimensionMismatch, NotReduced
-from .linalg import Mat, QQ, RF, RatFnField, in_span, mat_vec, nullspace, rank, solve
+from .linalg import Mat, QQ, RF, RatFnField, mat_vec, nullspace, span_coordinates
 from .ratfun import RatFn, _rat
-from .reduction import LieBasis, lie_basis_flags, wei_norman
+from .reduction import LieBasis, wei_norman
 from .solutions import SolutionSpace, rational_solutions
 from .systems import DiffSystem
 
@@ -40,23 +40,6 @@ class EndBasis:
         sizes = {e.rows for e in self.elements} | {e.cols for e in self.elements}
         if len(sizes) > 1:
             raise DimensionMismatch("mixed element sizes")
-
-
-def end_basis_flags(sys: DiffSystem, basis: EndBasis):
-    """(independent, bracket_closed, nabla_stable) for the element span.
-
-    Independence and bracket closure are those of ``lie_basis_flags``, over
-    the ring of the elements; stability refers to the End connection
-    F -> F' - [A, F].
-    """
-    n = basis.elements[0].rows if basis.elements else 0
-    independent, bracket_closed = lie_basis_flags(LieBasis(n, basis.elements))
-    vectors = [vec_row_major(e) for e in basis.elements]
-    nabla_stable = all(
-        in_span(vectors, vec_row_major(end_action(sys, e)), RF)
-        for e in basis.elements
-    )
-    return independent, bracket_closed, nabla_stable
 
 
 def eigenring(
@@ -99,21 +82,14 @@ class StabilityReport:
 def check_nabla_stable_span(sys: DiffSystem, basis: EndBasis) -> StabilityReport:
     """Whether the span of the elements is carried into itself by the End
     connection F -> F' - [A, F]; per-element coordinates as witnesses."""
-    vectors = [vec_row_major(e) for e in basis.elements]
-    flat = Mat.from_cols(RF, vectors) if vectors else None
-    if flat is not None and rank(flat) != len(vectors):
+    images = [end_action(sys, e) for e in basis.elements]
+    rank, coords = span_coordinates(map(vec_row_major, basis.elements), map(vec_row_major, images), RF)
+    if rank != len(images):
         raise DimensionMismatch("basis elements are dependent over the rational functions")
-    entries = []
-    for idx, element in enumerate(basis.elements):
-        image = end_action(sys, element)
-        target = vec_row_major(image)
-        coords = solve(flat, list(target)) if flat is not None else None
-        if coords is None and not all(e.is_zero for e in target):
-            entries.append(StabilityEntry(idx, False, None, image))
-        else:
-            entries.append(
-                StabilityEntry(idx, True, tuple(coords) if coords else (), None)
-            )
+    entries = [
+        StabilityEntry(idx, x is not None, x, None if x is not None else image)
+        for idx, (x, image) in enumerate(zip(coords, images))
+    ]
     return StabilityReport(tuple(entries))
 
 
@@ -187,17 +163,15 @@ def stable_subspace_criterion(
         raise NotReduced("system matrix is not in the span of the generators")
     w_vectors = [constr_vector(c, sys.n, map(_rat, v)) for v in w_vectors]
 
-    failures = []
-    for gi, gen in enumerate(basis.generators):
-        lie = constr_lie(c, gen)
-        for vi, v in enumerate(w_vectors):
-            if not in_span(w_vectors, mat_vec(lie, v), QQ):
-                failures.append((gi, vi))
+    lies = [constr_lie(c, g) for g in basis.generators]
+    # one target per (generator, vector) pair, generator-major
+    _, coords = span_coordinates(w_vectors, [mat_vec(lie, v) for lie in lies for v in w_vectors], QQ)
+    failures = [divmod(k, len(w_vectors)) for k, x in enumerate(coords) if x is None]
     generator_stable = not failures
 
     lie_a = constr_lie(c, sys.mat)
     w_rf = [tuple(RatFn.const(e) for e in v) for v in w_vectors]
-    nabla_stable = all(in_span(w_rf, mat_vec(lie_a, v), RF) for v in w_rf)
+    nabla_stable = None not in span_coordinates(w_rf, [mat_vec(lie_a, v) for v in w_rf], RF)[1]
 
     return SubspaceStabilityReport(
         generator_stable=generator_stable,

@@ -6,22 +6,27 @@ implement Python arithmetic operators.  Reduced row echelon forms and null
 spaces are defined over the fields Q and Q(x), with pivots normalized to
 one.  The form is unique, so whatever pivot rows an elimination picks, its
 result is the one dense field elimination gives.  Elimination runs on Python
-ints, in one of two kernels:
+ints, in one of two kernels, each pivoting only in the columns below a
+width limit:
 
 * ``_rref_integer``, Gauss-Jordan on sparse ``{column: int}`` rows kept
-  primitive, is ``rref`` over Q (so ``nullspace``, ``rank``, ``solve``,
-  ``row_space_canonical``, ``in_span`` and ``inv``).  Primitive rows beat
-  fraction-free elimination on the large sparse systems over Q.
+  primitive, is ``rref`` over Q (so ``nullspace`` and
+  ``row_space_canonical``).  Primitive rows beat fraction-free elimination
+  on the large sparse systems over Q.
 * ``_ffgj``, fraction-free Gauss-Jordan on rows cleared to Z[x] (integer
   coefficient lists, each row over its ``ratfun.common_denominator``), one
   exact division by the previous pivot per step and no gcd, is ``rref`` over
   Q(x) and the one ``det``: the signed last pivot over the row scales.  A
   matrix over Q takes it as a matrix of constants in Q(x).
 
-``inv`` is the right half of ``rref([m | I])``.  ``charpoly`` runs
-Berkowitz's division-free algorithm (Berkowitz 1984) on the integer matrix
-d*m, d the lcm of the denominators of m: p_m(T) = d^-n p_dm(d T).  Products
-over Q(x) sum each entry as ``ratfun`` integer pairs and normalize it once.
+``span_coordinates`` is the one span and membership test: one elimination
+of [V | T], vectors then targets as columns, with pivots in V's columns only,
+gives the rank of V and the coordinates of every target in the span, or
+None for a target outside it.  ``inv`` takes the coordinates of the unit
+vectors.  ``charpoly`` runs Berkowitz's division-free algorithm (Berkowitz
+1984) on the integer matrix d*m, d the lcm of the denominators of m:
+p_m(T) = d^-n p_dm(d T).  Products over Q(x) sum each entry as ``ratfun``
+integer pairs and normalize it once.
 """
 
 from __future__ import annotations
@@ -186,11 +191,6 @@ class Mat:
     def map_entries(self, fn, ring=None) -> "Mat":
         return Mat(ring or self.ring, [[fn(a) for a in row] for row in self.data])
 
-    def hstack(self, other) -> "Mat":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch")
-        return Mat(self.ring, [ra + rb for ra, rb in zip(self.data, other.data)])
-
     def kron(self, other) -> "Mat":
         """Kronecker product; pairs (i, j) are flattened row-major."""
         out = []
@@ -221,46 +221,54 @@ class Mat:
             raise ValueError("determinant of a non-square matrix")
         if self.ring is QQ:
             return self.map_entries(RatFn.const, RF).det().constant_value()
-        rows, num, den = _cleared_rows(self)
+        rows, num, den = _cleared_rows(self.data)
         top, pivots, sign = _ffgj(rows, self.cols)
         if len(pivots) < self.rows:
             return RatFn.ZERO
         return RatFn(Poly(top) * (sign * num), den)
 
     def inv(self) -> "Mat":
-        """Inverse, the right half of rref([m | I]); raises SingularGauge."""
+        """Inverse, whose column j holds the coordinates of the unit vector
+        e_j in the columns of m; raises SingularGauge."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        reduced, pivots = self.hstack(Mat.identity(self.ring, n)).rref()
-        if pivots != tuple(range(n)):
+        unit = Mat.identity(self.ring, self.rows).data
+        rank, cols = span_coordinates(zip(*self.data), unit, self.ring)
+        if rank < self.rows:
             raise SingularGauge("matrix is not invertible")
-        return Mat._unchecked(self.ring, tuple(row[n:] for row in reduced.data))
+        return Mat._unchecked(self.ring, tuple(zip(*cols)))
 
     def rref(self):
         """Reduced row echelon form over Q or Q(x); returns (matrix, pivot cols)."""
         if self.ring is QQ:
-            return _rref_integer(self)
-        if self.ring is not RF:
+            done, pivots, _ = _rref_integer(map(_integer_row, self.data), self.cols)
+            out = []
+            for p, row in zip(pivots, done):
+                dense, pv = [QQ.zero] * self.cols, row[p]
+                for j, v in row.items():
+                    dense[j] = Fraction(v, pv)
+                out.append(tuple(dense))
+        elif self.ring is RF:
+            rows, _, _ = _cleared_rows(self.data)
+            den, pivots, _ = _ffgj(rows, self.cols)
+            out = [
+                tuple([RatFn.ONE if e == den else _pair_ratfn(e, den) for e in row])
+                for row in rows[: len(pivots)]
+            ]
+        else:
             raise TypeError("rref expects a matrix over Q or Q(x)")
-        rows, _, _ = _cleared_rows(self)
-        den, pivots, _ = _ffgj(rows, self.cols)
-        out = [
-            tuple([RatFn.ONE if e == den else _pair_ratfn(e, den) for e in row])
-            for row in rows[: len(pivots)]
-        ]
-        out.extend([(RatFn.ZERO,) * self.cols] * (self.rows - len(pivots)))
-        return Mat._unchecked(RF, tuple(out)), tuple(pivots)
+        out.extend([(self.ring.zero,) * self.cols] * (self.rows - len(pivots)))
+        return Mat._unchecked(self.ring, tuple(out)), tuple(pivots)
 
 
-def _cleared_rows(m: Mat):
-    """(rows, num, den): row i of ``m`` over Q(x) is ``rows[i]``, a row of
+def _cleared_rows(data):
+    """(rows, num, den): row i of ``data`` over Q(x) is ``rows[i]``, a row of
     integer coefficient lists (lowest degree first, [] for zero), times
     num_i/den_i, with den_i the row's ``common_denominator`` and num_i in Q
     the scale of ``_clear_all`` on its numerators; ``num`` and ``den`` are
     the products of the num_i and of the den_i."""
     rows, num, den = [], Fraction(1), Poly.ONE
-    for row in m.data:
+    for row in data:
         common, nums = common_denominator(row)
         ints, scale = _clear_all(nums)
         rows.append(ints)
@@ -312,13 +320,17 @@ def _integer_row(row):
     return {j: a.numerator * (scale // a.denominator) for j, a in nonzero.items()}
 
 
-def _rref_integer(m: Mat):
-    """Gauss-Jordan over Q on sparse integer rows; same result as the dense
-    field elimination because the reduced row echelon form is unique."""
-    active = [row for row in map(_integer_row, m.data) if row]
+def _rref_integer(rows, width):
+    """Gauss-Jordan over Q on sparse primitive integer rows ``{column: int}``,
+    pivoting in the columns below ``width`` only.  Returns (done, pivots,
+    rest): ``done[r]`` is a multiple of the reduced row of pivot column
+    ``pivots[r]``, and ``rest`` the nonzero rows left, zero below ``width``.
+    Same result as the dense field elimination because the reduced row
+    echelon form is unique."""
+    active = [row for row in rows if row]
     done = []
     pivots = []
-    for col in range(m.cols):
+    for col in range(width):
         if not active:
             break
         cands = [k for k, row in enumerate(active) if col in row]
@@ -331,16 +343,7 @@ def _rref_integer(m: Mat):
         done = [_eliminate(row, pivot_row, col) if col in row else row for row in done]
         done.append(pivot_row)
         pivots.append(col)
-    zero = Fraction(0)
-    out = []
-    for col, row in zip(pivots, done):
-        dense = [zero] * m.cols
-        pv = row[col]
-        for j, v in row.items():
-            dense[j] = Fraction(v, pv)
-        out.append(dense)
-    out.extend([zero] * m.cols for _ in range(m.rows - len(done)))
-    return Mat._unchecked(m.ring, tuple(map(tuple, out))), tuple(pivots)
+    return done, pivots, active
 
 
 def _eliminate(row, pivot_row, col):
@@ -400,24 +403,50 @@ def nullspace(m: Mat):
     return basis
 
 
-def rank(m: Mat) -> int:
-    return len(m.rref()[1])
+def span_coordinates(vectors, targets, ring):
+    """(rank, coords) of the span of ``vectors`` over the field Q or Q(x):
+    for each target, ``coords[k]`` is the solution x of
+    sum_j x_j vectors[j] = targets[k] with the free coordinates zero, or
+    None when the target is outside the span.
 
+    One Gauss-Jordan of [V | T], the vectors and then the targets as
+    columns, pivoting in V's columns only: a target lies in the span exactly
+    when the rows left without a pivot are zero in its column, and its
+    coordinates are then read from the pivot rows.  Only the returned
+    entries are normalized."""
+    vecs = [tuple(map(ring.promote, v)) for v in vectors]
+    cols = vecs + [tuple(map(ring.promote, t)) for t in targets]
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError("vector length mismatch")
+    d = len(vecs)
+    if ring is QQ:
+        done, pivots, rest = _rref_integer(map(_integer_row, zip(*cols)), d)
 
-def solve(m: Mat, rhs):
-    """One exact solution of m*x = rhs (free variables zero), or None."""
-    ring = m.ring
-    rhs = [ring.promote(b) for b in rhs]
-    if len(rhs) != m.rows:
-        raise ValueError("rhs length mismatch")
-    aug = Mat(ring, [list(row) + [b] for row, b in zip(m.data, rhs)])
-    reduced, pivots = aug.rref()
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x = [ring.zero] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced.data[r][m.cols]
-    return tuple(x)
+        def coords(t):
+            if any(t in row for row in rest):
+                return None
+            x = [ring.zero] * d
+            for p, row in zip(pivots, done):
+                if t in row:
+                    x[p] = Fraction(row[t], row[p])
+            return tuple(x)
+
+    elif ring is RF:
+        rows, _, _ = _cleared_rows(zip(*cols))
+        den, pivots, _ = _ffgj(rows, d)
+
+        def coords(t):
+            if any(row[t] for row in rows[len(pivots) :]):
+                return None
+            x = [ring.zero] * d
+            for p, row in zip(pivots, rows):
+                if row[t]:
+                    x[p] = RatFn.ONE if row[t] == den else _pair_ratfn(row[t], den)
+            return tuple(x)
+
+    else:
+        raise TypeError("span_coordinates expects the field Q or Q(x)")
+    return len(pivots), [coords(t) for t in range(d, len(cols))]
 
 
 def row_space_canonical(vectors, ring):
@@ -427,14 +456,6 @@ def row_space_canonical(vectors, ring):
         return ()
     reduced, pivots = Mat(ring, vecs).rref()
     return tuple(reduced.data[r] for r in range(len(pivots)))
-
-
-def in_span(vectors, target, ring):
-    """Whether target lies in the span of vectors (over the ring's field)."""
-    vecs = list(vectors)
-    if not vecs:
-        return all(ring.promote(a) == ring.zero for a in target)
-    return solve(Mat.from_cols(ring, vecs), list(target)) is not None
 
 
 def charpoly(m: Mat) -> Poly:

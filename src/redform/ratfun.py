@@ -302,25 +302,32 @@ class Poly:
         return result
 
     def __divmod__(self, other):
+        return self._divide(other, True, True)
+
+    def __floordiv__(self, other):
+        return self._divide(other, True, False)
+
+    def __mod__(self, other):
+        return self._divide(other, False, True)
+
+    def _divide(self, other, quot: bool, rem: bool):
+        """The quotient and the remainder of the division by ``other``, or the
+        one of them asked for; only a returned part is normalized."""
         other = _as_poly(other)
         if other is None:
             return NotImplemented
         a, b = self.ints, other.ints
         if not b:
             raise DivisionByZero("polynomial division by zero")
-        dq = len(a) - len(b)
-        if dq < 0:
-            return Poly.ZERO, self
-        quot, rem, m = _int_divmod(a, b)
-        na, da = self.scale.numerator, self.scale.denominator * m
-        nb, db = other.scale.numerator, other.scale.denominator
-        return _from_ints(quot, na * db, da * nb), _from_ints(rem, na, da)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
+        if len(a) < len(b):
+            q, r = Poly.ZERO, self
+        else:
+            iq, ir, m = _int_divmod(a, b)
+            na, da = self.scale.numerator, self.scale.denominator * m
+            nb, db = other.scale.numerator, other.scale.denominator
+            q = _from_ints(iq, na * db, da * nb) if quot else None
+            r = _from_ints(ir, na, da) if rem else None
+        return (q, r) if quot and rem else (q if quot else r)
 
     def gcd(self, other) -> "Poly":
         """Monic gcd; zero only when both are zero.

@@ -41,7 +41,7 @@ from .errors import (
     PoleAtPoint,
     SingularGauge,
 )
-from .linalg import Mat, QQ, RF, charpoly, in_span, mat_vec, nullspace, rank, row_space_canonical, solve
+from .linalg import Mat, QQ, RF, charpoly, mat_vec, nullspace, row_space_canonical, span_coordinates
 from .ratfun import Poly, RatFn, _rat, common_denominator, integer_roots, poly_str, ratfn_sqrt, ratfn_str
 from .solutions import check_semi_invariant, harvest_invariants
 from .systems import DiffSystem, gauge, is_ordinary_point, pullback
@@ -66,14 +66,10 @@ def lie_basis_flags(basis: LieBasis):
     mats = basis.generators
     if not mats:
         return True, True
-    ring = mats[0].ring
-    vecs = [vec_row_major(g) for g in mats]
-    independent = rank(Mat(ring, vecs)) == len(vecs)
     # [a, a] = 0 and [b, a] = -[a, b], so each unordered pair is bracketed once
-    bracket_closed = all(
-        in_span(vecs, vec_row_major(a * b - b * a), ring) for a, b in combinations(mats, 2)
-    )
-    return independent, bracket_closed
+    brackets = [vec_row_major(a * b - b * a) for a, b in combinations(mats, 2)]
+    rank, coords = span_coordinates(map(vec_row_major, mats), brackets, mats[0].ring)
+    return rank == len(mats), None not in coords
 
 
 def wei_norman(sys: DiffSystem, basis: LieBasis):
@@ -81,15 +77,9 @@ def wei_norman(sys: DiffSystem, basis: LieBasis):
     rational-function span of the generators."""
     if basis.n != sys.n:
         raise DimensionMismatch("basis size mismatch")
-    if not basis.generators:
-        return [] if sys.mat.is_zero else None
-    cols = [vec_row_major(g) for g in basis.generators]
-    m = Mat.from_cols(RF, cols)
-    target = list(vec_row_major(sys.mat))
-    coeffs = solve(m, target)
-    if coeffs is None:
-        return None
-    return list(coeffs)
+    vectors = map(vec_row_major, basis.generators)
+    _, (coeffs,) = span_coordinates(vectors, [vec_row_major(sys.mat)], RF)
+    return None if coeffs is None else list(coeffs)
 
 
 def constant_basis_line(v):
@@ -125,10 +115,9 @@ def constant_basis_subspace(sys: DiffSystem, c: Construction, w_vectors):
     if not w_vectors:
         raise ValueError("empty family")
     lie = constr_lie(c, sys.mat)
-    for v in w_vectors:
-        nabla = tuple(e.derivative() - w for e, w in zip(v, mat_vec(lie, v)))
-        if not in_span(w_vectors, nabla, RF):
-            raise NotStable("span is not stable under the connection")
+    nablas = [[e.derivative() - w for e, w in zip(v, mat_vec(lie, v))] for v in w_vectors]
+    if None in span_coordinates(w_vectors, nablas, RF)[1]:
+        raise NotStable("span is not stable under the connection")
 
     echelon = row_space_canonical([v[::-1] for v in w_vectors], RF)
     if len(echelon) < len(w_vectors):

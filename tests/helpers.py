@@ -25,7 +25,7 @@ from redform import (
 )
 from redform import ratfun
 from redform.constructions import constr_vector
-from redform.linalg import in_span, mat_vec
+from redform.linalg import mat_vec
 from redform.ratfun import ratfn_sqrt
 
 END = parse_construction("tensor(base,dual(base))")
@@ -154,6 +154,21 @@ def oracle_rref(rows):
     return work, pivots
 
 
+def oracle_solve(vectors, target, zero):
+    """The solution x of sum_j x_j vectors[j] = target with the free
+    coordinates ``zero``, or None when the target is outside the span: the
+    last column of ``oracle_rref`` of the augmented matrix [V | target]."""
+    d = len(vectors)
+    cols = list(vectors) + [target]
+    work, pivots = oracle_rref([[c[i] for c in cols] for i in range(len(target))])
+    if d in pivots:
+        return None
+    x = [zero] * d
+    for r, p in enumerate(pivots):
+        x[p] = work[r][d]
+    return tuple(x)
+
+
 def oracle_nullspace(rows):
     """Null space basis of a Fraction matrix given as a list of row lists."""
     if not rows:
@@ -197,7 +212,7 @@ def oracle_constant_basis_subspace(sys_, c, w_vectors):
     lie = constr_lie(c, sys_.mat)
     for v in w_vectors:
         nabla = tuple(e.derivative() - w for e, w in zip(v, mat_vec(lie, v)))
-        if not in_span(w_vectors, nabla, RF):
+        if oracle_solve(w_vectors, nabla, RatFn.ZERO) is None:
             raise NotStable("span is not stable under the connection")
     d = len(w_vectors)
     wedge = [

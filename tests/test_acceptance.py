@@ -43,7 +43,6 @@ from redform import (
     verify_reduction_matrix,
     wei_norman,
 )
-from redform.linalg import rank
 
 from helpers import (
     constr_series_agrees,
@@ -294,7 +293,7 @@ def test_criterion_6_wedge_kernel_suite():
         joint = [list(v) for v in w] + [list(v) for v in out_rf]
         m_joint = Mat(RF, [[joint[r][i] for r in range(len(joint))] for i in range(size)])
         m_w = Mat(RF, [[w[r][i] for r in range(len(w))] for i in range(size)])
-        assert rank(m_joint) == rank(m_w) == dim_w
+        assert len(m_joint.rref()[1]) == len(m_w.rref()[1]) == dim_w
     _finish(f"criterion 6 (constant bases, {len(cases)} cases)", started, 60)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from redform import (
     Base,
+    DimensionMismatch,
     END_CONSTRUCTION,
     EndBasis,
     LieBasis,
@@ -81,40 +82,6 @@ class TestEigenring:
         assert same_constant_span([v for v in space.basis], conjugated)
 
 
-class TestEndBasisFlags:
-    def test_weighted_swap_flags(self):
-        from redform.katz import end_basis_flags
-
-        basis = EndBasis((weighted_swap(), Mat.identity(RF, 2)))
-        independent, bracket_closed, nabla_stable = end_basis_flags(demo_system(), basis)
-        assert independent and bracket_closed and nabla_stable
-
-    def test_open_span_flags(self):
-        from redform.katz import end_basis_flags
-
-        e12 = Mat(RF, [[rf("0"), rf("1")], [rf("0"), rf("0")]])
-        independent, bracket_closed, nabla_stable = end_basis_flags(
-            demo_system(), EndBasis((e12,))
-        )
-        assert independent and bracket_closed and not nabla_stable
-
-    def test_bracket_outside_the_span(self):
-        from redform.katz import end_basis_flags
-
-        # [E12, E21/x] = diag(1, -1)/x is not a combination of E12 and E21/x
-        e12 = Mat(RF, [[rf("0"), rf("1")], [rf("0"), rf("0")]])
-        e21 = Mat(RF, [[rf("0"), rf("0")], [rf("1/x"), rf("0")]])
-        independent, bracket_closed, _ = end_basis_flags(demo_system(), EndBasis((e12, e21)))
-        assert independent and not bracket_closed
-
-    def test_repeated_element(self):
-        from redform.katz import end_basis_flags
-
-        basis = EndBasis((weighted_swap(), weighted_swap()))
-        independent, bracket_closed, nabla_stable = end_basis_flags(demo_system(), basis)
-        assert not independent and bracket_closed and nabla_stable
-
-
 class TestNablaStableSpan:
     def test_weighted_swap_is_stable(self):
         report = check_nabla_stable_span(demo_system(), EndBasis((weighted_swap(),)))
@@ -130,6 +97,16 @@ class TestNablaStableSpan:
         report = check_nabla_stable_span(demo_system(), EndBasis((e12,)))
         assert not report.stable
         assert report.entries[0].residual is not None
+
+    def test_weighted_swap_and_identity_are_stable(self):
+        basis = EndBasis((weighted_swap(), Mat.identity(RF, 2)))
+        report = check_nabla_stable_span(demo_system(), basis)
+        assert report.stable and len(report.entries) == 2
+        assert all(e.residual is None for e in report.entries)
+
+    def test_repeated_element_is_dependent(self):
+        with pytest.raises(DimensionMismatch, match="dependent"):
+            check_nabla_stable_span(demo_system(), EndBasis((weighted_swap(), weighted_swap())))
 
 
 class TestAnnihilation:

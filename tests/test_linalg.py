@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from redform import Mat, Poly, QQ, RF, RatFn, SingularGauge
-from redform.linalg import charpoly, in_span, mat_vec, nullspace, rank, row_space_canonical, solve
+from redform.linalg import charpoly, mat_vec, nullspace, row_space_canonical, span_coordinates
 
-from helpers import oracle_det, oracle_rref, rand_invertible, rand_matrix, rf
+from helpers import oracle_det, oracle_rref, oracle_solve, rand_invertible, rand_matrix, rf
 
 
 def test_inverse_roundtrip_rational_functions():
@@ -39,15 +39,24 @@ def test_nullspace_vectors_annihilate():
     m = Mat(QQ, rows)
     for v in nullspace(m):
         assert all(e == 0 for e in mat_vec(m, v))
-    assert rank(m) + len(nullspace(m)) == 5
+    assert len(m.rref()[1]) + len(nullspace(m)) == 5
 
 
 def test_solve_and_membership():
-    m = Mat(QQ, [[1, 0], [0, 0]])
-    assert solve(m, [3, 0]) == (Fraction(3), Fraction(0))
-    assert solve(m, [0, 1]) is None
-    assert in_span([(Fraction(1), Fraction(2))], (Fraction(2), Fraction(4)), QQ)
-    assert not in_span([(Fraction(1), Fraction(2))], (Fraction(1), Fraction(0)), QQ)
+    cols = list(zip(*Mat(QQ, [[1, 0], [0, 0]]).data))
+    rank, (inside, outside) = span_coordinates(cols, [[3, 0], [0, 1]], QQ)
+    assert rank == 1
+    assert inside == (Fraction(3), Fraction(0))
+    assert outside is None
+    line = [(Fraction(1), Fraction(2))]
+    _, (double, off) = span_coordinates(line, [(Fraction(2), Fraction(4)), (Fraction(1), Fraction(0))], QQ)
+    assert double == (Fraction(2),)
+    assert off is None
+
+
+def test_span_coordinates_rejects_ragged_vectors():
+    with pytest.raises(ValueError, match="vector length"):
+        span_coordinates([(1, 2)], [(1, 2, 3)], QQ)
 
 
 def test_row_space_canonical_is_order_free():
@@ -148,6 +157,7 @@ def test_qq_kernel_empty_shapes():
     empty = Mat(QQ, [])
     assert empty.rref() == (empty, ())
     assert empty.det() == 1 and charpoly(empty) == Poly.ONE
+    assert empty.inv() == empty
     no_cols = Mat(QQ, [[], []])
     assert no_cols.rref() == (no_cols, ())
     assert nullspace(no_cols) == []
@@ -174,7 +184,7 @@ def _check_rf_against_oracle(rows):
                 m.inv()
         if n > 5:
             return
-        # the wide [m | I] shape that inv eliminates
+        # a wide [m | I] shape
         wide = [list(r) + [RatFn.ONE if i == j else RatFn.ZERO for j in range(n)] for i, r in enumerate(rows)]
         reduced, pivots = Mat(RF, wide).rref()
         want, want_pivots = oracle_rref(wide)
@@ -227,3 +237,78 @@ def test_rf_kernel_non_square_seeded():
 )
 def test_rf_kernel_edge_cases(rows):
     _check_rf_against_oracle([[rf(a) for a in row] for row in rows])
+
+
+# ---------------------------------------------------------------------------
+# span_coordinates against one oracle solve per target
+
+
+def _check_span_against_oracle(vectors, targets, ring):
+    n = len((vectors or targets)[0])
+    rank, coords = span_coordinates(vectors, targets, ring)
+    assert rank == len(oracle_rref([[v[i] for v in vectors] for i in range(n)])[1])
+    assert coords == [oracle_solve(vectors, t, ring.zero) for t in targets]
+    kind = Fraction if ring is QQ else RatFn
+    assert all(type(e) is kind for x in coords if x is not None for e in x)
+    return coords
+
+
+def _span_family(rng, n, d, entry, zero):
+    """d vectors of length n, some rows dependent, and targets inside the
+    span, outside it (almost surely) and zero."""
+    vectors = [[entry(rng) for _ in range(n)] for _ in range(d)]
+    if d > 2 and rng.random() < 0.5:
+        c = entry(rng)
+        vectors[-1] = [a + c * b for a, b in zip(vectors[0], vectors[1])]
+    combos = [[entry(rng) for _ in range(d)] for _ in range(2)]
+    inside = [[sum((c * v[i] for c, v in zip(cs, vectors)), zero) for i in range(n)] for cs in combos]
+    outside = [[entry(rng) for _ in range(n)]]
+    targets = inside + outside + [[zero] * n]
+    rng.shuffle(targets)
+    return [tuple(v) for v in vectors], [tuple(t) for t in targets]
+
+
+def test_span_coordinates_matches_the_oracle_over_q_seeded():
+    rng = random.Random(1717)
+    seen = {"in": 0, "out": 0}
+    for _ in range(150):
+        n, d = rng.randint(1, 6), rng.randint(0, 6)
+        vectors, targets = _span_family(rng, n, d, _rand_entry, Fraction(0))
+        coords = _check_span_against_oracle(vectors, targets, QQ)
+        seen["in"] += sum(x is not None for x in coords)
+        seen["out"] += sum(x is None for x in coords)
+    assert min(seen.values()) > 50
+
+
+def test_span_coordinates_matches_the_oracle_over_qx_seeded():
+    rng = random.Random(1718)
+    seen = {"in": 0, "out": 0}
+    for _ in range(30):
+        n, d = rng.randint(1, 4), rng.randint(0, 4)
+        vectors, targets = _span_family(rng, n, d, _rand_rf_entry, RatFn.ZERO)
+        coords = _check_span_against_oracle(vectors, targets, RF)
+        seen["in"] += sum(x is not None for x in coords)
+        seen["out"] += sum(x is None for x in coords)
+    assert min(seen.values()) > 10
+
+
+@pytest.mark.parametrize("ring", [QQ, RF])
+def test_span_coordinates_edge_families(ring):
+    one, zero = ring.one, ring.zero
+    unit = [tuple(one if i == j else zero for i in range(3)) for j in range(3)]
+    half = ring.promote(Fraction(1, 2))
+    target = (half, one, zero)
+    # empty family: only the zero vector is in the span
+    assert span_coordinates([], [(zero,) * 3, target], ring) == (0, [(), None])
+    # no targets, zero-length vectors, and no vectors or targets at all
+    assert span_coordinates(unit, [], ring) == (3, [])
+    assert span_coordinates([(), ()], [()], ring) == (0, [(zero, zero)])
+    assert span_coordinates([], [], ring) == (0, [])
+    # a full family spans everything; a zero vector adds nothing
+    assert span_coordinates(unit, [target], ring) == (3, [target])
+    assert span_coordinates([(zero,) * 3] + unit[:2], [target, unit[2]], ring) == (
+        2,
+        [(zero, half, one), None],
+    )
+    for vectors in ([unit[0], unit[0], unit[1]], unit + [target]):
+        _check_span_against_oracle(vectors, [target, unit[2], (zero,) * 3], ring)

@@ -730,6 +730,8 @@ def test_int_form_division_gcd_and_lcm_match_the_oracle():
         want_quot, want_rem = oracle_poly_divmod(a, b)
         _assert_same(quot, want_quot)
         _assert_same(rem, want_rem)
+        _assert_same(a // b, want_quot)
+        _assert_same(a % b, want_rem)
         if not a.is_zero:
             d, s, t = a.xgcd(b)
             _assert_same(d, g)

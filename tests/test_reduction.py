@@ -36,7 +36,7 @@ from redform import (
 )
 from redform import reduction
 from redform.errors import InternalError
-from redform.linalg import mat_vec, rank
+from redform.linalg import mat_vec
 from redform.reduction import ReductionCertificate, lie_basis_flags
 
 from helpers import (
@@ -148,7 +148,7 @@ class TestConstantBasisSubspace:
             joint = [list(v) for v in w] + [list(v) for v in out_rf]
             m_joint = Mat(RF, [[joint[r][i] for r in range(len(joint))] for i in range(3)])
             m_w = Mat(RF, [[w[r][i] for r in range(len(w))] for i in range(3)])
-            assert rank(m_joint) == rank(m_w) == len(w)
+            assert len(m_joint.rref()[1]) == len(m_w.rref()[1]) == len(w)
 
 
 def _outcome(fn, *args):
@@ -412,6 +412,20 @@ class TestLieBasisFlags:
 
     def test_empty(self):
         assert lie_basis_flags(LieBasis(2, ())) == (True, True)
+
+    def test_rational_function_bracket_outside_the_span(self):
+        # [E12, E21/x] = diag(1, -1)/x is not a combination of E12 and E21/x
+        e12 = Mat(RF, [[rf("0"), rf("1")], [rf("0"), rf("0")]])
+        e21 = Mat(RF, [[rf("0"), rf("0")], [rf("1/x"), rf("0")]])
+        assert lie_basis_flags(LieBasis(2, (e12,))) == (True, True)
+        assert lie_basis_flags(LieBasis(2, (e12, e21))) == (True, False)
+
+    def test_weighted_swap_and_identity(self):
+        basis = LieBasis(2, (weighted_swap(), Mat.identity(RF, 2)))
+        assert lie_basis_flags(basis) == (True, True)
+
+    def test_repeated_weighted_swap(self):
+        assert lie_basis_flags(LieBasis(2, (weighted_swap(), weighted_swap()))) == (False, True)
 
 
 class TestCriterionConsistency:
