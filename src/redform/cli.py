@@ -3,7 +3,9 @@
 Exit codes: 0 definitive success, 1 definitive negative verdict (carrying a
 witness), 2 inconclusive within the configured bounds, 3 input or usage
 error, 4 internal error.  The separation keeps scripts from mistaking
-bound-limited incompleteness, or a bug, for refutation.
+bound-limited incompleteness, or a bug, for refutation.  The payload goes
+to stdout, or to the ``--out`` file; when that file cannot be written the
+exit code is 3 and the ``usage_error`` payload goes to stdout instead.
 """
 
 from __future__ import annotations
@@ -52,15 +54,6 @@ EXIT_USAGE = 3
 EXIT_INTERNAL = 4
 
 _VERDICT_ERRORS = (NotSemiInvariant, NotSplit, DefectiveEigenstructure, NotStable, NotReduced)
-
-
-def _emit(payload, out_path):
-    text = jsonio.dumps(payload)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _load_system(path):
@@ -367,23 +360,15 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The command-line parser.  When ``argv`` starts with a subcommand name,
-    only that subcommand's parser is added; otherwise (no argv, ``-h``, an
-    unknown command) every subcommand is.  Usage and error messages are the
-    same either way."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser with every subcommand; ``main`` parses with
+    the one built at import."""
     parser = argparse.ArgumentParser(
         prog="redform",
         description="Exact reduced-form analysis of linear differential systems",
     )
-    selected = argv[0] if argv and argv[0] in _COMMANDS else None
-    # with one subcommand added, the metavar keeps the top-level usage line
-    # (printed for unrecognized arguments) listing them all
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}" if selected else None
-    )
-    for name in [selected] if selected else _COMMANDS:
-        required, optional = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (required, optional) in _COMMANDS.items():
         # no abbreviations: a prefix such as --n must not stand in for
         # --new-var or --num-deg
         p = sub.add_parser(name, allow_abbrev=False)
@@ -391,8 +376,14 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
             p.add_argument("--" + flag, required=True, **_FLAGS[flag])
         for flag in optional.split() + ["out"]:
             p.add_argument("--" + flag, **_FLAGS[flag])
-        p.set_defaults(fn=globals()["cmd_" + name.replace("-", "_")])
     return parser
+
+
+_PARSER = build_parser()
+
+
+def _error(reason, message):
+    return {"ok": False, "error": {"reason": reason, "message": message}}
 
 
 def _internal_error(exc):
@@ -400,33 +391,34 @@ def _internal_error(exc):
     import traceback
 
     traceback.print_exception(exc, file=sys.stderr)
-    message = str(exc) or type(exc).__name__
-    return {"ok": False, "error": {"reason": InternalError.reason, "message": message}}, EXIT_INTERNAL
+    return _error(InternalError.reason, str(exc) or type(exc).__name__), EXIT_INTERNAL
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors; remap to the documented code
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        payload, code = args.fn(args)
+        payload, code = globals()["cmd_" + args.command.replace("-", "_")](args)
     except InternalError as exc:
         payload, code = _internal_error(exc)
     except RedformError as exc:
         code = EXIT_NEGATIVE if isinstance(exc, _VERDICT_ERRORS) else EXIT_USAGE
-        payload = {"ok": False, "error": {"reason": exc.reason, "message": str(exc)}}
+        payload = _error(exc.reason, str(exc))
     except (OSError, ValueError) as exc:
-        payload, code = (
-            {"ok": False, "error": {"reason": "usage_error", "message": str(exc)}},
-            EXIT_USAGE,
-        )
+        payload, code = _error("usage_error", str(exc)), EXIT_USAGE
     except Exception as exc:
         payload, code = _internal_error(exc)
-    _emit(payload, args.out)
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(jsonio.dumps(payload))
+            return code
+        except OSError as exc:
+            payload, code = _error("usage_error", str(exc)), EXIT_USAGE
+    sys.stdout.write(jsonio.dumps(payload))
     return code
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import Construction, constr_lie, constr_vector
-from .errors import DimensionMismatch, InvalidArity, RedformError
+from .errors import DimensionMismatch, InternalError, InvalidArity
 from .linalg import Mat, QQ, charpoly, mat_vec, nullspace, row_space_canonical
 from .ratfun import Poly, RatFn, _clear_all, common_denominator, integer_roots
 from .systems import DiffSystem, singularities
@@ -68,7 +68,7 @@ def _residue_matrix(sys: DiffSystem, place: Poly) -> Mat:
         if not den % place:
             g, inv, _ = ((den // place) * deriv).xgcd(place)
             if g.degree != 0:
-                raise RedformError("place not coprime to residual denominator")
+                raise InternalError("place not coprime to residual denominator")
             inverses[den] = inv
     zero = Fraction(0)
     low = place.monic().coeffs[:-1]

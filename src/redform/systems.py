@@ -77,13 +77,11 @@ class SingularityReport:
 
 
 def _coprime_basis(polys):
-    """Pairwise coprime monic squarefree factors covering all inputs."""
+    """Pairwise coprime monic factors covering all inputs, which must be
+    squarefree: then each split below leaves coprime monic parts, so the
+    factors are distinct."""
     basis = []
-    work = [p.monic() for p in polys if p.degree >= 1]
-    while work:
-        q = work.pop()
-        if q.degree < 1:
-            continue
+    for q in [p.monic() for p in polys if p.degree >= 1]:
         refined = []
         for b in basis:
             g = b.gcd(q)
@@ -92,18 +90,13 @@ def _coprime_basis(polys):
                 continue
             rest = b // g
             if rest.degree >= 1:
-                refined.append(rest.monic())
+                refined.append(rest)
             refined.append(g)
             q = q // g
         if q.degree >= 1:
-            refined.append(q.monic())
+            refined.append(q)
         basis = refined
-    # merge duplicates that may appear when a factor equals an existing one
-    unique = []
-    for b in basis:
-        if all(b != u for u in unique):
-            unique.append(b)
-    return unique
+    return basis
 
 
 def _multiplicity(place: Poly, den: Poly) -> int:

@@ -10,7 +10,7 @@ from redform.cli import main
 from redform.reduction import ReductionCertificate
 from redform.errors import ParseError
 from redform.jsonio import certificate_from_json, system_from_json
-from redform.ratfun import RatFn, parse_ratfn
+from redform.ratfun import Poly, RatFn, parse_ratfn
 
 DEMO = {"var": "x", "n": 2, "A": [["0", "1"], ["x", "1/(2*x)"]]}
 SWAP = {"var": "x", "M": [["0", "1/x"], ["1", "0"]]}
@@ -449,6 +449,19 @@ class TestInternalErrors:
         )
         assert code == 4 and payload["error"]["reason"] == "internal_error"
 
+    def test_failed_residue_self_check_exits_4(self, work, capsys, monkeypatch):
+        # a place that is not coprime to its cofactor is a bug in the
+        # singularity refinement, not bad input
+        monkeypatch.setattr(Poly, "xgcd", lambda self, other: (Poly.x(), Poly.ONE, Poly()))
+        tmp, write = work
+        sys_path = write("a.json", {"var": "x", "n": 1, "A": [["1/x"]]})
+        code, payload = run(["ratsols", "--system", sys_path], capsys)
+        assert code == 4
+        assert payload["error"] == {
+            "reason": "internal_error",
+            "message": "place not coprime to residual denominator",
+        }
+
 
 class TestStability:
     def test_determinism_byte_identical(self, work, capsys):
@@ -490,6 +503,16 @@ class TestStability:
         assert capsys.readouterr().out == ""
         payload = json.loads(out_path.read_text())
         assert payload["var"] == "t"
+
+    def test_unwritable_out_is_usage_error(self, work, capsys):
+        tmp, write = work
+        sys_path = write("a.json", DEMO)
+        out_path = tmp / "missing" / "result.json"
+        code, payload = run(["pullback", "--system", sys_path, "--out", str(out_path)], capsys)
+        assert code == 3
+        assert payload["error"]["reason"] == "usage_error"
+        assert str(out_path) in payload["error"]["message"]
+        assert not out_path.exists()
 
     def test_emitted_system_round_trips(self, work, capsys):
         tmp, write = work
@@ -736,3 +759,28 @@ class TestFlagTable:
     def test_flag_prefix_is_usage_error(self, capsys):
         assert main(["series", "--system", "s", "--ord", "5"]) == 3
         assert capsys.readouterr().out == ""
+
+
+class TestSharedParser:
+    def test_usage_error_leaves_later_calls_unchanged(self, work, capsys):
+        tmp, write = work
+        sys_path = write("a.json", DEMO)
+        good = ["pullback", "--system", sys_path, "--pullback", "2"]
+        assert main(good[:3] + ["--bogus", "1"]) == 3
+        assert capsys.readouterr().out == ""
+        first = main(good), capsys.readouterr().out
+        second = main(good), capsys.readouterr().out
+        assert first == second and first[0] == 0
+        assert json.loads(first[1])["var"] == "t"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["frobnicate"], ["gauge", "--system", "s", "--P", "p", "--bogus", "1"]],
+        ids=["unknown-command", "unread-flag"],
+    )
+    def test_usage_line_names_every_subcommand(self, argv, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage = captured.err.split("redform: error:")[0]
+        assert "{" + ",".join(READS) + "}" in usage

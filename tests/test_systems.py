@@ -20,6 +20,8 @@ from redform import (
     singularities,
     system,
 )
+from redform.ratfun import squarefree_factors
+from redform.systems import _coprime_basis
 
 from helpers import demo_system, rand_invertible, rand_matrix
 
@@ -168,6 +170,37 @@ class TestSingularities:
                     if p(c) == 0:
                         got = order
                 assert got == want, f"pole order at {c}"
+
+
+    def test_coprime_basis_properties(self):
+        # seeded claim sets built as the squarefree Yun factors of products
+        # of small factors with multiplicities, as singularities builds them
+        rng = random.Random(41)
+        factors = [Poly([c, 1]) for c in range(-3, 4)] + [
+            Poly([1, 0, 1]),
+            Poly([-2, 0, 1]),
+            Poly([1, 1, 1]),
+            Poly([3, 0, 0, 1]),
+        ]
+        for _ in range(200):
+            claims = []
+            for _ in range(rng.randint(1, 5)):
+                den = Poly.ONE
+                for f in rng.sample(factors, rng.randint(1, 4)):
+                    den = den * f ** rng.randint(1, 3)
+                claims += [s for s, _ in squarefree_factors(den)]
+            places = _coprime_basis(claims)
+            assert len({p.coeffs for p in places}) == len(places)
+            for i, p in enumerate(places):
+                assert p.degree >= 1 and p.leading == 1
+                for q in places[i + 1 :]:
+                    assert p.gcd(q) == Poly.ONE
+            for claim in claims:
+                product = Poly.ONE
+                for p in places:
+                    if (claim % p).is_zero:
+                        product = product * p
+                assert product == claim
 
 
 class TestOrdinaryPoints:
