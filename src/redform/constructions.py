@@ -31,14 +31,13 @@ against it.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .errors import DimensionMismatch, InvalidArity, ParseError
 from .linalg import Mat
-from .ratfun import _MAX_LITERAL_DIGITS, _int_from_digits
+from .ratfun import _Parser, _tokenize
 from .systems import DiffSystem, mat_derivative
 
 
@@ -108,74 +107,42 @@ END_CONSTRUCTION = Tensor(Base(), Dual(Base()))
 # ---------------------------------------------------------------------------
 # Parsing
 
-_CONSTR_TOKEN = re.compile(r"\s*(?:(\d+)|([a-z]+)|([(),]))")
+# name -> (node class, its arguments: "r" a positive integer power, "c" a construction)
+_CONSTRUCTORS = {"base": (Base, ""), "dual": (Dual, "c"), "tensor": (Tensor, "cc"),
+                 "dsum": (DirectSum, "cc"), "sym": (Sym, "rc"), "ext": (Ext, "rc")}
+
+
+class _ConstructionParser(_Parser):
+    noun = "construction expression"
+
+    def node(self) -> Construction:
+        kind, name = self.take()
+        if kind != "name":
+            raise ParseError(f"expected a constructor name, got {name!r}")
+        if name not in _CONSTRUCTORS:
+            raise ParseError(f"unknown constructor {name!r}")
+        cls, slots = _CONSTRUCTORS[name]
+        args = []
+        for k, slot in enumerate(slots):
+            self.expect_op("," if k else "(")
+            if slot == "c":
+                args.append(self.nested(self.node))
+                continue
+            kind, r = self.take()
+            if kind != "int" or r < 1:
+                raise ParseError(f"{name} needs a positive integer power")
+            args.append(r)
+        if slots:
+            self.expect_op(")")
+        return cls(*args)
 
 
 def parse_construction(text: str) -> Construction:
-    """Parse strings like ``tensor(base,dual(base))`` or ``ext(2,base)``."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _CONSTR_TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            tail = text[pos:].strip()
-            if not tail:
-                break
-            raise ParseError(f"unexpected character {tail[0]!r} in construction")
-        if m.group(1) is not None:
-            if len(m.group(1)) > _MAX_LITERAL_DIGITS:
-                raise ParseError(f"integer literal exceeds {_MAX_LITERAL_DIGITS} digits in construction")
-            tokens.append(("int", _int_from_digits(m.group(1))))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
-
-    def take(expected=None):
-        nonlocal idx
-        if idx >= len(tokens):
-            raise ParseError("unexpected end of construction expression")
-        tok = tokens[idx]
-        idx += 1
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected[1]!r} in construction expression")
-        return tok
-
-    def node() -> Construction:
-        kind, value = take()
-        if kind != "name":
-            raise ParseError(f"expected a constructor name, got {value!r}")
-        if value == "base":
-            return Base()
-        if value == "dual":
-            take(("op", "("))
-            child = node()
-            take(("op", ")"))
-            return Dual(child)
-        if value in ("tensor", "dsum"):
-            take(("op", "("))
-            left = node()
-            take(("op", ","))
-            right = node()
-            take(("op", ")"))
-            return Tensor(left, right) if value == "tensor" else DirectSum(left, right)
-        if value in ("sym", "ext"):
-            take(("op", "("))
-            kind2, r = take()
-            if kind2 != "int" or r < 1:
-                raise ParseError(f"{value} needs a positive integer power")
-            take(("op", ","))
-            child = node()
-            take(("op", ")"))
-            return Sym(r, child) if value == "sym" else Ext(r, child)
-        raise ParseError(f"unknown constructor {value!r}")
-
-    idx = 0
-    result = node()
-    if idx != len(tokens):
-        raise ParseError("trailing input after construction expression")
-    return result
+    """Parse strings like ``tensor(base,dual(base))`` or ``ext(2,base)``,
+    with the tokens and bounds of ``parse_ratfn``: at most 100 levels of
+    nesting and 4,600-digit powers."""
+    parser = _ConstructionParser(_tokenize(text))
+    return parser.whole(parser.node)
 
 
 # ---------------------------------------------------------------------------

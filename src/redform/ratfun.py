@@ -678,11 +678,12 @@ def _pair_mul(p, q):
 # ---------------------------------------------------------------------------
 # Parsing
 
-# Bounds on hostile input.  Parentheses and unary signs nest the recursive
-# descent (up to six Python frames a level), and one power can multiply the
-# degree and the coefficient size of its base by its exponent.  An integer
-# literal may run a little past the interpreter's default 4,300-digit
-# conversion limit, so that printed coefficients of that size re-parse.
+# Bounds on hostile input.  Parentheses, unary signs and the arguments of a
+# construction nest the recursive descent (up to six Python frames a level),
+# and one power can multiply the degree and the coefficient size of its base
+# by its exponent.  An integer literal may run a little past the
+# interpreter's default 4,300-digit conversion limit, so that printed
+# coefficients of that size re-parse.
 _MAX_DEPTH = 100
 _MAX_POWER_DEGREE = 1000
 _MAX_POWER_BITS = 10_000
@@ -713,11 +714,13 @@ def _int_str(n: int) -> str:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[()^+\-*/]))"
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[()^+\-*/,]))"
 )
 
 
 def _tokenize(text: str):
+    """Tokens ("int", value), ("name", text) and ("op", symbol) of an
+    expression or a construction."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -743,13 +746,16 @@ def _tokenize(text: str):
     return tokens
 
 
-class _RatFnParser:
-    """Recursive descent for integers, one variable, + - * / ^ and parens.
-    Subexpressions are unnormalized integer pairs; ``parse`` normalizes once."""
+class _Parser:
+    """Recursive-descent core over ``_tokenize`` tokens: the cursor, the
+    nesting bound and the end-of-input checks that both grammars share, the
+    expressions here and ``constructions.parse_construction``.  ``noun``
+    names the grammar in error messages."""
 
-    def __init__(self, tokens, var):
+    noun = "expression"
+
+    def __init__(self, tokens):
         self.tokens = tokens
-        self.var = var
         self.pos = 0
         self.depth = 0
 
@@ -757,28 +763,42 @@ class _RatFnParser:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
 
     def take(self):
-        tok = self.peek()
+        if self.pos >= len(self.tokens):
+            raise ParseError(f"unexpected end of {self.noun}")
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def expect_op(self, symbol):
         kind, value = self.take()
         if kind != "op" or value != symbol:
-            raise ParseError(f"expected {symbol!r}")
+            raise ParseError(f"expected {symbol!r} in {self.noun}")
 
     def nested(self, parse_inner):
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels")
+            raise ParseError(f"{self.noun} nested deeper than {_MAX_DEPTH} levels")
         value = parse_inner()
         self.depth -= 1
         return value
 
-    def parse(self) -> RatFn:
-        value = self.expr()
+    def whole(self, parse_inner):
+        """parse_inner() over every token, with no trailing input."""
+        value = parse_inner()
         if self.pos != len(self.tokens):
-            raise ParseError("trailing input after expression")
-        return _pair_ratfn(*value)
+            raise ParseError(f"trailing input after {self.noun}")
+        return value
+
+
+class _RatFnParser(_Parser):
+    """Recursive descent for integers, one variable, + - * / ^ and parens.
+    Subexpressions are unnormalized integer pairs; ``parse`` normalizes once."""
+
+    def __init__(self, tokens, var):
+        super().__init__(tokens)
+        self.var = var
+
+    def parse(self) -> RatFn:
+        return _pair_ratfn(*self.whole(self.expr))
 
     def expr(self):
         value = self.term()
@@ -848,7 +868,7 @@ class _RatFnParser:
             inner = self.nested(self.expr)
             self.expect_op(")")
             return inner
-        raise ParseError("unexpected end of expression" if kind is None else f"unexpected token {value!r}")
+        raise ParseError(f"unexpected token {value!r}")
 
 
 def parse_ratfn(text: str, var: str = "x") -> RatFn:
@@ -910,14 +930,15 @@ def parse_rat(text) -> Fraction:
 # Printing
 
 
-def poly_str(p: Poly, var: str = "x") -> str:
-    """Canonical string, highest degree first; reparses to the same value."""
-    if p.is_zero:
+def _terms_str(coeffs, var: str) -> str:
+    """The sum of ``coeffs[k] * var^k`` (ints or Fractions, lowest degree
+    first, the last nonzero), highest degree first; "0" when empty."""
+    if not coeffs:
         return "0"
     parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if c == 0:
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
             continue
         mag = rat_str(abs(c))
         if k == 0:
@@ -933,14 +954,17 @@ def poly_str(p: Poly, var: str = "x") -> str:
     return "".join(parts)
 
 
+def poly_str(p: Poly, var: str = "x") -> str:
+    """Canonical string, highest degree first; reparses to the same value."""
+    return _terms_str(p.coeffs, var)
+
+
 def ratfn_str(r: RatFn, var: str = "x") -> str:
     """Canonical string form; integer-cleared num/den when den is nontrivial."""
-    if r.is_zero:
-        return "0"
     if r.den == Poly.ONE:
         return poly_str(r.num, var)
     (num, den), _ = _clear_all([r.num, r.den])
-    return f"({poly_str(Poly(num), var)})/({poly_str(Poly(den), var)})"
+    return f"({_terms_str(num, var)})/({_terms_str(den, var)})"
 
 
 # ---------------------------------------------------------------------------

@@ -425,14 +425,11 @@ def oracle_poly_divmod(a, b):
 
 class _OracleParser(ratfun._RatFnParser):
     """The grammar of ``parse_ratfn`` with full ``RatFn`` arithmetic,
-    normalized after every operation; only the token handling and the depth
-    bound are inherited."""
+    normalized after every operation; only the token handling, the depth
+    bound and the trailing-input check are inherited."""
 
     def parse(self) -> RatFn:
-        value = self.expr()
-        if self.pos != len(self.tokens):
-            raise ParseError("trailing input after expression")
-        return value
+        return self.whole(self.expr)
 
     def expr(self) -> RatFn:
         value = self.term()
@@ -502,7 +499,7 @@ class _OracleParser(ratfun._RatFnParser):
             inner = self.nested(self.expr)
             self.expect_op(")")
             return inner
-        raise ParseError("unexpected end of expression" if kind is None else f"unexpected token {value!r}")
+        raise ParseError(f"unexpected token {value!r}")
 
 
 def oracle_parse_ratfn(text, var="x"):
@@ -511,6 +508,41 @@ def oracle_parse_ratfn(text, var="x"):
     if not tokens:
         raise ParseError("empty expression")
     return _OracleParser(tokens, var).parse()
+
+
+def oracle_terms_str(coeffs, var="x"):
+    """``poly_str`` of Fraction coefficients, lowest degree first: nonzero
+    terms highest degree first, unit magnitudes dropped, "0" when empty."""
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        mag = ratfun.rat_str(abs(c))
+        if k == 0:
+            body = mag
+        elif mag == "1":
+            body = var if k == 1 else f"{var}^{k}"
+        else:
+            body = f"{mag}*{var}" if k == 1 else f"{mag}*{var}^{k}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f" + {body}" if c > 0 else f" - {body}")
+    return "".join(parts) or "0"
+
+
+def oracle_ratfn_str(r, var="x"):
+    """``ratfn_str`` on Fraction coefficients: a polynomial prints as its
+    terms; otherwise num and den are scaled by one positive rational to
+    coprime integers and each prints in parentheses."""
+    num, den = r.num.coeffs, r.den.coeffs
+    if den == (1,):
+        return oracle_terms_str(num, var)
+    scale = math.lcm(*[c.denominator for c in num + den])
+    content = math.gcd(*[int(c * scale) for c in num + den])
+    num, den = ([Fraction(int(c * scale) // content) for c in cs] for cs in (num, den))
+    return f"({oracle_terms_str(num, var)})/({oracle_terms_str(den, var)})"
 
 
 def oracle_integer_roots(p):

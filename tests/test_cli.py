@@ -15,6 +15,8 @@ from redform.ratfun import Poly, RatFn, parse_ratfn
 DEMO = {"var": "x", "n": 2, "A": [["0", "1"], ["x", "1/(2*x)"]]}
 SWAP = {"var": "x", "M": [["0", "1/x"], ["1", "0"]]}
 DIAG_BASIS = {"n": 2, "generators": [[["1", "0"], ["0", "-1"]]]}
+ZERO_2X2 = {"var": "x", "n": 2, "A": [["0", "0"], ["0", "0"]]}
+DEEP_CONSTR = "dual(" * 3000 + "base" + ")" * 3000
 
 
 @pytest.fixture
@@ -159,6 +161,42 @@ class TestVerdicts:
         # the override finds the solution but forfeits the completeness claim
         assert code == 2
         assert payload["basis"] == [["(1)/(x)"]] and payload["complete"] is False
+
+    def test_harvest_entry_error_is_inconclusive(self, work, capsys):
+        # ext(3) of a 2-dimensional space does not exist; the harvest reports
+        # the entry's error and stays inconclusive instead of failing whole
+        tmp, write = work
+        sys_path = write("z.json", ZERO_2X2)
+        code, payload = run(["harvest", "--system", sys_path, "--constrs", "base;ext(3,base)"], capsys)
+        assert code == 2
+        assert payload["results"][0]["constr"] == "base" and payload["results"][0]["complete"] is True
+        assert payload["results"][1] == {
+            "constr": "ext(3,base)",
+            "error": "InvalidArity: ext(3) exceeds child dimension 2",
+        }
+
+    def test_check_reduced_with_incomplete_harvest_is_inconclusive(self, work, capsys):
+        # 1/x^2 has an irregular singularity at 0: no certified pole bound
+        tmp, write = work
+        sys_path = write("p.json", {"var": "x", "n": 1, "A": [["1/x^2"]]})
+        code, payload = run(["check-reduced", "--system", sys_path, "--constrs", "base"], capsys)
+        assert code == 2
+        assert payload["harvest_complete"] is False
+        assert "invariant harvest incomplete within bounds" in payload["caveats"]
+
+    def test_katz_check_invariant_not_annihilated(self, work, capsys):
+        # the identity is a stable endomorphism, but it acts on the base
+        # invariant (1, 0) as the identity, not as zero
+        tmp, write = work
+        sys_path = write("a.json", DEMO)
+        basis_path = write("i.json", {"var": "x", "elements": [[["1", "0"], ["0", "1"]]]})
+        invs_path = write("invs.json", {"var": "x", "invariants": [{"constr": "base", "v": ["1", "0"]}]})
+        code, payload = run(
+            ["katz-check", "--system", sys_path, "--basis", basis_path, "--invariants", invs_path], capsys
+        )
+        assert code == 1
+        assert payload["stable"] is True and payload["annihilates_invariants"] is False
+        assert payload["annihilation"] == [{"annihilated": False, "generator": 0, "invariant": 0}]
 
     def test_check_reduced_invalid_line_is_usage_error(self, work, capsys):
         tmp, write = work
@@ -461,6 +499,56 @@ class TestInternalErrors:
             "reason": "internal_error",
             "message": "place not coprime to residual denominator",
         }
+
+
+class TestHostileConstructions:
+    """Construction text reaches the CLI through --constr, --constrs and the
+    constr of an invariants file; each path is bounded like an expression."""
+
+    def _constr(self, work, constr):
+        tmp, write = work
+        mat_path = write("m.json", {"var": "x", "M": [["1", "x"], ["0", "1"]]})
+        return ["constr", "--constr", constr, "--matrix", mat_path, "--mode", "group"]
+
+    def _harvest(self, work, constr):
+        tmp, write = work
+        return ["harvest", "--system", write("z.json", ZERO_2X2), "--constrs", f"base;{constr}"]
+
+    def _verify_reduction(self, work, constr):
+        tmp, write = work
+        invs = {"var": "x", "invariants": [{"constr": constr, "v": ["1", "0"]}]}
+        return [
+            "verify-reduction",
+            "--system",
+            write("z.json", ZERO_2X2),
+            "--P",
+            write("p.json", {"var": "x", "M": [["1", "0"], ["0", "1"]]}),
+            "--invariants",
+            write("invs.json", invs),
+        ]
+
+    @pytest.mark.parametrize("entry", ["_constr", "_harvest", "_verify_reduction"])
+    @pytest.mark.parametrize(
+        "constr",
+        [DEEP_CONSTR, "dual(" * 101 + "base" + ")" * 101, "dual(b@se)"],
+        ids=["depth-3000", "depth-101", "character"],
+    )
+    def test_hostile_construction_is_parse_error(self, work, capsys, entry, constr):
+        code, payload = run(getattr(self, entry)(work, constr), capsys)
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
+
+    def test_depth_100_is_read(self, work, capsys):
+        # dual applied an even number of times is base again, up to the
+        # canonical basis
+        constr = "dual(" * 100 + "base" + ")" * 100
+        code, payload = run(self._constr(work, constr), capsys)
+        assert code == 0 and payload["M"] == [["1", "x"], ["0", "1"]]
+
+    def test_unexpected_character_in_an_entry_is_parse_error(self, work, capsys):
+        tmp, write = work
+        sys_path = write("bad.json", {"var": "x", "n": 1, "A": [["x @ 1"]]})
+        code, payload = run(["series", "--system", sys_path], capsys)
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
 
 
 class TestStability:

@@ -98,6 +98,56 @@ class TestParsing:
             with pytest.raises((ParseError, InvalidArity)):
                 parse_construction(text)
 
+    def test_nesting_bound_matches_expressions(self):
+        # the construction and expression grammars share one descent core
+        # and its 100-level bound
+        assert parse_construction("dual(" * 100 + "base" + ")" * 100) is not None
+        assert rf("(" * 100 + "x" + ")" * 100) == rf("x")
+        for depth in (101, 3000):
+            with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+                parse_construction("dual(" * depth + "base" + ")" * depth)
+            with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+                rf("(" * depth + "x" + ")" * depth)
+
+    def test_nesting_counts_every_argument(self):
+        deep = "dual(" * 99 + "base" + ")" * 99
+        assert parse_construction(f"tensor(base,{deep})") == Tensor(Base(), parse_construction(deep))
+        assert parse_construction(f"sym(2,{deep})") == Sym(2, parse_construction(deep))
+        with pytest.raises(ParseError):
+            parse_construction(f"dsum(base,dual({deep}))")
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_construction, "dual(b@se)"),
+            (parse_construction, "sym(2;base)"),
+            (parse_construction, "tensor(base,base]"),
+            (rf, "x @ 1"),
+            (rf, "(x+1)]"),
+        ],
+    )
+    def test_unexpected_character_is_parse_error(self, parse, text):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "unexpected end of construction expression"),
+            ("dual(", "unexpected end of construction expression"),
+            ("sym(2", "unexpected end of construction expression"),
+            ("tensor(base)", "expected ',' in construction expression"),
+            ("Base", "unknown constructor 'Base'"),
+            ("(base)", "expected a constructor name, got '('"),
+            ("ext(x,base)", "ext needs a positive integer power"),
+            ("base,base", "trailing input after construction expression"),
+        ],
+    )
+    def test_malformed_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_construction(text)
+        assert str(exc.value) == message
+
 
 class TestBasisOrder:
     def test_tensor_row_major(self):

@@ -44,6 +44,7 @@ from helpers import (
     oracle_poly_shift,
     oracle_poly_substitute_power,
     oracle_poly_sqrt,
+    oracle_ratfn_str,
     rand_matrix,
     rand_poly,
     rand_ratfn,
@@ -508,6 +509,32 @@ def test_ratfn_str_prints_the_integer_cleared_pair():
     assert ratfn_str(r) == "(30*x + 20)/(15*x^2 + 12)"
     r = RatFn(Poly([0, Fraction(-4, 3)]), Poly([Fraction(2, 9), Fraction(2, 3)]))
     assert ratfn_str(r) == "(-6*x)/(3*x + 1)"
+
+
+def _rand_print_coeff(rng):
+    kind = rng.random()
+    if kind < 0.3:
+        return 0
+    if kind < 0.9:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    # past the interpreter's 4,300-digit int-to-string limit
+    return Fraction(rng.choice([-1, 1]) * (10 ** 4400 + rng.randint(0, 99)), rng.choice([1, 3, 10 ** 4350 + 1]))
+
+
+def test_ratfn_str_matches_the_fraction_formatter():
+    rng = random.Random(19)
+    values = [RatFn.ZERO, RatFn.ONE, RatFn.const(-1), RatFn.const(Fraction(-7, 2)), RatFn(Poly([0, -1]))]
+    for _ in range(600):
+        num = Poly([_rand_print_coeff(rng) for _ in range(rng.randint(0, 3))])
+        den = Poly([_rand_print_coeff(rng) for _ in range(rng.randint(0, 2))] + [rng.choice([-3, -1, 1, 2])])
+        values.append(RatFn(num, den))
+    assert sum(abs(c.numerator) > 10 ** 4300 for r in values for c in r.num.coeffs + r.den.coeffs) > 20
+    for r in values:
+        for var in ("x", "t"):
+            assert ratfn_str(r, var) == oracle_ratfn_str(r, var)
+            assert poly_str(r.num, var) == oracle_ratfn_str(RatFn(r.num), var)
+    assert sum(r.num.leading < 0 for r in values) > 100
+    assert sum(r.is_constant for r in values) > 20
 
 
 def test_integer_roots_divide_out_the_content():

@@ -1,6 +1,7 @@
 """Reduction criteria, constant bases, and the reducer."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -285,6 +286,14 @@ class TestReduceByDiagonalization:
         diag = {b.data[0][0], b.data[1][1]}
         assert diag == {rf("2*t^2", "t"), rf("-2*t^2", "t")}
         assert cert.verify(demo_system())
+
+    def test_tampered_certificate_fails_verification(self):
+        cert = reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
+        flipped_b = [list(row) for row in cert.reduced.data]
+        flipped_b[0][0] = -flipped_b[0][0]
+        assert not replace(cert, reduced=Mat(RF, flipped_b)).verify(demo_system())
+        flipped_coeffs = (-cert.coeffs[0],) + cert.coeffs[1:]
+        assert not replace(cert, coeffs=flipped_coeffs).verify(demo_system())
 
     def test_certificate_decomposition_recombines(self):
         cert = reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
