@@ -37,7 +37,7 @@ from math import comb
 
 from .errors import DimensionMismatch, InvalidArity, ParseError
 from .linalg import Mat
-from .ratfun import _Parser, _tokenize
+from .ratfun import _Parser, _quote, _tokenize
 from .systems import DiffSystem, mat_derivative
 
 
@@ -118,9 +118,9 @@ class _ConstructionParser(_Parser):
     def node(self) -> Construction:
         kind, name = self.take()
         if kind != "name":
-            raise ParseError(f"expected a constructor name, got {name!r}")
+            raise ParseError(f"expected a constructor name, got {_quote(name)}")
         if name not in _CONSTRUCTORS:
-            raise ParseError(f"unknown constructor {name!r}")
+            raise ParseError(f"unknown constructor {_quote(name)}")
         cls, slots = _CONSTRUCTORS[name]
         args = []
         for k, slot in enumerate(slots):

@@ -124,7 +124,8 @@ def annihilates_invariants(generators, invariants) -> AnnihilationReport:
 
 
 def commutant(basis: LieBasis):
-    """Echelon basis of the constant matrices commuting with every generator."""
+    """Basis of the constant matrices commuting with every generator, one per
+    free column: the reduced echelon basis under reversed column order."""
     n = basis.n
     if not basis.generators:
         return [
@@ -182,7 +183,8 @@ def stable_subspace_criterion(
 
 
 def stabilizer_of_invariant(c: Construction, v, n: int):
-    """Echelon basis of {h in gl_n : constr_lie(c, h) * v = 0}.
+    """Basis of {h in gl_n : constr_lie(c, h) * v = 0}, one per free column:
+    the reduced echelon basis under reversed column order.
 
     Columns of the defining linear map are produced from the elementary
     matrices; the null space is computed over the rational functions.

@@ -23,7 +23,9 @@ width limit:
 of [V | T], vectors then targets as columns, with pivots in V's columns only,
 gives the rank of V and the coordinates of every target in the span, or
 None for a target outside it.  ``inv`` takes the coordinates of the unit
-vectors.  ``charpoly`` runs Berkowitz's division-free algorithm (Berkowitz
+vectors.  The ``nullspace`` of m with its columns reversed, each vector and
+the list read backwards, is ``row_space_canonical(nullspace(m))``.
+``charpoly`` runs Berkowitz's division-free algorithm (Berkowitz
 1984) on the integer matrix d*m, d the lcm of the denominators of m:
 p_m(T) = d^-n p_dm(d T).  Products over Q(x) sum each entry as ``ratfun``
 integer pairs and normalize it once.
@@ -123,9 +125,6 @@ class Mat:
     def __getitem__(self, key):
         i, j = key
         return self.data[i][j]
-
-    def col(self, j):
-        return tuple(self.data[i][j] for i in range(self.rows))
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -388,7 +387,9 @@ def mat_vec(m: Mat, vec):
 
 
 def nullspace(m: Mat):
-    """Canonical basis of the right kernel, one vector per free column."""
+    """Right kernel, one vector per free column f: 1 at f, 0 at the other
+    free columns, nonzero elsewhere only at pivots before f; read backwards,
+    each vector and the list, the reduced echelon basis with columns reversed."""
     ring = m.ring
     reduced, pivots = m.rref()
     pivot_set = set(pivots)

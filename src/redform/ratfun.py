@@ -713,6 +713,13 @@ def _int_str(n: int) -> str:
     return _int_str(high) + _int_str(low).zfill(k)
 
 
+def _quote(token) -> str:
+    """``repr`` of a token (text or an int) for a parse error, or past 20
+    characters that of its first 20 and its length: messages stay short."""
+    text = token if isinstance(token, str) else _int_str(token)
+    return repr(token) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[()^+\-*/,]))"
 )
@@ -725,11 +732,11 @@ def _tokenize(text: str):
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            tail = text[pos:].strip()
-            if not tail:
+        if m is None:
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
-            raise ParseError(f"unexpected character {tail[0]!r} in {text!r}")
+            raise ParseError(f"unexpected character {rest[0]!r} at offset {len(text) - len(rest)}")
         if m.group("int") is not None:
             digits = m.group("int")
             if len(digits) > _MAX_LITERAL_DIGITS:
@@ -861,7 +868,7 @@ class _RatFnParser(_Parser):
         if kind == "name":
             if value != self.var:
                 raise ParseError(
-                    f"unknown symbol {value!r}, expected variable {self.var!r}"
+                    f"unknown symbol {_quote(value)}, expected variable {_quote(self.var)}"
                 )
             return [0, 1], [1]
         if kind == "op" and value == "(":
@@ -905,7 +912,7 @@ def parse_rat(text) -> Fraction:
         return Fraction(text)
     m = _RAT_RE.fullmatch(str(text))
     if m is None:
-        raise ParseError(f"invalid rational constant {text!r}")
+        raise ParseError(f"invalid rational constant {_quote(str(text))}")
     num, denom, decimal, exp = (
         (m.group(k) or "").replace("_", "") for k in ("num", "denom", "decimal", "exp")
     )
@@ -921,7 +928,7 @@ def parse_rat(text) -> Fraction:
             _int_from_digits(num + decimal or "0"), _int_from_digits(denom or "1") * 10 ** len(decimal)
         )
     except ZeroDivisionError as exc:
-        raise ParseError(f"invalid rational constant {text!r}") from exc
+        raise ParseError(f"invalid rational constant {_quote(str(text))}") from exc
     value *= Fraction(10) ** (-shift if exp.startswith("-") else shift)
     return -value if m.group("sign") == "-" else value
 

@@ -72,9 +72,6 @@ class TruncSeries:
             out.append((a.coeff(k) - sum(map(mul, b[1:], reversed(out)))) / b[0])
         return TruncSeries(out, order)
 
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
 
 @dataclass(frozen=True)
 class SeriesMat:
@@ -92,12 +89,6 @@ class SeriesMat:
     @property
     def order(self) -> int:
         return len(self.coeffs)
-
-    def coeff_matrix(self, k: int) -> Mat:
-        return self.coeffs[k]
-
-    def coeff_matrices(self):
-        return list(self.coeffs)
 
 
 def fundamental_series(sys: DiffSystem, x0, order: int) -> SeriesMat:

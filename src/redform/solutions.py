@@ -7,7 +7,8 @@ system over Q whose null space is returned, echelonized canonically
 (unknowns ordered entry-major then by ascending power, pivots normalized
 to one).  The system is built directly as rows of Python ints, one block of
 rows per equation, each block cleared of denominators by one common lcm;
-the elimination over Q reads such rows as they are.
+the elimination over Q reads such rows as they are.  One elimination, with
+the columns reversed, gives that canonical basis (``linalg.nullspace``).
 
 Denominator bounds: at a finite place where every entry has at most a simple
 pole, a rational solution with a pole of order k forces -k to be an integer
@@ -198,16 +199,13 @@ def rational_solutions(
     # the cap applies to the ansatz numerator; make sure constants stay
     # representable even for large denominators
     cap = max(num_deg_cap, den.degree)
-    kernel = nullspace(Mat._unchecked(QQ, _ansatz_rows(sys, den, cap)))
-    canonical = row_space_canonical(kernel, QQ)
-
-    basis = []
-    for coeffs in canonical:
-        vec = tuple(
-            RatFn(Poly(coeffs[j * (cap + 1) : (j + 1) * (cap + 1)]), den)
-            for j in range(n)
-        )
-        basis.append(vec)
+    # columns reversed, the kernel read backwards is the canonical basis: see ``linalg.nullspace``
+    kernel = nullspace(Mat._unchecked(QQ, tuple(row[::-1] for row in _ansatz_rows(sys, den, cap))))
+    width = cap + 1
+    basis = [
+        tuple(RatFn(Poly(v[::-1][j * width : (j + 1) * width]), den) for j in range(n))
+        for v in reversed(kernel)
+    ]
 
     complete = False
     if den_override is None and all(order == 1 for _, order in report.finite_places):

@@ -492,7 +492,7 @@ class _OracleParser(ratfun._RatFnParser):
         if kind == "name":
             if value != self.var:
                 raise ParseError(
-                    f"unknown symbol {value!r}, expected variable {self.var!r}"
+                    f"unknown symbol {ratfun._quote(value)}, expected variable {ratfun._quote(self.var)}"
                 )
             return RatFn(Poly.x())
         if kind == "op" and value == "(":
@@ -606,6 +606,18 @@ def oracle_ansatz_rows(sys_, den, cap):
     return [[col[i].coeff(k) for col in columns] for i in range(n) for k in range(max_deg + 1)]
 
 
+def oracle_solution_basis(sys_, den, cap):
+    """Canonical basis of the ansatz u/den, deg u <= cap, by two dense
+    eliminations: ``oracle_rref(oracle_nullspace(oracle_ansatz_rows(...)))``,
+    each row cut into n numerators over den."""
+    work, pivots = oracle_rref(oracle_nullspace(oracle_ansatz_rows(sys_, den, cap)))
+    width = cap + 1
+    return tuple(
+        tuple(RatFn(Poly(row[j * width : (j + 1) * width]), den) for j in range(sys_.n))
+        for row in work[: len(pivots)]
+    )
+
+
 def oracle_fundamental_series(sys_, x0, order):
     """Coefficient matrices C_0 = Id, ..., C_(order-1) of the normalized
     fundamental series at x0 by the full Taylor convolution
@@ -617,7 +629,7 @@ def oracle_fundamental_series(sys_, x0, order):
         [TruncSeries.from_ratfn(e, x0, taylor_order) for e in row] for row in sys_.mat.data
     ]
     a_coeffs = [
-        Mat(QQ, [[e.coeff(k) for e in row] for row in a_series])
+        Mat(QQ, [[e.coeffs[k] for e in row] for row in a_series])
         for k in range(taylor_order)
     ]
     cs = [Mat.identity(QQ, sys_.n)]

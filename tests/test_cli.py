@@ -551,6 +551,34 @@ class TestHostileConstructions:
         assert code == 3 and payload["error"]["reason"] == "parse_error"
 
 
+class TestBoundedParseMessages:
+    """A parse error names the offending character and its offset, or quotes
+    a short prefix of the token, however long the input."""
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("entry", "+".join(["x"] * 5000) + "#"),
+            ("entry", "y" * 100_000),
+            ("constr", "dual(" * 3000 + "#" + ")" * 3000),
+            ("x0", "1/" + "2" * 5000 + "#"),
+        ],
+        ids=["long-sum", "long-name", "deep-construction", "long-constant"],
+    )
+    def test_message_is_short(self, work, capsys, field, text):
+        tmp, write = work
+        if field == "constr":
+            mat_path = write("m.json", {"var": "x", "M": [["1", "x"], ["0", "1"]]})
+            args = ["constr", "--constr", text, "--matrix", mat_path]
+        else:
+            entry, x0 = (text, "1") if field == "entry" else ("x", text)
+            sys_path = write("a.json", {"var": "x", "n": 1, "A": [[entry]]})
+            args = ["series", "--system", sys_path, "--x0", x0]
+        code, payload = run(args, capsys)
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
+        assert len(payload["error"]["message"]) < 200
+
+
 class TestStability:
     def test_determinism_byte_identical(self, work, capsys):
         tmp, write = work

@@ -141,6 +141,10 @@ class TestParsing:
             ("(base)", "expected a constructor name, got '('"),
             ("ext(x,base)", "ext needs a positive integer power"),
             ("base,base", "trailing input after construction expression"),
+            ("dual(b@se)", "unexpected character '@' at offset 6"),
+            ("q" * 30, "unknown constructor 'qqqqqqqqqqqqqqqqqqqq'... (30 characters)"),
+            # an integer past the interpreter's 4,300-digit str() limit
+            ("1" * 4400, "expected a constructor name, got '11111111111111111111'... (4400 characters)"),
         ],
     )
     def test_malformed_messages(self, text, message):

@@ -240,6 +240,51 @@ def test_rf_kernel_edge_cases(rows):
 
 
 # ---------------------------------------------------------------------------
+# The kernel under reversed column order, read backwards, is the canonical one
+
+
+def _check_reversed_kernel(m):
+    flipped = Mat._unchecked(m.ring, tuple(row[::-1] for row in m.data))
+    got = tuple(v[::-1] for v in reversed(nullspace(flipped)))
+    assert got == row_space_canonical(nullspace(m), m.ring)
+    return len(got)
+
+
+@pytest.mark.parametrize("ring, entry", [(QQ, _rand_entry), (RF, _rand_rf_entry)], ids=["QQ", "RF"])
+def test_reversed_kernel_is_the_canonical_basis_seeded(ring, entry):
+    rng = random.Random(2020)
+    dims = set()
+    for _ in range(60 if ring is QQ else 25):
+        rows_n, cols_n = rng.randint(1, 5), rng.randint(1, 8)
+        rows = [[entry(rng) for _ in range(cols_n)] for _ in range(rows_n)]
+        if rows_n > 2 and rng.random() < 0.5:
+            # rank deficiency: a combination of two earlier rows
+            c = entry(rng) or ring.one
+            rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+        dims.add(_check_reversed_kernel(Mat(ring, rows)))
+    # wide and square shapes: kernels of several sizes, the empty one too
+    assert {0, 1, 2, 3} <= dims
+
+
+@pytest.mark.parametrize("ring", [QQ, RF], ids=["QQ", "RF"])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],  # empty
+        [[], []],  # no columns
+        [[0, 0, 0], [0, 0, 0]],  # zero: the kernel is everything
+        [[0, 0, 0, 0]],
+        [[1, 2], [3, 4]],  # full rank: the kernel is empty
+        [[1, 2, 3, 4, 5], [2, 4, 6, 8, 10]],  # wide and rank-deficient
+        [[0, 1, 2, 3], [0, 2, 4, 7]],
+        [[1, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 1]],
+    ],
+)
+def test_reversed_kernel_edge_cases(ring, rows):
+    _check_reversed_kernel(Mat(ring, rows))
+
+
+# ---------------------------------------------------------------------------
 # span_coordinates against one oracle solve per target
 
 

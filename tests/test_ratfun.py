@@ -118,6 +118,31 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_ratfn("x +* 2")
 
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_ratfn, "x @ 1", "unexpected character '@' at offset 2"),
+            (parse_ratfn, "x+" * 5000 + "#", "unexpected character '#' at offset 10000"),
+            (parse_ratfn, "y + 1", "unknown symbol 'y', expected variable 'x'"),
+            (
+                parse_ratfn,
+                "y" * 100_000,
+                "unknown symbol 'yyyyyyyyyyyyyyyyyyyy'... (100000 characters), expected variable 'x'",
+            ),
+            (parse_rat, "1/2#", "invalid rational constant '1/2#'"),
+            (
+                parse_rat,
+                "1/" + "2" * 5000 + "#",
+                "invalid rational constant '1/222222222222222222'... (5003 characters)",
+            ),
+            (parse_rat, "1/" + "0" * 30, "invalid rational constant '1/000000000000000000'... (32 characters)"),
+        ],
+    )
+    def test_error_messages_quote_a_short_prefix(self, parse, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
     def test_unary_minus_and_powers(self):
         assert parse_ratfn("-x^2 + 3") == rf("3") - rf("x") * rf("x")
 

@@ -31,6 +31,7 @@ from helpers import (
     demo_system,
     oracle_ansatz_rows,
     oracle_rref,
+    oracle_solution_basis,
     rand_invertible,
     rand_matrix,
     rf,
@@ -113,7 +114,7 @@ class TestRationalSolutions:
                     cap = max(cap, (e * RatFn(den)).num.degree)
             space = rational_solutions(sys_, num_deg_cap=cap, den_override=den)
             assert space.dim == n
-            columns = [pinv.col(j) for j in range(n)]
+            columns = list(zip(*pinv.data))
             assert same_constant_span(space.basis, columns)
             for v in space.basis:
                 _check_solution(sys_, v)
@@ -146,6 +147,52 @@ class TestRationalSolutions:
         original = rational_solutions(base_sys, num_deg_cap=3)
         moved = [mat_vec(pinv, v) for v in original.basis]
         assert same_constant_span(space.basis, moved)
+
+
+class TestCanonicalBasisOracle:
+    """The one elimination of ``rational_solutions`` against the dense
+    two-elimination route: null space of the ansatz rows, then its RREF."""
+
+    @staticmethod
+    def _check(sys_, num_deg_cap, den_override=None, pole_cap=2):
+        space = rational_solutions(sys_, num_deg_cap, den_override, pole_cap)
+        assert space.basis == oracle_solution_basis(sys_, space.denominator, space.num_degree_cap)
+        return space
+
+    def test_seeded_systems(self):
+        rng = random.Random(4049)
+        dims = set()
+        for _ in range(30):
+            n = rng.choice([1, 2, 2, 3])
+            if rng.random() < 0.5:
+                # a gauge of the zero system, whose n solutions are rational
+                sys_ = gauge(system("x", [["0"] * n for _ in range(n)]), rand_invertible(rng, n, ops=2))
+            else:
+                sys_ = system("x", rand_matrix(rng, n, max_deg=1, density=0.6).data)
+            dims.add(self._check(sys_, rng.randint(0, 3)).dim)
+        assert {0, 1, 2} <= dims
+
+    def test_empty_kernel(self):
+        assert self._check(demo_system(), 4).dim == 0
+
+    def test_zero_systems(self):
+        # at cap 0 the ansatz rows are zero and the kernel is full; above it
+        # the constants remain
+        for n, cap in [(1, 0), (2, 0), (3, 0), (2, 2), (3, 1)]:
+            space = self._check(system("x", [["0"] * n for _ in range(n)]), cap)
+            assert space.dim == n
+
+    def test_den_override(self):
+        sys_ = system("x", [["0", "1/x"], ["0", "-1/x"]])
+        for den in [Poly.ONE, rf("x").num, rf("x^2*(x+1)").num, rf("x^2+1/3").num]:
+            space = self._check(sys_, 2, den_override=den)
+            assert space.denominator == den.monic() and not space.complete
+
+    def test_denominator_degree_above_the_cap(self):
+        space = self._check(system("x", [["-3/x"]]), 1)
+        assert space.denominator.degree == 3 and space.num_degree_cap == 3 and space.dim == 1
+        space = self._check(system("x", [["0", "0"], ["0", "0"]]), 0, den_override=rf("x^3").num)
+        assert space.num_degree_cap == 3 and space.dim == 2
 
 
 class TestCheckSemiInvariant:

@@ -99,10 +99,10 @@ class TestPullback:
         for i in range(2):
             for j in range(2):
                 acc = Poly()
-                for c in reversed(original.coeff_matrices()):
+                for c in reversed(original.coeffs):
                     acc = acc * shift + Poly.const(c[(i, j)])
                 assert [acc.coeff(k) for k in range(order)] == [
-                    direct.coeff_matrix(k)[(i, j)] for k in range(order)
+                    direct.coeffs[k][(i, j)] for k in range(order)
                 ]
 
 
