@@ -47,7 +47,6 @@ from .constructions import (
     constr_dim,
     constr_group,
     constr_lie,
-    end_action,
     mat_from_vec,
     parse_construction,
     vec_row_major,
@@ -62,16 +61,13 @@ from .solutions import (
     HarvestEntry,
     SolutionSpace,
     check_semi_invariant,
-    denominator_bound,
     harvest_invariants,
     rational_solutions,
-    same_constant_span,
 )
 from .reduction import (
     LieBasis,
     ReducedReport,
     ReductionCertificate,
-    constant_basis_line,
     constant_basis_subspace,
     is_reduced,
     reduce_by_diagonalization,

@@ -38,7 +38,6 @@ from math import comb
 from .errors import DimensionMismatch, InvalidArity, ParseError
 from .linalg import Mat
 from .ratfun import _Parser, _quote, _tokenize
-from .systems import DiffSystem, mat_derivative
 
 
 @dataclass(frozen=True)
@@ -331,16 +330,3 @@ def mat_from_vec(vec, n: int, ring) -> Mat:
     if len(vec) != n * n:
         raise DimensionMismatch(f"cannot reshape length {len(vec)} into {n}x{n}")
     return Mat(ring, [vec[i * n : (i + 1) * n] for i in range(n)])
-
-
-def end_action(sys: DiffSystem, f: Mat) -> Mat:
-    """Coordinate expression F' - (A*F - F*A) of the connection on End.
-
-    F is horizontal exactly when the result is zero; under row-major
-    flattening this equals dv/dx - constr_lie(tensor(base,dual(base)), A)*v
-    for v = vec(F).
-    """
-    if not f.is_square or f.rows != sys.n:
-        raise DimensionMismatch("endomorphism size must match the system")
-    a = sys.mat
-    return mat_derivative(f) - (a * f - f * a)

@@ -67,7 +67,7 @@ def _const_entry(value):
     """A constant matrix entry: a string or an int, never a bool or a float."""
     if isinstance(value, str) or type(value) is int:
         return parse_rat(value)
-    raise ParseError(f"matrix entries must be strings or integers, got {value!r}")
+    raise ParseError(f"matrix entries must be strings or integers, got {type(value).__name__}")
 
 
 def system_to_json(sys: DiffSystem) -> dict:

@@ -10,14 +10,12 @@ invariants, and against commutants of constant generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .constructions import (
     END_CONSTRUCTION,
     Construction,
     constr_lie,
     constr_vector,
-    end_action,
     mat_from_vec,
     vec_row_major,
 )
@@ -25,7 +23,7 @@ from .errors import DimensionMismatch, NotReduced
 from .linalg import Mat, QQ, RF, RatFnField, mat_vec, nullspace, span_coordinates
 from .ratfun import RatFn, _rat
 from .reduction import LieBasis, wei_norman
-from .solutions import SolutionSpace, rational_solutions
+from .solutions import SolutionSpace, rational_solutions, span_connection
 from .systems import DiffSystem
 
 
@@ -82,13 +80,14 @@ class StabilityReport:
 def check_nabla_stable_span(sys: DiffSystem, basis: EndBasis) -> StabilityReport:
     """Whether the span of the elements is carried into itself by the End
     connection F -> F' - [A, F]; per-element coordinates as witnesses."""
-    images = [end_action(sys, e) for e in basis.elements]
-    rank, coords = span_coordinates(map(vec_row_major, basis.elements), map(vec_row_major, images), RF)
-    if rank != len(images):
+    if any(e.rows != sys.n for e in basis.elements):
+        raise DimensionMismatch("endomorphism size must match the system")
+    rank, coords, nablas = span_connection(sys, END_CONSTRUCTION, map(vec_row_major, basis.elements))
+    if rank != len(coords):
         raise DimensionMismatch("basis elements are dependent over the rational functions")
     entries = [
-        StabilityEntry(idx, x is not None, x, None if x is not None else image)
-        for idx, (x, image) in enumerate(zip(coords, images))
+        StabilityEntry(idx, x is not None, x, None if x is not None else mat_from_vec(nabla, sys.n, RF))
+        for idx, (x, nabla) in enumerate(zip(coords, nablas))
     ]
     return StabilityReport(tuple(entries))
 
@@ -127,18 +126,9 @@ def commutant(basis: LieBasis):
     """Basis of the constant matrices commuting with every generator, one per
     free column: the reduced echelon basis under reversed column order."""
     n = basis.n
-    if not basis.generators:
-        return [
-            Mat(QQ, [[Fraction(1) if (i, j) == (r, c) else Fraction(0) for j in range(n)] for i in range(n)])
-            for r in range(n)
-            for c in range(n)
-        ]
-    rows = []
-    eye = Mat.identity(QQ, n)
-    for g in basis.generators:
-        ad = g.kron(eye) - eye.kron(g.transpose())
-        rows.extend(ad.data)
-    kernel = nullspace(Mat(QQ, rows))
+    # without generators, one zero row leaves every matrix unit free
+    rows = [row for g in basis.generators for row in constr_lie(END_CONSTRUCTION, g).data]
+    kernel = nullspace(Mat(QQ, rows or [[0] * (n * n)]))
     return [mat_from_vec(v, n, QQ) for v in kernel]
 
 
@@ -170,9 +160,8 @@ def stable_subspace_criterion(
     failures = [divmod(k, len(w_vectors)) for k, x in enumerate(coords) if x is None]
     generator_stable = not failures
 
-    lie_a = constr_lie(c, sys.mat)
     w_rf = [tuple(RatFn.const(e) for e in v) for v in w_vectors]
-    nabla_stable = None not in span_coordinates(w_rf, [mat_vec(lie_a, v) for v in w_rf], RF)[1]
+    nabla_stable = None not in span_connection(sys, c, w_rf)[1]
 
     return SubspaceStabilityReport(
         generator_stable=generator_stable,

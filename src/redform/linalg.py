@@ -10,9 +10,8 @@ ints, in one of two kernels, each pivoting only in the columns below a
 width limit:
 
 * ``_rref_integer``, Gauss-Jordan on sparse ``{column: int}`` rows kept
-  primitive, is ``rref`` over Q (so ``nullspace`` and
-  ``row_space_canonical``).  Primitive rows beat fraction-free elimination
-  on the large sparse systems over Q.
+  primitive, is ``rref`` over Q (so ``nullspace``).  Primitive rows beat
+  fraction-free elimination on the large sparse systems over Q.
 * ``_ffgj``, fraction-free Gauss-Jordan on rows cleared to Z[x] (integer
   coefficient lists, each row over its ``ratfun.common_denominator``), one
   exact division by the previous pivot per step and no gcd, is ``rref`` over
@@ -23,8 +22,9 @@ width limit:
 of [V | T], vectors then targets as columns, with pivots in V's columns only,
 gives the rank of V and the coordinates of every target in the span, or
 None for a target outside it.  ``inv`` takes the coordinates of the unit
-vectors.  The ``nullspace`` of m with its columns reversed, each vector and
-the list read backwards, is ``row_space_canonical(nullspace(m))``.
+vectors.  The nonzero rows of ``rref`` are the canonical basis of the row
+space; the ``nullspace`` of m with its columns reversed, each vector and the
+list read backwards, is the canonical basis of the kernel of m.
 ``charpoly`` runs Berkowitz's division-free algorithm (Berkowitz
 1984) on the integer matrix d*m, d the lcm of the denominators of m:
 p_m(T) = d^-n p_dm(d T).  Products over Q(x) sum each entry as ``ratfun``
@@ -448,15 +448,6 @@ def span_coordinates(vectors, targets, ring):
     else:
         raise TypeError("span_coordinates expects the field Q or Q(x)")
     return len(pivots), [coords(t) for t in range(d, len(cols))]
-
-
-def row_space_canonical(vectors, ring):
-    """Canonical (RREF) representation of the span of the given row vectors."""
-    vecs = [tuple(ring.promote(a) for a in v) for v in vectors]
-    if not vecs:
-        return ()
-    reduced, pivots = Mat(ring, vecs).rref()
-    return tuple(reduced.data[r] for r in range(len(pivots)))
 
 
 def charpoly(m: Mat) -> Poly:

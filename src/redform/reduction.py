@@ -8,7 +8,7 @@ reducibility, which is not decided here and is flagged as a caveat).
 
 A stable subspace W has a constant basis exactly when its reduced row echelon
 form over Q(x) is constant: that form is unique, and computed from a constant
-basis it stays in Q.
+basis it stays in Q.  A stable line is the case dim W = 1.
 
 The reducer covers the diagonalizable case: given an endomorphism spanning a
 stable line in End and a radical extension x = t^m over which it has distinct
@@ -27,7 +27,6 @@ from .constructions import (
     Construction,
     END_CONSTRUCTION,
     constr_group,
-    constr_lie,
     constr_vector,
     vec_row_major,
 )
@@ -41,9 +40,9 @@ from .errors import (
     PoleAtPoint,
     SingularGauge,
 )
-from .linalg import Mat, QQ, RF, charpoly, mat_vec, nullspace, row_space_canonical, span_coordinates
+from .linalg import Mat, QQ, RF, charpoly, mat_vec, nullspace, span_coordinates
 from .ratfun import Poly, RatFn, _rat, common_denominator, integer_roots, poly_str, ratfn_sqrt, ratfn_str
-from .solutions import check_semi_invariant, harvest_invariants
+from .solutions import check_semi_invariant, harvest_invariants, span_connection
 from .systems import DiffSystem, gauge, is_ordinary_point, pullback
 
 
@@ -82,25 +81,15 @@ def wei_norman(sys: DiffSystem, basis: LieBasis):
     return None if coeffs is None else list(coeffs)
 
 
-def constant_basis_line(v):
-    """Write v = g*c with g a rational function and c a constant vector.
-
-    Returns (g, c) where g is the first nonzero entry normalized monic over
-    monic, or None when some pairwise entry ratio is not constant.
-    """
-    v = tuple(v)
-    pivot = next((i for i in range(len(v)) if not v[i].is_zero), None)
-    if pivot is None:
-        raise ValueError("constant-basis test needs a nonzero vector")
-    lead = v[pivot]
-    g = RatFn(lead.num.monic(), lead.den)
-    consts = []
-    for e in v:
-        ratio = e / g
-        if not ratio.is_constant:
-            return None
-        consts.append(ratio.constant_value())
-    return g, tuple(consts)
+def _constant_echelon(vectors):
+    """The reduced row echelon form over Q(x) of independent vectors, with
+    the columns in reverse order: rows reversed back, in reverse order, as
+    Fraction tuples, or None when the form is not constant."""
+    reduced, pivots = Mat(RF, [v[::-1] for v in vectors]).rref()
+    rows = reduced.data[: len(pivots)]
+    if not all(e.is_constant for row in rows for e in row):
+        return None
+    return [tuple(e.constant_value() for e in reversed(row)) for row in reversed(rows)]
 
 
 def constant_basis_subspace(sys: DiffSystem, c: Construction, w_vectors):
@@ -111,20 +100,15 @@ def constant_basis_subspace(sys: DiffSystem, c: Construction, w_vectors):
     the span has a constant basis exactly when that echelon form is constant,
     and its rows, reversed back, are then that basis.
     """
-    w_vectors = [constr_vector(c, sys.n, v) for v in w_vectors]
+    w_vectors = [tuple(v) for v in w_vectors]
     if not w_vectors:
         raise ValueError("empty family")
-    lie = constr_lie(c, sys.mat)
-    nablas = [[e.derivative() - w for e, w in zip(v, mat_vec(lie, v))] for v in w_vectors]
-    if None in span_coordinates(w_vectors, nablas, RF)[1]:
+    rank, coords, _ = span_connection(sys, c, w_vectors)
+    if None in coords:
         raise NotStable("span is not stable under the connection")
-
-    echelon = row_space_canonical([v[::-1] for v in w_vectors], RF)
-    if len(echelon) < len(w_vectors):
+    if rank < len(w_vectors):
         raise ValueError("family is dependent over the rational functions")
-    if not all(e.is_constant for row in echelon for e in row):
-        return None
-    return [tuple(e.constant_value() for e in reversed(row)) for row in reversed(echelon)]
+    return _constant_echelon(w_vectors)
 
 
 @dataclass(frozen=True)
@@ -191,13 +175,16 @@ def is_reduced(
     for c, v in lines:
         v = tuple(v)
         rate = check_semi_invariant(sys, c, v)
-        if rate is None:
-            line_verdicts.append(LineVerdict(c, v, False, None, None))
-            continue
-        line = constant_basis_line(v)
-        line_verdicts.append(
-            LineVerdict(c, v, True, rate, line[1] if line is not None else None)
-        )
+        # a stable line is the d = 1 module; its constant basis is scaled so
+        # that at the first nonzero entry p it reads lc(numerator of v_p)
+        echelon = None if rate is None else _constant_echelon([v])
+        constant = None
+        if echelon is not None:
+            (row,) = echelon
+            p = next(i for i, e in enumerate(v) if not e.is_zero)
+            scale = v[p].num.leading / row[p]
+            constant = tuple(a * scale for a in row)
+        line_verdicts.append(LineVerdict(c, v, rate is not None, rate, constant))
     lines_constant = None
     if line_verdicts:
         valid = [lv for lv in line_verdicts if lv.is_stable_line]
@@ -398,10 +385,9 @@ def _diagonal_decomposition(b: Mat):
     den, numerators = common_denominator(diag)
     width = max((p.degree for p in numerators), default=0) + 1
     rows = [[p.coeff(k) for k in range(width)] for p in numerators]
-    canon = row_space_canonical(rows, QQ)
-    coeffs = [RatFn(Poly(row), den) for row in canon]
+    reduced, pivots = Mat(QQ, rows).rref()
+    coeffs = [RatFn(Poly(row), den) for row in reduced.data[: len(pivots)]]
     # a row's coordinates on the echelon basis are its entries at the pivots
-    pivots = [next(k for k, a in enumerate(row) if a) for row in canon]
     generators = [
         Mat(QQ, [[rows[i][p] if i == k else Fraction(0) for k in range(n)] for i in range(n)])
         for p in pivots

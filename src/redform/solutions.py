@@ -1,4 +1,5 @@
-"""Rational solution spaces of first-order systems, and semi-invariant checks.
+"""Rational solution spaces of first-order systems, and the connection on
+spans of construction vectors: stable subspaces and semi-invariants.
 
 The solver is a bounded ansatz: solutions are written v = u/d with d a
 universal denominator candidate and u a polynomial vector of bounded degree;
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from .constructions import Construction, constr_lie, constr_vector
 from .errors import DimensionMismatch, InternalError, InvalidArity
-from .linalg import Mat, QQ, charpoly, mat_vec, nullspace, row_space_canonical
+from .linalg import Mat, QQ, RF, charpoly, mat_vec, nullspace, span_coordinates
 from .ratfun import Poly, RatFn, _clear_all, common_denominator, integer_roots
 from .systems import DiffSystem, singularities
 
@@ -95,12 +96,8 @@ def _residue_matrix(sys: DiffSystem, place: Poly) -> Mat:
     return Mat(QQ, big)
 
 
-def denominator_bound(sys: DiffSystem, pole_cap: int = 10) -> Poly:
-    """Universal denominator candidate for rational solutions of the system."""
-    return _denominator_bound(sys, pole_cap, singularities(sys))
-
-
 def _denominator_bound(sys: DiffSystem, pole_cap: int, report) -> Poly:
+    """Universal denominator candidate for rational solutions of the system."""
     den = Poly.ONE
     for place, order in report.finite_places:
         if order == 1:
@@ -215,20 +212,27 @@ def rational_solutions(
     return SolutionSpace(n, tuple(basis), den, cap, complete)
 
 
+def span_connection(sys: DiffSystem, c: Construction, w_vectors):
+    """(rank, coords, nablas) of the connection d/dx - constr_lie(c, A) on the
+    span of the vectors: nablas[k] = w_k' - constr_lie(c, A)*w_k, and
+    coords[k] its coordinates on the vectors (free ones zero), or None when
+    it leaves their span.
+
+    The span is carried into itself exactly when no coordinate is None; on a
+    line, the one coordinate is the rate."""
+    w_vectors = [constr_vector(c, sys.n, v) for v in w_vectors]
+    lie = constr_lie(c, sys.mat)
+    nablas = [tuple(e.derivative() - w for e, w in zip(v, mat_vec(lie, v))) for v in w_vectors]
+    rank, coords = span_coordinates(w_vectors, nablas, RF)
+    return rank, coords, nablas
+
+
 def check_semi_invariant(sys: DiffSystem, c: Construction, v):
     """Rate f with v' - constr_lie(c, A)*v = f*v, or None if no such f."""
-    v = constr_vector(c, sys.n, v)
-    dim = len(v)
-    if all(e.is_zero for e in v):
+    rank, (rate,), _ = span_connection(sys, c, [v])
+    if not rank:
         raise ValueError("semi-invariant candidate must be nonzero")
-    lie = constr_lie(c, sys.mat)
-    residual = [e.derivative() - w for e, w in zip(v, mat_vec(lie, v))]
-    pivot = next(i for i in range(dim) if not v[i].is_zero)
-    rate = residual[pivot] / v[pivot]
-    for i in range(dim):
-        if residual[i] != rate * v[i]:
-            return None
-    return rate
+    return None if rate is None else rate[0]
 
 
 @dataclass(frozen=True)
@@ -260,25 +264,3 @@ def harvest_invariants(
         except (InvalidArity, DimensionMismatch) as exc:
             entries.append(HarvestEntry(c, None, f"{type(exc).__name__}: {exc}"))
     return entries
-
-
-# ---------------------------------------------------------------------------
-# Span comparison over the constants
-
-
-def same_constant_span(vs, ws) -> bool:
-    """Whether two families of rational-function vectors have the same span
-    over the constants (exact echelon comparison on a joint denominator)."""
-    vs = [tuple(v) for v in vs]
-    ws = [tuple(w) for w in ws]
-    if not vs and not ws:
-        return True
-    sizes = {len(v) for v in vs} | {len(w) for w in ws}
-    if len(sizes) != 1:
-        return False
-    _, nums = common_denominator([e for v in vs + ws for e in v])
-    width = max([1] + [p.degree + 1 for p in nums])
-    flat = [p.coeff(k) for p in nums for k in range(width)]
-    size = sizes.pop() * width
-    rows = [flat[i * size : (i + 1) * size] for i in range(len(vs) + len(ws))]
-    return row_space_canonical(rows[: len(vs)], QQ) == row_space_canonical(rows[len(vs) :], QQ)

@@ -6,6 +6,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 from redform import (
     DiffSystem,
+    DimensionMismatch,
     ParseError,
     LieBasis,
     Mat,
@@ -15,7 +16,6 @@ from redform import (
     RF,
     RatFn,
     TruncSeries,
-    constant_basis_line,
     constr_group,
     constr_lie,
     matrix,
@@ -26,7 +26,8 @@ from redform import (
 from redform import ratfun
 from redform.constructions import constr_vector
 from redform.linalg import mat_vec
-from redform.ratfun import ratfn_sqrt
+from redform.ratfun import common_denominator, ratfn_sqrt
+from redform.systems import mat_derivative
 
 END = parse_construction("tensor(base,dual(base))")
 
@@ -199,6 +200,72 @@ def oracle_det(rows):
     return total
 
 
+def oracle_end_action(sys_, f):
+    """F' - (A*F - F*A), the connection on End as a matrix formula; F is
+    horizontal exactly when it is zero."""
+    if not f.is_square or f.rows != sys_.n:
+        raise DimensionMismatch("endomorphism size must match the system")
+    a = sys_.mat
+    return mat_derivative(f) - (a * f - f * a)
+
+
+def oracle_semi_invariant(sys_, c, v):
+    """Rate f with v' - constr_lie(c, A)*v = f*v, or None: the residual at
+    the first nonzero entry over that entry, then every entry compared."""
+    v = constr_vector(c, sys_.n, v)
+    if all(e.is_zero for e in v):
+        raise ValueError("semi-invariant candidate must be nonzero")
+    lie = constr_lie(c, sys_.mat)
+    residual = [e.derivative() - w for e, w in zip(v, mat_vec(lie, v))]
+    pivot = next(i for i in range(len(v)) if not v[i].is_zero)
+    rate = residual[pivot] / v[pivot]
+    if any(r != rate * e for r, e in zip(residual, v)):
+        return None
+    return rate
+
+
+def oracle_constant_basis_line(v):
+    """(g, c) with v = g*c, g the first nonzero entry with its numerator made
+    monic and c constant, or None when some entry ratio is not constant."""
+    v = tuple(v)
+    pivot = next((i for i in range(len(v)) if not v[i].is_zero), None)
+    if pivot is None:
+        raise ValueError("constant-basis test needs a nonzero vector")
+    lead = v[pivot]
+    g = RatFn(lead.num.monic(), lead.den)
+    consts = []
+    for e in v:
+        ratio = e / g
+        if not ratio.is_constant:
+            return None
+        consts.append(ratio.constant_value())
+    return g, tuple(consts)
+
+
+def same_constant_span(vs, ws) -> bool:
+    """Whether two families of rational-function vectors have the same span
+    over the constants: ``oracle_rref`` of their coefficient rows on one
+    common denominator."""
+    vs = [tuple(v) for v in vs]
+    ws = [tuple(w) for w in ws]
+    if not vs and not ws:
+        return True
+    sizes = {len(v) for v in vs} | {len(w) for w in ws}
+    if len(sizes) != 1:
+        return False
+    _, nums = common_denominator([e for v in vs + ws for e in v])
+    width = max([1] + [p.degree + 1 for p in nums])
+    flat = [p.coeff(k) for p in nums for k in range(width)]
+    size = sizes.pop() * width
+    rows = [flat[i * size : (i + 1) * size] for i in range(len(vs) + len(ws))]
+
+    def canonical(part):
+        reduced, pivots = oracle_rref(part)
+        return reduced[: len(pivots)]
+
+    return canonical(rows[: len(vs)]) == canonical(rows[len(vs) :])
+
+
 def oracle_constant_basis_subspace(sys_, c, w_vectors):
     """Constant basis of a stable span by the wedge trick: if W has dimension
     d and its Plucker coordinates (the d x d minors of the family) are a
@@ -221,7 +288,7 @@ def oracle_constant_basis_subspace(sys_, c, w_vectors):
     ]
     if all(e.is_zero for e in wedge):
         raise ValueError("family is dependent over the rational functions")
-    line = constant_basis_line(wedge)
+    line = oracle_constant_basis_line(wedge)
     if line is None:
         return None
     if d == dim:

@@ -21,21 +21,19 @@ from redform import (
     annihilates_invariants,
     check_semi_invariant,
     commutant,
-    constant_basis_line,
     constant_basis_subspace,
     constr_group,
     constr_lie,
     eigenring,
     eigenring_matrices,
-    end_action,
     fundamental_series,
     gauge,
     harvest_invariants,
+    is_reduced,
     parse_construction,
     pullback,
     rational_solutions,
     reduce_by_diagonalization,
-    same_constant_span,
     stable_subspace_criterion,
     system,
     transport_gauge,
@@ -48,6 +46,8 @@ from helpers import (
     constr_series_agrees,
     demo_system,
     diag_basis,
+    oracle_constant_basis_line,
+    oracle_end_action,
     oracle_fundamental_series,
     oracle_nullspace,
     rand_invertible,
@@ -55,6 +55,7 @@ from helpers import (
     rand_ordinary_system,
     reduced_demo,
     rf,
+    same_constant_span,
     weighted_swap,
 )
 
@@ -71,7 +72,7 @@ def test_criterion_1_worked_example_end_to_end():
     swap = weighted_swap()
 
     # (a) the connection acts on the swap endomorphism by -1/(2x)
-    assert end_action(a, swap) == swap.map_entries(lambda e: rf("-1/(2*x)") * e)
+    assert oracle_end_action(a, swap) == swap.map_entries(lambda e: rf("-1/(2*x)") * e)
 
     # (b) the stable-line rate
     assert check_semi_invariant(a, END_CONSTRUCTION, vec_row_major(swap)) == rf("-1/(2*x)")
@@ -89,13 +90,15 @@ def test_criterion_1_worked_example_end_to_end():
     # (e) no multiple of the stable-line vector is constant over x, while the
     # same line read in the reduced frame after the pullback is
     v = vec_row_major(swap)
-    for h in [rf("1"), rf("x"), rf("1/x"), rf("x^2+x"), rf("(x-1)/x^3")]:
-        assert constant_basis_line(tuple(h * e for e in v)) is None
+    multiples = [rf("1"), rf("x"), rf("1/x"), rf("x^2+x"), rf("(x-1)/x^3")]
+    report = is_reduced(a, lines=[(END_CONSTRUCTION, tuple(h * e for e in v)) for h in multiples])
+    assert all(lv.is_stable_line and lv.constant_basis is None for lv in report.lines)
     swap_t = swap.map_entries(lambda e: e.substitute_power(2))
     transformed = cert.gauge_matrix.inv() * swap_t * cert.gauge_matrix
     scaled = tuple(rf("t", "t") * e for e in vec_row_major(transformed))
-    line = constant_basis_line(scaled)
-    assert line is not None and line[0] == RatFn.ONE
+    assert oracle_constant_basis_line(scaled)[0] == RatFn.ONE
+    (line,) = is_reduced(DiffSystem("t", cert.reduced), lines=[(END_CONSTRUCTION, scaled)]).lines
+    assert line.ok and line.constant_basis == oracle_constant_basis_line(scaled)[1]
 
     _finish("criterion 1 (worked example)", started, 5)
 

@@ -411,6 +411,16 @@ class TestUsageErrors:
         code, payload = run(["series", "--system", sys_path], capsys)
         assert code == 3 and payload["error"]["reason"] == "parse_error"
 
+    def test_non_string_entry_message_names_only_its_type(self, work, capsys):
+        # quoting the value whole made a 300,131-byte payload from this entry
+        tmp, write = work
+        sys_path = write("s.json", {"var": "x", "A": [[[1] * 100_000]]})
+        code = main(["series", "--system", sys_path])
+        out = capsys.readouterr().out
+        assert code == 3 and len(out.encode()) < 1000
+        error = json.loads(out)["error"]
+        assert error["reason"] == "parse_error" and error["message"].endswith("got list")
+
     def test_bool_generator_entries_are_parse_error(self, work, capsys):
         tmp, write = work
         basis = {"generators": [[[True, False], [False, True]]]}

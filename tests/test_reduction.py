@@ -10,7 +10,9 @@ from redform import (
     Base,
     DefectiveEigenstructure,
     DiffSystem,
+    DimensionMismatch,
     END_CONSTRUCTION,
+    EndBasis,
     LieBasis,
     Mat,
     NotSemiInvariant,
@@ -20,15 +22,17 @@ from redform import (
     RF,
     RatFn,
     annihilates_invariants,
-    constant_basis_line,
+    check_nabla_stable_span,
+    check_semi_invariant,
     constant_basis_subspace,
+    constr_dim,
     gauge,
     harvest_invariants,
     is_reduced,
+    mat_from_vec,
     parse_construction,
     pullback,
     reduce_by_diagonalization,
-    same_constant_span,
     system,
     transport_gauge,
     vec_row_major,
@@ -44,12 +48,19 @@ from helpers import (
     const_vec,
     demo_system,
     diag_basis,
+    oracle_constant_basis_line,
     oracle_constant_basis_subspace,
     oracle_eigenvalues_2x2,
+    oracle_end_action,
+    oracle_rref,
+    oracle_semi_invariant,
+    oracle_solve,
+    rand_matrix,
     rand_poly,
     rand_ratfn,
     reduced_demo,
     rf,
+    same_constant_span,
     weighted_swap,
 )
 
@@ -73,33 +84,55 @@ class TestWeiNorman:
         assert wei_norman(system("x", [["1"]]), LieBasis(1, ())) is None
 
 
+def _line(sys_, c, v):
+    """The one line verdict of ``is_reduced`` on the line spanned by v."""
+    (verdict,) = is_reduced(sys_, lines=[(c, v)]).lines
+    return verdict
+
+
 class TestConstantBasisLine:
+    # a stable line is the d = 1 module; ``is_reduced`` scales its constant
+    # basis so that the first nonzero entry p reads lc(numerator of v_p)
+
     def test_common_factor(self):
-        g, c = constant_basis_line((rf("2*x"), rf("3*x")))
-        assert g == rf("x") and c == (Fraction(2), Fraction(3))
+        zero = system("x", [["0", "0"], ["0", "0"]])
+        v = (rf("2*x"), rf("3*x"))
+        verdict = _line(zero, Base(), v)
+        assert verdict.rate == rf("1/x") and verdict.constant_basis == (Fraction(2), Fraction(3))
+        assert oracle_constant_basis_line(v) == (rf("x"), verdict.constant_basis)
+        assert constant_basis_subspace(zero, Base(), [v]) == [(Fraction(2, 3), Fraction(1))]
 
     def test_nonconstant_ratio(self):
-        assert constant_basis_line((rf("x"), rf("1"))) is None
+        # (x, 1) solves y' = E12*y, so it spans a stable line of rate 0
+        sys_ = system("x", [["0", "1"], ["0", "0"]])
+        v = (rf("x"), rf("1"))
+        verdict = _line(sys_, Base(), v)
+        assert verdict.is_stable_line and verdict.rate == RatFn.ZERO
+        assert verdict.constant_basis is None and not verdict.ok
+        assert constant_basis_subspace(sys_, Base(), [v]) is None
 
     def test_every_multiple_of_swap_line_fails(self):
         v = vec_row_major(weighted_swap())
         for h in [rf("1"), rf("x"), rf("1/x"), rf("x^2"), rf("(x+1)/x")]:
             scaled = tuple(h * e for e in v)
-            assert constant_basis_line(scaled) is None
+            verdict = _line(demo_system(), END_CONSTRUCTION, scaled)
+            assert verdict.is_stable_line and verdict.constant_basis is None
+            assert constant_basis_subspace(demo_system(), END_CONSTRUCTION, [scaled]) is None
 
     def test_transformed_line_succeeds_after_pullback(self):
         # over the radical extension the stable line in End, read in the
         # reduced frame, is a rational multiple of a constant matrix
         cert = reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
         p = cert.gauge_matrix
+        reduced = DiffSystem(cert.var, cert.reduced)
         swap_t = weighted_swap().map_entries(lambda e: e.substitute_power(2))
-        transformed = p.inv() * swap_t * p
-        line = constant_basis_line(vec_row_major(transformed))
-        assert line is not None
-        g, c = line
-        assert g == rf("1/t", "t") and c == (1, 0, 0, -1)
-        scaled = tuple(rf("t", "t") * e for e in vec_row_major(transformed))
-        assert constant_basis_line(scaled) == (RatFn.ONE, (1, 0, 0, -1))
+        transformed = vec_row_major(p.inv() * swap_t * p)
+        assert oracle_constant_basis_line(transformed) == (rf("1/t", "t"), (1, 0, 0, -1))
+        assert _line(reduced, END_CONSTRUCTION, transformed).constant_basis == (1, 0, 0, -1)
+        scaled = tuple(rf("t", "t") * e for e in transformed)
+        assert oracle_constant_basis_line(scaled) == (RatFn.ONE, (1, 0, 0, -1))
+        verdict = _line(reduced, END_CONSTRUCTION, scaled)
+        assert verdict.ok and verdict.constant_basis == (1, 0, 0, -1)
 
 
 class TestConstantBasisSubspace:
@@ -210,6 +243,139 @@ def test_constant_basis_subspace_matches_the_wedge_oracle():
         assert got == want, (c, w)
         seen.add(got[0].__name__ if isinstance(got, tuple) else type(got).__name__)
     assert seen == {"list", "NoneType", "ValueError", "NotStable"}
+
+
+def _nonzero_ratfn(rng):
+    while True:
+        h = rand_ratfn(rng, 2)
+        if not h.is_zero:
+            return h
+
+
+def _unit(dim, i, h):
+    return tuple(h if k == i else RatFn.ZERO for k in range(dim))
+
+
+def _diagonal_system(rng, n):
+    diag = [_nonzero_ratfn(rng) for _ in range(n)]
+    return DiffSystem("x", Mat(RF, [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+
+
+def _line_cases(rng):
+    """(system, construction, vector) triples: stable lines with and without
+    a constant basis, vectors that span no stable line, and zero vectors."""
+    end = END_CONSTRUCTION
+    zero = {n: DiffSystem("x", Mat.zeros(RF, n, n)) for n in (1, 2, 3)}
+    cases = []
+    for _ in range(12):
+        # a rational multiple of a constant vector is a stable line of the zero system
+        n = rng.choice((1, 2, 3))
+        c = rng.choice([Base(), end, parse_construction("sym(2,base)"), parse_construction("dual(base)")])
+        w = [rng.randint(-2, 2) for _ in range(constr_dim(c, n))]
+        w[rng.randrange(len(w))] = rng.choice((1, -3))
+        h = _nonzero_ratfn(rng)
+        cases.append((zero[n], c, tuple(h * e for e in const_vec(w))))
+    for _ in range(10):
+        # on a diagonal system the axes of base and the units E_ij of End are
+        # stable; gauged by P = I + f*E_ij, the axis e_j moves to the span of
+        # e_j - f*e_i, a line of non-constant ratio
+        n = rng.choice((2, 3))
+        sys_ = _diagonal_system(rng, n)
+        cases.append((sys_, Base(), _unit(n, rng.randrange(n), _nonzero_ratfn(rng))))
+        cases.append((sys_, end, _unit(n * n, rng.randrange(n * n), _nonzero_ratfn(rng))))
+        i, j = rng.sample(range(n), 2)
+        f = _nonzero_ratfn(rng)
+        p = Mat(RF, [[f if (r, k) == (i, j) else int(r == k) for k in range(n)] for r in range(n)])
+        h = _nonzero_ratfn(rng)
+        cases.append((gauge(sys_, p), Base(), tuple(h * row[j] for row in p.inv().data)))
+    for h in [rf("1"), rf("x"), rf("1/x"), rf("(x^2+1)/x")]:
+        # the weighted swap: a stable line of non-constant ratio
+        cases.append((demo_system(), end, tuple(h * e for e in vec_row_major(weighted_swap()))))
+    for _ in range(10):
+        n = rng.choice((1, 2))
+        c = rng.choice([Base(), end])
+        sys_ = DiffSystem("x", rand_matrix(rng, n))
+        cases.append((sys_, c, tuple(_nonzero_ratfn(rng) for _ in range(constr_dim(c, n)))))
+    cases.append((demo_system(), Base(), (RatFn.ZERO, RatFn.ZERO)))
+    cases.append((demo_system(), end, (RatFn.ZERO,) * 4))
+    return cases
+
+
+def test_lines_match_the_residual_ratio_oracles():
+    # the rate, the line verdict of is_reduced and the d = 1 constant basis,
+    # against the residual ratio at the first nonzero entry and the entry
+    # ratios of the vector
+    seen = set()
+    for sys_, c, v in _line_cases(random.Random(2101)):
+        rate = _outcome(oracle_semi_invariant, sys_, c, v)
+        assert _outcome(check_semi_invariant, sys_, c, v) == rate, (c, v)
+        subspace = _outcome(constant_basis_subspace, sys_, c, [v])
+        if isinstance(rate, tuple):
+            assert rate == (ValueError, "semi-invariant candidate must be nonzero")
+            assert _outcome(_line, sys_, c, v) == rate
+            assert subspace == (ValueError, "family is dependent over the rational functions")
+            seen.add("zero")
+            continue
+        line = None if rate is None else oracle_constant_basis_line(v)
+        basis = None if line is None else line[1]
+        verdict = _line(sys_, c, v)
+        assert (verdict.is_stable_line, verdict.rate, verdict.constant_basis) == (rate is not None, rate, basis)
+        if rate is None:
+            assert subspace[0] is NotStable
+            seen.add("unstable")
+        elif basis is None:
+            assert subspace is None
+            seen.add("non-constant")
+        else:
+            last = next(a for a in reversed(basis) if a)
+            assert subspace == [tuple(a / last for a in basis)]
+            seen.add("constant")
+    assert seen == {"constant", "non-constant", "unstable", "zero"}
+
+
+def _oracle_stability(sys_, elements):
+    """Per element (stable, coordinates, residual) of an End family, by the
+    matrix formula F' - [A, F] and a dense elimination."""
+    residuals = [oracle_end_action(sys_, f) for f in elements]
+    vecs = [vec_row_major(f) for f in elements]
+    if len(oracle_rref([list(row) for row in zip(*vecs)])[1]) < len(vecs):
+        raise DimensionMismatch("basis elements are dependent over the rational functions")
+    out = []
+    for r in residuals:
+        x = oracle_solve(vecs, vec_row_major(r), RatFn.ZERO)
+        out.append((x is not None, x, None if x is not None else r))
+    return out
+
+
+def test_end_spans_match_the_matrix_formula_oracle():
+    rng = random.Random(2102)
+    families = [
+        (sys_, [mat_from_vec(v, sys_.n, RF)])
+        for sys_, c, v in _line_cases(rng)
+        if c == END_CONSTRUCTION
+    ]
+    for _ in range(8):
+        n = rng.choice((2, 3))
+        sys_ = _diagonal_system(rng, n)
+        i, j = rng.sample(range(n * n), 2)
+        units = [_unit(n * n, i, _nonzero_ratfn(rng)), _unit(n * n, j, _nonzero_ratfn(rng))]
+        families.append((sys_, [mat_from_vec(u, n, RF) for u in units]))
+        f = rand_matrix(rng, n)
+        families.append((sys_, [f, rand_matrix(rng, n)]))
+        families.append((sys_, [f, f.scale(_nonzero_ratfn(rng))]))
+    families.append((demo_system(), [weighted_swap(), Mat.identity(RF, 2)]))
+    families.append((demo_system(), [Mat.identity(RF, 3)]))
+    seen = set()
+    for sys_, elements in families:
+        want = _outcome(_oracle_stability, sys_, elements)
+        report = _outcome(check_nabla_stable_span, sys_, EndBasis(tuple(elements)))
+        if isinstance(want, tuple):
+            assert report == want
+            seen.add(want[1].split()[-1])
+            continue
+        assert [(e.stable, e.coordinates, e.residual) for e in report.entries] == want
+        seen.add("stable" if report.stable else "unstable")
+    assert seen == {"stable", "unstable", "functions", "system"}
 
 
 class TestIsReduced:
