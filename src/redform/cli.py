@@ -44,7 +44,7 @@ from .reduction import (
     wei_norman,
 )
 from .series import fundamental_series
-from .solutions import check_semi_invariant, harvest_invariants, rational_solutions
+from .solutions import NUM_DEG_CAP, POLE_CAP, check_semi_invariant, harvest_invariants, rational_solutions
 from .systems import DiffSystem, gauge, pullback
 
 EXIT_OK = 0
@@ -330,12 +330,12 @@ _FLAGS = {
     "invariants": {},
     "lines": {},
     "mode": {"choices": ["group", "lie"], "default": "group"},
-    "num-deg": {"type": int, "default": 30},
+    "num-deg": {"type": int, "default": NUM_DEG_CAP},
     "den": {},
     "order": {"type": int, "default": 12},
     "x0": {"default": "1"},
     "pullback": {"type": int, "default": 1},
-    "pole-cap": {"type": int, "default": 10},
+    "pole-cap": {"type": int, "default": POLE_CAP},
     "new-var": {},
     "out": {},
 }

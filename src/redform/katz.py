@@ -20,10 +20,10 @@ from .constructions import (
     vec_row_major,
 )
 from .errors import DimensionMismatch, NotReduced
-from .linalg import Mat, QQ, RF, RatFnField, mat_vec, nullspace, span_coordinates
+from .linalg import Mat, QQ, RF, mat_vec, nullspace, span_coordinates
 from .ratfun import RatFn, _rat
 from .reduction import LieBasis, wei_norman
-from .solutions import SolutionSpace, rational_solutions, span_connection
+from .solutions import NUM_DEG_CAP, POLE_CAP, SolutionSpace, rational_solutions, span_connection
 from .systems import DiffSystem
 
 
@@ -42,8 +42,8 @@ class EndBasis:
 
 def eigenring(
     sys: DiffSystem,
-    num_deg_cap: int = 30,
-    pole_cap: int = 10,
+    num_deg_cap: int = NUM_DEG_CAP,
+    pole_cap: int = POLE_CAP,
     den_override=None,
 ) -> SolutionSpace:
     """Rational solutions of the endomorphism system, as flattened vectors."""
@@ -113,7 +113,7 @@ def annihilates_invariants(generators, invariants) -> AnnihilationReport:
     """Check constr_lie(c, N)*v = 0 for every generator N and invariant (c, v)."""
     entries = []
     for gi, gen in enumerate(generators):
-        gen_rf = gen if isinstance(gen.ring, RatFnField) else gen.map_entries(RatFn.const, RF)
+        gen_rf = Mat(RF, gen.data)
         for ii, (c, v) in enumerate(invariants):
             v = constr_vector(c, gen.rows, v)
             image = mat_vec(constr_lie(c, gen_rf), v)
@@ -190,5 +190,5 @@ def stabilizer_of_invariant(c: Construction, v, n: int):
                 ],
             )
             columns.append(mat_vec(constr_lie(c, unit), v))
-    kernel = nullspace(Mat.from_cols(RF, columns))
+    kernel = nullspace(Mat(RF, zip(*columns)))
     return [mat_from_vec(vec, n, RF) for vec in kernel]

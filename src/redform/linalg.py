@@ -10,13 +10,15 @@ ints, in one of two kernels, each pivoting only in the columns below a
 width limit:
 
 * ``_rref_integer``, Gauss-Jordan on sparse ``{column: int}`` rows kept
-  primitive, is ``rref`` over Q (so ``nullspace``).  Primitive rows beat
-  fraction-free elimination on the large sparse systems over Q.
+  primitive, over Q.  Primitive rows beat fraction-free elimination on the
+  large sparse systems over Q.
 * ``_ffgj``, fraction-free Gauss-Jordan on rows cleared to Z[x] (integer
   coefficient lists, each row over its ``ratfun.common_denominator``), one
-  exact division by the previous pivot per step and no gcd, is ``rref`` over
-  Q(x) and the one ``det``: the signed last pivot over the row scales.  A
-  matrix over Q takes it as a matrix of constants in Q(x).
+  exact division by the previous pivot per step and no gcd, over Q(x).
+
+``_echelon`` is the one place that picks the kernel by the field: it clears
+the rows, eliminates, and reads each reduced pivot row by its nonzero
+entries.  ``rref`` and ``span_coordinates`` read its result.
 
 ``span_coordinates`` is the one span and membership test: one elimination
 of [V | T], vectors then targets as columns, with pivots in V's columns only,
@@ -27,8 +29,9 @@ space; the ``nullspace`` of m with its columns reversed, each vector and the
 list read backwards, is the canonical basis of the kernel of m.
 ``charpoly`` runs Berkowitz's division-free algorithm (Berkowitz
 1984) on the integer matrix d*m, d the lcm of the denominators of m:
-p_m(T) = d^-n p_dm(d T).  Products over Q(x) sum each entry as ``ratfun``
-integer pairs and normalize it once.
+p_m(T) = d^-n p_dm(d T).  ``det`` over Q is (-1)^n p_m(0); over Q(x) it is
+the signed last pivot of ``_ffgj`` over the row scales.  Products over Q(x)
+sum each entry as ``ratfun`` integer pairs and normalize it once.
 """
 
 from __future__ import annotations
@@ -36,34 +39,24 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
-from math import gcd, lcm
-from operator import add
+from math import gcd, lcm, prod
+from operator import add, sub
 
 from .errors import SingularGauge
-from .ratfun import Poly, RatFn, _clear_all, _from_ints, _int_divmod, _int_mul, as_ratfn, common_denominator
+from .ratfun import Poly, RatFn, _clear_all, _from_ints, _int_divmod, _int_mul, _rat, as_ratfn, common_denominator
 from .ratfun import _pair_add, _pair_mul, _pair_ratfn, _ratfn_pair
 
 
 class FractionField:
     zero = Fraction(0)
     one = Fraction(1)
-
-    @staticmethod
-    def promote(value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise TypeError(f"cannot promote {value!r} to a rational constant")
+    promote = staticmethod(_rat)
 
 
 class RatFnField:
     zero = RatFn.ZERO
     one = RatFn.ONE
-
-    @staticmethod
-    def promote(value):
-        return value if isinstance(value, RatFn) else as_ratfn(value)
+    promote = staticmethod(as_ratfn)
 
 
 QQ = FractionField()
@@ -105,11 +98,6 @@ class Mat:
     def zeros(cls, ring, rows: int, cols: int) -> "Mat":
         return cls(ring, [[ring.zero] * cols for _ in range(rows)])
 
-    @classmethod
-    def from_cols(cls, ring, cols) -> "Mat":
-        cols = [list(c) for c in cols]
-        return cls(ring, [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
-
     @property
     def rows(self) -> int:
         return len(self.data)
@@ -138,32 +126,21 @@ class Mat:
         body = "; ".join(" ".join(repr(e) for e in row) for row in self.data)
         return f"Mat({self.rows}x{self.cols}: {body})"
 
-    def __add__(self, other):
-        self._same_shape(other)
+    def _entrywise(self, op, other):
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
         return Mat._unchecked(
-            self.ring,
-            tuple(
-                tuple([a + b for a, b in zip(ra, rb)])
-                for ra, rb in zip(self.data, other.data)
-            ),
+            self.ring, tuple(tuple(map(op, ra, rb)) for ra, rb in zip(self.data, other.data))
         )
 
+    def __add__(self, other):
+        return self._entrywise(add, other)
+
     def __sub__(self, other):
-        self._same_shape(other)
-        return Mat._unchecked(
-            self.ring,
-            tuple(
-                tuple([a - b for a, b in zip(ra, rb)])
-                for ra, rb in zip(self.data, other.data)
-            ),
-        )
+        return self._entrywise(sub, other)
 
     def __neg__(self):
         return Mat._unchecked(self.ring, tuple(tuple([-a for a in row]) for row in self.data))
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -214,17 +191,19 @@ class Mat:
         return all(a == zero for row in self.data for a in row)
 
     def det(self):
-        """Exact determinant, the signed last pivot of ``_ffgj`` over the row
-        scales; over Q, that of the same matrix of constants in Q(x)."""
+        """Exact determinant: over Q, (-1)^n charpoly(m)(0) (``charpoly``
+        rejects any other ring); over Q(x), the signed last pivot of ``_ffgj``
+        over the row scales."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        if self.ring is QQ:
-            return self.map_entries(RatFn.const, RF).det().constant_value()
-        rows, num, den = _cleared_rows(self.data)
-        top, pivots, sign = _ffgj(rows, self.cols)
+        if self.ring is not RF:
+            return (-1) ** self.rows * charpoly(self).coeff(0)
+        cleared = [_cleared_row(row) for row in self.data]
+        top, pivots, sign = _ffgj([ints for ints, _, _ in cleared], self.cols)
         if len(pivots) < self.rows:
             return RatFn.ZERO
-        return RatFn(Poly(top) * (sign * num), den)
+        scale = sign * prod(scale for _, scale, _ in cleared)
+        return RatFn(Poly(top) * scale, prod((den for _, _, den in cleared), start=Poly.ONE))
 
     def inv(self) -> "Mat":
         """Inverse, whose column j holds the coordinates of the unit vector
@@ -239,40 +218,58 @@ class Mat:
 
     def rref(self):
         """Reduced row echelon form over Q or Q(x); returns (matrix, pivot cols)."""
-        if self.ring is QQ:
-            done, pivots, _ = _rref_integer(map(_integer_row, self.data), self.cols)
-            out = []
-            for p, row in zip(pivots, done):
-                dense, pv = [QQ.zero] * self.cols, row[p]
-                for j, v in row.items():
-                    dense[j] = Fraction(v, pv)
-                out.append(tuple(dense))
-        elif self.ring is RF:
-            rows, _, _ = _cleared_rows(self.data)
-            den, pivots, _ = _ffgj(rows, self.cols)
-            out = [
-                tuple([RatFn.ONE if e == den else _pair_ratfn(e, den) for e in row])
-                for row in rows[: len(pivots)]
-            ]
-        else:
-            raise TypeError("rref expects a matrix over Q or Q(x)")
-        out.extend([(self.ring.zero,) * self.cols] * (self.rows - len(pivots)))
+        zero, width = self.ring.zero, self.cols
+        pivots, reduced_row, _ = _echelon(self.data, width, self.ring)
+        out = []
+        for r in range(len(pivots)):
+            dense = [zero] * width
+            for j, v in reduced_row(r):
+                dense[j] = v
+            out.append(tuple(dense))
+        out.extend([(zero,) * width] * (self.rows - len(pivots)))
         return Mat._unchecked(self.ring, tuple(out)), tuple(pivots)
 
 
-def _cleared_rows(data):
-    """(rows, num, den): row i of ``data`` over Q(x) is ``rows[i]``, a row of
-    integer coefficient lists (lowest degree first, [] for zero), times
-    num_i/den_i, with den_i the row's ``common_denominator`` and num_i in Q
-    the scale of ``_clear_all`` on its numerators; ``num`` and ``den`` are
-    the products of the num_i and of the den_i."""
-    rows, num, den = [], Fraction(1), Poly.ONE
-    for row in data:
-        common, nums = common_denominator(row)
-        ints, scale = _clear_all(nums)
-        rows.append(ints)
-        num, den = num * scale, den * common
-    return rows, num, den
+def _echelon(data, width, ring):
+    """Gauss-Jordan of the rows ``data`` over the field ``ring``, Q or Q(x),
+    pivoting in the columns below ``width`` only: the one place that picks
+    the kernel by the field.  Returns (pivots, reduced_row, rest_nonzero):
+    ``reduced_row(r, cols=None)`` yields the pairs (j, entry) of the nonzero
+    entries of the reduced row of pivot ``pivots[r]``, in the columns ``cols``
+    only when they are given, and ``rest_nonzero(j)`` tells whether a row left
+    without a pivot is nonzero in column j."""
+    if ring is QQ:
+        done, pivots, rest = _rref_integer(map(_integer_row, data), width)
+
+        def reduced_row(r, cols=None):
+            row = done[r]
+            pv = row[pivots[r]]
+            items = row.items() if cols is None else ((j, row[j]) for j in cols if j in row)
+            return ((j, Fraction(v, pv)) for j, v in items)
+
+        return pivots, reduced_row, lambda j: any(j in row for row in rest)
+    if ring is not RF:
+        raise TypeError("elimination expects a matrix over Q or Q(x)")
+    rows = [_cleared_row(row)[0] for row in data]
+    den, pivots, _ = _ffgj(rows, width)
+    rest = rows[len(pivots) :]
+
+    def reduced_row(r, cols=None):
+        row = rows[r]
+        items = enumerate(row) if cols is None else ((j, row[j]) for j in cols)
+        return ((j, RatFn.ONE if e == den else _pair_ratfn(e, den)) for j, e in items if e)
+
+    return pivots, reduced_row, lambda j: any(row[j] for row in rest)
+
+
+def _cleared_row(row):
+    """(ints, scale, den): the row over Q(x) is ``ints``, a row of integer
+    coefficient lists (lowest degree first, [] for zero), times scale/den,
+    with den the row's ``common_denominator`` and scale in Q that of
+    ``_clear_all`` on its numerators."""
+    den, nums = common_denominator(row)
+    ints, scale = _clear_all(nums)
+    return ints, scale, den
 
 
 def _ffgj(rows, width):
@@ -281,8 +278,8 @@ def _ffgj(rows, width):
     the pivot p in column j every other row becomes (p*row - row[j]*prow)/d,
     d the previous pivot, an exact division in Z[x].  Returns (den, pivots,
     sign): the first len(pivots) rows are then den times the reduced row
-    echelon form, the others zero; sign is the parity of the row swaps, and
-    sign*den the determinant of a square matrix of full rank."""
+    echelon form, the others zero below ``width``; sign is the parity of the
+    row swaps, and sign*den the determinant of a square matrix of full rank."""
     den, pivots, sign = [1], [], 1
     for j in range(width):
         i = len(pivots)
@@ -420,34 +417,12 @@ def span_coordinates(vectors, targets, ring):
     if len({len(c) for c in cols}) > 1:
         raise ValueError("vector length mismatch")
     d = len(vecs)
-    if ring is QQ:
-        done, pivots, rest = _rref_integer(map(_integer_row, zip(*cols)), d)
-
-        def coords(t):
-            if any(t in row for row in rest):
-                return None
-            x = [ring.zero] * d
-            for p, row in zip(pivots, done):
-                if t in row:
-                    x[p] = Fraction(row[t], row[p])
-            return tuple(x)
-
-    elif ring is RF:
-        rows, _, _ = _cleared_rows(zip(*cols))
-        den, pivots, _ = _ffgj(rows, d)
-
-        def coords(t):
-            if any(row[t] for row in rows[len(pivots) :]):
-                return None
-            x = [ring.zero] * d
-            for p, row in zip(pivots, rows):
-                if row[t]:
-                    x[p] = RatFn.ONE if row[t] == den else _pair_ratfn(row[t], den)
-            return tuple(x)
-
-    else:
-        raise TypeError("span_coordinates expects the field Q or Q(x)")
-    return len(pivots), [coords(t) for t in range(d, len(cols))]
+    pivots, reduced_row, rest_nonzero = _echelon(zip(*cols), d, ring)
+    inside = {t: [ring.zero] * d for t in range(d, len(cols)) if not rest_nonzero(t)}
+    for r, p in enumerate(pivots):
+        for t, v in reduced_row(r, inside):
+            inside[t][p] = v
+    return len(pivots), [tuple(inside[t]) if t in inside else None for t in range(d, len(cols))]
 
 
 def charpoly(m: Mat) -> Poly:

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .linalg import Mat, QQ, RF, charpoly, mat_vec, nullspace, span_coordinates
 from .ratfun import Poly, RatFn, _rat, common_denominator, integer_roots, poly_str, ratfn_sqrt, ratfn_str
-from .solutions import check_semi_invariant, harvest_invariants, span_connection
+from .solutions import NUM_DEG_CAP, POLE_CAP, check_semi_invariant, harvest_invariants, span_connection
 from .systems import DiffSystem, gauge, is_ordinary_point, pullback
 
 
@@ -159,8 +159,8 @@ def is_reduced(
     basis: LieBasis | None = None,
     constructions=(),
     lines=(),
-    num_deg_cap: int = 30,
-    pole_cap: int = 10,
+    num_deg_cap: int = NUM_DEG_CAP,
+    pole_cap: int = POLE_CAP,
 ) -> ReducedReport:
     """Run the reduced-form checks that are decidable from the given data."""
     caveats = []
@@ -351,7 +351,7 @@ def reduce_by_diagonalization(sys: DiffSystem, endo: Mat, m: int) -> ReductionCe
         pivot = next(e for e in kernel[0] if not e.is_zero)
         _, nums = common_denominator([e / pivot for e in kernel[0]])
         columns.append([RatFn(p) for p in nums])
-    p = Mat.from_cols(RF, columns)
+    p = Mat(RF, zip(*columns))
     reduced_sys = gauge(pulled, p)
     b = reduced_sys.mat
     for i in range(n):

@@ -35,6 +35,13 @@ from .linalg import Mat, QQ, RF, charpoly, mat_vec, nullspace, span_coordinates
 from .ratfun import Poly, RatFn, _clear_all, common_denominator, integer_roots
 from .systems import DiffSystem, singularities
 
+# default numerator degree cap and exponent cap at higher-order poles
+NUM_DEG_CAP = 30
+POLE_CAP = 10
+# the largest ansatz, in rows times columns, that is built: its dense rows
+# take memory and elimination time that grow with the square of the cap
+ANSATZ_CELLS = 10_000_000
+
 
 @dataclass(frozen=True)
 class SolutionSpace:
@@ -140,7 +147,9 @@ def _ansatz_rows(sys: DiffSystem, den: Poly, cap: int) -> tuple:
     times the one positive rational that clears P_i*, lead_a and lead_b to
     coprime integers (``_clear_all``).  Rows run over k = 0..K for the
     largest K with a nonzero entry, and at least k = 0, so a zero system
-    keeps all n*(cap+1) columns.
+    keeps all n*(cap+1) columns.  Raises ValueError, before building any
+    row, when the untrimmed system, n*height rows by n*(cap+1) columns, has
+    more than ``ANSATZ_CELLS`` cells.
     """
     n = sys.n
     width = cap + 1
@@ -150,11 +159,17 @@ def _ansatz_rows(sys: DiffSystem, den: Poly, cap: int) -> tuple:
         [RatFn(Poly.ONE, den), *(e for row in sys.mat.data for e in row)]
     )
     lead_b = clear * den.derivative()
-    height = cap + max(lead_a.degree, len(lead_b.ints), *(len(p.ints) for p in entries))
+    height = max(1, cap + max(lead_a.degree, len(lead_b.ints), *(len(p.ints) for p in entries)))
+    if n * height * n * width > ANSATZ_CELLS:
+        raise ValueError(
+            f"the ansatz at numerator degree cap {cap} would have {n * height} x {n * width} cells,"
+            f" over the budget of {ANSATZ_CELLS:,}: lower --num-deg or --pole-cap (the cap is at"
+            f" least the degree {den.degree} of the denominator)"
+        )
     blocks = []
     for i in range(n):
         (a, b, *row), _ = _clear_all([lead_a, lead_b, *entries[i * n : i * n + n]])
-        eq = [[0] * (n * width) for _ in range(max(height, 1))]
+        eq = [[0] * (n * width) for _ in range(height)]
         for j, p in enumerate(row):
             for t, c in enumerate(p):
                 if c:
@@ -174,9 +189,9 @@ def _ansatz_rows(sys: DiffSystem, den: Poly, cap: int) -> tuple:
 
 def rational_solutions(
     sys: DiffSystem,
-    num_deg_cap: int = 30,
+    num_deg_cap: int = NUM_DEG_CAP,
     den_override: Poly | None = None,
-    pole_cap: int = 10,
+    pole_cap: int = POLE_CAP,
 ) -> SolutionSpace:
     """All rational solutions of y' = B*y found within the stated bounds.
 
@@ -245,8 +260,8 @@ class HarvestEntry:
 def harvest_invariants(
     sys: DiffSystem,
     constructions,
-    num_deg_cap: int = 30,
-    pole_cap: int = 10,
+    num_deg_cap: int = NUM_DEG_CAP,
+    pole_cap: int = POLE_CAP,
 ):
     """Rational solutions of every listed construction system.
 

@@ -462,6 +462,16 @@ class TestUsageErrors:
         assert code == 3
         assert payload["error"] == {"reason": "usage_error", "message": "pole cap must be >= 0"}
 
+    def test_oversized_ansatz_is_usage_error(self, work, capsys):
+        # 8,012 x 8,004 cells, over the budget: refused before a row is built
+        tmp, write = work
+        sys_path = write("a.json", DEMO)
+        start = time.perf_counter()
+        code, payload = run(["eigenring", "--system", sys_path, "--num-deg", "2000"], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and payload["error"]["reason"] == "usage_error"
+        assert "cap 2000" in payload["error"]["message"] and "--num-deg" in payload["error"]["message"]
+
     def test_pole_is_usage_error(self, work, capsys):
         tmp, write = work
         sys_path = write("a.json", DEMO)

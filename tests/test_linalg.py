@@ -83,6 +83,55 @@ def test_kron_row_major_convention():
                     assert k[(i * 2 + kk, j * 2 + ll)] == a[(i, j)] * b[(kk, ll)]
 
 
+class _Integers:
+    """Z: a ring, but not one of the fields Q and Q(x) that eliminate."""
+
+    zero, one = 0, 1
+    promote = staticmethod(int)
+
+
+_ZZ = _Integers()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        Mat.rref,
+        nullspace,
+        lambda m: span_coordinates(m.data, [(1, 0)], _ZZ),
+        charpoly,
+        Mat.det,
+        Mat.inv,
+    ],
+    ids=["rref", "nullspace", "span_coordinates", "charpoly", "det", "inv"],
+)
+def test_elimination_rejects_a_ring_other_than_q_and_qx(call):
+    with pytest.raises(TypeError):
+        call(Mat(_ZZ, [[1, 2], [3, 4]]))
+
+
+@pytest.mark.parametrize(
+    "ring, entry",
+    [(QQ, RatFn.ONE), (QQ, 0.5), (RF, 0.5)],
+    ids=["QQ-ratfn", "QQ-float", "RF-float"],
+)
+def test_matrix_rejects_an_entry_outside_its_ring(ring, entry):
+    with pytest.raises(TypeError):
+        Mat(ring, [[1, entry]])
+
+
+def test_det_over_q_equals_the_bareiss_det_of_its_constants_seeded():
+    rng = random.Random(1984)
+    for n in (1, 2, 7, 12):
+        for _ in range(3):
+            rows = [[_rand_entry(rng) for _ in range(n)] for _ in range(n)]
+            if n > 2 and rng.random() < 0.5:
+                rows[-1] = [a - 3 * b for a, b in zip(rows[0], rows[1])]
+            det = Mat(QQ, rows).det()
+            assert type(det) is Fraction
+            assert det == Mat(RF, rows).det().constant_value()
+
+
 def test_charpoly_companion():
     # companion matrix of x^3 - 2x + 5
     m = Mat(QQ, [[0, 0, -5], [1, 0, 2], [0, 1, 0]])

@@ -24,6 +24,7 @@ from redform import (
     vec_row_major,
 )
 from redform.linalg import mat_vec
+from redform import solutions
 from redform.solutions import _ansatz_rows, _denominator_bound
 
 from helpers import (
@@ -305,3 +306,20 @@ class TestAnsatzRows:
         ]
         for sys_, den, cap in cases:
             self._check(sys_, den, cap)
+
+    def test_cell_budget(self, monkeypatch):
+        # an ansatz of exactly the budget is built; one cell more is refused
+        # with its size, the cap and the flags that lower it
+        sys_, den, cap = demo_system(), rf("x^3*(x-1)").num, 2
+        monkeypatch.setattr(solutions, "ANSATZ_CELLS", 0)
+        with pytest.raises(ValueError, match="cap 2 would have") as exc:
+            _ansatz_rows(sys_, den, cap)
+        assert "lower --num-deg or --pole-cap" in str(exc.value)
+        rows, cols = map(int, str(exc.value).split("would have ")[1].split(" cells")[0].split(" x "))
+        assert cols == sys_.n * (cap + 1)
+        monkeypatch.setattr(solutions, "ANSATZ_CELLS", rows * cols)
+        self._check(sys_, den, cap)
+        assert len(_ansatz_rows(sys_, den, cap)) <= rows
+        monkeypatch.setattr(solutions, "ANSATZ_CELLS", rows * cols - 1)
+        with pytest.raises(ValueError, match="over the budget"):
+            rational_solutions(sys_, num_deg_cap=cap, den_override=den)
