@@ -43,7 +43,6 @@ from .constructions import (
     Ext,
     Sym,
     Tensor,
-    basis_labels,
     constr_dim,
     constr_group,
     constr_lie,

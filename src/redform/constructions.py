@@ -193,27 +193,6 @@ def constr_vector(c: Construction, n: int, v) -> tuple:
     return v
 
 
-def basis_labels(c: Construction, n: int):
-    """Ordered canonical basis labels, mirroring the index conventions."""
-    if isinstance(c, Base):
-        return tuple(range(n))
-    if isinstance(c, Dual):
-        return tuple(("*", lbl) for lbl in basis_labels(c.child, n))
-    if isinstance(c, Tensor):
-        left = basis_labels(c.left, n)
-        right = basis_labels(c.right, n)
-        return tuple((a, b) for a in left for b in right)
-    if isinstance(c, DirectSum):
-        left = basis_labels(c.left, n)
-        right = basis_labels(c.right, n)
-        return tuple(("L", a) for a in left) + tuple(("R", b) for b in right)
-    if isinstance(c, Sym):
-        return tuple(combinations_with_replacement(basis_labels(c.child, n), c.r))
-    if isinstance(c, Ext):
-        return tuple(combinations(basis_labels(c.child, n), c.r))
-    raise TypeError(f"not a construction: {c!r}")
-
-
 # ---------------------------------------------------------------------------
 # Induced matrices
 

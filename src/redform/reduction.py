@@ -43,7 +43,7 @@ from .errors import (
 from .linalg import Mat, QQ, RF, charpoly, mat_vec, nullspace, span_coordinates
 from .ratfun import Poly, RatFn, _rat, common_denominator, integer_roots, poly_str, ratfn_sqrt, ratfn_str
 from .solutions import NUM_DEG_CAP, POLE_CAP, check_semi_invariant, harvest_invariants, span_connection
-from .systems import DiffSystem, gauge, is_ordinary_point, pullback
+from .systems import DiffSystem, gauge, is_ordinary_point, mat_derivative, pullback
 
 
 @dataclass(frozen=True)
@@ -265,14 +265,19 @@ class ReductionCertificate:
     coeffs: tuple
 
     def verify(self, original: DiffSystem) -> bool:
-        pulled = pullback(original, self.extension_order, new_var=self.var)
-        if gauge(pulled, self.gauge_matrix).mat != self.reduced:
+        """Whether P*B = A_m*P - P' for a nonsingular P of B's size, with A_m
+        the original pulled back along x = t^m, and B = sum f_j N_j.  No
+        gauge and no inverse: the check shares no step with the reducer."""
+        a = pullback(original, self.extension_order, new_var=self.var).mat
+        p, b = self.gauge_matrix, self.reduced
+        if not (p.is_square and b.is_square and p.rows == b.rows == a.rows) or p.det().is_zero:
             return False
-        n = self.reduced.rows
-        acc = Mat.zeros(RF, n, n)
+        if p * b != a * p - mat_derivative(p):
+            return False
+        acc = Mat.zeros(RF, b.rows, b.rows)
         for f, g in zip(self.coeffs, self.basis):
             acc = acc + g.map_entries(lambda c, _f=f: _f * RatFn.const(c), RF)
-        return acc == self.reduced
+        return acc == b
 
 
 def _eigenvalues_ratfn(m: Mat, var: str):

@@ -11,6 +11,11 @@ rows per equation, each block cleared of denominators by one common lcm;
 the elimination over Q reads such rows as they are.  One elimination, with
 the columns reversed, gives that canonical basis (``linalg.nullspace``).
 
+Each solve writes the system once over one denominator, B = nums/q with q
+the monic lcm of the entry denominators (``ratfun.common_denominator``); the
+residues, the degree bound at infinity and the ansatz all read that cleared
+form, and both bounds are decided before the ansatz is built.
+
 Denominator bounds: at a finite place where every entry has at most a simple
 pole, a rational solution with a pole of order k forces -k to be an integer
 eigenvalue of the residue matrix there, so the exponent
@@ -18,8 +23,8 @@ max(|z| : z integer eigenvalue of the residue) is a valid (if sometimes
 generous) bound.  Places with higher-order poles fall back to a user cap and
 disqualify completeness claims.  The result is labeled complete only when
 every finite place is a simple pole, the entries vanish at infinity (degree
-growth <= -1, so integer eigenvalues of the leading coefficient there bound
-solution degrees), the numerator cap covers that degree bound, and no
+growth <= -1, so integer eigenvalues of the 1/x coefficient, nums_ij[deg q - 1],
+bound solution degrees), the numerator cap covers that degree bound, and no
 denominator override was supplied.  Integer eigenvalues come from
 ratfun.integer_roots, which finds every one exactly, whatever its size.
 """
@@ -58,37 +63,26 @@ class SolutionSpace:
         return len(self.basis)
 
 
-def _residue_matrix(sys: DiffSystem, place: Poly) -> Mat:
-    """Residue at a simple place as a Q-linear operator on (Q[x]/(place))^n.
+def _residue_matrix(q: Poly, nums, n: int, place: Poly) -> Mat:
+    """Residue at a simple place as a Q-linear operator on (Q[x]/(place))^n,
+    read off the cleared form B_ij = nums[i*n+j]/q.
 
-    For an entry a/(place*h) the residue at a root z of the place is
-    a(z)/(h(z)*place'(z)); the corresponding element of Q[x]/(place) acts on
-    the quotient by multiplication, giving a block matrix over Q of size
-    n*deg(place) whose eigenvalues collect the residue eigenvalues over all
-    roots of the place.
+    At a simple place q = place*h with h coprime to the place, so the residue
+    of B_ij at a root z of the place is nums_ij(z)/(h(z)*place'(z)); the
+    corresponding element of Q[x]/(place) acts on the quotient by
+    multiplication, giving a block matrix over Q of size n*deg(place) whose
+    eigenvalues collect the residue eigenvalues over all roots of the place.
     """
-    n = sys.n
     deg = place.degree
-    deriv = place.derivative()
-    # inverse of the cofactor den/place * place' modulo the place, once per
-    # distinct entry denominator the place divides
-    inverses = {}
-    for den in dict.fromkeys(e.den for row in sys.mat.data for e in row):
-        if not den % place:
-            g, inv, _ = ((den // place) * deriv).xgcd(place)
-            if g.degree != 0:
-                raise InternalError("place not coprime to residual denominator")
-            inverses[den] = inv
+    g, inv, _ = ((q // place) * place.derivative()).xgcd(place)
+    if g.degree != 0:
+        raise InternalError("place not coprime to residual denominator")
     zero = Fraction(0)
     low = place.monic().coeffs[:-1]
     big = [[zero] * (n * deg) for _ in range(n * deg)]
     for i in range(n):
         for j in range(n):
-            entry = sys.mat.data[i][j]
-            inv = inverses.get(entry.den)
-            if inv is None:
-                continue
-            residue = (entry.num * inv) % place
+            residue = (nums[i * n + j] % place * inv) % place
             # column k is x^k * residue mod the monic place, one step of
             # multiplication by x from column k - 1
             col = [residue.coeff(r) for r in range(deg)]
@@ -103,12 +97,13 @@ def _residue_matrix(sys: DiffSystem, place: Poly) -> Mat:
     return Mat(QQ, big)
 
 
-def _denominator_bound(sys: DiffSystem, pole_cap: int, report) -> Poly:
-    """Universal denominator candidate for rational solutions of the system."""
+def _denominator_bound(q: Poly, nums, n: int, pole_cap: int, report) -> Poly:
+    """Universal denominator candidate for rational solutions of the system
+    with cleared form nums/q and singularity report ``report``."""
     den = Poly.ONE
     for place, order in report.finite_places:
         if order == 1:
-            eigen = integer_roots(charpoly(_residue_matrix(sys, place)))
+            eigen = integer_roots(charpoly(_residue_matrix(q, nums, n, place)))
             exponent = max((abs(z) for z in eigen), default=0)
         else:
             exponent = pole_cap
@@ -117,32 +112,15 @@ def _denominator_bound(sys: DiffSystem, pole_cap: int, report) -> Poly:
     return den.monic()
 
 
-def _infinity_degree_info(sys: DiffSystem, report):
-    """(bounded, dmax): when entries vanish at infinity, solution degrees are
-    bounded by the largest integer eigenvalue of the 1/x coefficient matrix
-    (None when there is none, meaning only the zero solution is rational)."""
-    if report.order_at_infinity > -1:
-        return False, None
-    n = sys.n
-    lead = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            e = sys.mat.data[i][j]
-            if not e.is_zero and e.num.degree - e.den.degree == -1:
-                lead[i][j] = e.num.leading / e.den.leading
-    eigen = integer_roots(charpoly(Mat(QQ, lead)))
-    return True, max(eigen, default=None)
+def _ansatz_rows(q: Poly, nums, n: int, den: Poly, cap: int) -> tuple:
+    """The coefficient system of the ansatz v = u/den, deg u <= cap, for the
+    system with cleared form B_ij = nums[i*n+j]/q, as rows of Python ints.
 
-
-def _ansatz_rows(sys: DiffSystem, den: Poly, cap: int) -> tuple:
-    """The coefficient system of the ansatz v = u/den, deg u <= cap, as rows
-    of Python ints.
-
-    With lead_a = clear*den, lead_b = clear*den' and P = clear*den*B, where
-    the polynomial clear makes every P_ij a polynomial, clear*den^2 times
-    v' - B*v = 0 reads lead_a*u' - lead_b*u - P*u = 0.  Unknown u_{j,s}, the
-    coefficient of x^s in entry j, is column j*(cap+1)+s; row (i, k) is the
-    coefficient of x^k in equation i:
+    With lead_a = lcm(den, q) = clear*den, lead_b = clear*den' and
+    P = lead_a*B, so P_ij = nums_ij*(lead_a/q) is a polynomial, clear*den^2
+    times v' - B*v = 0 reads lead_a*u' - lead_b*u - P*u = 0.  Unknown
+    u_{j,s}, the coefficient of x^s in entry j, is column j*(cap+1)+s; row
+    (i, k) is the coefficient of x^k in equation i:
         -P_ij[k-s] + [i=j]*(s*lead_a[k-s+1] - lead_b[k-s]),
     times the one positive rational that clears P_i*, lead_a and lead_b to
     coprime integers (``_clear_all``).  Rows run over k = 0..K for the
@@ -151,13 +129,10 @@ def _ansatz_rows(sys: DiffSystem, den: Poly, cap: int) -> tuple:
     row, when the untrimmed system, n*height rows by n*(cap+1) columns, has
     more than ``ANSATZ_CELLS`` cells.
     """
-    n = sys.n
     width = cap + 1
-    # lcm(den, den_ij...) = clear*den, so the common denominator of 1/den and
-    # the B_ij is lead_a, over which 1/den reads clear and B_ij reads P_ij
-    lead_a, (clear, *entries) = common_denominator(
-        [RatFn(Poly.ONE, den), *(e for row in sys.mat.data for e in row)]
-    )
+    lead_a = den.lcm(q)
+    clear, scale = lead_a // den, lead_a // q
+    entries = [p * scale for p in nums]
     lead_b = clear * den.derivative()
     height = max(1, cap + max(lead_a.degree, len(lead_b.ints), *(len(p.ints) for p in entries)))
     if n * height * n * width > ANSATZ_CELLS:
@@ -203,27 +178,27 @@ def rational_solutions(
     if pole_cap < 0:
         raise ValueError("pole cap must be >= 0")
     n = sys.n
-    if den_override is not None:
-        den = den_override.monic()
-    else:
-        report = singularities(sys)
-        den = _denominator_bound(sys, pole_cap, report)
+    q, nums = common_denominator([e for row in sys.mat.data for e in row])
+    report = None if den_override is not None else singularities(sys)
+    den = den_override.monic() if report is None else _denominator_bound(q, nums, n, pole_cap, report)
     # the cap applies to the ansatz numerator; make sure constants stay
     # representable even for large denominators
     cap = max(num_deg_cap, den.degree)
+    complete = False
+    if report is not None and report.order_at_infinity <= -1 and all(o == 1 for _, o in report.finite_places):
+        # the entries vanish at infinity, so a solution's numerator has degree
+        # at most deg den plus the largest integer eigenvalue of the 1/x
+        # coefficient nums_ij[deg q - 1]; with none, only zero is rational
+        lead = [[p.coeff(q.degree - 1) for p in nums[i * n : i * n + n]] for i in range(n)]
+        complete = cap >= den.degree + max(integer_roots(charpoly(Mat(QQ, lead))), default=0)
     # columns reversed, the kernel read backwards is the canonical basis: see ``linalg.nullspace``
-    kernel = nullspace(Mat._unchecked(QQ, tuple(row[::-1] for row in _ansatz_rows(sys, den, cap))))
+    rows = _ansatz_rows(q, nums, n, den, cap)
+    kernel = nullspace(Mat._unchecked(QQ, tuple(row[::-1] for row in rows)))
     width = cap + 1
     basis = [
-        tuple(RatFn(Poly(v[::-1][j * width : (j + 1) * width]), den) for j in range(n))
-        for v in reversed(kernel)
+        tuple(RatFn(Poly(u[j * width : j * width + width]), den) for j in range(n))
+        for u in (v[::-1] for v in reversed(kernel))
     ]
-
-    complete = False
-    if den_override is None and all(order == 1 for _, order in report.finite_places):
-        bounded, dmax = _infinity_degree_info(sys, report)
-        # cap >= 0, so a negative needed degree dmax + deg(den) always passes
-        complete = bounded and (dmax is None or cap >= dmax + den.degree)
     return SolutionSpace(n, tuple(basis), den, cap, complete)
 
 

@@ -5,7 +5,13 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from redform import (
+    Base,
     DiffSystem,
+    DirectSum,
+    Dual,
+    Ext,
+    Sym,
+    Tensor,
     DimensionMismatch,
     ParseError,
     LieBasis,
@@ -400,6 +406,26 @@ def oracle_eigenvalues_2x2(m):
     return [(tr + root) * half, (tr - root) * half]
 
 
+def oracle_basis_labels(c, n):
+    """Ordered canonical basis labels of a construction, mirroring the index
+    conventions of ``redform.constructions``."""
+    if isinstance(c, Base):
+        return tuple(range(n))
+    if isinstance(c, Dual):
+        return tuple(("*", lbl) for lbl in oracle_basis_labels(c.child, n))
+    if isinstance(c, Tensor):
+        left, right = oracle_basis_labels(c.left, n), oracle_basis_labels(c.right, n)
+        return tuple((a, b) for a in left for b in right)
+    if isinstance(c, DirectSum):
+        left, right = oracle_basis_labels(c.left, n), oracle_basis_labels(c.right, n)
+        return tuple(("L", a) for a in left) + tuple(("R", b) for b in right)
+    if isinstance(c, Sym):
+        return tuple(combinations_with_replacement(oracle_basis_labels(c.child, n), c.r))
+    if isinstance(c, Ext):
+        return tuple(combinations(oracle_basis_labels(c.child, n), c.r))
+    raise TypeError(f"not a construction: {c!r}")
+
+
 def oracle_sym_group(s, r):
     """r-th symmetric power of the map with matrix s in the monomial basis:
     column beta expanded into every product of one entry per slot."""
@@ -671,6 +697,41 @@ def oracle_ansatz_rows(sys_, den, cap):
                 max_deg = max(max_deg, poly.degree)
             columns.append(eq_entries)
     return [[col[i].coeff(k) for col in columns] for i in range(n) for k in range(max_deg + 1)]
+
+
+def oracle_residue_matrix(sys_, place):
+    """Residue of the system at a simple place as an n*deg(place) block
+    matrix over Q, entry by entry: for a/(place*h) the block of that entry
+    multiplies Q[x]/(place) by a*(h*place')^-1, its column k being
+    x^k * a*(h*place')^-1 mod the place; entries the place does not divide
+    give a zero block."""
+    n, deg = sys_.n, place.degree
+    big = [[Fraction(0)] * (n * deg) for _ in range(n * deg)]
+    for i in range(n):
+        for j in range(n):
+            e = sys_.mat.data[i][j]
+            if e.is_zero or e.den % place:
+                continue
+            g, inv, _ = ((e.den // place) * place.derivative()).xgcd(place)
+            assert g.degree == 0
+            for k in range(deg):
+                col = (Poly.monomial(1, k) * e.num * inv) % place
+                for r in range(deg):
+                    big[i * deg + r][j * deg + k] = col.coeff(r)
+    return Mat(QQ, big)
+
+
+def oracle_lead_at_infinity(sys_):
+    """The 1/x coefficient matrix of a system whose entries vanish at
+    infinity, entry by entry from the leading coefficients."""
+    n = sys_.n
+    lead = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            e = sys_.mat.data[i][j]
+            if not e.is_zero and e.num.degree - e.den.degree == -1:
+                lead[i][j] = e.num.leading / e.den.leading
+    return Mat(QQ, lead)
 
 
 def oracle_solution_basis(sys_, den, cap):

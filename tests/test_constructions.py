@@ -1,6 +1,8 @@
 """Construction functors: dimensions, canonical bases, morphism laws."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,10 +15,10 @@ from redform import (
     InvalidArity,
     Mat,
     ParseError,
+    QQ,
     RF,
     Sym,
     Tensor,
-    basis_labels,
     constr_dim,
     constr_group,
     constr_lie,
@@ -29,6 +31,7 @@ from redform.linalg import mat_vec
 
 from helpers import (
     demo_system,
+    oracle_basis_labels,
     oracle_end_action,
     oracle_ext_group,
     oracle_ext_lie,
@@ -155,16 +158,38 @@ class TestParsing:
 
 class TestBasisOrder:
     def test_tensor_row_major(self):
-        labels = basis_labels(Tensor(Base(), Base()), 2)
+        labels = oracle_basis_labels(Tensor(Base(), Base()), 2)
         assert labels == ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def test_sym_nondecreasing_lex(self):
-        labels = basis_labels(Sym(2, Base()), 2)
+        labels = oracle_basis_labels(Sym(2, Base()), 2)
         assert labels == ((0, 0), (0, 1), (1, 1))
 
     def test_ext_increasing_lex(self):
-        labels = basis_labels(Ext(2, Base()), 3)
+        labels = oracle_basis_labels(Ext(2, Base()), 3)
         assert labels == ((0, 1), (0, 2), (1, 2))
+
+    @pytest.mark.parametrize(
+        "text", ["tensor(base,dual(base))", "sym(2,base)", "ext(2,base)", "dsum(base,sym(2,dual(base)))"]
+    )
+    def test_labels_index_the_group_level_basis(self, text):
+        # diag(2, 3, 5) acts on the basis vector of a label by the product of
+        # its primes, a dual slot by the inverse
+        primes = (2, 3, 5)
+
+        def weight(label):
+            if isinstance(label, int):
+                return Fraction(primes[label])
+            if label[0] == "*":
+                return 1 / weight(label[1])
+            if label[0] in ("L", "R"):
+                return weight(label[1])
+            return math.prod(weight(part) for part in label)
+
+        c = parse_construction(text)
+        image = constr_group(c, Mat(QQ, [[p if i == j else 0 for j, p in enumerate(primes)] for i in range(3)]))
+        want = [weight(label) for label in oracle_basis_labels(c, 3)]
+        assert image == Mat(QQ, [[w if i == j else 0 for j in range(len(want))] for i, w in enumerate(want)])
 
 
 class TestGroupLevel:

@@ -461,6 +461,13 @@ class TestReduceByDiagonalization:
         flipped_coeffs = (-cert.coeffs[0],) + cert.coeffs[1:]
         assert not replace(cert, coeffs=flipped_coeffs).verify(demo_system())
 
+    def test_singular_or_mis_sized_gauge_fails_verification(self):
+        cert = reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
+        p = cert.gauge_matrix
+        singular = Mat(RF, [p.data[0], p.data[0]])
+        for bad in (singular, Mat.zeros(RF, 2, 2), Mat.identity(RF, 3), Mat(RF, [p.data[0]])):
+            assert not replace(cert, gauge_matrix=bad).verify(demo_system())
+
     def test_certificate_decomposition_recombines(self):
         cert = reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
         acc = Mat.zeros(RF, 2, 2)
@@ -556,6 +563,19 @@ class TestInternalGates:
 
     def test_certificate_self_verification(self, monkeypatch):
         monkeypatch.setattr(ReductionCertificate, "verify", lambda self, sys_: False)
+        with pytest.raises(InternalError, match="self-verification"):
+            reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
+
+    def test_corrupted_gauge(self, monkeypatch):
+        # a reducer whose gauge step adds t to B[0][0] still diagonalizes;
+        # the certificate check, which re-derives P*B = A_m*P - P' without
+        # gauge, refuses it
+        def corrupted(sys_, p):
+            b = [list(row) for row in gauge(sys_, p).mat.data]
+            b[0][0] = b[0][0] + rf("t", "t")
+            return DiffSystem(sys_.var, Mat(RF, b))
+
+        monkeypatch.setattr(reduction, "gauge", corrupted)
         with pytest.raises(InternalError, match="self-verification"):
             reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
 

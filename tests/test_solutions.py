@@ -23,25 +23,39 @@ from redform import (
     system,
     vec_row_major,
 )
-from redform.linalg import mat_vec
+from redform.linalg import charpoly, mat_vec
 from redform import solutions
-from redform.solutions import _ansatz_rows, _denominator_bound
+from redform.ratfun import common_denominator
+from redform.solutions import _ansatz_rows, _denominator_bound, _residue_matrix
 
 from helpers import (
     demo_system,
     oracle_ansatz_rows,
+    oracle_lead_at_infinity,
+    oracle_residue_matrix,
     oracle_rref,
     oracle_solution_basis,
     rand_invertible,
     rand_matrix,
+    rand_poly,
     rf,
     same_constant_span,
     weighted_swap,
 )
 
 
+def cleared(sys_):
+    """(q, nums, n): the system's entries written as nums[i*n+j] / q."""
+    q, nums = common_denominator([e for row in sys_.mat.data for e in row])
+    return q, nums, sys_.n
+
+
 def denominator_bound(sys_, pole_cap=10):
-    return _denominator_bound(sys_, pole_cap, singularities(sys_))
+    return _denominator_bound(*cleared(sys_), pole_cap, singularities(sys_))
+
+
+def ansatz_rows(sys_, den, cap):
+    return _ansatz_rows(*cleared(sys_), den, cap)
 
 
 def _check_solution(sys_, v):
@@ -75,6 +89,80 @@ class TestDenominatorBound:
         # residue at the squarefree place x^2 - 2 has eigenvalue 1 on each branch
         den = denominator_bound(system("x", [["(2*x)/(x^2-2)"]]))
         assert den == Poly([-2, 0, 1])
+
+
+def ten_place_system():
+    """4x4, each entry sum_k c/(x - k) over k = 0..9, c drawn from -3..3 in
+    the order k, i, j."""
+    rng = random.Random(3)
+    c = [[[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)] for _ in range(10)]
+    def entry(i, j):
+        return sum((RatFn(c[k][i][j], Poly([-k, 1])) for k in range(10)), RatFn.ZERO)
+
+    return DiffSystem("x", Mat(RF, [[entry(i, j) for j in range(4)] for i in range(4)]))
+
+
+class TestClearedForm:
+    """The residues and the 1/x coefficient that ``rational_solutions`` reads
+    off the cleared form nums/q, against the entry-by-entry oracles: every
+    matrix it hands to ``charpoly`` is a residue at a simple place, in the
+    order of the singularity report, then the 1/x coefficient when every
+    place is simple and the entries vanish at infinity."""
+
+    PLACES = [rf(p).num for p in ("x", "x-1", "x+2", "x^2+1", "x^2-2", "x^3-x-1")]
+
+    def _check(self, sys_, monkeypatch):
+        """Whether the 1/x coefficient was compared too."""
+        report = singularities(sys_)
+        simple = [p for p, order in report.finite_places if order == 1]
+        want = [oracle_residue_matrix(sys_, p) for p in simple]
+        assert [_residue_matrix(*cleared(sys_), p) for p in simple] == want
+        if len(simple) == len(report.finite_places) and report.order_at_infinity <= -1:
+            want.append(oracle_lead_at_infinity(sys_))
+        seen = []
+        monkeypatch.setattr(solutions, "charpoly", lambda m: seen.append(m) or charpoly(m))
+        rational_solutions(sys_, num_deg_cap=0, pole_cap=1)
+        assert seen == want
+        return len(want) > len(simple)
+
+    def _entry(self, rng):
+        roll = rng.random()
+        if roll < 0.2:
+            return RatFn.ZERO
+        if roll < 0.3:  # growth >= 0
+            return RatFn(rand_poly(rng, 2), rng.choice(self.PLACES + [Poly.ONE]))
+        den = Poly.ONE
+        for p in rng.sample(self.PLACES, rng.randint(1, 3)):
+            den = den * p ** rng.choice([1, 1, 1, 2])
+        return RatFn(rand_poly(rng, den.degree - 1), den)
+
+    def test_seeded_systems_match_the_entry_by_entry_oracles(self, monkeypatch):
+        rng = random.Random(2319)
+        lead_checked = 0
+        for _ in range(60):
+            n = rng.choice([1, 2, 3])
+            sys_ = DiffSystem("x", Mat(RF, [[self._entry(rng) for _ in range(n)] for _ in range(n)]))
+            lead_checked += self._check(sys_, monkeypatch)
+        assert lead_checked >= 5
+
+    def test_places_dividing_some_denominators(self, monkeypatch):
+        # x - 1 divides two of the four denominators, x^2 + 1 one, x + 2 two
+        sys_ = system("x", [["1/(x-1)", "2/((x-1)*(x+2))"], ["(3*x)/(x^2+1)", "-1/(x+2)"]])
+        assert {p.degree for p, _ in singularities(sys_).finite_places} == {1, 2}
+        self._check(sys_, monkeypatch)
+
+    def test_zero_entries_and_growth_at_least_zero(self, monkeypatch):
+        for rows in (
+            [["0", "0"], ["0", "0"]],
+            [["x", "1/(x^2-2)"], ["0", "x^2/(x-1)"]],
+            [["0", "(x^2+1)/(x^3-x-1)"], ["2", "0"]],
+        ):
+            self._check(system("x", rows), monkeypatch)
+
+    def test_ten_linear_places(self, monkeypatch):
+        sys_ = ten_place_system()
+        assert [order for _, order in singularities(sys_).finite_places] == [1] * 10
+        self._check(sys_, monkeypatch)
 
 
 class TestRationalSolutions:
@@ -268,7 +356,7 @@ class TestAnsatzRows:
 
     @staticmethod
     def _check(sys_, den, cap):
-        rows = _ansatz_rows(sys_, den, cap)
+        rows = ansatz_rows(sys_, den, cap)
         oracle = oracle_ansatz_rows(sys_, den, cap)
         assert all(type(a) is int for row in rows for a in row)
         assert len(rows) == len(oracle) and {len(row) for row in rows} == {sys_.n * (cap + 1)}
@@ -293,7 +381,7 @@ class TestAnsatzRows:
         for n, cap in [(1, 0), (2, 0), (2, 3)]:
             zero = system("x", [["0"] * n for _ in range(n)])
             self._check(zero, Poly.ONE, cap)
-        assert _ansatz_rows(system("x", [["0", "0"], ["0", "0"]]), Poly.ONE, 0) == ((0, 0), (0, 0))
+        assert ansatz_rows(system("x", [["0", "0"], ["0", "0"]]), Poly.ONE, 0) == ((0, 0), (0, 0))
 
     def test_edge_cases(self):
         rational = system("x", [["(3/2*x+1)/(5*x-1/3)", "2/(3*x)"], ["-5/7", "x/(2*x+1)"]])
@@ -313,13 +401,13 @@ class TestAnsatzRows:
         sys_, den, cap = demo_system(), rf("x^3*(x-1)").num, 2
         monkeypatch.setattr(solutions, "ANSATZ_CELLS", 0)
         with pytest.raises(ValueError, match="cap 2 would have") as exc:
-            _ansatz_rows(sys_, den, cap)
+            ansatz_rows(sys_, den, cap)
         assert "lower --num-deg or --pole-cap" in str(exc.value)
         rows, cols = map(int, str(exc.value).split("would have ")[1].split(" cells")[0].split(" x "))
         assert cols == sys_.n * (cap + 1)
         monkeypatch.setattr(solutions, "ANSATZ_CELLS", rows * cols)
         self._check(sys_, den, cap)
-        assert len(_ansatz_rows(sys_, den, cap)) <= rows
+        assert len(ansatz_rows(sys_, den, cap)) <= rows
         monkeypatch.setattr(solutions, "ANSATZ_CELLS", rows * cols - 1)
         with pytest.raises(ValueError, match="over the budget"):
             rational_solutions(sys_, num_deg_cap=cap, den_override=den)
