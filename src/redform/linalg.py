@@ -318,8 +318,11 @@ def _integer_row(row):
 
 def _rref_integer(rows, width):
     """Gauss-Jordan over Q on sparse primitive integer rows ``{column: int}``,
-    pivoting in the columns below ``width`` only.  Returns (done, pivots,
-    rest): ``done[r]`` is a multiple of the reduced row of pivot column
+    pivoting in the columns below ``width`` only: a forward pass clears each
+    new pivot column from the rows not yet pivoted, then one
+    back-substitution, from the last pivot row up, clears the later pivot
+    columns from each earlier pivot row.  Returns (done, pivots, rest):
+    ``done[r]`` is a multiple of the reduced row of pivot column
     ``pivots[r]``, and ``rest`` the nonzero rows left, zero below ``width``.
     Same result as the dense field elimination because the reduced row
     echelon form is unique."""
@@ -336,9 +339,14 @@ def _rref_integer(rows, width):
         pivot_row = active.pop(min(cands, key=lambda k: len(active[k])))
         active = [_eliminate(row, pivot_row, col) if col in row else row for row in active]
         active = [row for row in active if row]
-        done = [_eliminate(row, pivot_row, col) if col in row else row for row in done]
         done.append(pivot_row)
         pivots.append(col)
+    # each later row is already reduced, so clearing its pivot column brings
+    # no other pivot column back
+    for r in range(len(done) - 2, -1, -1):
+        for s in range(r + 1, len(done)):
+            if pivots[s] in done[r]:
+                done[r] = _eliminate(done[r], done[s], pivots[s])
     return done, pivots, active
 
 

@@ -27,6 +27,10 @@ growth <= -1, so integer eigenvalues of the 1/x coefficient, nums_ij[deg q - 1],
 bound solution degrees), the numerator cap covers that degree bound, and no
 denominator override was supplied.  Integer eigenvalues come from
 ratfun.integer_roots, which finds every one exactly, whatever its size.
+When the result is complete the ansatz is built at that certified degree,
+deg den plus the largest integer eigenvalue at infinity (at least 0), not
+at the cap: its columns above would be zero in every kernel vector.  The
+payload's ``num_degree_cap`` stays the cap.
 """
 
 from __future__ import annotations
@@ -183,18 +187,21 @@ def rational_solutions(
     den = den_override.monic() if report is None else _denominator_bound(q, nums, n, pole_cap, report)
     # the cap applies to the ansatz numerator; make sure constants stay
     # representable even for large denominators
-    cap = max(num_deg_cap, den.degree)
+    cap = degree = max(num_deg_cap, den.degree)
     complete = False
     if report is not None and report.order_at_infinity <= -1 and all(o == 1 for _, o in report.finite_places):
         # the entries vanish at infinity, so a solution's numerator has degree
         # at most deg den plus the largest integer eigenvalue of the 1/x
         # coefficient nums_ij[deg q - 1]; with none, only zero is rational
         lead = [[p.coeff(q.degree - 1) for p in nums[i * n : i * n + n]] for i in range(n)]
-        complete = cap >= den.degree + max(integer_roots(charpoly(Mat(QQ, lead))), default=0)
+        bound = den.degree + max(integer_roots(charpoly(Mat(QQ, lead))), default=0)
+        if cap >= bound:
+            # every kernel vector is zero above the certified degree
+            complete, degree = True, max(0, bound)
     # columns reversed, the kernel read backwards is the canonical basis: see ``linalg.nullspace``
-    rows = _ansatz_rows(q, nums, n, den, cap)
+    rows = _ansatz_rows(q, nums, n, den, degree)
     kernel = nullspace(Mat._unchecked(QQ, tuple(row[::-1] for row in rows)))
-    width = cap + 1
+    width = degree + 1
     basis = [
         tuple(RatFn(Poly(u[j * width : j * width + width]), den) for j in range(n))
         for u in (v[::-1] for v in reversed(kernel))

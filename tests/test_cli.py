@@ -472,6 +472,36 @@ class TestUsageErrors:
         assert code == 3 and payload["error"]["reason"] == "usage_error"
         assert "cap 2000" in payload["error"]["message"] and "--num-deg" in payload["error"]["message"]
 
+    def test_large_certified_denominator_answers_at_the_certified_degree(self, work, capsys):
+        # the complete solution is x^-3000: at the cap, deg den = 3000, the
+        # ansatz would have 6,000 x 3,001 cells; at the certified degree 0 it
+        # has 3,001 x 1
+        tmp, write = work
+        sys_path = write("a.json", {"var": "x", "n": 1, "A": [["-3000/x"]]})
+        start = time.perf_counter()
+        code, payload = run(["ratsols", "--system", sys_path], capsys)
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert payload == {
+            "basis": [["(1)/(x^3000)"]],
+            "complete": True,
+            "constr": "base",
+            "denominator": "x^3000",
+            "dim": 1,
+            "num_degree_cap": 3000,
+            "size": 1,
+        }
+
+    def test_complete_system_at_a_huge_cap_answers(self, work, capsys):
+        # complete, so the ansatz is built at the certified degree 3, not at
+        # --num-deg; the payload keeps the cap
+        tmp, write = work
+        sys_path = write("q.json", {"var": "x", "n": 2, "A": [["2*x/(x^2+1)", "0"], ["0", "1/x"]]})
+        code, payload = run(["ratsols", "--system", sys_path, "--num-deg", "100000"], capsys)
+        assert code == 0 and payload["complete"] is True
+        assert payload["basis"] == [["x^2 + 1", "0"], ["0", "x"]]
+        assert payload["denominator"] == "x^3 + x" and payload["num_degree_cap"] == 100000
+
     def test_pole_is_usage_error(self, work, capsys):
         tmp, write = work
         sys_path = write("a.json", DEMO)

@@ -142,12 +142,17 @@ def test_charpoly_companion():
 # The integer elimination over QQ against a dense Fraction oracle
 
 
-def _check_against_oracle(rows):
+def _check_rref_against_oracle(rows):
     m = Mat(QQ, rows)
     reduced, pivots = m.rref()
     want, want_pivots = oracle_rref(rows)
     assert reduced.data == tuple(tuple(r) for r in want)
     assert pivots == tuple(want_pivots)
+    return m, pivots
+
+
+def _check_against_oracle(rows):
+    m, _ = _check_rref_against_oracle(rows)
     if m.is_square:
         n = m.rows
         det = oracle_det(m.data)
@@ -187,6 +192,39 @@ def test_qq_kernel_matches_dense_oracle_seeded():
             rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
         _check_against_oracle(rows)
         _check_against_oracle([row[: min(rows_n, cols_n)] for row in rows[: min(rows_n, cols_n)]])
+
+
+def _banded(rng, rows_n, cols_n, band):
+    """A sparse rows_n x cols_n Fraction matrix, nonzero only within ``band``
+    columns of the stretched diagonal, as an ansatz is: stacked pivots, each
+    row filling in the next pivot columns."""
+    rows = []
+    for i in range(rows_n):
+        centre = i * cols_n // rows_n
+        row = [Fraction(0)] * cols_n
+        for j in range(max(0, centre - band), min(cols_n, centre + band + 1)):
+            if rng.random() < 0.6:
+                row[j] = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+        rows.append(row)
+    return rows
+
+
+def test_qq_kernel_matches_dense_oracle_on_banded_matrices_seeded():
+    rng = random.Random(2409)
+    ranks = set()
+    for k in range(16):
+        rows_n = rng.randint(20, 40)
+        # tall, square, wide and twice as wide
+        cols_n = rows_n + [-6, 0, rows_n // 2, rows_n][k % 4]
+        rows = _banded(rng, rows_n, cols_n, rng.randint(1, 4))
+        if k % 3 == 0:
+            # rank deficiency: a few rows become combinations of two others
+            for r in rng.sample(range(rows_n), 4):
+                a, b = rng.sample(range(rows_n), 2)
+                rows[r] = [x - 2 * y for x, y in zip(rows[a], rows[b])]
+        m, pivots = _check_rref_against_oracle(rows)
+        ranks.add(len(pivots) < min(m.rows, m.cols))
+    assert ranks == {False, True}
 
 
 @pytest.mark.parametrize(
@@ -390,6 +428,24 @@ def test_span_coordinates_matches_the_oracle_over_qx_seeded():
         seen["in"] += sum(x is not None for x in coords)
         seen["out"] += sum(x is None for x in coords)
     assert min(seen.values()) > 10
+
+
+def test_span_coordinates_matches_the_oracle_on_banded_vectors_seeded():
+    # pivots only in the d vector columns of the n x (d + targets) system
+    rng = random.Random(2410)
+    seen = {"in": 0, "out": 0}
+    for _ in range(8):
+        n, d = rng.randint(20, 40), rng.randint(10, 30)
+        vectors = [tuple(c) for c in zip(*_banded(rng, n, d, rng.randint(1, 3)))]
+        if rng.random() < 0.5:
+            vectors[-1] = tuple(a - 3 * b for a, b in zip(vectors[0], vectors[d // 2]))
+        combos = [[Fraction(rng.randint(-3, 3)) for _ in range(d)] for _ in range(2)]
+        inside = [tuple(sum(c * v[i] for c, v in zip(cs, vectors)) for i in range(n)) for cs in combos]
+        outside = [tuple(c) for c in zip(*_banded(rng, n, 2, 3))]
+        coords = _check_span_against_oracle(vectors, inside + outside + [(Fraction(0),) * n], QQ)
+        seen["in"] += sum(x is not None for x in coords)
+        seen["out"] += sum(x is None for x in coords)
+    assert min(seen.values()) > 3
 
 
 @pytest.mark.parametrize("ring", [QQ, RF])

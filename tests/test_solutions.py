@@ -1,6 +1,7 @@
 """Rational solutions: bounds, oracles, semi-invariants, harvesting."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,8 @@ from redform.solutions import _ansatz_rows, _denominator_bound, _residue_matrix
 from helpers import (
     demo_system,
     oracle_ansatz_rows,
+    oracle_det,
+    oracle_integer_roots,
     oracle_lead_at_infinity,
     oracle_residue_matrix,
     oracle_rref,
@@ -242,6 +245,19 @@ class TestRationalSolutions:
         assert same_constant_span(space.basis, moved)
 
 
+def _linear_gauge_of_zero(rng, n):
+    """The gauge of the zero system by P = C0 + C1*x, C1 invertible: its n
+    solutions are rational, its poles are simple at the roots of det P, and
+    it vanishes at infinity, so the bounds certify it complete."""
+    while True:
+        c0 = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        c1 = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if oracle_det([[Fraction(a) for a in row] for row in c1]):
+            break
+    p = Mat(RF, [[rf(f"{a} + {b}*x") for a, b in zip(r0, r1)] for r0, r1 in zip(c0, c1)])
+    return gauge(system("x", [["0"] * n for _ in range(n)]), p)
+
+
 class TestCanonicalBasisOracle:
     """The one elimination of ``rational_solutions`` against the dense
     two-elimination route: null space of the ansatz rows, then its RREF."""
@@ -280,6 +296,36 @@ class TestCanonicalBasisOracle:
         for den in [Poly.ONE, rf("x").num, rf("x^2*(x+1)").num, rf("x^2+1/3").num]:
             space = self._check(sys_, 2, den_override=den)
             assert space.denominator == den.monic() and not space.complete
+
+    def test_complete_systems_at_caps_above_the_certified_degree(self, monkeypatch):
+        # the ansatz is built at the certified degree deg den + dmax, and the
+        # oracle at the payload's cap, well above it: equal bases show that
+        # nothing above the certified degree was cut
+        degrees = []
+        monkeypatch.setattr(
+            solutions, "_ansatz_rows", lambda *args: degrees.append(args[-1]) or _ansatz_rows(*args)
+        )
+        rng = random.Random(1999)
+        dims = set()
+        for k in range(12):
+            if k % 3 == 0:
+                sys_ = _linear_gauge_of_zero(rng, 2 + k % 2)
+            elif k % 3 == 1:
+                # y' = (a/x + b/(x-1)) y has the rational solution x^a (x-1)^b
+                a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+                sys_ = system("x", [[f"{a}/x + {b}/(x-1)"]])
+            else:
+                # a 2x2 Fuchsian system with two places
+                places = rng.sample(["x", "x-1", "x+2", "x^2+1", "2*x-3"], 2)
+                entries = [" + ".join(f"{rng.randint(-3, 3)}/({p})" for p in places) for _ in range(4)]
+                sys_ = system("x", [entries[:2], entries[2:]])
+            cap = rng.randint(12, 20)
+            space = self._check(sys_, cap)
+            dmax = max(oracle_integer_roots(charpoly(oracle_lead_at_infinity(sys_))), default=0)
+            assert space.complete and space.num_degree_cap == max(cap, space.denominator.degree)
+            assert degrees.pop() == max(0, space.denominator.degree + dmax) < space.num_degree_cap
+            dims.add(space.dim)
+        assert {0, 1, 2, 3} <= dims
 
     def test_denominator_degree_above_the_cap(self):
         space = self._check(system("x", [["-3/x"]]), 1)
