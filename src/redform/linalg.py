@@ -27,11 +27,12 @@ None for a target outside it.  ``inv`` takes the coordinates of the unit
 vectors.  The nonzero rows of ``rref`` are the canonical basis of the row
 space; the ``nullspace`` of m with its columns reversed, each vector and the
 list read backwards, is the canonical basis of the kernel of m.
-``charpoly`` runs Berkowitz's division-free algorithm (Berkowitz
-1984) on the integer matrix d*m, d the lcm of the denominators of m:
-p_m(T) = d^-n p_dm(d T).  ``det`` over Q is (-1)^n p_m(0); over Q(x) it is
-the signed last pivot of ``_ffgj`` over the row scales.  Products over Q(x)
-sum each entry as ``ratfun`` integer pairs and normalize it once.
+``charpoly_ints`` runs Berkowitz's division-free algorithm (Berkowitz
+1984) on an integer matrix a over an integer d: p_(a/d)(T) = d^-n p_a(d T).
+``charpoly`` of a rational matrix m hands it d*m over d, d the lcm of the
+denominators of m.  ``det`` over Q is (-1)^n p_m(0); over Q(x) it is the
+signed last pivot of ``_ffgj`` over the row scales.  Products over Q(x) sum
+each entry as ``ratfun`` integer pairs and normalize it once.
 """
 
 from __future__ import annotations
@@ -434,25 +435,30 @@ def span_coordinates(vectors, targets, ring):
 
 
 def charpoly(m: Mat) -> Poly:
-    """Characteristic polynomial det(T*I - m) of a rational matrix.
+    """Characteristic polynomial det(T*I - m) of a rational matrix: that of
+    the integer matrix d*m over d, d the lcm of the denominators of m."""
+    if not isinstance(m.ring, FractionField):
+        raise TypeError("charpoly expects a matrix over the rationals")
+    d = lcm(*(a.denominator for row in m.data for a in row))
+    return charpoly_ints([[e.numerator * (d // e.denominator) for e in row] for row in m.data], d)
 
-    With d the lcm of the denominators, N = d*m is an integer matrix and
-    det(T*I - m) = d^-n det(d*T*I - N).  Berkowitz's algorithm gets the
-    characteristic polynomial p_k of each leading k x k block N_k of N without
-    division: with r = N[k][:k], c = N[:k][k] and the vector
-    q = (1, -N[k][k], -r c, -r N_k c, ..., -r N_k^(k-1) c), the coefficients
+
+def charpoly_ints(a, d: int = 1) -> Poly:
+    """Characteristic polynomial det(T*I - a/d) of the square integer matrix
+    a (lists of ints) over the integer d != 0.
+
+    det(T*I - a/d) = d^-n det(d*T*I - a).  Berkowitz's algorithm gets the
+    characteristic polynomial p_k of each leading k x k block a_k of a
+    without division: with r = a[k][:k], c = a[:k][k] and the vector
+    q = (1, -a[k][k], -r c, -r a_k c, ..., -r a_k^(k-1) c), the coefficients
     of p_(k+1), highest degree first, are the first k+2 of the convolution
     of q with those of p_k.
     """
-    if not isinstance(m.ring, FractionField):
-        raise TypeError("charpoly expects a matrix over the rationals")
-    n = m.rows
-    d = lcm(*(a.denominator for row in m.data for a in row))
-    a = [[e.numerator * (d // e.denominator) for e in row] for row in m.data]
+    n = len(a)
     p = [1]
     for k in range(n):
         # residue matrices are sparse, so the products run over nonzero
-        # (column, entry) pairs of r and of the rows of N_k only
+        # (column, entry) pairs of r and of the rows of a_k only
         block = [[(j, x) for j, x in enumerate(row[:k]) if x] for row in a[:k]]
         r = [(j, x) for j, x in enumerate(a[k][:k]) if x]
         q = [1, -a[k][k]]
@@ -465,10 +471,11 @@ def charpoly(m: Mat) -> Poly:
             sum(q[i - j] * p[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
             for i in range(k + 2)
         ]
-    # p[k] is the coefficient of T^(n-k) in det(T*I - N); in det(T*I - m)
+    # p[k] is the coefficient of T^(n-k) in det(T*I - a); in det(T*I - a/d)
     # it is divided by d^k, so the coefficient of T^j is p[n-j] d^j / d^n
     ints, power = [], 1
     for c in reversed(p):
         ints.append(c * power)
         power *= d
-    return _from_ints(ints, 1, power // d)
+    power //= d
+    return _from_ints(ints, 1 if power > 0 else -1, abs(power))

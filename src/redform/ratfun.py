@@ -1027,6 +1027,18 @@ def integer_roots(p: Poly):
     return sorted(roots)
 
 
+def rational_roots(p: Poly):
+    """Sorted rational roots of p, each once.  With f = lead*x^d + ... the
+    primitive integer form of p, lead > 0, the rational roots are y/lead for
+    the integer roots y of its monic rescaling lead^(d-1) * f(y/lead)."""
+    if p.is_zero:
+        raise ValueError("zero polynomial has every rational as a root")
+    f = p.ints if p.ints[-1] > 0 else _neg(p.ints)
+    lead, d = f[-1], len(f) - 1
+    monic = [c * lead ** (d - 1 - k) for k, c in enumerate(f[:-1])]
+    return [Fraction(y, lead) for y in integer_roots(_poly((*monic, 1), _ONE))]
+
+
 def squarefree_factors(p: Poly):
     """Yun decomposition: [(s_k, k)] with p = lc * prod s_k^k, the s_k monic,
     squarefree and pairwise coprime (characteristic zero)."""

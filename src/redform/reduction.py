@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
-from math import lcm
 
 from .constructions import (
     Construction,
@@ -41,7 +40,7 @@ from .errors import (
     SingularGauge,
 )
 from .linalg import Mat, QQ, RF, charpoly, mat_vec, nullspace, span_coordinates
-from .ratfun import Poly, RatFn, _rat, common_denominator, integer_roots, poly_str, ratfn_sqrt, ratfn_str
+from .ratfun import Poly, RatFn, _rat, common_denominator, poly_str, rational_roots, ratfn_sqrt, ratfn_str
 from .solutions import NUM_DEG_CAP, POLE_CAP, check_semi_invariant, harvest_invariants, span_connection
 from .systems import DiffSystem, gauge, is_ordinary_point, mat_derivative, pullback
 
@@ -313,9 +312,7 @@ def _eigenvalues_ratfn(m: Mat, var: str):
     scale = q(x0) * g(x0)
     const = [[p(x0) / scale for p in row] for row in f]
     chi = charpoly(Mat(QQ, const))
-    # d*F/g is an integer matrix, so its rational eigenvalues are integers
-    d = lcm(*(e.denominator for row in const for e in row))
-    roots = integer_roots(Poly([c * d ** (n - k) for k, c in enumerate(chi.coeffs)]))
+    roots = rational_roots(chi)
     if len(roots) < n:
         if chi.gcd(chi.derivative()).degree > 0:
             raise DefectiveEigenstructure("eigenvalues are not pairwise distinct")
@@ -323,7 +320,7 @@ def _eigenvalues_ratfn(m: Mat, var: str):
             f"F/g has the constant characteristic polynomial {poly_str(chi, 'T')}, "
             "whose roots are not all rational"
         )
-    return [g * Fraction(r, d) for r in roots]
+    return [g * z for z in roots]
 
 
 def _eigen_sort_key(value: RatFn):

@@ -20,7 +20,10 @@ Denominator bounds: at a finite place where every entry has at most a simple
 pole, a rational solution with a pole of order k forces -k to be an integer
 eigenvalue of the residue matrix there, so the exponent
 max(|z| : z integer eigenvalue of the residue) is a valid (if sometimes
-generous) bound.  Places with higher-order poles fall back to a user cap and
+generous) bound.  The residue is read at each rational root of the place
+(``ratfun.rational_roots``), as an n x n integer matrix of values over one
+integer, and on the quotient ring by the place only for the cofactor without
+a rational root.  Places with higher-order poles fall back to a user cap and
 disqualify completeness claims.  The result is labeled complete only when
 every finite place is a simple pole, the entries vanish at infinity (degree
 growth <= -1, so integer eigenvalues of the 1/x coefficient, nums_ij[deg q - 1],
@@ -37,11 +40,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .constructions import Construction, constr_lie, constr_vector
 from .errors import DimensionMismatch, InternalError, InvalidArity
-from .linalg import Mat, QQ, RF, charpoly, mat_vec, nullspace, span_coordinates
-from .ratfun import Poly, RatFn, _clear_all, common_denominator, integer_roots
+from .linalg import Mat, QQ, RF, charpoly, charpoly_ints, mat_vec, nullspace, span_coordinates
+from .ratfun import Poly, RatFn, _clear_all, common_denominator, integer_roots, rational_roots
 from .systems import DiffSystem, singularities
 
 # default numerator degree cap and exponent cap at higher-order poles
@@ -68,10 +72,11 @@ class SolutionSpace:
 
 
 def _residue_matrix(q: Poly, nums, n: int, place: Poly) -> Mat:
-    """Residue at a simple place as a Q-linear operator on (Q[x]/(place))^n,
-    read off the cleared form B_ij = nums[i*n+j]/q.
+    """Residue at a simple factor ``place`` of q (in ``_bounds``, the
+    cofactor of a place without a rational root) as a Q-linear operator on
+    (Q[x]/(place))^n, read off the cleared form B_ij = nums[i*n+j]/q.
 
-    At a simple place q = place*h with h coprime to the place, so the residue
+    At a simple factor q = place*h with h coprime to the place, so the residue
     of B_ij at a root z of the place is nums_ij(z)/(h(z)*place'(z)); the
     corresponding element of Q[x]/(place) acts on the quotient by
     multiplication, giving a block matrix over Q of size n*deg(place) whose
@@ -101,19 +106,60 @@ def _residue_matrix(q: Poly, nums, n: int, place: Poly) -> Mat:
     return Mat(QQ, big)
 
 
-def _denominator_bound(q: Poly, nums, n: int, pole_cap: int, report) -> Poly:
-    """Universal denominator candidate for rational solutions of the system
-    with cleared form nums/q and singularity report ``report``."""
+def _value(ints, y: int, l: int, top: int) -> int:
+    """l^top * p(y/l) for the integer list p of degree at most top."""
+    acc, power = 0, l ** (top + 1 - len(ints))
+    for c in reversed(ints):
+        acc = acc * y + c * power
+        power *= l
+    return acc
+
+
+def _bounds(q: Poly, nums, n: int, pole_cap: int, report):
+    """(den, dmax) for the system with cleared form nums/q and singularity
+    report ``report``: the universal denominator candidate, and the largest
+    integer eigenvalue of the 1/x coefficient (0 without one) when every
+    finite place is simple and the entries vanish at infinity, else None.
+
+    q' and the nums are read as integer lists over one scale.  At a rational
+    root z = y/l of a simple place, the residue nums_ij(z)/q'(z) is the
+    integer matrix of their values times l^top over one integer; the
+    cofactor of the place without a rational root takes the quotient-ring
+    residue (``_residue_matrix``).  Together the factors have the
+    eigenvalues of the residue on the whole place.
+    """
+    (dq, *ints), scale = _clear_all([q.derivative(), *nums])
+    top = max(map(len, [dq, *ints])) - 1
     den = Poly.ONE
     for place, order in report.finite_places:
         if order == 1:
-            eigen = integer_roots(charpoly(_residue_matrix(q, nums, n, place)))
-            exponent = max((abs(z) for z in eigen), default=0)
+            eigen = []
+            roots = rational_roots(place)
+            for z in roots:
+                y, l = z.numerator, z.denominator
+                d = _value(dq, y, l, top)
+                if not d:
+                    raise InternalError("place not coprime to residual denominator")
+                a = [[_value(p, y, l, top) for p in ints[i * n : i * n + n]] for i in range(n)]
+                eigen += integer_roots(charpoly_ints(a, d))
+            if len(roots) < place.degree:
+                rest = place // prod((Poly([-z, 1]) for z in roots), start=Poly.ONE)
+                eigen += integer_roots(charpoly(_residue_matrix(q, nums, n, rest)))
+            exponent = max(map(abs, eigen), default=0)
         else:
             exponent = pole_cap
         if exponent > 0:
             den = den * place ** exponent
-    return den.monic()
+    dmax = None
+    if report.order_at_infinity <= -1 and all(o == 1 for _, o in report.finite_places):
+        # every nums_ij has degree below deg q, so its coefficient of
+        # x^(deg q - 1) is its last entry when it has deg q of them
+        lead = [
+            [scale.numerator * p[-1] if p and len(p) == q.degree else 0 for p in ints[i * n : i * n + n]]
+            for i in range(n)
+        ]
+        dmax = max(integer_roots(charpoly_ints(lead, scale.denominator)), default=0)
+    return den.monic(), dmax
 
 
 def _ansatz_rows(q: Poly, nums, n: int, den: Poly, cap: int) -> tuple:
@@ -183,21 +229,18 @@ def rational_solutions(
         raise ValueError("pole cap must be >= 0")
     n = sys.n
     q, nums = common_denominator([e for row in sys.mat.data for e in row])
-    report = None if den_override is not None else singularities(sys)
-    den = den_override.monic() if report is None else _denominator_bound(q, nums, n, pole_cap, report)
+    if den_override is None:
+        den, dmax = _bounds(q, nums, n, pole_cap, singularities(sys))
+    else:
+        den, dmax = den_override.monic(), None
     # the cap applies to the ansatz numerator; make sure constants stay
     # representable even for large denominators
     cap = degree = max(num_deg_cap, den.degree)
     complete = False
-    if report is not None and report.order_at_infinity <= -1 and all(o == 1 for _, o in report.finite_places):
-        # the entries vanish at infinity, so a solution's numerator has degree
-        # at most deg den plus the largest integer eigenvalue of the 1/x
-        # coefficient nums_ij[deg q - 1]; with none, only zero is rational
-        lead = [[p.coeff(q.degree - 1) for p in nums[i * n : i * n + n]] for i in range(n)]
-        bound = den.degree + max(integer_roots(charpoly(Mat(QQ, lead))), default=0)
-        if cap >= bound:
-            # every kernel vector is zero above the certified degree
-            complete, degree = True, max(0, bound)
+    # with dmax, a solution's numerator has degree at most deg den + dmax;
+    # every kernel vector is zero above that certified degree
+    if dmax is not None and cap >= den.degree + dmax:
+        complete, degree = True, max(0, den.degree + dmax)
     # columns reversed, the kernel read backwards is the canonical basis: see ``linalg.nullspace``
     rows = _ansatz_rows(q, nums, n, den, degree)
     kernel = nullspace(Mat._unchecked(QQ, tuple(row[::-1] for row in rows)))

@@ -638,29 +638,59 @@ def oracle_ratfn_str(r, var="x"):
     return f"({oracle_terms_str(num, var)})/({oracle_terms_str(den, var)})"
 
 
-def oracle_integer_roots(p):
-    """Integer roots of a nonzero polynomial by divisor enumeration: clear it
-    to coprime integers, strip the factors of x (0 is then a root), and test
-    every divisor of the trailing coefficient, up to |a0| = 10^8, by exact
-    evaluation on Fractions."""
+def _oracle_stripped(p):
+    """(ints, zero): the nonzero polynomial p cleared to coprime integers
+    with its factors of x stripped, and whether 0 is a root."""
     scale = 1
     for c in p.coeffs:
         scale = scale * c.denominator // math.gcd(scale, c.denominator)
     ints = [int(c * scale) for c in p.coeffs]
     content = math.gcd(*ints)
     ints = [a // content for a in ints]
-    roots = {0} if ints[0] == 0 else set()
+    zero = ints[0] == 0
     while ints[0] == 0:
         ints.pop(0)
-    a0 = abs(ints[0])
-    if a0 > 10 ** 8:
-        raise ValueError("trailing coefficient too large for the oracle")
+    return ints, zero
+
+
+def _oracle_divisors(m, limit):
+    """The positive divisors of the integer 0 < m <= limit, by trial division."""
+    if m > limit:
+        raise ValueError("coefficient too large for the oracle")
+    out = set()
+    for d in range(1, math.isqrt(m) + 1):
+        if m % d == 0:
+            out.update((d, m // d))
+    return sorted(out)
+
+
+def oracle_integer_roots(p):
+    """Integer roots of a nonzero polynomial by divisor enumeration: clear it
+    to coprime integers, strip the factors of x (0 is then a root), and test
+    every divisor of the trailing coefficient, up to |a0| = 10^8, by exact
+    evaluation on Fractions."""
+    ints, zero = _oracle_stripped(p)
+    roots = {0} if zero else set()
     if len(ints) > 1:
-        for d in range(1, math.isqrt(a0) + 1):
-            if a0 % d == 0:
-                for z in (d, -d, a0 // d, -a0 // d):
-                    if p(z) == 0:
-                        roots.add(z)
+        roots.update(z for d in _oracle_divisors(abs(ints[0]), 10 ** 8) for z in (d, -d) if p(z) == 0)
+    return sorted(roots)
+
+
+def oracle_rational_roots(p):
+    """Rational roots of a nonzero polynomial by divisor enumeration: clear
+    it to coprime integers a0 + ... + an x^n, strip the factors of x (0 is
+    then a root), and test every +-u/v in lowest terms with u dividing a0
+    and v dividing an, each up to 10^12, by the exact integer sum
+    v^n p(u/v) = sum a_k u^k v^(n-k)."""
+    ints, zero = _oracle_stripped(p)
+    roots = {Fraction(0)} if zero else set()
+    n = len(ints) - 1
+    for u in _oracle_divisors(abs(ints[0]), 10 ** 12) if n else ():
+        for v in _oracle_divisors(abs(ints[-1]), 10 ** 12):
+            if math.gcd(u, v) == 1:
+                for w in (u, -u):
+                    if sum(a * w ** k * v ** (n - k) for k, a in enumerate(ints)) == 0:
+                        roots.add(Fraction(w, v))
     return sorted(roots)
 
 

@@ -2,15 +2,16 @@
 
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
-from redform import cli
+from redform import cli, solutions
 from redform.cli import main
 from redform.reduction import ReductionCertificate
 from redform.errors import ParseError
 from redform.jsonio import certificate_from_json, system_from_json
-from redform.ratfun import Poly, RatFn, parse_ratfn
+from redform.ratfun import RatFn, parse_ratfn
 
 DEMO = {"var": "x", "n": 2, "A": [["0", "1"], ["x", "1/(2*x)"]]}
 SWAP = {"var": "x", "M": [["0", "1/x"], ["1", "0"]]}
@@ -539,16 +540,24 @@ class TestInternalErrors:
 
     def test_failed_residue_self_check_exits_4(self, work, capsys, monkeypatch):
         # a place that is not coprime to its cofactor is a bug in the
-        # singularity refinement, not bad input
-        monkeypatch.setattr(Poly, "xgcd", lambda self, other: (Poly.x(), Poly.ONE, Poly()))
+        # singularity refinement, not bad input: here the report calls every
+        # double pole simple, so q' vanishes at the rational root 0 of x^2,
+        # and x^2 + 1 shares a factor with the rest of (x^2 + 1)^2
+        report = solutions.singularities
+        monkeypatch.setattr(
+            solutions,
+            "singularities",
+            lambda s: replace(report(s), finite_places=tuple((p, 1) for p, _ in report(s).finite_places)),
+        )
         tmp, write = work
-        sys_path = write("a.json", {"var": "x", "n": 1, "A": [["1/x"]]})
-        code, payload = run(["ratsols", "--system", sys_path], capsys)
-        assert code == 4
-        assert payload["error"] == {
-            "reason": "internal_error",
-            "message": "place not coprime to residual denominator",
-        }
+        for entry in ("1/x^2", "1/(x^2+1)^2"):
+            sys_path = write("a.json", {"var": "x", "n": 1, "A": [[entry]]})
+            code, payload = run(["ratsols", "--system", sys_path], capsys)
+            assert code == 4
+            assert payload["error"] == {
+                "reason": "internal_error",
+                "message": "place not coprime to residual denominator",
+            }
 
 
 class TestHostileConstructions:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from redform import Mat, Poly, QQ, RF, RatFn, SingularGauge
-from redform.linalg import charpoly, mat_vec, nullspace, span_coordinates
+from redform.linalg import charpoly, charpoly_ints, mat_vec, nullspace, span_coordinates
 
 from helpers import oracle_det, oracle_rref, oracle_solve, rand_invertible, rand_matrix, rf
 
@@ -136,6 +136,19 @@ def test_charpoly_companion():
     # companion matrix of x^3 - 2x + 5
     m = Mat(QQ, [[0, 0, -5], [1, 0, 2], [0, 1, 0]])
     assert charpoly(m) == Poly([5, -2, 0, 1])
+
+
+def test_charpoly_ints_over_a_denominator_of_either_sign():
+    rng = random.Random(25)
+    for n in range(5):
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        for d in (1, 3, -1, -4):
+            m = [[Fraction(x, d) for x in row] for row in a]
+            p = charpoly_ints(a, d)
+            assert p == charpoly(Mat(QQ, m)) and p.degree == n and p.leading == 1
+            for t in range(n + 1):
+                shifted = [[(t if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
+                assert p(t) == oracle_det(shifted)
 
 
 # ---------------------------------------------------------------------------

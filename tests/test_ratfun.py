@@ -28,12 +28,14 @@ from redform.ratfun import (
     parse_rat,
     poly_sqrt,
     rat_str,
+    rational_roots,
     ratfn_sqrt,
 )
 
 from helpers import (
     oracle_integer_roots,
     oracle_parse_ratfn,
+    oracle_rational_roots,
     oracle_poly_add,
     oracle_poly_derivative,
     oracle_poly_divmod,
@@ -301,6 +303,57 @@ def test_integer_roots_match_the_divisor_oracle_seeded():
     assert {p.degree for p in polys} >= {0, 1, 2, 6, 10}
     for i, p in enumerate(polys):
         assert integer_roots(p) == oracle_integer_roots(p), (i, p.coeffs)
+
+
+def test_rational_roots():
+    # (2x - 1)^3 (x + 4)^2: repeated roots, each once, sorted
+    assert rational_roots(Poly([-1, 2]) ** 3 * Poly([4, 1]) ** 2) == [-4, Fraction(1, 2)]
+    # x^3 (3x + 2): the root 0
+    assert rational_roots(Poly([0, 0, 0, 2, 3])) == [Fraction(-2, 3), 0]
+    # no rational root, a constant, and a negative leading coefficient with
+    # Fraction coefficients: 1 - x/2
+    assert rational_roots(Poly([-2, 0, 1])) == []
+    assert rational_roots(Poly([Fraction(5, 3)])) == []
+    assert rational_roots(Poly([1, Fraction(-1, 2)])) == [2]
+    with pytest.raises(ValueError):
+        rational_roots(Poly())
+
+
+def test_rational_roots_with_a_large_leading_coefficient():
+    # past the reach of any divisor enumeration: the root 2/3^50 of
+    # (3^50 x - 2)(x^2 + 1), and 3^50 x^40 + 1, which has none
+    assert rational_roots(Poly([-2, 3 ** 50]) * Poly([1, 0, 1])) == [Fraction(2, 3 ** 50)]
+    assert rational_roots(Poly([1] + [0] * 39 + [3 ** 50])) == []
+
+
+def _seeded_rational_root_poly(rng):
+    """A nonzero polynomial with rational roots u/v of multiplicity up to 3,
+    sometimes an irreducible quadratic, a power of x or a linear factor with
+    the leading coefficient 10^6, and Fraction content."""
+    p = Poly([Fraction(rng.randint(-30, 30) or 7, rng.randint(1, 12))])
+    for _ in range(rng.randint(0, 2)):
+        u, v = rng.randint(-9, 9) or 1, rng.randint(1, 6)
+        p = p * Poly([-u, v]) ** rng.randint(1, 3)
+    if rng.random() < 0.3:
+        c = rng.choice([c for c in range(-50, 51) if c < 0 or math.isqrt(c) ** 2 != c])
+        p = p * Poly([-c, 0, 1])  # x^2 - c, c not a square
+    if rng.random() < 0.15:
+        p = p * Poly([rng.choice([-1, 1, 7]), 10 ** 6])
+    return p * Poly([0, 1]) ** rng.choice([0, 0, 0, 1, 2])
+
+
+def test_rational_roots_match_the_divisor_oracle_seeded():
+    rng = random.Random(25)
+    polys = [_seeded_rational_root_poly(rng) for _ in range(200)]
+    roots = [rational_roots(p) for p in polys]
+    # the draw reaches every shape: repeated and non-integer roots, the root
+    # 0, a large leading coefficient and no rational root at all
+    assert any(p.gcd(p.derivative()).degree > 0 for p in polys)
+    assert any(z.denominator > 1 for r in roots for z in r)
+    assert any(0 in r for r in roots) and [] in roots
+    assert any(abs(p.leading) > 10 ** 6 * abs(p.coeff(0) or 1) for p in polys)
+    for i, p in enumerate(polys):
+        assert roots[i] == oracle_rational_roots(p), (i, p.coeffs)
 
 
 def test_poly_sqrt():

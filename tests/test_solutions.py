@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -24,10 +25,10 @@ from redform import (
     system,
     vec_row_major,
 )
-from redform.linalg import charpoly, mat_vec
+from redform.linalg import QQ, charpoly, charpoly_ints, mat_vec
 from redform import solutions
 from redform.ratfun import common_denominator
-from redform.solutions import _ansatz_rows, _denominator_bound, _residue_matrix
+from redform.solutions import _ansatz_rows, _bounds
 
 from helpers import (
     demo_system,
@@ -35,6 +36,7 @@ from helpers import (
     oracle_det,
     oracle_integer_roots,
     oracle_lead_at_infinity,
+    oracle_rational_roots,
     oracle_residue_matrix,
     oracle_rref,
     oracle_solution_basis,
@@ -54,7 +56,7 @@ def cleared(sys_):
 
 
 def denominator_bound(sys_, pole_cap=10):
-    return _denominator_bound(*cleared(sys_), pole_cap, singularities(sys_))
+    return _bounds(*cleared(sys_), pole_cap, singularities(sys_))[0]
 
 
 def ansatz_rows(sys_, den, cap):
@@ -107,26 +109,53 @@ def ten_place_system():
 
 class TestClearedForm:
     """The residues and the 1/x coefficient that ``rational_solutions`` reads
-    off the cleared form nums/q, against the entry-by-entry oracles: every
-    matrix it hands to ``charpoly`` is a residue at a simple place, in the
-    order of the singularity report, then the 1/x coefficient when every
-    place is simple and the entries vanish at infinity."""
+    off the cleared form nums/q, against the entry-by-entry oracles.  Each
+    simple place, in the order of the singularity report, splits into its
+    rational roots z, in ascending order, whose residue matrix goes to
+    ``charpoly_ints``, and the cofactor without one, whose quotient-ring
+    residue goes to ``charpoly``; then the 1/x coefficient goes to
+    ``charpoly_ints`` when every place is simple and the entries vanish at
+    infinity.  The factor charpolys of a place multiply to the charpoly of
+    its whole residue, so the eigenvalues, and the bound, are those of the
+    place."""
 
     PLACES = [rf(p).num for p in ("x", "x-1", "x+2", "x^2+1", "x^2-2", "x^3-x-1")]
 
     def _check(self, sys_, monkeypatch):
-        """Whether the 1/x coefficient was compared too."""
+        """The kinds of matrices compared: "lead" for the 1/x coefficient,
+        and for the places, "linear", "split" (two rational roots or more, no
+        cofactor), "mixed" (a rational root and a cofactor) or "rootless"."""
         report = singularities(sys_)
-        simple = [p for p, order in report.finite_places if order == 1]
-        want = [oracle_residue_matrix(sys_, p) for p in simple]
-        assert [_residue_matrix(*cleared(sys_), p) for p in simple] == want
-        if len(simple) == len(report.finite_places) and report.order_at_infinity <= -1:
+        places, want, kinds = [], [], set()
+        for place, order in report.finite_places:
+            if order == 1:
+                roots = oracle_rational_roots(place)
+                factors = [Poly([-z, 1]) for z in roots]
+                rest = place // prod(factors, start=Poly.ONE)
+                factors += [rest] if rest.degree else []
+                places.append((place, len(factors)))
+                want += [oracle_residue_matrix(sys_, f) for f in factors]
+                if not roots:
+                    kinds.add("rootless")
+                else:
+                    kinds.add("mixed" if rest.degree else "split" if len(roots) > 1 else "linear")
+        if len(places) == len(report.finite_places) and report.order_at_infinity <= -1:
             want.append(oracle_lead_at_infinity(sys_))
+            kinds.add("lead")
         seen = []
         monkeypatch.setattr(solutions, "charpoly", lambda m: seen.append(m) or charpoly(m))
+        monkeypatch.setattr(
+            solutions,
+            "charpoly_ints",
+            lambda a, d: seen.append(Mat(QQ, [[Fraction(c, d) for c in row] for row in a])) or charpoly_ints(a, d),
+        )
         rational_solutions(sys_, num_deg_cap=0, pole_cap=1)
         assert seen == want
-        return len(want) > len(simple)
+        for place, count in places:
+            factors, seen = seen[:count], seen[count:]
+            whole = charpoly(oracle_residue_matrix(sys_, place))
+            assert prod(map(charpoly, factors), start=Poly.ONE) == whole
+        return kinds
 
     def _entry(self, rng):
         roll = rng.random()
@@ -141,18 +170,26 @@ class TestClearedForm:
 
     def test_seeded_systems_match_the_entry_by_entry_oracles(self, monkeypatch):
         rng = random.Random(2319)
-        lead_checked = 0
+        kinds = []
         for _ in range(60):
             n = rng.choice([1, 2, 3])
             sys_ = DiffSystem("x", Mat(RF, [[self._entry(rng) for _ in range(n)] for _ in range(n)]))
-            lead_checked += self._check(sys_, monkeypatch)
-        assert lead_checked >= 5
+            kinds += self._check(sys_, monkeypatch)
+        assert kinds.count("lead") >= 5
+        assert {"linear", "split", "mixed", "rootless"} <= set(kinds)
 
     def test_places_dividing_some_denominators(self, monkeypatch):
         # x - 1 divides two of the four denominators, x^2 + 1 one, x + 2 two
         sys_ = system("x", [["1/(x-1)", "2/((x-1)*(x+2))"], ["(3*x)/(x^2+1)", "-1/(x+2)"]])
         assert {p.degree for p, _ in singularities(sys_).finite_places} == {1, 2}
         self._check(sys_, monkeypatch)
+        # x^2 - 1 splits at -1 and 1; x^2 + 1 has no rational root
+        sys_ = system("x", [["-2*x/(x^2-1)", "0"], ["0", "2*x/(x^2+1)"]])
+        assert self._check(sys_, monkeypatch) == {"split", "rootless", "lead"}
+        # roots that are not integers: x^2 - 1/4 splits at -1/2 and 1/2, and
+        # (x - 1/3)(x^2 - 2) at 1/3, leaving x^2 - 2
+        sys_ = system("x", [["1/((3*x-1)*(x^2-2))", "2*x/((3*x-1)*(x^2-2))"], ["5/(4*x^2-1)", "0"]])
+        assert self._check(sys_, monkeypatch) == {"split", "mixed", "lead"}
 
     def test_zero_entries_and_growth_at_least_zero(self, monkeypatch):
         for rows in (
