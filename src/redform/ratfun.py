@@ -24,7 +24,10 @@ a monic denominator, is the one normalizer, also behind ``RatFn(num, den)``.
 This module also owns the common-denominator integer form that the other
 modules hand to their integer kernels: :func:`common_denominator` writes
 rational functions over their monic lcm denominator, and :func:`_clear_all`
-writes several polynomials as integer lists over one scale.
+writes several polynomials as integer lists over one scale.  Values at a
+rational point y/l run on the ints as well: :func:`_value`, l^top*p(y/l) by
+Horner's rule, is the one integer evaluation, behind ``Poly.__call__``,
+:func:`integer_roots` and the residues at rational roots in ``solutions``.
 
 Polynomials and rational functions do not carry a variable name; the name is
 supplied when parsing or printing (and by :class:`redform.systems.DiffSystem`
@@ -190,10 +193,6 @@ class Poly:
         if not c:
             return Poly.ZERO
         return _poly((1,), c) if c > 0 else _poly((-1,), -c)
-
-    @staticmethod
-    def x() -> "Poly":
-        return _poly((0, 1), _ONE)
 
     @staticmethod
     def monomial(c, k: int) -> "Poly":
@@ -378,16 +377,13 @@ class Poly:
         return _from_ints([k * c for k, c in enumerate(self.ints)][1:], s.numerator, s.denominator)
 
     def __call__(self, x0) -> Fraction:
-        # a/b: sum ints[k] a^k b^(d-k), over b^d, by Horner's rule on ints
+        # a/b: b^d p(a/b) over b^d
         x0 = _rat(x0)
         a, b = x0.numerator, x0.denominator
-        acc, power = 0, 1
-        for c in reversed(self.ints):
-            acc = acc * a + c * power
-            power *= b
+        acc = _value(self.ints, a, b)
         if b == 1 or not acc:
             return acc * self.scale
-        return Fraction(acc, power // b) * self.scale
+        return Fraction(acc, b ** (len(self.ints) - 1)) * self.scale
 
     def shift(self, x0) -> "Poly":
         """Return p(u + x0), the expansion around x0 in the local variable u."""
@@ -555,11 +551,6 @@ class RatFn:
             scale = Poly.const(1 / num.leading)
             num, den, k = den * scale, num * scale, -k
         return _ratfn(num ** k, den ** k)
-
-    def inverse(self) -> "RatFn":
-        if self.is_zero:
-            raise DivisionByZero("inverse of zero")
-        return RatFn(self.den, self.num)
 
     def derivative(self) -> "RatFn":
         return RatFn(
@@ -978,11 +969,14 @@ def ratfn_str(r: RatFn, var: str = "x") -> str:
 # Root utilities
 
 
-def _horner(ints, x):
-    """Value at the integer x of an integer coefficient list."""
-    acc = 0
+def _value(ints, y: int, l: int = 1, top: int | None = None) -> int:
+    """l^top * p(y/l) for the integer list p of degree at most top (by
+    default its length less one), by Horner's rule on ints: with l = 1 the
+    value of p at the integer y."""
+    acc, power = 0, 1 if top is None else l ** (top + 1 - len(ints))
     for c in reversed(ints):
-        acc = acc * x + c
+        acc = acc * y + c * power
+        power *= l
     return acc
 
 
@@ -1011,8 +1005,8 @@ def integer_roots(p: Poly):
     q = 3
     while True:
         if all(q % d for d in range(3, math.isqrt(q) + 1, 2)):
-            residues = [r for r in range(q) if _horner(g, r) % q == 0]
-            if all(_horner(dg, r) % q for r in residues):
+            residues = [r for r in range(q) if _value(g, r) % q == 0]
+            if all(_value(dg, r) % q for r in residues):
                 break
         q += 2
     bound = 2 * abs(g[0])
@@ -1020,9 +1014,9 @@ def integer_roots(p: Poly):
         m = q
         while m <= bound:
             m *= m
-            r = (r - _horner(g, r) * pow(_horner(dg, r), -1, m)) % m
+            r = (r - _value(g, r) * pow(_value(dg, r), -1, m)) % m
         z = r - m if 2 * r > m else r
-        if _horner(g, z) == 0:
+        if _value(g, z) == 0:
             roots.append(z)
     return sorted(roots)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import count
 
 from .constructions import (
     Construction,
@@ -56,18 +56,6 @@ class LieBasis:
         for g in self.generators:
             if not g.is_square or g.rows != self.n:
                 raise DimensionMismatch("generator size mismatch")
-
-
-def lie_basis_flags(basis: LieBasis):
-    """(independent, bracket_closed) of the generator span, over the ring of
-    the generators: Q for constant ones, Q(x) for rational-function ones."""
-    mats = basis.generators
-    if not mats:
-        return True, True
-    # [a, a] = 0 and [b, a] = -[a, b], so each unordered pair is bracketed once
-    brackets = [vec_row_major(a * b - b * a) for a, b in combinations(mats, 2)]
-    rank, coords = span_coordinates(map(vec_row_major, mats), brackets, mats[0].ring)
-    return rank == len(mats), None not in coords
 
 
 def wei_norman(sys: DiffSystem, basis: LieBasis):

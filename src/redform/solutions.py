@@ -45,7 +45,7 @@ from math import prod
 from .constructions import Construction, constr_lie, constr_vector
 from .errors import DimensionMismatch, InternalError, InvalidArity
 from .linalg import Mat, QQ, RF, charpoly, charpoly_ints, mat_vec, nullspace, span_coordinates
-from .ratfun import Poly, RatFn, _clear_all, common_denominator, integer_roots, rational_roots
+from .ratfun import Poly, RatFn, _clear_all, _value, common_denominator, integer_roots, rational_roots
 from .systems import DiffSystem, singularities
 
 # default numerator degree cap and exponent cap at higher-order poles
@@ -104,15 +104,6 @@ def _residue_matrix(q: Poly, nums, n: int, place: Poly) -> Mat:
                 for r in range(deg):
                     big[i * deg + r][j * deg + k] = col[r]
     return Mat(QQ, big)
-
-
-def _value(ints, y: int, l: int, top: int) -> int:
-    """l^top * p(y/l) for the integer list p of degree at most top."""
-    acc, power = 0, l ** (top + 1 - len(ints))
-    for c in reversed(ints):
-        acc = acc * y + c * power
-        power *= l
-    return acc
 
 
 def _bounds(q: Poly, nums, n: int, pole_cap: int, report):

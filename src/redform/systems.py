@@ -99,31 +99,20 @@ def _coprime_basis(polys):
     return basis
 
 
-def _multiplicity(place: Poly, den: Poly) -> int:
-    k = 0
-    while True:
-        quot, rem = divmod(den, place)
-        if rem:
-            return k
-        den, k = quot, k + 1
-
-
 def singularities(sys: DiffSystem) -> SingularityReport:
     """Finite places and growth at infinity of the system.
 
-    The places are the coprime refinement of the squarefree factors of the
-    distinct entry denominators, each with its largest pole order over
-    those denominators.
+    The places are the coprime refinement of the Yun levels (s, k) of the
+    distinct entry denominators, d = lc * prod s_k^k.  A place divides the
+    level s_k of a denominator exactly when it is a pole of order k there,
+    so its pole order is the largest k of a level it divides.
     """
     dens = list(dict.fromkeys(e.den for row in sys.mat.data for e in row if e.den.degree >= 1))
-    # feed every squarefree multiplicity level into the refinement so places
-    # with different pole orders at different entries split apart
-    claims = [s for d in dens for s, _ in squarefree_factors(d)]
-    places = _coprime_basis(claims)
-    report = []
-    for p in places:
-        order = max(_multiplicity(p, d) for d in dens)
-        report.append((p, order))
+    # every level goes into the refinement, so places with different pole
+    # orders at different entries split apart
+    claims = [level for d in dens for level in squarefree_factors(d)]
+    places = _coprime_basis([s for s, _ in claims])
+    report = [(p, max(k for s, k in claims if not s % p)) for p in places]
     report.sort(key=lambda item: (item[0].degree, item[0].coeffs))
     growth = max(
         (e.num.degree - e.den.degree) for row in sys.mat.data for e in row

@@ -309,7 +309,8 @@ def oracle_constant_basis_subspace(sys_, c, w_vectors):
             row[i] = sign * line[1][index[big[:pos] + big[pos + 1 :]]]
         rows.append(row)
     kernel = oracle_nullspace(rows)
-    assert len(kernel) == d, "wedge kernel dimension mismatch"
+    if len(kernel) != d:
+        raise AssertionError(f"wedge kernel dimension mismatch: {len(kernel)} != {d}")
     return [tuple(v) for v in kernel]
 
 
@@ -587,7 +588,7 @@ class _OracleParser(ratfun._RatFnParser):
                 raise ParseError(
                     f"unknown symbol {ratfun._quote(value)}, expected variable {ratfun._quote(self.var)}"
                 )
-            return RatFn(Poly.x())
+            return RatFn(Poly([0, 1]))
         if kind == "op" and value == "(":
             inner = self.nested(self.expr)
             self.expect_op(")")
@@ -743,7 +744,8 @@ def oracle_residue_matrix(sys_, place):
             if e.is_zero or e.den % place:
                 continue
             g, inv, _ = ((e.den // place) * place.derivative()).xgcd(place)
-            assert g.degree == 0
+            if g.degree != 0:
+                raise AssertionError("place not coprime to the rest of the entry denominator")
             for k in range(deg):
                 col = (Poly.monomial(1, k) * e.num * inv) % place
                 for r in range(deg):

@@ -481,3 +481,6 @@ def test_span_coordinates_edge_families(ring):
     )
     for vectors in ([unit[0], unit[0], unit[1]], unit + [target]):
         _check_span_against_oracle(vectors, [target, unit[2], (zero,) * 3], ring)
+    # E12 and E21 flattened row-major: their bracket diag(1, -1) is outside
+    e12, e21 = (zero, one, zero, zero), (zero, zero, one, zero)
+    assert span_coordinates([e12, e21], [(one, zero, zero, -one)], ring) == (2, [None])

@@ -41,8 +41,8 @@ from redform import (
 )
 from redform import reduction
 from redform.errors import InternalError
-from redform.linalg import mat_vec
-from redform.reduction import ReductionCertificate, lie_basis_flags
+from redform.linalg import mat_vec, span_coordinates
+from redform.reduction import ReductionCertificate
 
 from helpers import (
     const_vec,
@@ -590,37 +590,46 @@ class TestInternalGates:
             reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
 
 
+def _bracket_span(gens, ring):
+    """span_coordinates of each unordered bracket [a, b] of the generators in
+    the span of the generators, every matrix flattened row-major: the
+    generators are independent when the rank is their number, and their span
+    is closed under the bracket when no coordinate is None."""
+    brackets = [vec_row_major(a * b - b * a) for i, a in enumerate(gens) for b in gens[i + 1 :]]
+    return span_coordinates(map(vec_row_major, gens), brackets, ring)
+
+
 class TestLieBasisFlags:
     E12 = Mat(QQ, [[0, 1], [0, 0]])
     E21 = Mat(QQ, [[0, 0], [1, 0]])
 
     def test_bracket_outside_the_span(self):
         # [E12, E21] = diag(1, -1) is not a combination of E12 and E21
-        assert lie_basis_flags(LieBasis(2, (self.E12, self.E21))) == (True, False)
+        assert _bracket_span((self.E12, self.E21), QQ) == (2, [None])
 
     def test_repeated_generator(self):
-        assert lie_basis_flags(LieBasis(2, (self.E12, self.E12))) == (False, True)
+        assert _bracket_span((self.E12, self.E12), QQ) == (1, [(0, 0)])
 
     def test_sl2_is_closed(self):
+        # [E12, E21] = h, [E12, h] = -2*E12, [E21, h] = 2*E21
         h = Mat(QQ, [[1, 0], [0, -1]])
-        assert lie_basis_flags(LieBasis(2, (self.E12, self.E21, h))) == (True, True)
+        assert _bracket_span((self.E12, self.E21, h), QQ) == (3, [(0, 0, 1), (-2, 0, 0), (0, 2, 0)])
 
     def test_empty(self):
-        assert lie_basis_flags(LieBasis(2, ())) == (True, True)
+        assert _bracket_span((), QQ) == (0, [])
 
     def test_rational_function_bracket_outside_the_span(self):
         # [E12, E21/x] = diag(1, -1)/x is not a combination of E12 and E21/x
         e12 = Mat(RF, [[rf("0"), rf("1")], [rf("0"), rf("0")]])
         e21 = Mat(RF, [[rf("0"), rf("0")], [rf("1/x"), rf("0")]])
-        assert lie_basis_flags(LieBasis(2, (e12,))) == (True, True)
-        assert lie_basis_flags(LieBasis(2, (e12, e21))) == (True, False)
+        assert _bracket_span((e12,), RF) == (1, [])
+        assert _bracket_span((e12, e21), RF) == (2, [None])
 
     def test_weighted_swap_and_identity(self):
-        basis = LieBasis(2, (weighted_swap(), Mat.identity(RF, 2)))
-        assert lie_basis_flags(basis) == (True, True)
+        assert _bracket_span((weighted_swap(), Mat.identity(RF, 2)), RF) == (2, [(0, 0)])
 
     def test_repeated_weighted_swap(self):
-        assert lie_basis_flags(LieBasis(2, (weighted_swap(), weighted_swap()))) == (False, True)
+        assert _bracket_span((weighted_swap(), weighted_swap()), RF) == (1, [(0, 0)])
 
 
 class TestCriterionConsistency:
@@ -629,8 +638,8 @@ class TestCriterionConsistency:
         # invariant is annihilated by every generator
         sys_ = reduced_demo()
         basis = diag_basis()
-        independent, closed = lie_basis_flags(basis)
-        assert independent and closed
+        rank, coords = _bracket_span(basis.generators, QQ)
+        assert rank == len(basis.generators) and None not in coords
         assert wei_norman(sys_, basis) is not None
         constructions = [Base(), END_CONSTRUCTION, parse_construction("ext(2,base)")]
         entries = harvest_invariants(sys_, constructions, num_deg_cap=6)

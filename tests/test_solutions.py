@@ -77,11 +77,11 @@ class TestDenominatorBound:
         assert denominator_bound(system("x", [["0", "1"], ["0", "0"]])) == Poly.ONE
 
     def test_positive_residue(self):
-        assert denominator_bound(system("x", [["1/x"]])) == Poly.x()
+        assert denominator_bound(system("x", [["1/x"]])) == Poly([0, 1])
 
     def test_negative_residue_covers_pole(self):
         # solutions c/x have a pole of order one; the bound must include it
-        assert denominator_bound(system("x", [["-1/x"]])) == Poly.x()
+        assert denominator_bound(system("x", [["-1/x"]])) == Poly([0, 1])
 
     def test_higher_order_pole_uses_cap(self):
         den = denominator_bound(system("x", [["1/x^2"]]), pole_cap=4)

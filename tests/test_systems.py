@@ -16,6 +16,7 @@ from redform import (
     gauge,
     is_ordinary_point,
     matrix,
+    poly_str,
     pullback,
     singularities,
     system,
@@ -109,7 +110,7 @@ class TestPullback:
 class TestSingularities:
     def test_demo_report(self):
         report = singularities(demo_system())
-        assert report.finite_places == ((Poly.x(), 1),)
+        assert report.finite_places == ((Poly([0, 1]), 1),)
         assert report.order_at_infinity == 1
 
     def test_constant_matrix(self):
@@ -129,28 +130,31 @@ class TestSingularities:
 
     def test_repeated_denominators(self):
         a = system("x", [["1/x", "2/x", "1/x^2"], ["3/x", "1/x^2", "0"], ["1/x", "5", "1/x"]])
-        assert singularities(a).finite_places == ((Poly.x(), 2),)
+        assert singularities(a).finite_places == ((Poly([0, 1]), 2),)
 
     def test_places_refine_the_entries_not_their_lcm(self):
         # the lcm x^2 - x is squarefree, but the places are x and x - 1
         a = system("x", [["1/(x^2-x)", "1/x"], ["0", "0"]])
-        assert singularities(a).finite_places == ((Poly([-1, 1]), 1), (Poly.x(), 1))
+        assert singularities(a).finite_places == ((Poly([-1, 1]), 1), (Poly([0, 1]), 1))
 
     def test_refinement_against_planted_factorizations(self):
-        # build denominators from explicit linear factors, then check the
-        # report: pairwise coprime places and the planted max pole orders
+        # build denominators from explicit linear and irreducible quadratic
+        # factors, then check the report: pairwise coprime places and the
+        # planted max pole orders.  Each quadratic gets distinct orders in
+        # the three entries, so it is a pole of different orders there.
         rng = random.Random(37)
-        roots = [0, 1, -1, 2]
+        linear = [Poly([-c, 1]) for c in (0, 1, -1, 2)]
+        quadratic = [Poly([1, 0, 1]), Poly([-2, 0, 1])]
         for _ in range(12):
-            exponents = []
+            # orders[i][j] is the order of factor j in entry i
+            quad = [rng.sample(range(4), 3) for _ in quadratic]
+            orders = [[rng.randint(0, 3) for _ in linear] + [q[i] for q in quad] for i in range(3)]
             entries = []
-            for _ in range(3):
-                exps = {c: rng.randint(0, 3) for c in roots}
+            for row in orders:
                 den = Poly.ONE
-                for c, k in exps.items():
-                    den = den * Poly([-c, 1]) ** k
+                for f, k in zip(linear + quadratic, row):
+                    den = den * f ** k
                 entries.append(RatFn(Poly.ONE, den))
-                exponents.append(exps)
             a = system(
                 "x",
                 [
@@ -163,13 +167,10 @@ class TestSingularities:
             for i, (p, _) in enumerate(report.finite_places):
                 for q, _ in report.finite_places[i + 1 :]:
                     assert p.gcd(q).degree == 0
-            for c in roots:
-                want = max(exps[c] for exps in exponents)
-                got = 0
-                for p, order in report.finite_places:
-                    if p(c) == 0:
-                        got = order
-                assert got == want, f"pole order at {c}"
+            for f, want in zip(linear + quadratic, map(max, zip(*orders))):
+                # the place holding the irreducible factor f
+                got = [order for p, order in report.finite_places if not p % f]
+                assert got == ([want] if want else []), f"pole order at {poly_str(f)}"
 
 
     def test_coprime_basis_properties(self):
