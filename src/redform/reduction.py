@@ -12,8 +12,10 @@ basis it stays in Q.  A stable line is the case dim W = 1.
 
 The reducer covers the diagonalizable case: given an endomorphism spanning a
 stable line in End and a radical extension x = t^m over which it has distinct
-rational-function eigenvalues, gauging by the eigenvector matrix produces a
-diagonal system together with an exactly re-checkable certificate.
+rational-function eigenvalues, the eigenvector matrix P gauges the system to
+a diagonal B together with an exactly re-checkable certificate.  B is read
+off A_m*P - P' column by column, with no inverse, and the certificate's
+check P*B = A_m*P - P' is the one gate that P diagonalizes the system.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
 from .linalg import Mat, QQ, RF, charpoly, mat_vec, nullspace, span_coordinates
 from .ratfun import Poly, RatFn, _rat, common_denominator, poly_str, rational_roots, ratfn_sqrt, ratfn_str
 from .solutions import NUM_DEG_CAP, POLE_CAP, check_semi_invariant, harvest_invariants, span_connection
-from .systems import DiffSystem, gauge, is_ordinary_point, mat_derivative, pullback
+from .systems import DiffSystem, is_ordinary_point, mat_derivative, pullback
 
 
 @dataclass(frozen=True)
@@ -319,9 +321,12 @@ def reduce_by_diagonalization(sys: DiffSystem, endo: Mat, m: int) -> ReductionCe
     """Reduce the system by diagonalizing a stable-line endomorphism after the
     radical pullback x = t^m.
 
-    The gauge matrix collects eigenvectors of the pulled-back endomorphism
+    The gauge matrix P collects eigenvectors of the pulled-back endomorphism
     (first nonzero coordinate scaled to one, then cleared of denominators),
-    columns ordered by a canonical eigenvalue key, largest first.
+    columns ordered by a canonical eigenvalue key, largest first.  B_jj is
+    column j of A_m*P - P' over column j of P, read at its first nonzero
+    entry; ``ReductionCertificate.verify``, the one gate, refuses an image
+    column that is not B_jj times P's, and the reducer raises InternalError.
     """
     if check_semi_invariant(sys, END_CONSTRUCTION, vec_row_major(endo)) is None:
         raise NotSemiInvariant("endomorphism does not span a stable line in End")
@@ -331,25 +336,20 @@ def reduce_by_diagonalization(sys: DiffSystem, endo: Mat, m: int) -> ReductionCe
     eigen = _eigenvalues_ratfn(endo_t, pulled.var)
     eigen.sort(key=_eigen_sort_key, reverse=True)
 
-    n = sys.n
     columns = []
     for value in eigen:
-        shifted = endo_t - Mat.identity(RF, n).scale(value)
-        kernel = nullspace(shifted)
+        shifted = [[e - value if i == j else e for j, e in enumerate(r)] for i, r in enumerate(endo_t.data)]
+        kernel = nullspace(Mat(RF, shifted))
         if len(kernel) != 1:
             raise InternalError("eigenspace of a simple eigenvalue is not one-dimensional")
         pivot = next(e for e in kernel[0] if not e.is_zero)
         _, nums = common_denominator([e / pivot for e in kernel[0]])
         columns.append([RatFn(p) for p in nums])
     p = Mat(RF, zip(*columns))
-    reduced_sys = gauge(pulled, p)
-    b = reduced_sys.mat
-    for i in range(n):
-        for j in range(n):
-            if i != j and not b.data[i][j].is_zero:
-                raise InternalError("eigenvector gauge did not diagonalize the system")
-
-    basis, coeffs = _diagonal_decomposition(b)
+    image = (pulled.mat * p - mat_derivative(p)).data
+    diag = [next(image[i][j] / e for i, e in enumerate(c) if not e.is_zero) for j, c in enumerate(columns)]
+    b = Mat(RF, [[e if i == j else RatFn.ZERO for j in range(len(diag))] for i, e in enumerate(diag)])
+    basis, coeffs = _diagonal_decomposition(diag)
     cert = ReductionCertificate(
         var=pulled.var,
         extension_order=m,
@@ -363,15 +363,15 @@ def reduce_by_diagonalization(sys: DiffSystem, endo: Mat, m: int) -> ReductionCe
     return cert
 
 
-def _diagonal_decomposition(b: Mat):
-    """Constant diagonal generators and coefficients with B = sum f_j N_j.
+def _diagonal_decomposition(diag):
+    """Constant diagonal generators and coefficients with B = sum f_j N_j,
+    for B the diagonal matrix of the given entries.
 
     The f_j form a canonical basis (echelonized numerator rows over a common
     denominator) of the constant span of the diagonal entries, so they are
     linearly independent over the constants.
     """
-    n = b.rows
-    diag = [b.data[i][i] for i in range(n)]
+    n = len(diag)
     den, numerators = common_denominator(diag)
     width = max((p.degree for p in numerators), default=0) + 1
     rows = [[p.coeff(k) for k in range(width)] for p in numerators]

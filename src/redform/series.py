@@ -41,6 +41,7 @@ from .constructions import Construction, constr_lie, constr_vector
 from .errors import PoleAtPoint
 from .linalg import Mat, QQ, mat_vec
 from .ratfun import RatFn, _clear_all, _rat, common_denominator
+from .solutions import ANSATZ_CELLS
 from .systems import DiffSystem, is_ordinary_point
 
 
@@ -99,12 +100,19 @@ def fundamental_series(sys: DiffSystem, x0, order: int) -> SeriesMat:
     come from ``common_denominator``, are expanded at x0 by ``Poly.shift``
     and cleared together by one ``_clear_all`` (one lcm), each C_k is
     carried as M_k/d_k with one gcd per order, and one ``Fraction`` per
-    entry is built at the end.  A itself is never expanded.
+    entry is built at the end.  A itself is never expanded.  The result
+    grows as order^2 * n^2, so past ``ANSATZ_CELLS`` of it the call raises
+    ValueError before any work.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
-    x0 = _rat(x0)
     n = sys.n
+    if order * order * n * n > ANSATZ_CELLS:
+        raise ValueError(
+            f"series order {order} on a {n}x{n} system is over the budget:"
+            f" order^2 * n^2 = {order * order * n * n:,} passes {ANSATZ_CELLS:,}"
+        )
+    x0 = _rat(x0)
     q, nums = common_denominator([e for row in sys.mat.data for e in row])
     q = q.shift(x0)
     if not q.coeffs[0]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 from .linalg import Mat, RF
-from .ratfun import Poly, RatFn, _rat, parse_ratfn, squarefree_factors
+from .ratfun import _MAX_POWER_DEGREE, Poly, RatFn, _rat, parse_ratfn, squarefree_factors
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,18 @@ def gauge(sys: DiffSystem, p: Mat) -> DiffSystem:
 
 
 def pullback(sys: DiffSystem, m: int, new_var: str | None = None) -> DiffSystem:
-    """Pull the system back along x = t^m; solutions compose as y(t^m)."""
+    """Pull the system back along x = t^m; solutions compose as y(t^m).
+    Raises ValueError, before building anything, when an entry could reach
+    degree m*(d + 1) - 1 > 1000, d the largest numerator or denominator
+    degree: past the degree a parsed power may reach."""
     if m < 1:
         raise ValueError("pullback order must be >= 1")
+    d = max((max(e.num.degree, e.den.degree) for row in sys.mat.data for e in row), default=0)
+    if m * (d + 1) - 1 > _MAX_POWER_DEGREE:
+        raise ValueError(
+            f"pullback order {m} would give entries of degree up to {m * (d + 1) - 1},"
+            f" over the bound of {_MAX_POWER_DEGREE}"
+        )
     if new_var is None:
         new_var = "t" if sys.var != "t" else "u"
     factor = RatFn(Poly.monomial(m, m - 1))

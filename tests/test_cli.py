@@ -503,6 +503,35 @@ class TestUsageErrors:
         assert payload["basis"] == [["x^2 + 1", "0"], ["0", "x"]]
         assert payload["denominator"] == "x^3 + x" and payload["num_degree_cap"] == 100000
 
+    def test_oversized_pullback_and_order_are_usage_errors(self, work, capsys):
+        # refused from the sizes alone: x = t^(10^9) would give entries of
+        # degree 2*10^9 - 1, and order 10^9 a 2x2 series of 4*10^18 cells
+        tmp, write = work
+        sys_path, swap_path = write("a.json", DEMO), write("swap.json", SWAP)
+        huge = "1000000000"
+        for argv, word in (
+            (["pullback", "--system", sys_path, "--pullback", huge], "degree"),
+            (["reduce", "--system", sys_path, "--semiinv", swap_path, "--pullback", huge], "degree"),
+            (["series", "--system", sys_path, "--x0", "1", "--order", huge], "budget"),
+        ):
+            start = time.perf_counter()
+            code, payload = run(argv, capsys)
+            assert time.perf_counter() - start < 1
+            assert code == 3 and payload["error"]["reason"] == "usage_error"
+            assert word in payload["error"]["message"]
+
+    def test_largest_accepted_pullback(self, work, capsys):
+        # the demo system has d = 1: m = 500 reaches degree 999 and answers,
+        # for the pullback and for the reducer over x = t^500, where B is
+        # m*t^(3m/2 - 1)*diag(1, -1)
+        tmp, write = work
+        sys_path, swap_path = write("a.json", DEMO), write("swap.json", SWAP)
+        code, payload = run(["pullback", "--system", sys_path, "--pullback", "500"], capsys)
+        assert code == 0 and payload["A"][1][0] == "500*t^999"
+        argv = ["reduce", "--system", sys_path, "--semiinv", swap_path, "--pullback", "500"]
+        code, payload = run(argv, capsys)
+        assert code == 0 and payload["B"] == [["500*t^749", "0"], ["0", "-500*t^749"]]
+
     def test_pole_is_usage_error(self, work, capsys):
         tmp, write = work
         sys_path = write("a.json", DEMO)

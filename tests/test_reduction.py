@@ -567,17 +567,31 @@ class TestInternalGates:
             reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
 
     def test_corrupted_gauge(self, monkeypatch):
-        # a reducer whose gauge step adds t to B[0][0] still diagonalizes;
-        # the certificate check, which re-derives P*B = A_m*P - P' without
-        # gauge, refuses it
-        def corrupted(sys_, p):
-            b = [list(row) for row in gauge(sys_, p).mat.data]
-            b[0][0] = b[0][0] + rf("t", "t")
-            return DiffSystem(sys_.var, Mat(RF, b))
+        # a reducer that reads B off a P' whose first column is short by t
+        # times the first column of P gets B_00 + t, still a diagonal B; the
+        # certificate, which re-derives P*B = A_m*P - P' with the true
+        # derivative, refuses it
+        honest = reduce_by_diagonalization(demo_system(), weighted_swap(), 2).reduced
+        derivative, decomposition = reduction.mat_derivative, reduction._diagonal_decomposition
+        calls, read = [], []
 
-        monkeypatch.setattr(reduction, "gauge", corrupted)
+        def corrupted(p):
+            d = [list(row) for row in derivative(p).data]
+            if not calls:
+                for row, column in zip(d, p.data):
+                    row[0] = row[0] - rf("t", "t") * column[0]
+            calls.append(p)
+            return Mat(RF, d)
+
+        monkeypatch.setattr(reduction, "mat_derivative", corrupted)
+        monkeypatch.setattr(
+            reduction, "_diagonal_decomposition", lambda diag: read.append(diag) or decomposition(diag)
+        )
         with pytest.raises(InternalError, match="self-verification"):
             reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
+        # one corrupted read by the reducer, one true one by the certificate
+        assert len(calls) == 2
+        assert read == [[honest.data[0][0] + rf("t", "t"), honest.data[1][1]]]
 
     def test_eigenspace_dimension(self, monkeypatch):
         monkeypatch.setattr(reduction, "nullspace", lambda m: [])
@@ -585,9 +599,15 @@ class TestInternalGates:
             reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
 
     def test_diagonalizing_gauge(self, monkeypatch):
-        monkeypatch.setattr(reduction, "gauge", lambda sys_, p: sys_)
-        with pytest.raises(InternalError, match="diagonalize"):
+        # kernels that are the unit vectors pass the one-dimensional
+        # eigenspace check and make P = Id, which does not diagonalize the
+        # pulled-back system: column 0 of A_2*Id - 0 is (0, 2t^3), not a
+        # multiple of e_0, and the certificate refuses the B read off it
+        units = iter([[(RatFn.ONE, RatFn.ZERO)], [(RatFn.ZERO, RatFn.ONE)]])
+        monkeypatch.setattr(reduction, "nullspace", lambda m: next(units))
+        with pytest.raises(InternalError, match="self-verification"):
             reduce_by_diagonalization(demo_system(), weighted_swap(), 2)
+        assert next(units, None) is None
 
 
 def _bracket_span(gens, ring):

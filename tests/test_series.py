@@ -77,6 +77,18 @@ class TestFundamentalSeries:
         with pytest.raises(PoleAtPoint):
             fundamental_series(demo_system(), 0, 4)
 
+    def test_work_bound(self):
+        # the result grows as order^2 * n^2, refused past 10,000,000 before
+        # any work: order 3162 of a 1x1 system and order 316 of a 10x10 one
+        # are built, one order more of either is not
+        s = fundamental_series(system("x", [["1/x"]]), 1, 3162)
+        assert s.order == 3162 and s.coeffs[1] == Mat(QQ, [[1]]) and s.coeffs[-1].is_zero
+        zero = DiffSystem("x", Mat.zeros(RF, 10, 10))
+        assert fundamental_series(zero, 0, 316).order == 316
+        for sys_, order in ((system("x", [["1/x"]]), 3163), (zero, 317), (demo_system(), 10**9)):
+            with pytest.raises(ValueError, match="budget"):
+                fundamental_series(sys_, 1, order)
+
 
 class TestShortRecurrence:
     """The recurrence of q*U' = N*U against the full Taylor convolution."""

@@ -191,6 +191,23 @@ class TestClearedForm:
         sys_ = system("x", [["1/((3*x-1)*(x^2-2))", "2*x/((3*x-1)*(x^2-2))"], ["5/(4*x^2-1)", "0"]])
         assert self._check(sys_, monkeypatch) == {"split", "mixed", "lead"}
 
+    def test_rootless_places_with_a_non_monic_integer_form(self, monkeypatch):
+        # the places 3x^2 + 1, 2x^3 - 5 and 2x^5 - 2x^3 - 1 have no rational
+        # root and a leading coefficient other than 1 in integer form; so has
+        # the cofactor 3x^2 + 1 that (2x - 1)(3x^2 + 1) leaves after its root 1/2
+        quintic, mixed = "(2*x^5-2*x^3-1)", "((2*x-1)*(3*x^2+1))"
+        cases = [
+            ([["1/(3*x^2+1)", "x/(3*x^2+1)"], ["2/(3*x^2+1)", "0"]], {"rootless", "lead"}),
+            ([["x^2/(2*x^3-5)", "1"], ["3/(2*x^3-5)", "-x/(2*x^3-5)"]], {"rootless"}),
+            ([[f"x^4/{quintic}", f"1/{quintic}"], [f"x/{quintic}", "0"]], {"rootless", "lead"}),
+            ([[f"1/{mixed}", f"x/{mixed}"], ["0", f"5*x^2/{mixed}"]], {"mixed", "lead"}),
+        ]
+        for rows, kinds in cases:
+            sys_ = system("x", rows)
+            ((place, order),) = singularities(sys_).finite_places
+            assert order == 1 and place.ints[-1] != 1
+            assert self._check(sys_, monkeypatch) == kinds
+
     def test_zero_entries_and_growth_at_least_zero(self, monkeypatch):
         for rows in (
             [["0", "0"], ["0", "0"]],

@@ -76,6 +76,16 @@ class TestPullback:
         out = pullback(system("x", [["1/x"]]), 2)
         assert out.mat == matrix("t", [["2/t"]])
 
+    def test_degree_bound(self):
+        # an entry of numerator or denominator degree at most d pulls back to
+        # degree at most m*(d + 1) - 1, refused past 1000 before anything is
+        # built: 1/x (d = 1) up to m = 500, a constant (d = 0) up to m = 1001
+        assert pullback(system("x", [["1/x"]]), 500).mat == matrix("t", [["500/t"]])
+        assert pullback(system("x", [["1"]]), 1001).mat == matrix("t", [["1001*t^1000"]])
+        for rows, m in (([["1/x"]], 501), ([["1"]], 1002), ([["0"]], 1002), ([["1/x"]], 10**18)):
+            with pytest.raises(ValueError, match="degree up to"):
+                pullback(system("x", rows), m)
+
     def test_commutes_with_gauge(self):
         rng = random.Random(31)
         for _ in range(4):
