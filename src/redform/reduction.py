@@ -44,7 +44,7 @@ from .errors import (
 from .linalg import Mat, QQ, RF, charpoly, mat_vec, nullspace, span_coordinates
 from .ratfun import Poly, RatFn, _rat, common_denominator, poly_str, rational_roots, ratfn_sqrt, ratfn_str
 from .solutions import NUM_DEG_CAP, POLE_CAP, check_semi_invariant, harvest_invariants, span_connection
-from .systems import DiffSystem, is_ordinary_point, mat_derivative, pullback
+from .systems import DiffSystem, check_pullback_degree, is_ordinary_point, mat_derivative, pullback
 
 
 @dataclass(frozen=True)
@@ -256,7 +256,10 @@ class ReductionCertificate:
     def verify(self, original: DiffSystem) -> bool:
         """Whether P*B = A_m*P - P' for a nonsingular P of B's size, with A_m
         the original pulled back along x = t^m, and B = sum f_j N_j.  No
-        gauge and no inverse: the check shares no step with the reducer."""
+        gauge and no inverse.  The reducer reads each B_jj off one entry of
+        A_m*P - P'; this check recomputes that image from the original system
+        and asks every entry to equal P*B's, P to be nonsingular, and B to
+        recombine from the certificate's generators."""
         a = pullback(original, self.extension_order, new_var=self.var).mat
         p, b = self.gauge_matrix, self.reduced
         if not (p.is_square and b.is_square and p.rows == b.rows == a.rows) or p.det().is_zero:
@@ -327,10 +330,13 @@ def reduce_by_diagonalization(sys: DiffSystem, endo: Mat, m: int) -> ReductionCe
     column j of A_m*P - P' over column j of P, read at its first nonzero
     entry; ``ReductionCertificate.verify``, the one gate, refuses an image
     column that is not B_jj times P's, and the reducer raises InternalError.
+    The system and the endomorphism are both held to
+    ``check_pullback_degree`` before any work.
     """
+    pulled = pullback(sys, m)
+    check_pullback_degree(m, endo)
     if check_semi_invariant(sys, END_CONSTRUCTION, vec_row_major(endo)) is None:
         raise NotSemiInvariant("endomorphism does not span a stable line in End")
-    pulled = pullback(sys, m)
     endo_t = endo.map_entries(lambda e: e.substitute_power(m))
 
     eigen = _eigenvalues_ratfn(endo_t, pulled.var)

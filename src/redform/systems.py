@@ -55,19 +55,25 @@ def gauge(sys: DiffSystem, p: Mat) -> DiffSystem:
     return DiffSystem(sys.var, pinv * (sys.mat * p - mat_derivative(p)))
 
 
-def pullback(sys: DiffSystem, m: int, new_var: str | None = None) -> DiffSystem:
-    """Pull the system back along x = t^m; solutions compose as y(t^m).
-    Raises ValueError, before building anything, when an entry could reach
-    degree m*(d + 1) - 1 > 1000, d the largest numerator or denominator
-    degree: past the degree a parsed power may reach."""
-    if m < 1:
-        raise ValueError("pullback order must be >= 1")
-    d = max((max(e.num.degree, e.den.degree) for row in sys.mat.data for e in row), default=0)
+def check_pullback_degree(m: int, mat: Mat) -> None:
+    """Raise ValueError when an entry of ``mat`` could reach degree
+    m*(d + 1) - 1 > 1000 after x = t^m, d the largest numerator or
+    denominator degree: past the degree a parsed power may reach."""
+    d = max((max(e.num.degree, e.den.degree) for row in mat.data for e in row), default=0)
     if m * (d + 1) - 1 > _MAX_POWER_DEGREE:
         raise ValueError(
             f"pullback order {m} would give entries of degree up to {m * (d + 1) - 1},"
             f" over the bound of {_MAX_POWER_DEGREE}"
         )
+
+
+def pullback(sys: DiffSystem, m: int, new_var: str | None = None) -> DiffSystem:
+    """Pull the system back along x = t^m; solutions compose as y(t^m).
+    Raises ValueError, before building anything, past
+    ``check_pullback_degree``."""
+    if m < 1:
+        raise ValueError("pullback order must be >= 1")
+    check_pullback_degree(m, sys.mat)
     if new_var is None:
         new_var = "t" if sys.var != "t" else "u"
     factor = RatFn(Poly.monomial(m, m - 1))

@@ -505,13 +505,19 @@ class TestUsageErrors:
 
     def test_oversized_pullback_and_order_are_usage_errors(self, work, capsys):
         # refused from the sizes alone: x = t^(10^9) would give entries of
-        # degree 2*10^9 - 1, and order 10^9 a 2x2 series of 4*10^18 cells
+        # degree 2*10^9 - 1, order 10^9 a 2x2 series of 4*10^18 cells, and
+        # the endomorphism x^1000 over x = t^500 entries of degree 500,000
         tmp, write = work
         sys_path, swap_path = write("a.json", DEMO), write("swap.json", SWAP)
+        inv_path, power_path = (
+            write("inv.json", {"var": "x", "n": 1, "A": [["1/x"]]}),
+            write("power.json", {"var": "x", "M": [["x^1000"]]}),
+        )
         huge = "1000000000"
         for argv, word in (
             (["pullback", "--system", sys_path, "--pullback", huge], "degree"),
             (["reduce", "--system", sys_path, "--semiinv", swap_path, "--pullback", huge], "degree"),
+            (["reduce", "--system", inv_path, "--semiinv", power_path, "--pullback", "500"], "degree"),
             (["series", "--system", sys_path, "--x0", "1", "--order", huge], "budget"),
         ):
             start = time.perf_counter()

@@ -500,6 +500,17 @@ class TestReduceByDiagonalization:
         assert all(b.data[i][j].is_zero for i in range(3) for j in range(3) if i != j)
         assert {b.data[i][i] for i in range(3)} == {rf("1", "t")}
 
+    def test_endomorphism_degree_bound(self):
+        # the endomorphism is pulled back too and held to the system's bound:
+        # x^142 over x = t^7 reaches degree 7*143 - 1 = 1000 and reduces,
+        # x^166 over t^6 would reach 1001 and x^1000 over t^500 far more
+        sys_ = system("x", [["1/x"]])
+        cert = reduce_by_diagonalization(sys_, Mat(RF, [[rf("x^142")]]), 7)
+        assert cert.reduced == Mat(RF, [[rf("7/t", "t")]])
+        for power, m in ((166, 6), (1000, 500)):
+            with pytest.raises(ValueError, match="degree up to"):
+                reduce_by_diagonalization(sys_, Mat(RF, [[rf(f"x^{power}")]]), m)
+
     def test_without_pullback_not_split(self):
         with pytest.raises(NotSplit):
             reduce_by_diagonalization(demo_system(), weighted_swap(), 1)
