@@ -76,7 +76,7 @@ def _constr_list(text):
 
 def cmd_gauge(args):
     sys_ = _load_system(args.system)
-    _, p = jsonio.matrix_from_json(jsonio.load_json(args.P), fallback_var=sys_.var)
+    _, p = jsonio.matrix_from_json(jsonio.load_json(args.P), sys_.var)
     result = gauge(sys_, p)
     return jsonio.system_to_json(result), EXIT_OK
 
@@ -116,7 +116,7 @@ def cmd_ratsols(args):
 def cmd_semiinv_check(args):
     sys_ = _load_system(args.system)
     c = parse_construction(args.constr)
-    _, v = jsonio.vector_from_json(jsonio.load_json(args.vector), fallback_var=sys_.var)
+    _, v = jsonio.vector_from_json(jsonio.load_json(args.vector), sys_.var)
     rate = check_semi_invariant(sys_, c, v)
     if rate is None:
         return {
@@ -181,7 +181,7 @@ def cmd_check_reduced(args):
     constructions = _constr_list(args.constrs) if args.constrs else []
     lines = []
     if args.lines:
-        _, lines = jsonio.lines_from_json(jsonio.load_json(args.lines))
+        _, lines = jsonio.lines_from_json(jsonio.load_json(args.lines), sys_.var)
     report = is_reduced(
         sys_,
         basis=basis,
@@ -237,22 +237,22 @@ def cmd_check_reduced(args):
 
 def cmd_verify_reduction(args):
     sys_ = _load_system(args.system)
-    _, p = jsonio.matrix_from_json(jsonio.load_json(args.P), fallback_var=sys_.var)
-    _, invariants = jsonio.invariants_from_json(jsonio.load_json(args.invariants))
+    _, p = jsonio.matrix_from_json(jsonio.load_json(args.P), sys_.var)
+    _, invariants = jsonio.invariants_from_json(jsonio.load_json(args.invariants), sys_.var)
     ok = verify_reduction_matrix(sys_, p, parse_rat(args.x0), invariants)
     return {"transported": ok}, EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def cmd_reduce(args):
     sys_ = _load_system(args.system)
-    _, endo = jsonio.matrix_from_json(jsonio.load_json(args.semiinv), fallback_var=sys_.var)
+    _, endo = jsonio.matrix_from_json(jsonio.load_json(args.semiinv), sys_.var)
     cert = reduce_by_diagonalization(sys_, endo, args.pullback)
     return jsonio.certificate_to_json(cert), EXIT_OK
 
 
 def cmd_katz_check(args):
     sys_ = _load_system(args.system)
-    _, elements = jsonio.end_basis_from_json(jsonio.load_json(args.basis))
+    _, elements = jsonio.end_basis_from_json(jsonio.load_json(args.basis), sys_.var)
     report = check_nabla_stable_span(sys_, EndBasis(tuple(elements)))
     payload = {
         "stable": report.stable,
@@ -269,7 +269,7 @@ def cmd_katz_check(args):
     }
     exit_code = EXIT_OK if report.stable else EXIT_NEGATIVE
     if args.invariants:
-        _, invariants = jsonio.invariants_from_json(jsonio.load_json(args.invariants))
+        _, invariants = jsonio.invariants_from_json(jsonio.load_json(args.invariants), sys_.var)
         ann = annihilates_invariants(elements, invariants)
         payload["annihilates_invariants"] = ann.all_annihilated
         payload["annihilation"] = [

@@ -31,7 +31,7 @@ against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -40,62 +40,59 @@ from .linalg import Mat
 from .ratfun import _Parser, _quote, _tokenize
 
 
-@dataclass(frozen=True)
-class Base:
+class _Node:
+    """A construction node: ``name`` is its constructor in the text form and
+    its dataclass fields, in order, are the constructor's arguments; the
+    field ``r`` is a power of at least 1, every other one a construction."""
+
+    name = ""
+
+    def __post_init__(self):
+        if getattr(self, "r", 1) < 1:
+            raise InvalidArity(f"{self.name} power must be >= 1")
+
     def __str__(self):
-        return "base"
+        args = [str(getattr(self, f.name)) for f in fields(self)]
+        return f"{self.name}({','.join(args)})" if args else self.name
 
 
 @dataclass(frozen=True)
-class Dual:
+class Base(_Node):
+    name = "base"
+
+
+@dataclass(frozen=True)
+class Dual(_Node):
+    name = "dual"
     child: "Construction"
 
-    def __str__(self):
-        return f"dual({self.child})"
-
 
 @dataclass(frozen=True)
-class Tensor:
+class Tensor(_Node):
+    name = "tensor"
     left: "Construction"
     right: "Construction"
 
-    def __str__(self):
-        return f"tensor({self.left},{self.right})"
-
 
 @dataclass(frozen=True)
-class Sym:
+class Sym(_Node):
+    name = "sym"
     r: int
     child: "Construction"
 
-    def __post_init__(self):
-        if self.r < 1:
-            raise InvalidArity("sym power must be >= 1")
-
-    def __str__(self):
-        return f"sym({self.r},{self.child})"
-
 
 @dataclass(frozen=True)
-class Ext:
+class Ext(_Node):
+    name = "ext"
     r: int
     child: "Construction"
 
-    def __post_init__(self):
-        if self.r < 1:
-            raise InvalidArity("ext power must be >= 1")
-
-    def __str__(self):
-        return f"ext({self.r},{self.child})"
-
 
 @dataclass(frozen=True)
-class DirectSum:
+class DirectSum(_Node):
+    name = "dsum"
     left: "Construction"
     right: "Construction"
-
-    def __str__(self):
-        return f"dsum({self.left},{self.right})"
 
 
 Construction = Base | Dual | Tensor | Sym | Ext | DirectSum
@@ -106,9 +103,7 @@ END_CONSTRUCTION = Tensor(Base(), Dual(Base()))
 # ---------------------------------------------------------------------------
 # Parsing
 
-# name -> (node class, its arguments: "r" a positive integer power, "c" a construction)
-_CONSTRUCTORS = {"base": (Base, ""), "dual": (Dual, "c"), "tensor": (Tensor, "cc"),
-                 "dsum": (DirectSum, "cc"), "sym": (Sym, "rc"), "ext": (Ext, "rc")}
+_CONSTRUCTORS = {cls.name: cls for cls in (Base, Dual, Tensor, Sym, Ext, DirectSum)}
 
 
 class _ConstructionParser(_Parser):
@@ -120,18 +115,18 @@ class _ConstructionParser(_Parser):
             raise ParseError(f"expected a constructor name, got {_quote(name)}")
         if name not in _CONSTRUCTORS:
             raise ParseError(f"unknown constructor {_quote(name)}")
-        cls, slots = _CONSTRUCTORS[name]
+        cls = _CONSTRUCTORS[name]
         args = []
-        for k, slot in enumerate(slots):
+        for k, slot in enumerate(fields(cls)):
             self.expect_op("," if k else "(")
-            if slot == "c":
+            if slot.name != "r":
                 args.append(self.nested(self.node))
                 continue
             kind, r = self.take()
             if kind != "int" or r < 1:
                 raise ParseError(f"{name} needs a positive integer power")
             args.append(r)
-        if slots:
+        if args:
             self.expect_op(")")
         return cls(*args)
 
@@ -173,7 +168,7 @@ def constr_dim(c: Construction, n: int) -> int:
     elif isinstance(c, (Sym, Ext)):
         d = constr_dim(c.child, n)
         if c.r > _MAX_DIM:
-            raise InvalidArity(f"{'ext' if isinstance(c, Ext) else 'sym'} power above {_MAX_DIM}")
+            raise InvalidArity(f"{c.name} power above {_MAX_DIM}")
         if isinstance(c, Ext) and c.r > d:
             raise InvalidArity(f"ext({c.r}) exceeds child dimension {d}")
         dim = comb(d, c.r) if isinstance(c, Ext) else comb(d + c.r - 1, c.r)
@@ -182,6 +177,17 @@ def constr_dim(c: Construction, n: int) -> int:
     if dim > max(_MAX_DIM, n):
         raise InvalidArity(f"{c} exceeds {max(_MAX_DIM, n)} dimensions on a {n}-dimensional space")
     return dim
+
+
+def lie_work(c: Construction, n: int) -> int:
+    """Work units of one ``constr_lie(c, m)``, m n x n: the entries of every
+    node's matrix, and for a sym or ext node the r slots, each against the
+    child's dimension, of every basis tuple."""
+    dim = constr_dim(c, n)
+    work = dim * dim
+    if isinstance(c, (Sym, Ext)):
+        work += dim * c.r * constr_dim(c.child, n)
+    return work + sum(lie_work(getattr(c, f.name), n) for f in fields(c) if f.name != "r")
 
 
 def constr_vector(c: Construction, n: int, v) -> tuple:
@@ -252,7 +258,7 @@ def constr_group(c: Construction, p: Mat) -> Mat:
     """
     if not p.is_square:
         raise DimensionMismatch("construction input must be square")
-    constr_dim(c, p.rows)  # validate arities up front
+    constr_dim(c, p.rows)  # validate node types and arities up front
     return _group(c, p)
 
 
@@ -265,16 +271,14 @@ def _group(c: Construction, p: Mat) -> Mat:
         return _group(c.left, p).kron(_group(c.right, p))
     if isinstance(c, DirectSum):
         return _group(c.left, p).block_diag(_group(c.right, p))
-    if isinstance(c, (Sym, Ext)):
-        return _power(_group(c.child, p), c.r, isinstance(c, Ext), _group_image)
-    raise TypeError(f"not a construction: {c!r}")
+    return _power(_group(c.child, p), c.r, isinstance(c, Ext), _group_image)
 
 
 def constr_lie(c: Construction, n_mat: Mat) -> Mat:
     """Matrix of the induced derivation on the construction, canonical basis."""
     if not n_mat.is_square:
         raise DimensionMismatch("construction input must be square")
-    constr_dim(c, n_mat.rows)
+    constr_dim(c, n_mat.rows)  # validate node types and arities up front
     return _lie(c, n_mat)
 
 
@@ -291,9 +295,7 @@ def _lie(c: Construction, m: Mat) -> Mat:
         return left.kron(eye_r) + eye_l.kron(right)
     if isinstance(c, DirectSum):
         return _lie(c.left, m).block_diag(_lie(c.right, m))
-    if isinstance(c, (Sym, Ext)):
-        return _power(_lie(c.child, m), c.r, isinstance(c, Ext), _lie_image)
-    raise TypeError(f"not a construction: {c!r}")
+    return _power(_lie(c.child, m), c.r, isinstance(c, Ext), _lie_image)
 
 
 # ---------------------------------------------------------------------------

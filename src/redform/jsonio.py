@@ -11,7 +11,7 @@ import json
 
 from .errors import ParseError
 from .linalg import Mat, QQ, RF
-from .ratfun import RatFn, parse_rat, parse_ratfn, rat_str, ratfn_str
+from .ratfun import RatFn, _quote, check_var, parse_rat, parse_ratfn, rat_str, ratfn_str
 from .reduction import LieBasis, ReductionCertificate
 from .constructions import parse_construction
 from .systems import DiffSystem
@@ -28,6 +28,19 @@ def _require(mapping, key, kind=None):
     if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ParseError(f"field {key!r} has the wrong type")
     return value
+
+
+def _var(payload, system_var=None) -> str:
+    """The field 'var', a name (``ratfun.check_var``).  A file read for a
+    system is in the system's variable: it may leave the field out, and
+    naming another variable is a ParseError."""
+    var = payload.get("var", system_var) if isinstance(payload, dict) else None
+    if var is None:
+        raise ParseError("missing field 'var'")
+    check_var(var)
+    if system_var is not None and var != system_var:
+        raise ParseError(f"the file is in {_quote(var)}, the system in {_quote(system_var)}")
+    return var
 
 
 def matrix_to_lists(m: Mat, var: str):
@@ -75,7 +88,7 @@ def system_to_json(sys: DiffSystem) -> dict:
 
 
 def system_from_json(payload) -> DiffSystem:
-    var = _require(payload, "var", str)
+    var = _var(payload)
     rows = _require(payload, "A", list)
     mat = lists_to_matrix(rows, var)
     n = _declared_size(payload)
@@ -90,20 +103,16 @@ def matrix_to_json(m: Mat, var: str) -> dict:
     return {"var": var, "M": matrix_to_lists(m, var)}
 
 
-def matrix_from_json(payload, fallback_var=None) -> tuple:
-    var = payload.get("var", fallback_var) if isinstance(payload, dict) else None
-    if var is None:
-        raise ParseError("matrix payload needs a 'var' field")
+def matrix_from_json(payload, system_var=None) -> tuple:
+    var = _var(payload, system_var)
     key = "M" if "M" in payload else "P" if "P" in payload else None
     if key is None:
         raise ParseError("matrix payload needs an 'M' (or 'P') field")
     return var, lists_to_matrix(payload[key], var)
 
 
-def vector_from_json(payload, fallback_var=None):
-    var = payload.get("var", fallback_var) if isinstance(payload, dict) else None
-    if var is None:
-        raise ParseError("vector payload needs a 'var' field")
+def vector_from_json(payload, system_var=None):
+    var = _var(payload, system_var)
     entries = _require(payload, "v", list)
     return var, tuple(parse_ratfn(e, var) for e in entries)
 
@@ -123,14 +132,14 @@ def lie_basis_from_json(payload) -> LieBasis:
     return LieBasis(n, tuple(mats))
 
 
-def end_basis_from_json(payload):
-    var = _require(payload, "var", str)
+def end_basis_from_json(payload, system_var=None):
+    var = _var(payload, system_var)
     elements = _require(payload, "elements", list)
     return var, [lists_to_matrix(e, var) for e in elements]
 
 
-def _constr_vectors(payload, key: str):
-    var = _require(payload, "var", str)
+def _constr_vectors(payload, key: str, system_var):
+    var = _var(payload, system_var)
     out = []
     for item in _require(payload, key, list):
         c = parse_construction(_require(item, "constr", str))
@@ -139,12 +148,12 @@ def _constr_vectors(payload, key: str):
     return var, out
 
 
-def invariants_from_json(payload):
-    return _constr_vectors(payload, "invariants")
+def invariants_from_json(payload, system_var=None):
+    return _constr_vectors(payload, "invariants", system_var)
 
 
-def lines_from_json(payload):
-    return _constr_vectors(payload, "lines")
+def lines_from_json(payload, system_var=None):
+    return _constr_vectors(payload, "lines", system_var)
 
 
 def solution_space_to_json(space, var: str) -> dict:
@@ -170,7 +179,7 @@ def certificate_to_json(cert: ReductionCertificate) -> dict:
 
 
 def certificate_from_json(payload) -> ReductionCertificate:
-    var = _require(payload, "var", str)
+    var = _var(payload)
     return ReductionCertificate(
         var=var,
         extension_order=_require(payload, "extension_order", int),

@@ -744,6 +744,14 @@ def _tokenize(text: str):
     return tokens
 
 
+def check_var(var) -> None:
+    """Raise ParseError unless ``var`` is one name token of ``_tokenize``: a
+    variable of any other form prints values that do not re-parse."""
+    m = _TOKEN_RE.fullmatch(var) if isinstance(var, str) else None
+    if m is None or m.group("name") != var:
+        raise ParseError(f"the variable must be a name, got {_quote(str(var))}")
+
+
 class _Parser:
     """Recursive-descent core over ``_tokenize`` tokens: the cursor, the
     nesting bound and the end-of-input checks that both grammars share, the

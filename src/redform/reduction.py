@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import prod
 
 from .constructions import (
     Construction,
@@ -42,7 +43,7 @@ from .errors import (
     SingularGauge,
 )
 from .linalg import Mat, QQ, RF, charpoly, mat_vec, nullspace, span_coordinates
-from .ratfun import Poly, RatFn, _rat, common_denominator, poly_str, rational_roots, ratfn_sqrt, ratfn_str
+from .ratfun import Poly, RatFn, common_denominator, poly_str, rational_roots, ratfn_sqrt, ratfn_str
 from .solutions import NUM_DEG_CAP, POLE_CAP, check_semi_invariant, harvest_invariants, span_connection
 from .systems import DiffSystem, check_pullback_degree, is_ordinary_point, mat_derivative, pullback
 
@@ -216,18 +217,12 @@ def is_reduced(
 
 def transport_gauge(p: Mat, x0) -> Mat:
     """Right-normalize a gauge matrix so it fixes values at x0: P*P(x0)^-1."""
-    x0 = _rat(x0)
-    values = []
-    for row in p.data:
-        values.append([e(x0) for e in row])
-    at_point = Mat(RF, [[RatFn.const(v) for v in row] for row in values])
-    return p * at_point.inv()
+    return p * p.map_entries(lambda e: RatFn.const(e(x0))).inv()
 
 
 def verify_reduction_matrix(sys: DiffSystem, p: Mat, x0, invariants) -> bool:
     """Whether every invariant satisfies v(x) = constr_group(c, P)*v(x0)
     as an exact identity of rational functions."""
-    x0 = _rat(x0)
     if not is_ordinary_point(sys, x0):
         raise PoleAtPoint(f"{x0} is a pole of the system")
     if p.det().is_zero:
@@ -266,10 +261,8 @@ class ReductionCertificate:
             return False
         if p * b != a * p - mat_derivative(p):
             return False
-        acc = Mat.zeros(RF, b.rows, b.rows)
-        for f, g in zip(self.coeffs, self.basis):
-            acc = acc + g.map_entries(lambda c, _f=f: _f * RatFn.const(c), RF)
-        return acc == b
+        terms = [Mat(RF, g.data).scale(f) for f, g in zip(self.coeffs, self.basis)]
+        return sum(terms, Mat.zeros(RF, b.rows, b.rows)) == b
 
 
 def _eigenvalues_ratfn(m: Mat, var: str):
@@ -283,14 +276,9 @@ def _eigenvalues_ratfn(m: Mat, var: str):
     to that constant) are the eigenvalues of the constant matrix F/g.
     """
     n = m.rows
-    q, nums = common_denominator([e for row in m.data for e in row])
-    f = [nums[i * n : (i + 1) * n] for i in range(n)]
-    trace = RatFn(sum((f[i][j] * f[j][i] for i in range(n) for j in range(n)), Poly()), q * q)
+    trace = sum((m.data[i][j] * m.data[j][i] for i in range(n) for j in range(n)), RatFn.ZERO)
     if trace.is_zero:
-        power = m
-        for _ in range(n - 1):
-            power = power * m
-        if power.is_zero:
+        if prod([m] * n).is_zero:
             raise DefectiveEigenstructure("eigenvalues are not pairwise distinct: F is nilpotent")
         raise NotSplit("tr(F^2) = 0 but F is not nilpotent, so some eigenvalues are irrational")
     monic = RatFn(trace.num.monic(), trace.den)
@@ -300,10 +288,11 @@ def _eigenvalues_ratfn(m: Mat, var: str):
             f"tr(F^2) made monic, {ratfn_str(monic, var)}, is not a square; "
             "a larger radical extension is needed"
         )
-    # g^2 is tr(F^2) made monic, so g has no pole where q has no zero
+    # q is the common denominator of F; g^2 is tr(F^2) made monic, so g has
+    # no pole where q has no zero
+    q, _ = common_denominator([e for row in m.data for e in row])
     x0 = next(x for x in count() if q(x) and g.num(x))
-    scale = q(x0) * g(x0)
-    const = [[p(x0) / scale for p in row] for row in f]
+    const = [[e(x0) / g(x0) for e in row] for row in m.data]
     chi = charpoly(Mat(QQ, const))
     roots = rational_roots(chi)
     if len(roots) < n:
@@ -314,10 +303,6 @@ def _eigenvalues_ratfn(m: Mat, var: str):
             "whose roots are not all rational"
         )
     return [g * z for z in roots]
-
-
-def _eigen_sort_key(value: RatFn):
-    return (value.den.coeffs, value.num.coeffs)
 
 
 def reduce_by_diagonalization(sys: DiffSystem, endo: Mat, m: int) -> ReductionCertificate:
@@ -340,12 +325,11 @@ def reduce_by_diagonalization(sys: DiffSystem, endo: Mat, m: int) -> ReductionCe
     endo_t = endo.map_entries(lambda e: e.substitute_power(m))
 
     eigen = _eigenvalues_ratfn(endo_t, pulled.var)
-    eigen.sort(key=_eigen_sort_key, reverse=True)
+    eigen.sort(key=lambda value: (value.den.coeffs, value.num.coeffs), reverse=True)
 
     columns = []
     for value in eigen:
-        shifted = [[e - value if i == j else e for j, e in enumerate(r)] for i, r in enumerate(endo_t.data)]
-        kernel = nullspace(Mat(RF, shifted))
+        kernel = nullspace(endo_t - Mat.identity(RF, endo_t.rows).scale(value))
         if len(kernel) != 1:
             raise InternalError("eigenspace of a simple eigenvalue is not one-dimensional")
         pivot = next(e for e in kernel[0] if not e.is_zero)

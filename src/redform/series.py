@@ -169,7 +169,6 @@ def series_eval_transport(
     coefficients v_k of v.
     """
     v = constr_vector(c, sys.n, v)
-    x0 = _rat(x0)
     if not is_ordinary_point(sys, x0):
         raise PoleAtPoint(f"{x0} is a pole of the system matrix")
     big = fundamental_series(DiffSystem(sys.var, constr_lie(c, sys.mat)), x0, order)

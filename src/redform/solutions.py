@@ -86,23 +86,14 @@ def _residue_matrix(q: Poly, nums, n: int, place: Poly) -> Mat:
     g, inv, _ = ((q // place) * place.derivative()).xgcd(place)
     if g.degree != 0:
         raise InternalError("place not coprime to residual denominator")
-    zero = Fraction(0)
-    low = place.monic().coeffs[:-1]
-    big = [[zero] * (n * deg) for _ in range(n * deg)]
+    big = [[Fraction(0)] * (n * deg) for _ in range(n * deg)]
     for i in range(n):
         for j in range(n):
             residue = (nums[i * n + j] % place * inv) % place
-            # column k is x^k * residue mod the monic place, one step of
-            # multiplication by x from column k - 1
-            col = [residue.coeff(r) for r in range(deg)]
             for k in range(deg):
-                if k:
-                    top = col[-1]
-                    col = [zero, *col[:-1]]
-                    if top:
-                        col = [c - top * a for c, a in zip(col, low)]
+                col = (Poly.monomial(1, k) * residue) % place
                 for r in range(deg):
-                    big[i * deg + r][j * deg + k] = col[r]
+                    big[i * deg + r][j * deg + k] = col.coeff(r)
     return Mat(QQ, big)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 from .linalg import Mat, RF
-from .ratfun import _MAX_POWER_DEGREE, Poly, RatFn, _rat, parse_ratfn, squarefree_factors
+from .ratfun import _MAX_POWER_DEGREE, Poly, RatFn, check_var, parse_ratfn, squarefree_factors
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,14 @@ def check_pullback_degree(m: int, mat: Mat) -> None:
 def pullback(sys: DiffSystem, m: int, new_var: str | None = None) -> DiffSystem:
     """Pull the system back along x = t^m; solutions compose as y(t^m).
     Raises ValueError, before building anything, past
-    ``check_pullback_degree``."""
+    ``check_pullback_degree``, and ParseError for a ``new_var`` that is not
+    a name."""
     if m < 1:
         raise ValueError("pullback order must be >= 1")
     check_pullback_degree(m, sys.mat)
     if new_var is None:
         new_var = "t" if sys.var != "t" else "u"
+    check_var(new_var)
     factor = RatFn(Poly.monomial(m, m - 1))
     pulled = sys.mat.map_entries(lambda e: factor * e.substitute_power(m))
     return DiffSystem(new_var, pulled)
@@ -136,5 +138,4 @@ def singularities(sys: DiffSystem) -> SingularityReport:
 
 
 def is_ordinary_point(sys: DiffSystem, x0) -> bool:
-    x0 = _rat(x0)
     return all(not e.has_pole_at(x0) for row in sys.mat.data for e in row)

@@ -12,6 +12,7 @@ from redform.reduction import ReductionCertificate
 from redform.errors import ParseError
 from redform.jsonio import certificate_from_json, system_from_json
 from redform.ratfun import RatFn, parse_ratfn
+from redform.systems import pullback
 
 DEMO = {"var": "x", "n": 2, "A": [["0", "1"], ["x", "1/(2*x)"]]}
 SWAP = {"var": "x", "M": [["0", "1/x"], ["1", "0"]]}
@@ -921,6 +922,77 @@ class TestOtherCommands:
         vec_path = write("v.json", {"var": "x", "v": ["1"] * length})
         code, payload = run(["stabilizer-of-invariant", "--constr", constr, "--vector", vec_path], capsys)
         assert code == 3 and payload["error"]["reason"] == reason
+
+    @pytest.mark.parametrize(
+        "constr, length, code",
+        [("base", 31, 0), ("base", 32, 3), ("ext(27,base)", 1, 3)],
+        ids=["largest-base", "past-the-budget", "top-ext"],
+    )
+    def test_stabilizer_work_budget(self, work, capsys, constr, length, code):
+        # n^2 * lie_work: 923,521 units at n = 31 under base, 1,048,576 at
+        # n = 32, and 1,063,611 for ext(27,base) at n = 27, whose one
+        # dimension hides the n^2 entries of every unit matrix
+        tmp, write = work
+        vec_path = write("v.json", {"var": "x", "v": ["1"] * length})
+        start = time.perf_counter()
+        got, payload = run(["stabilizer-of-invariant", "--constr", constr, "--vector", vec_path], capsys)
+        assert got == code
+        if code:
+            assert time.perf_counter() - start < 1
+            assert payload["error"]["reason"] == "usage_error"
+        else:
+            assert payload["n"] == length and payload["dim"] == length * (length - 1)
+
+
+class TestVariables:
+    @pytest.mark.parametrize("var", ["", "x+1", "x y", "2"])
+    def test_new_var_must_be_a_name(self, work, capsys, var):
+        tmp, write = work
+        code, payload = run(["pullback", "--system", write("a.json", DEMO), "--new-var", var], capsys)
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
+
+    @pytest.mark.parametrize("var", ["x1", "_t"])
+    def test_named_new_var_reparses(self, work, capsys, var):
+        tmp, write = work
+        code, payload = run(
+            ["pullback", "--system", write("a.json", DEMO), "--pullback", "2", "--new-var", var], capsys
+        )
+        assert code == 0 and payload["var"] == var
+        assert system_from_json(payload) == pullback(system_from_json(DEMO), 2, new_var=var)
+
+    @pytest.mark.parametrize("var", ["", "x+1", "x y", "2", " x", 1, None])
+    def test_system_var_must_be_a_name(self, work, capsys, var):
+        tmp, write = work
+        code, payload = run(["series", "--system", write("s.json", {"var": var, "A": [["1"]]})], capsys)
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
+
+    @pytest.mark.parametrize(
+        "flag, payload",
+        [
+            ("--P", {"P": [["1", "0"], ["0", "1"]]}),
+            ("--vector", {"v": ["0", "1", "1", "0"]}),
+            ("--semiinv", {"M": [["0", "1"], ["1", "0"]]}),
+            ("--basis", {"elements": [[["1", "0"], ["0", "1"]]]}),
+            ("--lines", {"lines": [{"constr": "tensor(base,dual(base))", "v": ["1", "0", "0", "1"]}]}),
+            ("--invariants", {"invariants": [{"constr": "ext(2,base)", "v": ["1"]}]}),
+        ],
+        ids=["P", "vector", "semiinv", "basis", "lines", "invariants"],
+    )
+    def test_a_file_must_be_in_the_systems_variable(self, work, capsys, flag, payload):
+        tmp, write = work
+        argv = {
+            "--P": ["gauge"],
+            "--vector": ["semiinv-check", "--constr", "tensor(base,dual(base))"],
+            "--semiinv": ["reduce"],
+            "--basis": ["katz-check"],
+            "--lines": ["check-reduced"],
+            "--invariants": ["verify-reduction", "--P", write("p.json", {"var": "x", "P": [["1", "0"], ["0", "1"]]})],
+        }[flag] + ["--system", write("a.json", DEMO), flag]
+        for same in (dict(payload, var="x"), payload):
+            code, out = run(argv + [write("f.json", same)], capsys)
+            assert code in (0, 1)
+        code, out = run(argv + [write("f.json", dict(payload, var="y"))], capsys)
+        assert code == 3 and out["error"] == {"reason": "parse_error", "message": "the file is in 'y', the system in 'x'"}
 
 
 # the flags each subcommand reads besides --out, written out independently

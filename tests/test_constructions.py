@@ -9,6 +9,7 @@ import pytest
 from redform import (
     Base,
     DiffSystem,
+    DirectSum,
     Dual,
     END_CONSTRUCTION,
     Ext,
@@ -72,6 +73,16 @@ class TestSizeBound:
         with pytest.raises(InvalidArity):
             constr_dim(Sym(1001, Base()), 1)
 
+    @pytest.mark.parametrize("node, name", [(Sym, "sym"), (Ext, "ext")])
+    def test_power_messages_name_the_node(self, node, name):
+        # built directly, past the parser, which rejects sym(0,...) first
+        with pytest.raises(InvalidArity) as exc:
+            node(0, Base())
+        assert str(exc.value) == f"{name} power must be >= 1"
+        with pytest.raises(InvalidArity) as exc:
+            constr_dim(node(1001, Base()), 2000)
+        assert str(exc.value) == f"{name} power above 1000"
+
     def test_bound_is_checked_before_building(self):
         with pytest.raises(InvalidArity):
             constr_group(parse_construction("sym(40,sym(3,base))"), Mat.identity(RF, 2))
@@ -95,6 +106,14 @@ class TestParsing:
             "dsum(base,ext(2,base))",
         ]:
             assert str(parse_construction(text)) == text
+
+    def test_str_of_a_built_tree_reparses(self):
+        for tree, text in [
+            (Base(), "base"),
+            (DirectSum(Tensor(Base(), Dual(Base())), Base()), "dsum(tensor(base,dual(base)),base)"),
+            (Sym(3, Ext(2, DirectSum(Base(), Dual(Base())))), "sym(3,ext(2,dsum(base,dual(base))))"),
+        ]:
+            assert str(tree) == text and parse_construction(text) == tree
 
     def test_reject_junk(self):
         for text in ["", "tensor(base)", "sym(0,base)", "frob(base)", "base)"]:
