@@ -44,8 +44,15 @@ from .reduction import (
     wei_norman,
 )
 from .series import fundamental_series
-from .solutions import NUM_DEG_CAP, POLE_CAP, check_semi_invariant, harvest_invariants, rational_solutions
-from .systems import DiffSystem, gauge, pullback
+from .solutions import (
+    NUM_DEG_CAP,
+    POLE_CAP,
+    check_semi_invariant,
+    construction_system,
+    harvest_invariants,
+    rational_solutions,
+)
+from .systems import gauge, pullback
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -103,7 +110,7 @@ def cmd_series(args):
 def cmd_ratsols(args):
     sys_ = _load_system(args.system)
     c = parse_construction(args.constr)
-    target = DiffSystem(sys_.var, constr_lie(c, sys_.mat))
+    target = construction_system(sys_, c)
     den = _parse_den(args.den, sys_.var) if args.den else None
     space = rational_solutions(
         target, num_deg_cap=args.num_deg, den_override=den, pole_cap=args.pole_cap

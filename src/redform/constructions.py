@@ -183,11 +183,23 @@ def lie_work(c: Construction, n: int) -> int:
     """Work units of one ``constr_lie(c, m)``, m n x n: the entries of every
     node's matrix, and for a sym or ext node the r slots, each against the
     child's dimension, of every basis tuple."""
+    return _work(c, n, placed=False)
+
+
+def solve_work(c: Construction, n: int) -> int:
+    """Work units of the construction system of a dense n x n system up to
+    its ansatz: dim^3 for the characteristic polynomial of a residue, and
+    ``lie_work`` with each slot counted r times, for the r-entry tuple that
+    every entry of a dense child's column places."""
+    return constr_dim(c, n) ** 3 + _work(c, n, placed=True)
+
+
+def _work(c: Construction, n: int, placed: bool) -> int:
     dim = constr_dim(c, n)
     work = dim * dim
     if isinstance(c, (Sym, Ext)):
-        work += dim * c.r * constr_dim(c.child, n)
-    return work + sum(lie_work(getattr(c, f.name), n) for f in fields(c) if f.name != "r")
+        work += dim * c.r * constr_dim(c.child, n) * (c.r if placed else 1)
+    return work + sum(_work(getattr(c, f.name), n, placed) for f in fields(c) if f.name != "r")
 
 
 def constr_vector(c: Construction, n: int, v) -> tuple:

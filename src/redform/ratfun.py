@@ -977,10 +977,16 @@ def ratfn_str(r: RatFn, var: str = "x") -> str:
 # Root utilities
 
 
-def _value(ints, y: int, l: int = 1, top: int | None = None) -> int:
+def _value(ints, y: int, l: int = 1, top: int | None = None, mod: int | None = None) -> int:
     """l^top * p(y/l) for the integer list p of degree at most top (by
     default its length less one), by Horner's rule on ints: with l = 1 the
-    value of p at the integer y."""
+    value of p at the integer y.  With ``mod``, p(y) mod ``mod`` (l and top
+    unused), reduced at every step so that no partial sum outgrows it."""
+    if mod is not None:
+        acc = 0
+        for c in reversed(ints):
+            acc = (acc * y + c) % mod
+        return acc
     acc, power = 0, 1 if top is None else l ** (top + 1 - len(ints))
     for c in reversed(ints):
         acc = acc * y + c * power
@@ -995,10 +1001,12 @@ def integer_roots(p: Poly):
 
     p is cleared to a primitive integer list f; its factors of x give the
     root 0.  Then g = f/gcd(f, f') is squarefree with g(0) != 0, so every
-    other integer root z divides g(0).  At the first odd prime q where every
-    root of g mod q is simple, z mod q is one of those roots; each is lifted
-    to a modulus m > 2|g(0)|, and its symmetric residue is kept when g
-    vanishes there.
+    other integer root z divides g(0), and |z| is at most Fujiwara's bound.
+    At the first odd prime q where every root of g mod q is simple, z mod q
+    is one of those roots; each is lifted, every Newton step evaluated mod
+    m, to a modulus m above twice the smaller of |g(0)| and that bound, and
+    its symmetric residue z is kept when it divides g(0) and g vanishes
+    there.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every integer as a root")
@@ -1013,18 +1021,24 @@ def integer_roots(p: Poly):
     q = 3
     while True:
         if all(q % d for d in range(3, math.isqrt(q) + 1, 2)):
-            residues = [r for r in range(q) if _value(g, r) % q == 0]
-            if all(_value(dg, r) % q for r in residues):
+            gq, dgq = [c % q for c in g], [c % q for c in dg]
+            residues = [r for r in range(q) if _value(gq, r, mod=q) == 0]
+            if all(_value(dgq, r, mod=q) for r in residues):
                 break
         q += 2
-    bound = 2 * abs(g[0])
+    # Fujiwara's bound (1916): every root has modulus at most 2^(e+1) when
+    # 2^(e*i) >= |g_(n-i)/g_n| for i = 1..n; |g_n| >= 2^lead and
+    # |g_(n-i)| < 2^bit_length give such an e
+    lead = abs(g[-1]).bit_length() - 1
+    e = max([0] + [-((lead - abs(c).bit_length()) // i) for i, c in enumerate(reversed(g[:-1]), 1)])
+    bound = 2 * min(abs(g[0]), 2 ** (e + 1))
     for r in residues:
         m = q
         while m <= bound:
             m *= m
-            r = (r - _value(g, r) * pow(_value(dg, r), -1, m)) % m
+            r = (r - _value(g, r, mod=m) * pow(_value(dg, r, mod=m), -1, m)) % m
         z = r - m if 2 * r > m else r
-        if _value(g, z) == 0:
+        if z and g[0] % z == 0 and _value(g, z) == 0:
             roots.append(z)
     return sorted(roots)
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .constructions import Construction, constr_lie, constr_vector
+from .constructions import Construction, constr_lie, constr_vector, solve_work
 from .errors import DimensionMismatch, InternalError, InvalidArity
 from .linalg import Mat, QQ, RF, charpoly, charpoly_ints, mat_vec, nullspace, span_coordinates
 from .ratfun import Poly, RatFn, _clear_all, _value, common_denominator, integer_roots, rational_roots
@@ -54,6 +54,10 @@ POLE_CAP = 10
 # the largest ansatz, in rows times columns, that is built: its dense rows
 # take memory and elimination time that grow with the square of the cap
 ANSATZ_CELLS = 10_000_000
+# the largest solve_work of a construction system that is built: near it,
+# constr_lie and the residue charpoly of the README system's constructions
+# take up to about 8 s (Python 3.11 on a 2-CPU machine)
+SOLVE_UNITS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -234,6 +238,19 @@ def rational_solutions(
     return SolutionSpace(n, tuple(basis), den, cap, complete)
 
 
+def construction_system(sys: DiffSystem, c: Construction) -> DiffSystem:
+    """The system of the construction c, with matrix constr_lie(c, A).
+    Raises InvalidArity, before building it, when it takes more than
+    ``SOLVE_UNITS`` of ``solve_work``."""
+    units = solve_work(c, sys.n)
+    if units > SOLVE_UNITS:
+        raise InvalidArity(
+            f"solving {c} on a {sys.n}-dimensional system takes {units:,} work units,"
+            f" over the budget of {SOLVE_UNITS:,}"
+        )
+    return DiffSystem(sys.var, constr_lie(c, sys.mat))
+
+
 def span_connection(sys: DiffSystem, c: Construction, w_vectors):
     """(rank, coords, nablas) of the connection d/dx - constr_lie(c, A) on the
     span of the vectors: nablas[k] = w_k' - constr_lie(c, A)*w_k, and
@@ -278,9 +295,8 @@ def harvest_invariants(
     entries = []
     for c in constructions:
         try:
-            lie = constr_lie(c, sys.mat)
             space = rational_solutions(
-                DiffSystem(sys.var, lie), num_deg_cap=num_deg_cap, pole_cap=pole_cap
+                construction_system(sys, c), num_deg_cap=num_deg_cap, pole_cap=pole_cap
             )
             entries.append(HarvestEntry(c, space, None))
         except (InvalidArity, DimensionMismatch) as exc:

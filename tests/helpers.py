@@ -1,8 +1,12 @@
 """Shared fixtures and random generators for the test suite."""
 
 import math
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+
+import pytest
 
 from redform import (
     Base,
@@ -36,6 +40,25 @@ from redform.ratfun import common_denominator, ratfn_sqrt
 from redform.systems import mat_derivative
 
 END = parse_construction("tensor(base,dual(base))")
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the test when the block runs for more than ``seconds`` of wall
+    clock, interrupting it by SIGALRM.  pytest.fail raises a BaseException,
+    which no ``except Exception`` in the program catches, so an expired
+    limit cannot pass for an exit code or a caught error."""
+
+    def expire(signum, frame):
+        pytest.fail(f"took more than {seconds} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def rf(text, var="x"):
@@ -674,6 +697,19 @@ def oracle_integer_roots(p):
     roots = {0} if zero else set()
     if len(ints) > 1:
         roots.update(z for d in _oracle_divisors(abs(ints[0]), 10 ** 8) for z in (d, -d) if p(z) == 0)
+    return sorted(roots)
+
+
+def oracle_integer_roots_within(p, bound):
+    """Integer roots of a nonzero polynomial none of whose roots exceeds
+    ``bound`` in modulus: test every z with 0 < |z| <= bound that divides the
+    trailing coefficient of its stripped integer form by the exact sum of
+    a_k z^k (0 is a root when a factor of x was stripped)."""
+    ints, zero = _oracle_stripped(p)
+    roots = {0} if zero else set()
+    for d in range(1, bound + 1) if len(ints) > 1 else ():
+        if ints[0] % d == 0:
+            roots.update(z for z in (d, -d) if sum(a * z ** k for k, a in enumerate(ints)) == 0)
     return sorted(roots)
 
 

@@ -1,7 +1,6 @@
 """End-to-end CLI: exit-code triage, determinism, JSON round trips."""
 
 import json
-import time
 from dataclasses import replace
 
 import pytest
@@ -13,6 +12,8 @@ from redform.errors import ParseError
 from redform.jsonio import certificate_from_json, system_from_json
 from redform.ratfun import RatFn, parse_ratfn
 from redform.systems import pullback
+
+from helpers import time_limit
 
 DEMO = {"var": "x", "n": 2, "A": [["0", "1"], ["x", "1/(2*x)"]]}
 SWAP = {"var": "x", "M": [["0", "1/x"], ["1", "0"]]}
@@ -86,6 +87,25 @@ class TestVerdicts:
         assert code == 1
         assert payload["lines"][0]["witness"] == "line has non-constant ratio"
 
+    def test_check_reduced_line_payload(self, work, capsys):
+        # a stable line is the d = 1 module of the constant-basis test: its
+        # basis is scaled so the first nonzero entry reads the leading
+        # coefficient of that entry's numerator; a line of non-constant
+        # ratio carries its rate and witness
+        tmp, write = work
+        line = {"constr": "base", "v": ["(2*x+1)/(x^2+1)", "(4*x+2)/(3*x^2+3)"]}
+        lines_path = write("l.json", {"var": "x", "lines": [line]})
+        code, payload = run(["check-reduced", "--system", write("z.json", ZERO_2X2), "--lines", lines_path], capsys)
+        assert code == 0 and payload["lines"][0]["constant_basis"] == ["2", "4/3"]
+        line = {"constr": "tensor(base,dual(base))", "v": ["0", "3/x", "3", "0"]}
+        lines_path = write("s.json", {"var": "x", "lines": [line]})
+        code, payload = run(["check-reduced", "--system", write("a.json", DEMO), "--lines", lines_path], capsys)
+        assert code == 1
+        assert (payload["lines"][0]["rate"], payload["lines"][0]["witness"]) == (
+            "(-1)/(2*x)",
+            "line has non-constant ratio",
+        )
+
     def test_semiinv_check_positive(self, work, capsys):
         tmp, write = work
         sys_path = write("a.json", DEMO)
@@ -145,14 +165,57 @@ class TestVerdicts:
             # trailing coefficient stops; 99999999999973 is a prime below it
             "(2000000000000001)/(2*x)",
             "99999999999973/(2*x)",
+            # a root 2/3^50 next to a rootless factor of degree 20, and a
+            # rootless place of degree 40 with the leading coefficient 3^50
+            "7/((3^50*x-2)*(x^20+1))",
+            "1/(3^50*x^40+1)",
         ],
     )
     def test_ratsols_complete_for_large_non_integer_residue(self, work, capsys, entry):
         tmp, write = work
         sys_path = write("z.json", {"var": "x", "n": 1, "A": [[entry]]})
-        code, payload = run(["ratsols", "--system", sys_path], capsys)
+        with time_limit(20):
+            code, payload = run(["ratsols", "--system", sys_path], capsys)
         assert code == 0 and payload["complete"] is True
         assert payload["dim"] == 0 and payload["denominator"] == "1"
+
+    @pytest.mark.parametrize(
+        "rows, basis, den",
+        [
+            # x^2 + 1 is a simple place of degree 2, its residue read off the
+            # one cleared form of the system: eigenvalue 1 on both roots, and
+            # the residue 1 at x
+            ([["2*x/(x^2+1)", "0"], ["0", "1/x"]], [["x^2 + 1", "0"], ["0", "x"]], "x^3 + x"),
+            # x^2 - 1 splits at its rational roots -1 and 1, where the residues
+            # are 2x2 integer matrices; x^2 + 1 takes the quotient-ring residue
+            (
+                [["-2*x/(x^2-1)", "0"], ["0", "2*x/(x^2+1)"]],
+                [["(1)/(x^2 - 1)", "0"], ["0", "-x^2 - 1"]],
+                "x^4 - 1",
+            ),
+        ],
+        ids=["quadratic", "split"],
+    )
+    def test_ratsols_at_places_of_degree_two(self, work, capsys, rows, basis, den):
+        tmp, write = work
+        sys_path = write("q.json", {"var": "x", "n": 2, "A": rows})
+        code, payload = run(["ratsols", "--system", sys_path], capsys)
+        assert code == 0
+        assert (payload["basis"], payload["denominator"], payload["complete"]) == (basis, den, True)
+
+    def test_eigenring_lists_the_echelon_basis(self, work, capsys):
+        # every constant matrix, in the reduced echelon order E11, E12, E21,
+        # E22: a kernel vector or the list of them left unreversed after the
+        # reversed-column elimination fails
+        tmp, write = work
+        code, payload = run(["eigenring", "--system", write("z.json", ZERO_2X2), "--num-deg", "0"], capsys)
+        assert code == 0
+        assert payload["matrices"] == [
+            [["1", "0"], ["0", "0"]],
+            [["0", "1"], ["0", "0"]],
+            [["0", "0"], ["1", "0"]],
+            [["0", "0"], ["0", "1"]],
+        ]
 
     def test_ratsols_with_denominator_override(self, work, capsys):
         tmp, write = work
@@ -176,6 +239,22 @@ class TestVerdicts:
             "constr": "ext(3,base)",
             "error": "InvalidArity: ext(3) exceeds child dimension 2",
         }
+
+    def test_harvest_entry_past_the_solve_bound(self, work, capsys):
+        # sym(255,base) is refused from its sizes before constr_lie, as an
+        # entry error of the harvest and of check-reduced --constrs
+        tmp, write = work
+        sys_path = write("a.json", DEMO)
+        with time_limit(2):
+            code, payload = run(["harvest", "--system", sys_path, "--constrs", "base;sym(255,base)"], capsys)
+        assert code == 2 and payload["results"][1] == {
+            "constr": "sym(255,base)",
+            "error": "InvalidArity: solving sym(255,base) on a 2-dimensional system takes 50,135,556 work units,"
+            " over the budget of 50,000,000",
+        }
+        with time_limit(2):
+            code, payload = run(["check-reduced", "--system", sys_path, "--constrs", "sym(255,base)"], capsys)
+        assert code == 2 and payload["harvest_complete"] is False
 
     def test_check_reduced_with_incomplete_harvest_is_inconclusive(self, work, capsys):
         # 1/x^2 has an irregular singularity at 0: no certified pole bound
@@ -394,10 +473,30 @@ class TestUsageErrors:
     def test_oversized_construction_is_invalid_arity(self, work, capsys, constr):
         tmp, write = work
         sys_path = write("a.json", DEMO)
-        start = time.perf_counter()
-        code, payload = run(["ratsols", "--system", sys_path, "--constr", constr], capsys)
-        assert time.perf_counter() - start < 1
+        with time_limit(1):
+            code, payload = run(["ratsols", "--system", sys_path, "--constr", constr], capsys)
         assert code == 3 and payload["error"]["reason"] == "invalid_arity"
+
+    @pytest.mark.parametrize(
+        "constr, reason, seconds",
+        [
+            ("sym(254,base)", "usage_error", 20),
+            ("sym(255,base)", "invalid_arity", 2),
+            ("sym(999,base)", "invalid_arity", 2),
+        ],
+        ids=["at-the-bound", "past-the-bound", "top-power"],
+    )
+    def test_construction_solve_bound(self, work, capsys, constr, reason, seconds):
+        # solve_work on a 2x2 system: 49,549,564 units at sym(254,base), which
+        # builds its matrix and denominator bound and then refuses the ansatz
+        # at cap 127; 50,135,556 at sym(255,base) and about 3*10^9 at
+        # sym(999,base), which the size bound admits, refused before
+        # constr_lie
+        tmp, write = work
+        sys_path = write("a.json", DEMO)
+        with time_limit(seconds):
+            code, payload = run(["ratsols", "--system", sys_path, "--constr", constr], capsys)
+        assert code == 3 and payload["error"]["reason"] == reason
 
     def test_overlong_power_literal_is_parse_error(self, work, capsys):
         tmp, write = work
@@ -465,14 +564,15 @@ class TestUsageErrors:
         assert payload["error"] == {"reason": "usage_error", "message": "pole cap must be >= 0"}
 
     def test_oversized_ansatz_is_usage_error(self, work, capsys):
-        # 8,012 x 8,004 cells, over the budget: refused before a row is built
+        # 8,012 x 8,004 cells at cap 2,000 and 400,012 x 400,004 at cap
+        # 100,000, over the budget: refused before a row is built
         tmp, write = work
         sys_path = write("a.json", DEMO)
-        start = time.perf_counter()
-        code, payload = run(["eigenring", "--system", sys_path, "--num-deg", "2000"], capsys)
-        assert time.perf_counter() - start < 1
-        assert code == 3 and payload["error"]["reason"] == "usage_error"
-        assert "cap 2000" in payload["error"]["message"] and "--num-deg" in payload["error"]["message"]
+        for cap in ("2000", "100000"):
+            with time_limit(1):
+                code, payload = run(["eigenring", "--system", sys_path, "--num-deg", cap], capsys)
+            assert code == 3 and payload["error"]["reason"] == "usage_error"
+            assert f"cap {cap}" in payload["error"]["message"] and "--num-deg" in payload["error"]["message"]
 
     def test_large_certified_denominator_answers_at_the_certified_degree(self, work, capsys):
         # the complete solution is x^-3000: at the cap, deg den = 3000, the
@@ -480,9 +580,8 @@ class TestUsageErrors:
         # has 3,001 x 1
         tmp, write = work
         sys_path = write("a.json", {"var": "x", "n": 1, "A": [["-3000/x"]]})
-        start = time.perf_counter()
-        code, payload = run(["ratsols", "--system", sys_path], capsys)
-        assert time.perf_counter() - start < 2
+        with time_limit(2):
+            code, payload = run(["ratsols", "--system", sys_path], capsys)
         assert code == 0
         assert payload == {
             "basis": [["(1)/(x^3000)"]],
@@ -499,7 +598,8 @@ class TestUsageErrors:
         # --num-deg; the payload keeps the cap
         tmp, write = work
         sys_path = write("q.json", {"var": "x", "n": 2, "A": [["2*x/(x^2+1)", "0"], ["0", "1/x"]]})
-        code, payload = run(["ratsols", "--system", sys_path, "--num-deg", "100000"], capsys)
+        with time_limit(20):
+            code, payload = run(["ratsols", "--system", sys_path, "--num-deg", "100000"], capsys)
         assert code == 0 and payload["complete"] is True
         assert payload["basis"] == [["x^2 + 1", "0"], ["0", "x"]]
         assert payload["denominator"] == "x^3 + x" and payload["num_degree_cap"] == 100000
@@ -521,9 +621,8 @@ class TestUsageErrors:
             (["reduce", "--system", inv_path, "--semiinv", power_path, "--pullback", "500"], "degree"),
             (["series", "--system", sys_path, "--x0", "1", "--order", huge], "budget"),
         ):
-            start = time.perf_counter()
-            code, payload = run(argv, capsys)
-            assert time.perf_counter() - start < 1
+            with time_limit(1):
+                code, payload = run(argv, capsys)
             assert code == 3 and payload["error"]["reason"] == "usage_error"
             assert word in payload["error"]["message"]
 
@@ -934,11 +1033,10 @@ class TestOtherCommands:
         # dimension hides the n^2 entries of every unit matrix
         tmp, write = work
         vec_path = write("v.json", {"var": "x", "v": ["1"] * length})
-        start = time.perf_counter()
-        got, payload = run(["stabilizer-of-invariant", "--constr", constr, "--vector", vec_path], capsys)
+        with time_limit(60 if code == 0 else 1):
+            got, payload = run(["stabilizer-of-invariant", "--constr", constr, "--vector", vec_path], capsys)
         assert got == code
         if code:
-            assert time.perf_counter() - start < 1
             assert payload["error"]["reason"] == "usage_error"
         else:
             assert payload["n"] == length and payload["dim"] == length * (length - 1)

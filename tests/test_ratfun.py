@@ -19,7 +19,7 @@ from redform import (
     poly_str,
     ratfn_str,
 )
-from redform.linalg import RF, Mat, mat_vec
+from redform.linalg import RF, Mat, charpoly_ints, mat_vec
 from redform.ratfun import (
     _clear_all,
     _int_gcd,
@@ -35,6 +35,7 @@ from redform.ratfun import (
 
 from helpers import (
     oracle_integer_roots,
+    oracle_integer_roots_within,
     oracle_parse_ratfn,
     oracle_rational_roots,
     oracle_poly_add,
@@ -52,6 +53,7 @@ from helpers import (
     rand_poly,
     rand_ratfn,
     rf,
+    time_limit,
 )
 
 
@@ -115,7 +117,9 @@ def test_value_matches_fraction_evaluation_seeded():
             assert _value(ints, y, l, top) == want, (ints, y, l, top)
             if l == 1:
                 assert _value(ints, y) == want
-    assert _value([], -3) == _value([], 2, 5, 4) == 0
+                m = rng.choice([3, 7, 2 ** 61 - 1])
+                assert _value(ints, y, mod=m) == want % m, (ints, y, m)
+    assert _value([], -3) == _value([], 2, 5, 4) == _value([], 2, mod=5) == 0
 
 
 class TestSubstitutePower:
@@ -186,6 +190,23 @@ class TestParsing:
             parse_ratfn("x^1001")
         with pytest.raises(ParseError):
             parse_ratfn("2^5001")
+
+
+@pytest.mark.parametrize(
+    "text, check",
+    [
+        # 5,000 cancelling quotients, which take seconds without the
+        # cross-cancellation in the pair product
+        ("*".join(f"(x+{i})/(x+{i})" for i in range(1, 5001)), lambda r: r == RatFn.ONE),
+        # 1,000 quotients of consecutive linears, which took minutes when
+        # every partial sum was normalized
+        ("+".join(f"(x+{i})/(x+{i + 1})" for i in range(1000)), lambda r: r.den.degree == 1000),
+    ],
+    ids=["cancelling-product", "telescoping-sum"],
+)
+def test_long_products_and_sums_parse_in_time(text, check):
+    with time_limit(60):
+        assert check(parse_ratfn(text))
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +347,53 @@ def test_integer_roots_match_the_divisor_oracle_seeded():
     assert {p.degree for p in polys} >= {0, 1, 2, 6, 10}
     for i, p in enumerate(polys):
         assert integer_roots(p) == oracle_integer_roots(p), (i, p.coeffs)
+
+
+def _planted_charpoly_matrix(rng, n):
+    """An n x n integer matrix conjugate to a triangular one: diagonal
+    entries in -40..40, so repeated, and some blocks [[0, 1], [c, 0]] with
+    irrational eigenvalues +-sqrt(c), then n seeded row-and-column
+    operations that keep the characteristic polynomial."""
+    a = [[0] * n for _ in range(n)]
+    i = 0
+    while i < n:
+        if i + 1 < n and rng.random() < 0.1:
+            a[i][i + 1], a[i + 1][i] = 1, rng.choice([2, 3, 5, 7, -1])
+            i += 2
+        else:
+            a[i][i] = rng.randint(-40, 40)
+            i += 1
+    for i in range(n):
+        for j in range(i + 2, n):
+            if rng.random() < 0.05:
+                a[i][j] = rng.randint(-2, 2)
+    for _ in range(n):
+        i, j, c = rng.randrange(n), rng.randrange(n), rng.choice([-1, 1])
+        if i != j:
+            # conjugation by I + c*E_ij: add c times row j to row i, then
+            # subtract c times column i from column j
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[j] -= c * row[i]
+    return a
+
+
+def test_integer_roots_of_large_charpolys_match_the_window_oracle_seeded():
+    # degree-100 characteristic polynomials of a/d with coefficients of
+    # hundreds of bits, out of reach of divisor enumeration; every root has
+    # modulus at most the largest absolute row sum of a/d (Gershgorin), so
+    # the oracle scans the divisors up to it
+    rng = random.Random(29)
+    polys = []
+    for d in (2, 1):
+        a = _planted_charpoly_matrix(rng, 100)
+        p = charpoly_ints(a, d)
+        polys.append(p)
+        bound = max(sum(map(abs, row)) for row in a) // d + 1
+        assert integer_roots(p) == oracle_integer_roots_within(p, bound)
+    assert all(p.degree == 100 and max(abs(c) for c in p.ints) > 2 ** 250 for p in polys)
+    assert all(p.gcd(p.derivative()).degree > 0 for p in polys)
+    assert any(p.coeff(0) == 0 for p in polys)
 
 
 def test_rational_roots():
@@ -844,6 +912,23 @@ def test_int_form_sum_difference_negation_and_product_match_the_oracle():
     _assert_same(a + 3, oracle_poly_add(a, Poly([3])))
     _assert_same(3 - a, oracle_poly_add(Poly([3]), a, -1))
     _assert_same(a * Fraction(-2, 5), oracle_poly_mul(a, Poly([Fraction(-2, 5)])))
+
+
+def test_int_form_identities_on_high_powers():
+    # gcd, lcm and division of products of high powers with rational
+    # cofactors: a wrong scale or content rule fails an identity
+    f = Poly([-1, 3])
+    a = f ** 150 * Poly([Fraction(1, 7), 0, 1])
+    b = f ** 100 * Poly([Fraction(2, 5), 1])
+    with time_limit(60):
+        g = a.gcd(b)
+        assert g == (f ** 100).monic()
+        assert a.lcm(b) == (a * b // g).monic()
+        q, r = divmod(a, b)
+        assert q * b + r == a and r.degree < b.degree
+        assert divmod(a, g) == (a // g, Poly()) and (a // g) * g == a
+    for p in (a, b, g, q, r):
+        _assert_int_form(p)
 
 
 def test_int_form_division_gcd_and_lcm_match_the_oracle():

@@ -61,6 +61,7 @@ from helpers import (
     reduced_demo,
     rf,
     same_constant_span,
+    time_limit,
     weighted_swap,
 )
 
@@ -199,6 +200,21 @@ def _mixed(rng, vectors, rows):
         tuple(sum((f * e for f, e in zip(coeffs, col)), RatFn.ZERO) for col in zip(*vectors))
         for coeffs in ([rand_ratfn(rng, 1) for _ in vectors] for _ in range(rows))
     ]
+
+
+def test_constant_basis_of_a_planted_family_in_a_wide_module():
+    # a 5-dimensional family in sym(2,base) of the 8x8 zero system (36
+    # coordinates), on disjoint supports with rational-function scalings:
+    # one echelon form over Q(x), where the C(36, 5) Plucker coordinates of
+    # a wedge test take minutes
+    zero = DiffSystem("x", Mat.zeros(RF, 8, 8))
+    planted = [[j + 1 if 7 * k <= j < 7 * k + 7 else 0 for j in range(36)] for k in range(5)]
+    scalings = [rf(f"(x+{k})/(x^2+{k + 1})") for k in range(5)]
+    w = [[f * e for e in v] for f, v in zip(scalings, planted)]
+    with time_limit(60):
+        out = constant_basis_subspace(zero, parse_construction("sym(2,base)"), w)
+    assert out is not None and len(out) == 5
+    assert len(Mat(QQ, out).rref()[1]) == len(Mat(QQ, planted + out).rref()[1]) == 5
 
 
 def test_constant_basis_subspace_matches_the_wedge_oracle():
@@ -655,6 +671,21 @@ class TestLieBasisFlags:
         e21 = Mat(RF, [[rf("0"), rf("0")], [rf("1/x"), rf("0")]])
         assert _bracket_span((e12,), RF) == (1, [])
         assert _bracket_span((e12, e21), RF) == (2, [None])
+
+    def test_open_bracket_of_seeded_qx_generators(self):
+        # six seeded independent 4x4 Q(x) generators with brackets outside
+        # their span: one elimination of [generators | brackets] that pivots
+        # in the generator columns only, where pivoting in the 15 bracket
+        # columns as well takes minutes
+        rng = random.Random(6)
+
+        def entry():
+            return rf(f"({rng.randint(-3, 3)}*x+{rng.randint(-3, 3)})/(x+{rng.randint(1, 4)})")
+
+        family = [Mat(RF, [[entry() for _ in range(4)] for _ in range(4)]) for _ in range(6)]
+        with time_limit(60):
+            rank, coords = _bracket_span(family, RF)
+        assert rank == 6 and None in coords
 
     def test_weighted_swap_and_identity(self):
         assert _bracket_span((weighted_swap(), Mat.identity(RF, 2)), RF) == (2, [(0, 0)])
