@@ -23,16 +23,17 @@ isomorphic constructions.
 
 Both levels build sym(r) and ext(r) with the one routine ``_power``: the
 group level expands the image of a basis tuple one slot at a time, the Lie
-level replaces one slot at a time, and ``_place`` sorts (and for ext signs)
-each resulting index tuple.  ``constr_dim`` owns the size of a
-construction and bounds it; ``constr_vector`` checks a coordinate vector
-against it.
+level replaces each run of equal indices once, and ``_place`` inserts the
+one new index into the sorted rest (and for ext signs the move).
+``constr_dim`` owns the size of a construction and bounds it;
+``constr_vector`` checks a coordinate vector against it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 from math import comb
 
 from .errors import DimensionMismatch, InvalidArity, ParseError
@@ -215,16 +216,17 @@ def constr_vector(c: Construction, n: int, v) -> tuple:
 # Induced matrices
 
 
-def _place(terms: dict, ks, coeff, alternating: bool):
-    """Add coeff times the basis tuple ks to ``terms``, keyed by sorted(ks);
-    for ext a tuple that repeats an index vanishes and the rest are signed by
-    the parity of the sorting permutation."""
+def _place(terms: dict, ks, j, k, coeff, alternating: bool):
+    """Add coeff times ks with k inserted at slot j to ``terms``, keyed by
+    that tuple sorted: k moves to i = bisect_left(ks, k) in the sorted ks.
+    For ext a repeated index vanishes and the move is signed (-1)^(j - i)."""
+    i = bisect_left(ks, k)
     if alternating:
-        if len(set(ks)) < len(ks):
+        if i < len(ks) and ks[i] == k:
             return
-        if sum(a > b for a, b in combinations(ks, 2)) % 2:
+        if (j - i) % 2:
             coeff = -coeff
-    key = tuple(sorted(ks))
+    key = ks[:i] + (k,) + ks[i:]
     terms[key] = terms[key] + coeff if key in terms else coeff
 
 
@@ -249,24 +251,29 @@ def _group_image(s: Mat, beta, alternating: bool) -> dict:
         prev, terms = terms, {}
         for ks, coeff in prev.items():
             for k, entry in support:
-                _place(terms, ks + (k,), coeff * entry, alternating)
+                _place(terms, ks, len(ks), k, coeff * entry, alternating)
     return terms
 
 
 def _lie_image(l: Mat, beta, alternating: bool) -> dict:
-    """l acts as a derivation: it replaces one slot at a time."""
+    """l acts as a derivation: it replaces one slot at a time, and the slots
+    of a run of equal indices once, weighted by the run's length."""
     terms = {}
-    for j, b in enumerate(beta):
+    j = 0
+    for b, run in groupby(beta):
+        weight = len(list(run))
+        rest = beta[:j] + beta[j + 1 :]
         for k in range(l.rows):
             if l.data[k][b] != l.ring.zero:
-                _place(terms, beta[:j] + (k,) + beta[j + 1 :], l.data[k][b], alternating)
+                _place(terms, rest, j, k, weight * l.data[k][b], alternating)
+        j += weight
     return terms
 
 
 def constr_group(c: Construction, p: Mat) -> Mat:
     """Matrix of the induced map on the construction, canonical basis.
 
-    Dual nodes require invertibility and raise SingularGauge otherwise.
+    Dual nodes read p's inverse and raise SingularGauge when p is singular.
     """
     if not p.is_square:
         raise DimensionMismatch("construction input must be square")
@@ -278,7 +285,7 @@ def _group(c: Construction, p: Mat) -> Mat:
     if isinstance(c, Base):
         return p
     if isinstance(c, Dual):
-        return _group(c.child, p).inv().transpose()
+        return _group(c.child, p.inv()).transpose()
     if isinstance(c, Tensor):
         return _group(c.left, p).kron(_group(c.right, p))
     if isinstance(c, DirectSum):

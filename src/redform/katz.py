@@ -24,7 +24,7 @@ from .errors import DimensionMismatch, NotReduced
 from .linalg import Mat, QQ, RF, mat_vec, nullspace, span_coordinates
 from .ratfun import RatFn, _rat
 from .reduction import LieBasis, wei_norman
-from .solutions import NUM_DEG_CAP, POLE_CAP, SolutionSpace, rational_solutions, span_connection
+from .solutions import NUM_DEG_CAP, POLE_CAP, SolutionSpace, construction_system, rational_solutions, span_connection
 from .systems import DiffSystem
 
 # the most work units (n^2 times ``lie_work``) that stabilizer_of_invariant
@@ -51,10 +51,9 @@ def eigenring(
     pole_cap: int = POLE_CAP,
     den_override=None,
 ) -> SolutionSpace:
-    """Rational solutions of the endomorphism system, as flattened vectors."""
-    lie = constr_lie(END_CONSTRUCTION, sys.mat)
+    """Rational solutions of the End ``construction_system``, as flattened vectors."""
     return rational_solutions(
-        DiffSystem(sys.var, lie),
+        construction_system(sys, END_CONSTRUCTION),
         num_deg_cap=num_deg_cap,
         den_override=den_override,
         pole_cap=pole_cap,

@@ -37,11 +37,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .constructions import Construction, constr_lie, constr_vector
+from .constructions import Construction, constr_vector
 from .errors import PoleAtPoint
 from .linalg import Mat, QQ, mat_vec
 from .ratfun import RatFn, _clear_all, _rat, common_denominator
-from .solutions import ANSATZ_CELLS
+from .solutions import ANSATZ_CELLS, construction_system
 from .systems import DiffSystem, is_ordinary_point
 
 
@@ -164,14 +164,14 @@ def series_eval_transport(
 
     This is the defining transport property of an invariant's coordinate
     vector.  By functoriality Constr(U) is the normalized fundamental series
-    of the construction system constr_lie(c, A), so with w = v(x0) the check
-    is C_k*w = v_k for each of its coefficient matrices C_k and the Taylor
-    coefficients v_k of v.
+    of ``construction_system(sys, c)`` (InvalidArity past its budget), so
+    with w = v(x0) the check is C_k*w = v_k for each of its coefficient
+    matrices C_k and the Taylor coefficients v_k of v.
     """
     v = constr_vector(c, sys.n, v)
     if not is_ordinary_point(sys, x0):
         raise PoleAtPoint(f"{x0} is a pole of the system matrix")
-    big = fundamental_series(DiffSystem(sys.var, constr_lie(c, sys.mat)), x0, order)
+    big = fundamental_series(construction_system(sys, c), x0, order)
     taylor = [TruncSeries.from_ratfn(e, x0, order).coeffs for e in v]
     w = [t[0] for t in taylor]
     return all(

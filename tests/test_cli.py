@@ -142,6 +142,19 @@ class TestVerdicts:
         )
         assert code == 1 and payload["semi_invariant"] is False
 
+    def test_semiinv_check_on_the_top_power(self, work, capsys):
+        # sym(999,base) is past the solve budget, but the check never solves:
+        # it builds one 1000 x 1000 constr_lie, each column's runs placed once
+        tmp, write = work
+        sys_path = write("a.json", DEMO)
+        vec_path = write("v.json", {"var": "x", "v": ["1"] + ["0"] * 999})
+        with time_limit(5):
+            code, payload = run(
+                ["semiinv-check", "--system", sys_path, "--constr", "sym(999,base)", "--vector", vec_path],
+                capsys,
+            )
+        assert code == 1 and payload["semi_invariant"] is False
+
     def test_ratsols_inconclusive_within_bounds(self, work, capsys):
         tmp, write = work
         sys_path = write("a.json", DEMO)
@@ -497,6 +510,19 @@ class TestUsageErrors:
         with time_limit(seconds):
             code, payload = run(["ratsols", "--system", sys_path, "--constr", constr], capsys)
         assert code == 3 and payload["error"]["reason"] == reason
+
+    def test_eigenring_past_the_solve_bound(self, work, capsys):
+        # the End system of diag(1/x) at n = 20 takes 64,161,200 solve units:
+        # eigenring refuses it as ratsols does, before building its matrix
+        tmp, write = work
+        n = 20
+        diag = [["1/x" if i == j else "0" for j in range(n)] for i in range(n)]
+        sys_path = write("d.json", {"var": "x", "n": n, "A": diag})
+        with time_limit(5):
+            code, payload = run(["eigenring", "--system", sys_path], capsys)
+            ratsols = run(["ratsols", "--system", sys_path, "--constr", "tensor(base,dual(base))"], capsys)
+        assert code == 3 and payload["error"]["reason"] == "invalid_arity"
+        assert (code, payload) == ratsols
 
     def test_overlong_power_literal_is_parse_error(self, work, capsys):
         tmp, write = work

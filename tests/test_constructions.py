@@ -392,10 +392,12 @@ def _rand_pair(rng, ring, n):
 
 class TestPowersAgainstOracles:
     @pytest.mark.parametrize("ring", ["QQ", "RF"])
-    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_sym_and_ext(self, ring, r):
+        # r and n up to 4 give runs of equal indices of every length up to 4
+        # and ext moves across up to three slots
         rng = random.Random(60 + r)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             for _ in range(2):
                 p, m = _rand_pair(rng, ring, n)
                 assert constr_group(Sym(r, Base()), p) == oracle_sym_group(p, r)
@@ -409,9 +411,11 @@ class TestPowersAgainstOracles:
         rng = random.Random(70)
         ext_sym = parse_construction("ext(2,sym(2,base))")
         sym_dual = parse_construction("sym(2,dual(base))")
+        dual_sym = parse_construction("dual(sym(3,base))")
         for n in (2, 3):
             p, m = _rand_pair(rng, ring, n)
             assert constr_group(ext_sym, p) == oracle_ext_group(oracle_sym_group(p, 2), 2)
             assert constr_lie(ext_sym, m) == oracle_ext_lie(oracle_sym_lie(m, 2), 2)
             assert constr_group(sym_dual, p) == oracle_sym_group(p.inv().transpose(), 2)
             assert constr_lie(sym_dual, m) == oracle_sym_lie(-m.transpose(), 2)
+            assert constr_group(dual_sym, p) == oracle_sym_group(p, 3).inv().transpose()

@@ -9,6 +9,7 @@ from redform import (
     DimensionMismatch,
     END_CONSTRUCTION,
     EndBasis,
+    InvalidArity,
     LieBasis,
     Mat,
     NotReduced,
@@ -35,6 +36,7 @@ from helpers import (
     reduced_demo,
     rf,
     same_constant_span,
+    time_limit,
     weighted_swap,
 )
 
@@ -79,6 +81,18 @@ class TestEigenring:
             for m in eigenring_matrices(original, 2)
         ]
         assert same_constant_span([v for v in space.basis], conjugated)
+
+    def test_past_the_solve_bound(self):
+        # diag(1/x) at n = 20: the End system takes 64,161,200 solve units,
+        # so construction_system refuses it before building its matrix
+        n = 20
+        diag = system("x", [["1/x" if i == j else "0" for j in range(n)] for i in range(n)])
+        with time_limit(5), pytest.raises(InvalidArity) as refused:
+            eigenring(diag)
+        assert str(refused.value) == (
+            "solving tensor(base,dual(base)) on a 20-dimensional system takes 64,161,200 work units,"
+            " over the budget of 50,000,000"
+        )
 
 
 class TestNablaStableSpan:

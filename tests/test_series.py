@@ -16,6 +16,7 @@ from redform import (
     RatFn,
     TruncSeries,
     END_CONSTRUCTION,
+    InvalidArity,
     constr_group,
     constr_lie,
     fundamental_series,
@@ -41,6 +42,7 @@ from helpers import (
     reduced_demo,
     rf,
     series_poly_matrix,
+    time_limit,
     truncated_coeffs,
 )
 
@@ -279,6 +281,18 @@ class TestTransport:
         a = demo_system()
         v = tuple(rf(s) for s in ("1", "0", "0", "1"))
         assert series_eval_transport(a, END_CONSTRUCTION, 1, v, 8)
+
+    def test_construction_past_the_solve_bound(self, monkeypatch):
+        # sym(400,base) passes the size bound but not construction_system's
+        # budget, which refuses it before its matrix or its series is built
+        def unreachable(*args):
+            raise AssertionError("built past the budget")
+
+        monkeypatch.setattr("redform.solutions.constr_lie", unreachable)
+        monkeypatch.setattr("redform.series.fundamental_series", unreachable)
+        v = (RatFn.ZERO,) * 401
+        with time_limit(1), pytest.raises(InvalidArity, match="over the budget"):
+            series_eval_transport(demo_system(), parse_construction("sym(400,base)"), 1, v, 6)
 
 
 @pytest.mark.parametrize("point", [0.1, "1/2"], ids=["float", "string"])
