@@ -6,7 +6,6 @@ from .errors import (
     DivisionByZero,
     InternalError,
     InvalidArity,
-    NotReduced,
     NotSemiInvariant,
     NotSplit,
     NotStable,
@@ -54,7 +53,6 @@ from .series import (
     SeriesMat,
     TruncSeries,
     fundamental_series,
-    series_eval_transport,
 )
 from .solutions import (
     HarvestEntry,
@@ -70,7 +68,6 @@ from .reduction import (
     constant_basis_subspace,
     is_reduced,
     reduce_by_diagonalization,
-    transport_gauge,
     verify_reduction_matrix,
     wei_norman,
 )
@@ -82,7 +79,6 @@ from .katz import (
     eigenring,
     eigenring_matrices,
     stabilizer_of_invariant,
-    stable_subspace_criterion,
 )
 
 __version__ = "0.1.0"

@@ -20,10 +20,8 @@ from .errors import (
     DefectiveEigenstructure,
     InternalError,
     InvalidArity,
-    NotReduced,
     NotSemiInvariant,
     NotSplit,
-    NotStable,
     ParseError,
     RedformError,
 )
@@ -60,7 +58,7 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
 
-_VERDICT_ERRORS = (NotSemiInvariant, NotSplit, DefectiveEigenstructure, NotStable, NotReduced)
+_VERDICT_ERRORS = (NotSemiInvariant, NotSplit, DefectiveEigenstructure)
 
 
 def _load_system(path):

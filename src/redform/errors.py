@@ -47,10 +47,6 @@ class DefectiveEigenstructure(RedformError):
     reason = "defective_eigenstructure"
 
 
-class NotReduced(RedformError):
-    reason = "not_reduced"
-
-
 class InternalError(RedformError):
     """A self-check of the library failed: a bug, never a verdict."""
 

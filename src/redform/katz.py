@@ -1,10 +1,11 @@
-"""Eigenrings, stability of candidate algebras inside End, and commutants.
+"""Eigenrings, stability inside End, commutants and stabilizers.
 
 The eigenring of a system is the algebra of matrices F with F' = A*F - F*A,
 computed as the rational solutions of the endomorphism system under row-major
-flattening; it always contains the identity.  Candidate generator families
-are checked for stability under the End connection, for annihilation of
-invariants, and against commutants of constant generators.
+flattening; it always contains the identity.  A span of candidate
+endomorphisms is checked for stability under the End connection, and
+generators for annihilation of invariants; the commutant of constant
+generators and the stabilizer of an invariant are null spaces.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .constructions import (
     mat_from_vec,
     vec_row_major,
 )
-from .errors import DimensionMismatch, NotReduced
-from .linalg import Mat, QQ, RF, mat_vec, nullspace, span_coordinates
-from .ratfun import RatFn, _rat
-from .reduction import LieBasis, wei_norman
+from .errors import DimensionMismatch
+from .linalg import Mat, QQ, RF, mat_vec, nullspace
+from .ratfun import RatFn
+from .reduction import LieBasis
 from .solutions import NUM_DEG_CAP, POLE_CAP, SolutionSpace, construction_system, rational_solutions, span_connection
 from .systems import DiffSystem
 
@@ -134,45 +135,6 @@ def commutant(basis: LieBasis):
     rows = [row for g in basis.generators for row in constr_lie(END_CONSTRUCTION, g).data]
     kernel = nullspace(Mat(QQ, rows or [[0] * (n * n)]))
     return [mat_from_vec(v, n, QQ) for v in kernel]
-
-
-@dataclass(frozen=True)
-class SubspaceStabilityReport:
-    generator_stable: bool
-    generator_failures: tuple
-    nabla_stable: bool
-    consistent: bool
-
-
-def stable_subspace_criterion(
-    sys: DiffSystem, basis: LieBasis, c: Construction, w_vectors
-) -> SubspaceStabilityReport:
-    """For a reduced system and constant vectors W: compare stability of W
-    under the constant generators with direct stability under the connection.
-
-    The two agree when the system is reduced with respect to the basis; both
-    sides are computed independently and reported together.
-    """
-    coeffs = wei_norman(sys, basis)
-    if coeffs is None:
-        raise NotReduced("system matrix is not in the span of the generators")
-    w_vectors = [constr_vector(c, sys.n, map(_rat, v)) for v in w_vectors]
-
-    lies = [constr_lie(c, g) for g in basis.generators]
-    # one target per (generator, vector) pair, generator-major
-    _, coords = span_coordinates(w_vectors, [mat_vec(lie, v) for lie in lies for v in w_vectors], QQ)
-    failures = [divmod(k, len(w_vectors)) for k, x in enumerate(coords) if x is None]
-    generator_stable = not failures
-
-    w_rf = [tuple(RatFn.const(e) for e in v) for v in w_vectors]
-    nabla_stable = None not in span_connection(sys, c, w_rf)[1]
-
-    return SubspaceStabilityReport(
-        generator_stable=generator_stable,
-        generator_failures=tuple(failures),
-        nabla_stable=nabla_stable,
-        consistent=generator_stable == nabla_stable,
-    )
 
 
 def stabilizer_of_invariant(c: Construction, v, n: int):

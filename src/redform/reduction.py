@@ -215,11 +215,6 @@ def is_reduced(
     )
 
 
-def transport_gauge(p: Mat, x0) -> Mat:
-    """Right-normalize a gauge matrix so it fixes values at x0: P*P(x0)^-1."""
-    return p * p.map_entries(lambda e: RatFn.const(e(x0))).inv()
-
-
 def verify_reduction_matrix(sys: DiffSystem, p: Mat, x0, invariants) -> bool:
     """Whether every invariant satisfies v(x) = constr_group(c, P)*v(x0)
     as an exact identity of rational functions."""

@@ -24,10 +24,7 @@ is exact, so they equal the coefficients of the convolution with the
 Taylor coefficients of A, (k+1)*C_{k+1} = sum_{i+j=k} A_i*C_j.
 
 Series are values, not a ring: a ``SeriesMat`` holds the C_k, and a
-``TruncSeries`` the Taylor coefficients of one rational function.  The
-transport of an invariant under Constr(U) is read off the fundamental series
-of the construction system constr_lie(c, A), which is Constr(U) by
-functoriality.
+``TruncSeries`` the Taylor coefficients of one rational function.
 """
 
 from __future__ import annotations
@@ -37,12 +34,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .constructions import Construction, constr_vector
 from .errors import PoleAtPoint
-from .linalg import Mat, QQ, mat_vec
+from .linalg import Mat, QQ
 from .ratfun import RatFn, _clear_all, _rat, common_denominator
-from .solutions import ANSATZ_CELLS, construction_system
-from .systems import DiffSystem, is_ordinary_point
+from .solutions import ANSATZ_CELLS
+from .systems import DiffSystem
 
 
 class TruncSeries:
@@ -155,25 +151,3 @@ def fundamental_series(sys: DiffSystem, x0, order: int) -> SeriesMat:
     )
     return SeriesMat(sys.var, x0, coeffs)
 
-
-def series_eval_transport(
-    sys: DiffSystem, c: Construction, x0, v, order: int
-) -> bool:
-    """Whether v(x) = Constr(U)*v(x0) holds through the truncation, U the
-    normalized fundamental series of the system at the ordinary point x0.
-
-    This is the defining transport property of an invariant's coordinate
-    vector.  By functoriality Constr(U) is the normalized fundamental series
-    of ``construction_system(sys, c)`` (InvalidArity past its budget), so
-    with w = v(x0) the check is C_k*w = v_k for each of its coefficient
-    matrices C_k and the Taylor coefficients v_k of v.
-    """
-    v = constr_vector(c, sys.n, v)
-    if not is_ordinary_point(sys, x0):
-        raise PoleAtPoint(f"{x0} is a pole of the system matrix")
-    big = fundamental_series(construction_system(sys, c), x0, order)
-    taylor = [TruncSeries.from_ratfn(e, x0, order).coeffs for e in v]
-    w = [t[0] for t in taylor]
-    return all(
-        mat_vec(ck, w) == tuple(t[k] for t in taylor) for k, ck in enumerate(big.coeffs)
-    )

@@ -28,6 +28,7 @@ from redform import (
     TruncSeries,
     constr_group,
     constr_lie,
+    fundamental_series,
     matrix,
     parse_construction,
     parse_ratfn,
@@ -35,8 +36,9 @@ from redform import (
 )
 from redform import ratfun
 from redform.constructions import constr_vector
-from redform.linalg import mat_vec
+from redform.linalg import mat_vec, span_coordinates
 from redform.ratfun import common_denominator, ratfn_sqrt
+from redform.solutions import construction_system, span_connection
 from redform.systems import mat_derivative
 
 END = parse_construction("tensor(base,dual(base))")
@@ -871,3 +873,34 @@ def constr_series_agrees(c, u, uc):
     else:
         lhs, rhs = big, constr_group(c, poly)
     return truncated_coeffs(lhs, order) == truncated_coeffs(rhs, order)
+
+
+def series_transport(sys_, c, x0, v, order) -> bool:
+    """Whether v(x) = Constr(U)*v(x0) holds through the truncation, U the
+    normalized fundamental series of the system at the ordinary point x0:
+    the defining transport property of an invariant's coordinate vector.
+    By functoriality Constr(U) is the normalized fundamental series of
+    ``construction_system(sys_, c)``, so with w = v(x0) the check is
+    C_k*w = v_k for its coefficient matrices C_k and the Taylor
+    coefficients v_k of v."""
+    v = constr_vector(c, sys_.n, v)
+    big = fundamental_series(construction_system(sys_, c), x0, order)
+    taylor = [TruncSeries.from_ratfn(e, x0, order).coeffs for e in v]
+    w = [t[0] for t in taylor]
+    return all(mat_vec(ck, w) == tuple(t[k] for t in taylor) for k, ck in enumerate(big.coeffs))
+
+
+def generator_stable(basis, c, w_vectors) -> bool:
+    """Whether constr_lie(c, N) carries the span of the constant vectors W
+    into itself for every generator N: one ``span_coordinates`` over Q."""
+    images = [mat_vec(constr_lie(c, g), v) for g in basis.generators for v in w_vectors]
+    return None not in span_coordinates(w_vectors, images, QQ)[1]
+
+
+def nabla_stable(sys_, c, w_vectors) -> bool:
+    """Whether the connection of constr_lie(c, A) carries the span of the
+    constant vectors W into itself over Q(x) (``span_connection``).  On a
+    system reduced with respect to a basis, Katz's criterion says this
+    equals ``generator_stable`` for that basis."""
+    w_rf = [tuple(RatFn.const(e) for e in v) for v in w_vectors]
+    return None not in span_connection(sys_, c, w_rf)[1]

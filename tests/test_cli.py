@@ -1,15 +1,19 @@
 """End-to-end CLI: exit-code triage, determinism, JSON round trips."""
 
 import json
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import redform
 from redform import cli, solutions
 from redform.cli import main
 from redform.reduction import ReductionCertificate
 from redform.errors import ParseError
-from redform.jsonio import certificate_from_json, system_from_json
+from redform.jsonio import certificate_from_json, matrix_to_lists, system_from_json
+from redform.linalg import Mat, RF
 from redform.ratfun import RatFn, parse_ratfn
 from redform.systems import pullback
 
@@ -20,6 +24,20 @@ SWAP = {"var": "x", "M": [["0", "1/x"], ["1", "0"]]}
 DIAG_BASIS = {"n": 2, "generators": [[["1", "0"], ["0", "-1"]]]}
 ZERO_2X2 = {"var": "x", "n": 2, "A": [["0", "0"], ["0", "0"]]}
 DEEP_CONSTR = "dual(" * 3000 + "base" + ")" * 3000
+# the README system twice, as one 4x4 block-diagonal system
+DEMO_TWICE = {
+    "var": "x",
+    "A": [["0", "1", "0", "0"], ["x", "1/(2*x)", "0", "0"], ["0", "0", "0", "1"], ["0", "0", "x", "1/(2*x)"]],
+}
+# reduce --pullback 1 inputs (system, endomorphism) for each verdict error
+REDUCE_VERDICTS = {
+    "not_semi_invariant": (DEMO, {"var": "x", "M": [["1", "0"], ["0", "0"]]}),
+    "defective_eigenstructure": (
+        DEMO_TWICE,
+        {"var": "x", "M": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "2", "0"], ["0", "0", "0", "2"]]},
+    ),
+    "not_split": (DEMO, SWAP),
+}
 
 
 @pytest.fixture
@@ -351,6 +369,16 @@ class TestVerdicts:
         )
         assert code == 1 and payload["error"]["reason"] == "not_split"
         assert witness in payload["error"]["message"]
+
+    @pytest.mark.parametrize("reason", sorted(REDUCE_VERDICTS))
+    def test_reduce_reaches_each_verdict_error(self, work, capsys, reason):
+        # the cases together reach every error that exits 1, and no other
+        assert set(REDUCE_VERDICTS) == {e.reason for e in cli._VERDICT_ERRORS}
+        tmp, write = work
+        sys_json, endo = REDUCE_VERDICTS[reason]
+        argv = ["reduce", "--system", write("s.json", sys_json), "--semiinv", write("e.json", endo)]
+        code, payload = run(argv + ["--pullback", "1"], capsys)
+        assert code == 1 and payload["error"]["reason"] == reason
 
     def test_reduce_block_system(self, work, capsys):
         # the README system plus a zero block, with the weighted swap on the
@@ -827,7 +855,10 @@ class TestStability:
             "--num-deg",
             "5",
         ]
-        runs = [subprocess.run(cmd, capture_output=True) for _ in range(2)]
+        # the child imports the redform under test, not an installed copy
+        src = str(Path(redform.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs = [subprocess.run(cmd, capture_output=True, env=env) for _ in range(2)]
         assert runs[0].stdout == runs[1].stdout and runs[0].stdout
 
     def test_out_flag_writes_file(self, work, capsys):
@@ -890,6 +921,14 @@ class TestOtherCommands:
         assert payload["coeffs"][0] == [["1", "0"], ["0", "1"]]
         assert payload["coeffs"][1] == [["0", "1"], ["1", "1/2"]]
 
+    def test_integer_entries_read_as_constants(self, work, capsys):
+        # a Q(x) matrix may give a constant entry as a JSON integer
+        tmp, write = work
+        argv = ["series", "--x0", "1", "--order", "3", "--system"]
+        ints = run(argv + [write("i.json", {"var": "x", "A": [[0, 1], [-2, "x"]]})], capsys)
+        strings = run(argv + [write("s.json", {"var": "x", "A": [["0", "1"], ["-2", "x"]]})], capsys)
+        assert ints == strings and ints[0] == 0
+
     def test_wei_norman(self, work, capsys):
         tmp, write = work
         sys_path = write("b.json", {"var": "t", "n": 2, "A": [["2*t^2", "0"], ["0", "-2*t^2"]]})
@@ -923,6 +962,26 @@ class TestOtherCommands:
         )
         assert code == 0
         assert payload["M"] == [["1", "0"], ["-x", "1"]]
+
+    @pytest.mark.parametrize(
+        "mode, expected",
+        [
+            ("group", [["1", "x", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "-x", "1"]]),
+            ("lie", [["1", "x", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "-x", "-1"]]),
+        ],
+        ids=["group", "lie"],
+    )
+    def test_constr_direct_sum(self, work, capsys, mode, expected):
+        # base and dual side by side: M (+) M^-T on the group, M (+) -M^T on
+        # the Lie algebra
+        tmp, write = work
+        m = Mat(RF, [[parse_ratfn("1"), parse_ratfn("x")], [RatFn.ZERO, parse_ratfn("1")]])
+        dual = m.inv().transpose() if mode == "group" else -m.transpose()
+        mat_path = write("m.json", {"var": "x", "M": matrix_to_lists(m, "x")})
+        argv = ["constr", "--constr", "dsum(base,dual(base))", "--matrix", mat_path, "--mode", mode]
+        code, payload = run(argv, capsys)
+        assert code == 0
+        assert payload["M"] == expected == matrix_to_lists(m.block_diag(dual), "x")
 
     def test_harvest(self, work, capsys):
         tmp, write = work

@@ -12,7 +12,6 @@ from redform import (
     InvalidArity,
     LieBasis,
     Mat,
-    NotReduced,
     QQ,
     RF,
     RatFn,
@@ -23,15 +22,17 @@ from redform import (
     eigenring_matrices,
     gauge,
     stabilizer_of_invariant,
-    stable_subspace_criterion,
     system,
     vec_row_major,
+    wei_norman,
 )
 
 from helpers import (
     const_vec,
     demo_system,
     diag_basis,
+    generator_stable,
+    nabla_stable,
     oracle_end_action,
     reduced_demo,
     rf,
@@ -159,31 +160,31 @@ class TestCommutant:
 
 
 class TestStableSubspaceCriterion:
+    # Katz's criterion: on a system reduced with respect to a basis, a
+    # constant subspace is stable under the generators exactly when it is
+    # stable under the connection
     def test_zero_system_any_constant_subspace(self):
         zero = system("x", [["0", "0"], ["0", "0"]])
-        report = stable_subspace_criterion(
-            zero, LieBasis(2, ()), Base(), [(Fraction(1), Fraction(1))]
-        )
-        assert report.generator_stable and report.nabla_stable and report.consistent
+        w = [(Fraction(1), Fraction(1))]
+        assert wei_norman(zero, LieBasis(2, ())) is not None
+        assert generator_stable(LieBasis(2, ()), Base(), w) and nabla_stable(zero, Base(), w)
 
     def test_eigenvector_is_stable(self):
-        report = stable_subspace_criterion(
-            reduced_demo(), diag_basis(), Base(), [(Fraction(1), Fraction(0))]
-        )
-        assert report.generator_stable and report.nabla_stable and report.consistent
+        w = [(Fraction(1), Fraction(0))]
+        assert wei_norman(reduced_demo(), diag_basis()) is not None
+        assert generator_stable(diag_basis(), Base(), w) and nabla_stable(reduced_demo(), Base(), w)
 
     def test_mixed_vector_is_not_stable_both_ways(self):
-        report = stable_subspace_criterion(
-            reduced_demo(), diag_basis(), Base(), [(Fraction(1), Fraction(1))]
-        )
-        assert not report.generator_stable and not report.nabla_stable
-        assert report.consistent
+        w = [(Fraction(1), Fraction(1))]
+        assert not generator_stable(diag_basis(), Base(), w)
+        assert not nabla_stable(reduced_demo(), Base(), w)
 
     def test_not_reduced_rejected(self):
-        with pytest.raises(NotReduced):
-            stable_subspace_criterion(
-                demo_system(), diag_basis(), Base(), [(Fraction(1), Fraction(0))]
-            )
+        # the README system is not in the span of diag(1, -1), and there the
+        # two sides disagree on the first axis
+        w = [(Fraction(1), Fraction(0))]
+        assert wei_norman(demo_system(), diag_basis()) is None
+        assert generator_stable(diag_basis(), Base(), w) and not nabla_stable(demo_system(), Base(), w)
 
 
 class TestStabilizer:

@@ -34,7 +34,6 @@ from redform import (
     pullback,
     reduce_by_diagonalization,
     system,
-    transport_gauge,
     vec_row_major,
     verify_reduction_matrix,
     wei_norman,
@@ -447,8 +446,9 @@ class TestVerifyReduction:
             pulled, [parse_construction("ext(2,base)")], num_deg_cap=6
         )
         invs += [(e.constr, v) for e in entries for v in e.space.basis]
+        p = cert.gauge_matrix
         for t0 in (1, 2):
-            p_norm = transport_gauge(cert.gauge_matrix, t0)
+            p_norm = p * p.map_entries(lambda e: RatFn.const(e(t0))).inv()
             assert verify_reduction_matrix(pulled, p_norm, t0, invs)
 
     def test_generic_matrix_fails(self):
