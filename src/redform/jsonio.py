@@ -3,22 +3,61 @@
 All matrices and vectors are exchanged as row-major nested lists of
 rational-function strings; emitted JSON is deterministic (sorted keys, fixed
 separators) and every value re-parses to an equal object.
+
+:func:`dumps` is the one emitter.  For a payload whose dict keys are
+strings, as every payload's are, its text equals
+``json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=2)``
+plus a newline, byte for byte, and it raises the same TypeError on a value
+JSON cannot hold; a key that is not a string is a TypeError too, and a
+payload that contains itself a RecursionError.  ``tests/test_jsonio.py``
+checks it against that call.
+It exists because with ``indent`` set the stdlib encodes in pure Python:
+here a list of strings is one ``str.join`` over the C string encoder, dicts
+and lists recurse, and other scalars go to ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .errors import ParseError
 from .linalg import Mat, QQ, RF
-from .ratfun import RatFn, _quote, check_var, parse_rat, parse_ratfn, rat_str, ratfn_str
+from .ratfun import RatFn, _quote, check_var, parse_rat, parse_ratfn, rat_str, ratfn_str, ratio_str
 from .reduction import LieBasis, ReductionCertificate
 from .constructions import parse_construction
 from .systems import DiffSystem
 
 
 def dumps(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=2) + "\n"
+    """The canonical text of a payload (see the module docstring)."""
+    return _emit(payload, "\n") + "\n"
+
+
+def _emit(value, newline: str) -> str:
+    """``value`` as JSON whose nested lines start with ``newline`` plus two
+    spaces per level."""
+    if isinstance(value, str):
+        return _quoted(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        sep = "," + inner
+        try:
+            # a list of strings; the encoder raises TypeError at an item
+            # that is not one, and then each item is emitted in turn
+            body = sep.join(map(_quoted, value))
+        except TypeError:
+            body = sep.join([_emit(e, inner) for e in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [_quoted(k) + ": " + _emit(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value)
 
 
 def _require(mapping, key, kind=None):
@@ -196,7 +235,7 @@ def series_to_json(series) -> dict:
         "x0": rat_str(series.x0),
         "order": series.order,
         "n": series.n,
-        "coeffs": [[[rat_str(e) for e in row] for row in c.data] for c in series.coeffs],
+        "coeffs": [[[ratio_str(e, d) for e in row] for row in m] for m, d in zip(series.nums, series.dens)],
     }
 
 

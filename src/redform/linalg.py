@@ -120,9 +120,6 @@ class Mat:
             return NotImplemented
         return self.data == other.data
 
-    def __hash__(self):
-        return hash(self.data)
-
     def __repr__(self):
         body = "; ".join(" ".join(repr(e) for e in row) for row in self.data)
         return f"Mat({self.rows}x{self.cols}: {body})"

@@ -504,12 +504,6 @@ class RatFn:
             return NotImplemented
         return self + -other
 
-    def __rsub__(self, other):
-        other = _as_ratfn(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __neg__(self):
         return _ratfn(-self.num, self.den)
 
@@ -534,12 +528,6 @@ class RatFn:
         if other.is_zero:
             raise DivisionByZero("division by the zero rational function")
         return RatFn(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _as_ratfn(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, k: int):
         # powers of a coprime pair are coprime and those of a monic
@@ -887,11 +875,18 @@ def parse_ratfn(text: str, var: str = "x") -> RatFn:
     return _RatFnParser(tokens, var).parse()
 
 
+def ratio_str(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den > 0, with one gcd and no
+    Fraction, also for numbers past the interpreter's digit limit."""
+    g = math.gcd(num, den)
+    if g == den:
+        return _int_str(num // den)
+    return f"{_int_str(num // g)}/{_int_str(den // g)}"
+
+
 def rat_str(q: Fraction) -> str:
     """``str(q)``, also for numbers past the interpreter's digit limit."""
-    if q.denominator == 1:
-        return _int_str(q.numerator)
-    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
+    return ratio_str(q.numerator, q.denominator)
 
 
 # the constant syntax of Fraction(str): -3/2, 1.5, 2e-3, 1_000

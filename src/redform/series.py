@@ -18,13 +18,14 @@ point no denominator vanishes, so Q_0 = s*q(x0) != 0 (it may be negative).
 Each C_k is kept as M_k/d_k, an integer matrix over one denominator d_k > 0
 with gcd(content(M_k), d_k) = 1.  A step multiplies each M_{k-i} by
 L/d_{k-i}, L the lcm of the d's it reads, takes d = L*Q_0*(k+1), and
-divides M and d by one gcd.  Fractions are built only for the result, one
-per entry.  The C_k are determined by U(x0) = Id alone and the arithmetic
-is exact, so they equal the coefficients of the convolution with the
-Taylor coefficients of A, (k+1)*C_{k+1} = sum_{i+j=k} A_i*C_j.
+divides M and d by one gcd.  The result keeps this integer form, and
+Fractions are built only when its ``coeffs`` are read.  The C_k are
+determined by U(x0) = Id alone and the arithmetic is exact, so they equal
+the coefficients of the convolution with the Taylor coefficients of A,
+(k+1)*C_{k+1} = sum_{i+j=k} A_i*C_j.
 
-Series are values, not a ring: a ``SeriesMat`` holds the C_k, and a
-``TruncSeries`` the Taylor coefficients of one rational function.
+Series are values, not a ring: a ``SeriesMat`` holds the pairs (M_k, d_k),
+and a ``TruncSeries`` the Taylor coefficients of one rational function.
 """
 
 from __future__ import annotations
@@ -72,20 +73,31 @@ class TruncSeries:
 
 @dataclass(frozen=True)
 class SeriesMat:
-    """Truncated matrix series sum C_k*(x - x0)^k, stored as the tuple of its
-    coefficient matrices C_0, ..., C_(order-1) over Q."""
+    """Truncated matrix series sum C_k*(x - x0)^k in the integer form of the
+    recurrence: C_k = nums[k]/dens[k], with nums[k] the rows of an integer
+    matrix and dens[k] > 0 coprime to its content.  ``n`` and ``order`` read
+    that form; ``coeffs``, the tuple of the C_k as matrices over Q, is built
+    on each read."""
 
     var: str
     x0: Fraction
-    coeffs: tuple
+    nums: tuple
+    dens: tuple
 
     @property
     def n(self) -> int:
-        return self.coeffs[0].rows
+        return len(self.nums[0])
 
     @property
     def order(self) -> int:
-        return len(self.coeffs)
+        return len(self.dens)
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(
+            Mat._unchecked(QQ, tuple(tuple([Fraction(e, d) for e in row]) for row in m))
+            for m, d in zip(self.nums, self.dens)
+        )
 
 
 def fundamental_series(sys: DiffSystem, x0, order: int) -> SeriesMat:
@@ -95,8 +107,8 @@ def fundamental_series(sys: DiffSystem, x0, order: int) -> SeriesMat:
     integer recurrence of q*U' = N*U (see the module docstring): q and N
     come from ``common_denominator``, are expanded at x0 by ``Poly.shift``
     and cleared together by one ``_clear_all`` (one lcm), each C_k is
-    carried as M_k/d_k with one gcd per order, and one ``Fraction`` per
-    entry is built at the end.  A itself is never expanded.  The result
+    carried as M_k/d_k with one gcd per order, and the result keeps the M_k
+    (by rows) and the d_k.  A itself is never expanded.  The result
     grows as order^2 * n^2, so past ``ANSATZ_CELLS`` of it the call raises
     ValueError before any work.
     """
@@ -145,9 +157,5 @@ def fundamental_series(sys: DiffSystem, x0, order: int) -> SeriesMat:
             g = -g
         ms.append([[e // g for e in col] for col in new])
         ds.append(d // g)
-    coeffs = tuple(
-        Mat._unchecked(QQ, tuple(tuple([Fraction(e, d) for e in row]) for row in zip(*m)))
-        for m, d in zip(ms, ds)
-    )
-    return SeriesMat(sys.var, x0, coeffs)
+    return SeriesMat(sys.var, x0, tuple(tuple(zip(*m)) for m in ms), tuple(ds))
 

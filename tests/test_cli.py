@@ -323,16 +323,6 @@ class TestVerdicts:
         assert code == 3
         assert payload["lines"][0]["witness"] == "not a stable line"
 
-    def test_reduce_without_extension_not_split(self, work, capsys):
-        tmp, write = work
-        sys_path = write("a.json", DEMO)
-        swap_path = write("n.json", SWAP)
-        code, payload = run(
-            ["reduce", "--system", sys_path, "--semiinv", swap_path, "--pullback", "1"],
-            capsys,
-        )
-        assert code == 1 and payload["error"]["reason"] == "not_split"
-
     def test_reduce_companion_with_rational_eigenvalues(self, work, capsys):
         # the constant companion matrix of (T-1)(T-2)(T-3) commutes with
         # itself, so it spans a stable line of the system it defines

@@ -26,6 +26,9 @@ from redform import (
     verify_reduction_matrix,
 )
 
+from redform.jsonio import series_to_json
+from redform.ratfun import rat_str
+
 from helpers import (
     constr_series_agrees,
     demo_system,
@@ -160,6 +163,28 @@ class TestIntegerKernel:
         u = fundamental_series(sys_, x0, order)
         assert (u.n, u.order) == (4, order)
         assert list(u.coeffs) == oracle_fundamental_series(sys_, x0, order)
+
+
+class TestSeriesText:
+    """The payload printed from the integer form (M_k, d_k) against the text
+    of the Fraction coefficients."""
+
+    @pytest.mark.parametrize(
+        "seed, n, x0, order, digits",
+        [
+            (11, 2, Fraction(-7, 3), 15, 0),  # negative x0
+            (12, 3, Fraction(-5), 12, 0),
+            (13, 2, Fraction(3, 10 ** 40 + 9), 12, 0),  # large denominator
+            (3, 2, Fraction(1, 10 ** 300), 16, 4300),  # entries past the digit limit
+            (5, 2, Fraction(-(10 ** 80) - 1, 10 ** 90 + 7), 30, 4300),
+        ],
+    )
+    def test_payload_equals_the_fraction_text(self, seed, n, x0, order, digits):
+        s = fundamental_series(rand_ordinary_system(random.Random(seed), n, x0, max_deg=3), x0, order)
+        text = series_to_json(s)["coeffs"]
+        assert text == [[[rat_str(e) for e in row] for row in c.data] for c in s.coeffs]
+        assert max(len(e) for c in text for row in c for e in row) > digits
+        assert all(d > 0 for d in s.dens)
 
 
 def _padded(coeffs, order):
