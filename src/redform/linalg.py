@@ -18,15 +18,17 @@ width limit:
 
 ``_echelon`` is the one place that picks the kernel by the field: it clears
 the rows, eliminates, and reads each reduced pivot row by its nonzero
-entries.  ``rref`` and ``span_coordinates`` read its result.
+entries.  ``rref``, ``nullspace`` and ``span_coordinates`` read its result.
 
 ``span_coordinates`` is the one span and membership test: one elimination
 of [V | T], vectors then targets as columns, with pivots in V's columns only,
 gives the rank of V and the coordinates of every target in the span, or
 None for a target outside it.  ``inv`` takes the coordinates of the unit
 vectors.  The nonzero rows of ``rref`` are the canonical basis of the row
-space; the ``nullspace`` of m with its columns reversed, each vector and the
-list read backwards, is the canonical basis of the kernel of m.
+space.  ``nullspace`` reads each kernel vector off ``_echelon``'s pivot rows
+at the free columns only, with no dense reduced matrix; the ``nullspace`` of
+m with its columns reversed, each vector and the list read backwards, is the
+canonical basis of the kernel of m.
 ``charpoly_ints`` runs Berkowitz's division-free algorithm (Berkowitz
 1984) on an integer matrix a over an integer d: p_(a/d)(T) = d^-n p_a(d T).
 ``charpoly`` of a rational matrix m hands it d*m over d, d the lcm of the
@@ -308,8 +310,10 @@ def _cross(p, a, f, b, d):
 
 def _integer_row(row):
     """The rational row times the lcm of its denominators, as its nonzero
-    entries ``{column: int}``."""
+    entries ``{column: int}``; a row of ints as it is."""
     nonzero = {j: a for j, a in enumerate(row) if a}
+    if all(type(a) is int for a in nonzero.values()):
+        return nonzero
     scale = lcm(*(a.denominator for a in nonzero.values()))
     return {j: a.numerator * (scale // a.denominator) for j, a in nonzero.items()}
 
@@ -392,19 +396,19 @@ def mat_vec(m: Mat, vec):
 def nullspace(m: Mat):
     """Right kernel, one vector per free column f: 1 at f, 0 at the other
     free columns, nonzero elsewhere only at pivots before f; read backwards,
-    each vector and the list, the reduced echelon basis with columns reversed."""
+    each vector and the list, the reduced echelon basis with columns reversed.
+    Each pivot row of ``_echelon`` is read at the free columns only."""
     ring = m.ring
-    reduced, pivots = m.rref()
+    pivots, reduced_row, _ = _echelon(m.data, m.cols, ring)
     pivot_set = set(pivots)
     free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [ring.zero] * m.cols
+    basis = {f: [ring.zero] * m.cols for f in free}
+    for f, vec in basis.items():
         vec[f] = ring.one
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced.data[r][f]
-        basis.append(tuple(vec))
-    return basis
+    for r, p in enumerate(pivots):
+        for f, v in reduced_row(r, free):
+            basis[f][p] = -v
+    return [tuple(vec) for vec in basis.values()]
 
 
 def span_coordinates(vectors, targets, ring):

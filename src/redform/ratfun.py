@@ -995,13 +995,15 @@ def integer_roots(p: Poly):
     integer roots).
 
     p is cleared to a primitive integer list f; its factors of x give the
-    root 0.  Then g = f/gcd(f, f') is squarefree with g(0) != 0, so every
-    other integer root z divides g(0), and |z| is at most Fujiwara's bound.
-    At the first odd prime q where every root of g mod q is simple, z mod q
-    is one of those roots; each is lifted, every Newton step evaluated mod
-    m, to a modulus m above twice the smaller of |g(0)| and that bound, and
-    its symmetric residue z is kept when it divides g(0) and g vanishes
-    there.
+    root 0, so every other integer root z divides f(0), and |z| is at most
+    Fujiwara's bound.  When every root of f mod 3 is simple, the roots are
+    lifted on g = f itself.  Otherwise, since a repeated integer root is
+    repeated mod every prime, they are lifted on the squarefree
+    g = f/gcd(f, f'), which has the same roots, at the first odd prime q
+    where every root of g mod q is simple.  z mod q is one of those roots;
+    each is lifted, every Newton step evaluated mod m, to a modulus m above
+    twice the smaller of |g(0)| and that bound, and its symmetric residue z
+    is kept when it divides g(0) and g vanishes there.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every integer as a root")
@@ -1011,8 +1013,7 @@ def integer_roots(p: Poly):
     f = f[k:]
     if len(f) < 2:
         return roots
-    g = _int_divmod(f, _int_gcd(f, [i * c for i, c in enumerate(f)][1:]))[0]
-    dg = [i * c for i, c in enumerate(g)][1:]
+    g, dg = f, [i * c for i, c in enumerate(f)][1:]
     q = 3
     while True:
         if all(q % d for d in range(3, math.isqrt(q) + 1, 2)):
@@ -1020,6 +1021,11 @@ def integer_roots(p: Poly):
             residues = [r for r in range(q) if _value(gq, r, mod=q) == 0]
             if all(_value(dgq, r, mod=q) for r in residues):
                 break
+            if g is f:
+                # a repeated root mod q: from the same q, on the squarefree part
+                g = _int_divmod(f, _int_gcd(f, dg))[0]
+                dg = [i * c for i, c in enumerate(g)][1:]
+                continue
         q += 2
     # Fujiwara's bound (1916): every root has modulus at most 2^(e+1) when
     # 2^(e*i) >= |g_(n-i)/g_n| for i = 1..n; |g_n| >= 2^lead and

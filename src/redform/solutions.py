@@ -7,9 +7,16 @@ equating polynomial coefficients of v' - B*v = 0 yields an exact linear
 system over Q whose null space is returned, echelonized canonically
 (unknowns ordered entry-major then by ascending power, pivots normalized
 to one).  The system is built directly as rows of Python ints, one block of
-rows per equation, each block cleared of denominators by one common lcm;
-the elimination over Q reads such rows as they are.  One elimination, with
-the columns reversed, gives that canonical basis (``linalg.nullspace``).
+rows per equation, all cleared of denominators at once by one positive
+factor, which leaves the kernel unchanged.  Its columns run degree-major,
+highest degree first, the order of a recurrence at infinity (Barkatou 1999):
+eliminating in that order works down from the top degree, where few rows
+hold a column, and fills in least.  ``linalg.nullspace`` reads the rows as
+they are and each kernel vector at the free columns only.  The kernel has
+one vector per solution found, few next to the columns, and one more
+elimination of its vectors in the entry-major order gives the canonical
+basis, each vector read over its pivot into one normalized rational
+function per entry.
 
 Each solve writes the system once over one denominator, B = nums/q with q
 the monic lcm of the entry denominators (``ratfun.common_denominator``); the
@@ -44,8 +51,10 @@ from math import prod
 
 from .constructions import Construction, constr_lie, constr_vector, solve_work
 from .errors import DimensionMismatch, InternalError, InvalidArity
-from .linalg import Mat, QQ, RF, charpoly, charpoly_ints, mat_vec, nullspace, span_coordinates
-from .ratfun import Poly, RatFn, _clear_all, _value, common_denominator, integer_roots, rational_roots
+from .linalg import Mat, QQ, RF, _integer_row, _rref_integer, charpoly, charpoly_ints, mat_vec, nullspace
+from .linalg import span_coordinates
+from .ratfun import Poly, _clear_all, _int_mul, _pair_ratfn, _poly, _value, common_denominator
+from .ratfun import integer_roots, rational_roots
 from .systems import DiffSystem, singularities
 
 # default numerator degree cap and exponent cap at higher-order poles
@@ -155,11 +164,15 @@ def _ansatz_rows(q: Poly, nums, n: int, den: Poly, cap: int) -> tuple:
     With lead_a = lcm(den, q) = clear*den, lead_b = clear*den' and
     P = lead_a*B, so P_ij = nums_ij*(lead_a/q) is a polynomial, clear*den^2
     times v' - B*v = 0 reads lead_a*u' - lead_b*u - P*u = 0.  Unknown
-    u_{j,s}, the coefficient of x^s in entry j, is column j*(cap+1)+s; row
-    (i, k) is the coefficient of x^k in equation i:
+    u_{j,s}, the coefficient of x^s in entry j, is column (cap-s)*n + j:
+    degree-major, highest degree first, so that an elimination in column
+    order works down from the top degree, where the band of rows that hold
+    a column is narrowest.  Row (i, k) is the coefficient of x^k in
+    equation i:
         -P_ij[k-s] + [i=j]*(s*lead_a[k-s+1] - lead_b[k-s]),
-    times the one positive rational that clears P_i*, lead_a and lead_b to
-    coprime integers (``_clear_all``).  Rows run over k = 0..K for the
+    times one positive rational, the same on every row, that clears lead_a,
+    lead_b and every P_ij to integers coprime together (one ``_clear_all``;
+    the products run on the integer lists).  Rows run over k = 0..K for the
     largest K with a nonzero entry, and at least k = 0, so a zero system
     keeps all n*(cap+1) columns.  Raises ValueError, before building any
     row, when the untrimmed system, n*height rows by n*(cap+1) columns, has
@@ -168,26 +181,30 @@ def _ansatz_rows(q: Poly, nums, n: int, den: Poly, cap: int) -> tuple:
     width = cap + 1
     lead_a = den.lcm(q)
     clear, scale = lead_a // den, lead_a // q
-    entries = [p * scale for p in nums]
-    lead_b = clear * den.derivative()
-    height = max(1, cap + max(lead_a.degree, len(lead_b.ints), *(len(p.ints) for p in entries)))
+    dden = den.derivative()
+    lead_b = _int_mul(clear.ints, dden.ints)
+    entries = [_int_mul(p.ints, scale.ints) for p in nums]
+    height = max(1, cap + max(lead_a.degree, len(lead_b), *map(len, entries)))
     if n * height * n * width > ANSATZ_CELLS:
         raise ValueError(
             f"the ansatz at numerator degree cap {cap} would have {n * height} x {n * width} cells,"
             f" over the budget of {ANSATZ_CELLS:,}: lower --num-deg or --pole-cap (the cap is at"
             f" least the degree {den.degree} of the denominator)"
         )
+    # every P_ij carries the rational factor of scale: dividing all terms by
+    # it leaves one positive factor on every row
+    terms = [_poly(lead_a.ints, lead_a.scale / scale.scale), _poly(lead_b, clear.scale * dden.scale / scale.scale)]
+    (a, b, *entries), _ = _clear_all(terms + [_poly(e, p.scale) for e, p in zip(entries, nums)])
     blocks = []
     for i in range(n):
-        (a, b, *row), _ = _clear_all([lead_a, lead_b, *entries[i * n : i * n + n]])
         eq = [[0] * (n * width) for _ in range(height)]
-        for j, p in enumerate(row):
+        for j, p in enumerate(entries[i * n : i * n + n]):
             for t, c in enumerate(p):
                 if c:
                     for s in range(width):
-                        eq[t + s][j * width + s] -= c
+                        eq[t + s][(cap - s) * n + j] -= c
         for s in range(width):
-            col = i * width + s
+            col = (cap - s) * n + i
             for t, c in enumerate(b):
                 eq[t + s][col] -= c
             if s:
@@ -227,14 +244,24 @@ def rational_solutions(
     # every kernel vector is zero above that certified degree
     if dmax is not None and cap >= den.degree + dmax:
         complete, degree = True, max(0, den.degree + dmax)
-    # columns reversed, the kernel read backwards is the canonical basis: see ``linalg.nullspace``
-    rows = _ansatz_rows(q, nums, n, den, degree)
-    kernel = nullspace(Mat._unchecked(QQ, tuple(row[::-1] for row in rows)))
+    kernel = nullspace(Mat._unchecked(QQ, _ansatz_rows(q, nums, n, den, degree)))
+    # the canonical basis: the RREF of the kernel vectors in the entry-major
+    # order, u_{j,s} at j*width + s
     width = degree + 1
-    basis = [
-        tuple(RatFn(Poly(u[j * width : j * width + width]), den) for j in range(n))
-        for u in (v[::-1] for v in reversed(kernel))
-    ]
+    order = [(degree - s) * n + j for j in range(n) for s in range(width)]
+    done, pivots, _ = _rref_integer([_integer_row([v[c] for c in order]) for v in kernel], n * width)
+    basis = []
+    for row, p in zip(done, pivots):
+        # entry j is (ints/pivot)/den = lead*ints/(pivot*den.ints), lead the
+        # positive leading integer of the monic den
+        sign = 1 if row[p] > 0 else -1
+        vec = []
+        for j in range(n):
+            ints = [sign * row.get(c, 0) for c in range(j * width, j * width + width)]
+            while ints and not ints[-1]:
+                ints.pop()
+            vec.append(_pair_ratfn(ints, den.ints, den.ints[-1], sign * row[p]))
+        basis.append(tuple(vec))
     return SolutionSpace(n, tuple(basis), den, cap, complete)
 
 

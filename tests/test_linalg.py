@@ -8,7 +8,7 @@ import pytest
 from redform import Mat, Poly, QQ, RF, RatFn, SingularGauge
 from redform.linalg import charpoly, charpoly_ints, mat_vec, nullspace, span_coordinates
 
-from helpers import oracle_det, oracle_rref, oracle_solve, rand_invertible, rand_matrix, rf
+from helpers import oracle_det, oracle_nullspace, oracle_rref, oracle_solve, rand_invertible, rand_matrix, rf
 
 
 def test_inverse_roundtrip_rational_functions():
@@ -343,6 +343,53 @@ def test_rf_kernel_non_square_seeded():
 )
 def test_rf_kernel_edge_cases(rows):
     _check_rf_against_oracle([[rf(a) for a in row] for row in rows])
+
+
+# ---------------------------------------------------------------------------
+# nullspace, read from the elimination at the free columns, against the
+# dense oracle
+
+
+def _nullspace_family(rng, entry, one, size):
+    """Seeded matrices of the shapes the free-column read must get right,
+    one list of rows per shape."""
+    zero = one - one
+
+    def block(rows_n, cols_n):
+        return [[entry(rng) for _ in range(cols_n)] for _ in range(rows_n)]
+
+    rows_n, cols_n, square = rng.randint(1, size), rng.randint(1, size), rng.randint(1, size)
+    # full rank: an upper triangle with a nonzero diagonal, rows permuted
+    full = [[(entry(rng) or one) if i == j else entry(rng) if j > i else zero for j in range(square)] for i in range(square)]
+    rng.shuffle(full)
+    # tall, two of its rows zero
+    tall = block(cols_n + rng.randint(1, 3), cols_n)
+    for i in rng.sample(range(len(tall)), 2):
+        tall[i] = [zero] * cols_n
+    repeated = block(rows_n, cols_n)
+    repeated += [repeated[0], list(repeated[-1]), [a + a for a in repeated[0]]]
+    return {
+        "zero": [[zero] * cols_n for _ in range(rows_n)],
+        "full": full,
+        "tall": tall,
+        "wide": block(rows_n, rows_n + rng.randint(1, 4)),
+        "repeated": repeated,
+    }
+
+
+@pytest.mark.parametrize("ring, entry, size", [(QQ, _rand_entry, 6), (RF, _rand_rf_entry, 4)], ids=["QQ", "RF"])
+def test_nullspace_matches_the_oracle_seeded(ring, entry, size):
+    rng = random.Random(5150)
+    dims = {}
+    for _ in range(25 if ring is QQ else 10):
+        for shape, rows in _nullspace_family(rng, entry, ring.one, size).items():
+            got = nullspace(Mat(ring, rows))
+            assert [list(v) for v in got] == oracle_nullspace(rows), (shape, rows)
+            assert all(type(e) is type(ring.one) for v in got for e in v)
+            dims.setdefault(shape, set()).add(len(got))
+    # the zero matrix keeps every column free, a full-rank one none
+    assert dims["full"] == {0} and 0 not in dims["zero"]
+    assert max(dims["wide"]) >= 2 and max(dims["repeated"]) >= 2 and {0, 1} <= dims["tall"]
 
 
 # ---------------------------------------------------------------------------

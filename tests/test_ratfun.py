@@ -19,6 +19,7 @@ from redform import (
     poly_str,
     ratfn_str,
 )
+from redform import ratfun
 from redform.linalg import RF, Mat, charpoly_ints, mat_vec
 from redform.ratfun import (
     _clear_all,
@@ -394,6 +395,78 @@ def test_integer_roots_of_large_charpolys_match_the_window_oracle_seeded():
     assert all(p.degree == 100 and max(abs(c) for c in p.ints) > 2 ** 250 for p in polys)
     assert all(p.gcd(p.derivative()).degree > 0 for p in polys)
     assert any(p.coeff(0) == 0 for p in polys)
+
+
+def _product(factors, lead=1, k=0):
+    """lead * x^k * the product of the integer coefficient lists ``factors``."""
+    p = Poly([0] * k + [lead])
+    for factor in factors:
+        p = p * Poly(factor)
+    return p
+
+
+def _gcd_calls(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ratfun, "_int_gcd", lambda a, b: calls.append(len(a)) or _int_gcd(a, b))
+    return calls
+
+
+# (factors, whether f mod 3 has a repeated root, so that gcd(f, f') is taken)
+_ROOT_SHAPES = [
+    ([[-3, 1], [-3, 1], [1, 1]], True),  # (x-3)^2 (x+1)
+    ([[-2, 0, 1], [-2, 0, 1]], False),  # (x^2-2)^2: x^2 - 2 has no root mod 3
+    ([[1, 0, 1], [1, 0, 1], [-5, 1]], False),  # (x^2+1)^2 (x-5)
+    ([[-1, 1], [-4, 1]], True),  # squarefree, but 1 = 4 mod 3
+    ([[-7, 2], [2, 3], [-1, 1]], False),  # (2x-7)(3x+2)(x-1): 3 divides the leading coefficient
+    ([[1, 2], [1, 2], [-7, 1]], True),  # (2x+1)^2 (x-7)
+    ([[-5, 1], [3, 1]], False),  # (x-5)(x+3)
+]
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("lead", [1, -6, 35])
+@pytest.mark.parametrize("factors, repeated", _ROOT_SHAPES)
+def test_integer_roots_take_the_gcd_only_at_a_repeated_root_mod_3(monkeypatch, factors, repeated, lead, k):
+    # the content (lead) and the power of x leave f, and so the route, alone
+    p = _product(factors, lead, k)
+    calls = _gcd_calls(monkeypatch)
+    assert integer_roots(p) == oracle_integer_roots(p)
+    f = [c % 3 for c in _product(factors).ints]
+    df = [i * c % 3 for i, c in enumerate(f)][1:]
+    simple = all(_value(df, r, mod=3) for r in range(3) if _value(f, r, mod=3) == 0)
+    assert bool(calls) == repeated == (not simple)
+
+
+def test_integer_roots_match_the_divisor_oracle_on_repeated_factors_seeded(monkeypatch):
+    # products of the shapes above with seeded multiplicities, leading
+    # coefficients and powers of x; both routes are taken
+    rng = random.Random(33)
+    calls = _gcd_calls(monkeypatch)
+    routes = set()
+    for _ in range(120):
+        factors = [f for shape, _ in rng.sample(_ROOT_SHAPES, 2) for f in shape if rng.random() < 0.7]
+        p = _product(factors, rng.choice([1, -1, 2, 3, -9, 10]), rng.choice([0, 0, 1, 3]))
+        before = len(calls)
+        assert integer_roots(p) == oracle_integer_roots(p), p.ints
+        routes.add(len(calls) > before)
+    assert routes == {False, True}
+
+
+@pytest.mark.parametrize(
+    "roots, cofactors",
+    [
+        ([10 ** 30], [[1, 0, 1]]),
+        ([10 ** 30, -(10 ** 30) - 7], [[-2, 0, 1], [-2, 0, 1]]),
+        ([10 ** 30 + 1, 10 ** 30 + 1, -3], [[1, 2]]),  # a repeated huge root
+        ([-(10 ** 30), 4, 4, 4], [[1, 0, 1], [-1, 3]]),
+    ],
+)
+@pytest.mark.parametrize("k", [0, 1])
+def test_integer_roots_of_10_to_the_30_match_the_planted_roots(roots, cofactors, k):
+    # past the divisor oracle's reach: the cofactors (x^2+1, x^2-2, 2x+1,
+    # 3x-1) have no integer root, so the roots are the planted ones
+    p = _product([[-z, 1] for z in roots] + cofactors, -12, k)
+    assert integer_roots(p) == sorted(set(roots) | ({0} if k else set()))
 
 
 def test_rational_roots():

@@ -336,7 +336,57 @@ class TestCanonicalBasisOracle:
         assert {0, 1, 2} <= dims
 
     def test_empty_kernel(self):
+        # no rational solution: the second RREF gets no vectors
         assert self._check(demo_system(), 4).dim == 0
+        assert self._check(demo_system(), 6, den_override=rf("x^2*(x-1)").num).dim == 0
+        exponential = system("x", [["1", "0", "0"], ["0", "x", "0"], ["0", "1", "1/x^2"]])
+        assert self._check(exponential, 3).dim == 0
+
+    @staticmethod
+    def _pivots(space):
+        """The pivots of the basis's numerator coefficients in the
+        entry-major order, and those in the degree-major order mapped to
+        entry-major columns."""
+        n, width = space.size, space.num_degree_cap + 1
+        den = RatFn(space.denominator)
+        rows = [[(e * den).num.coeff(s) for e in v for s in range(width)] for v in space.basis]
+        degree_major = [[row[j * width + s] for s in reversed(range(width)) for j in range(n)] for row in rows]
+        mapped = sorted((c % n) * width + width - 1 - c // n for c in oracle_rref(degree_major)[1])
+        return oracle_rref(rows)[1], mapped
+
+    def test_dimension_three_where_the_degree_major_pivots_differ(self):
+        # the gauge of the zero 3x3 system by the inverse of the unimodular
+        # polynomial Q: its solutions are the columns of Q, (1, x, 0),
+        # (x, x^2+1, 2x-1) and (0, 0, 1); the x^2 of the second sits in
+        # entry 1, which the highest degree reaches first
+        q = Mat(RF, [[rf("1"), rf("x"), rf("0")], [rf("x"), rf("x^2+1"), rf("0")], [rf("0"), rf("2*x-1"), rf("1")]])
+        zero = system("x", [["0"] * 3 for _ in range(3)])
+        for cap in (2, 3, 5):
+            space = self._check(gauge(zero, q.inv()), cap)
+            assert same_constant_span(space.basis, zip(*q.data))
+            entry_major, degree_major = self._pivots(space)
+            assert entry_major != degree_major
+        # and gauges by P = C0 + C1*x, complete, over the denominator det P
+        rng = random.Random(3)
+        for _ in range(3):
+            assert self._check(_linear_gauge_of_zero(rng, 3), rng.randint(4, 9)).dim == 3
+
+    def test_den_override_with_the_cap_above_the_certified_degree(self):
+        # a complete system solved again over a multiple of its certified
+        # denominator, at caps above the certified degree: the same span
+        rng = random.Random(2027)
+        differ = []
+        for k in range(6):
+            sys_ = _linear_gauge_of_zero(rng, 2 + k % 2)
+            certified = rational_solutions(sys_, 12)
+            assert certified.complete
+            den = certified.denominator * rf(rng.choice(["1", "x^2+1", "x-3", "(x+1/2)^2"])).num
+            space = self._check(sys_, den.degree + rng.randint(1, 6), den_override=den)
+            assert not space.complete and space.dim == certified.dim
+            assert same_constant_span(space.basis, certified.basis)
+            entry_major, degree_major = self._pivots(space)
+            differ.append(entry_major != degree_major)
+        assert any(differ)
 
     def test_zero_systems(self):
         # at cap 0 the ansatz rows are zero and the kernel is full; above it
@@ -451,15 +501,20 @@ class TestHarvest:
 
 
 class TestAnsatzRows:
-    """The integer rows against the dense assembly from polynomial products:
+    """The integer rows against the dense assembly from polynomial products,
+    once their columns are mapped from the degree-major order, u_(j,s) at
+    (cap-s)*n + j, to the oracle's entry-major one, u_(j,s) at j*(cap+1) + s:
     same shape, each row a positive multiple of the oracle's, same RREF."""
 
     @staticmethod
     def _check(sys_, den, cap):
-        rows = ansatz_rows(sys_, den, cap)
+        n, width = sys_.n, cap + 1
+        raw = ansatz_rows(sys_, den, cap)
+        assert {len(row) for row in raw} == {n * width}
+        rows = [[row[(cap - s) * n + j] for j in range(n) for s in range(width)] for row in raw]
         oracle = oracle_ansatz_rows(sys_, den, cap)
         assert all(type(a) is int for row in rows for a in row)
-        assert len(rows) == len(oracle) and {len(row) for row in rows} == {sys_.n * (cap + 1)}
+        assert len(rows) == len(oracle)
         for row, want in zip(rows, oracle):
             ratios = {a / b if b else None for a, b in zip(row, want) if a or b}
             assert len(ratios) <= 1 and None not in ratios and all(q > 0 for q in ratios)
