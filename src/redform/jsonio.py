@@ -106,20 +106,20 @@ def _declared_size(payload):
     return n
 
 
+def _entry(value, var: str) -> RatFn:
+    """A Q(x) entry: a string in ``var``, or a constant (``_const_entry``)."""
+    return parse_ratfn(value, var) if isinstance(value, str) else RatFn.const(_const_entry(value))
+
+
 def lists_to_matrix(rows, var: str) -> Mat:
-    rows = _rows(rows)
-    parsed = [
-        [parse_ratfn(e, var) if isinstance(e, str) else RatFn.const(_const_entry(e)) for e in row]
-        for row in rows
-    ]
-    return Mat(RF, parsed)
+    return Mat(RF, [[_entry(e, var) for e in row] for row in _rows(rows)])
 
 
 def _const_entry(value):
-    """A constant matrix entry: a string or an int, never a bool or a float."""
+    """A constant entry: a string or an int, never a bool or a float."""
     if isinstance(value, str) or type(value) is int:
         return parse_rat(value)
-    raise ParseError(f"matrix entries must be strings or integers, got {type(value).__name__}")
+    raise ParseError(f"entries must be strings or integers, got {type(value).__name__}")
 
 
 def system_to_json(sys: DiffSystem) -> dict:
@@ -153,7 +153,7 @@ def matrix_from_json(payload, system_var=None) -> tuple:
 def vector_from_json(payload, system_var=None):
     var = _var(payload, system_var)
     entries = _require(payload, "v", list)
-    return var, tuple(parse_ratfn(e, var) for e in entries)
+    return var, tuple(_entry(e, var) for e in entries)
 
 
 def constant_matrix_from_lists(rows) -> Mat:
@@ -183,7 +183,7 @@ def _constr_vectors(payload, key: str, system_var):
     for item in _require(payload, key, list):
         c = parse_construction(_require(item, "constr", str))
         entries = _require(item, "v", list)
-        out.append((c, tuple(parse_ratfn(e, var) for e in entries)))
+        out.append((c, tuple(_entry(e, var) for e in entries)))
     return var, out
 
 
@@ -225,7 +225,7 @@ def certificate_from_json(payload) -> ReductionCertificate:
         gauge_matrix=lists_to_matrix(_require(payload, "P", list), var),
         reduced=lists_to_matrix(_require(payload, "B", list), var),
         basis=tuple(constant_matrix_from_lists(g) for g in _require(payload, "basis", list)),
-        coeffs=tuple(parse_ratfn(f, var) for f in _require(payload, "coeffs", list)),
+        coeffs=tuple(_entry(f, var) for f in _require(payload, "coeffs", list)),
     )
 
 

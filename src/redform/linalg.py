@@ -203,7 +203,8 @@ class Mat:
         if len(pivots) < self.rows:
             return RatFn.ZERO
         scale = sign * prod(scale for _, scale, _ in cleared)
-        return RatFn(Poly(top) * scale, prod((den for _, _, den in cleared), start=Poly.ONE))
+        den = prod((den for _, _, den in cleared), start=Poly.ONE)
+        return RatFn(_from_ints(top, scale.numerator, scale.denominator), den)
 
     def inv(self) -> "Mat":
         """Inverse, whose column j holds the coordinates of the unit vector

@@ -14,12 +14,12 @@ only multiplies the scales; a sum takes one content; the gcd is a primitive
 pseudo-remainder sequence over Z.  The ``Fraction`` coefficients ``coeffs``
 are built only when read, for printing and the series recurrence.
 
-Sums and products of several rational functions run on unnormalized pairs
-(num, den) of integer lists: the expression parser carries one through each
-entry and ``linalg`` one through each entry of a Q(x) matrix product.  Pairs
-add over the lcm of their denominators and multiply with Henrici's
+Every sum, product, quotient and derivative in Q(x) runs on unnormalized
+pairs (num, den) of integer lists: the ``RatFn`` operators, the expression
+parser through each entry and ``linalg`` through a Q(x) matrix product.
+Pairs add over the lcm of their denominators and multiply with Henrici's
 cross-cancellation; :func:`_pair_ratfn`, one primitive gcd and one rescale to
-a monic denominator, is the one normalizer, also behind ``RatFn(num, den)``.
+a monic denominator, normalizes each result once, also behind ``RatFn(n, d)``.
 
 This module also owns the common-denominator integer form that the other
 modules hand to their integer kernels: :func:`common_denominator` writes
@@ -93,6 +93,10 @@ def _int_add(a, b):
     while out and not out[-1]:
         out.pop()
     return out
+
+
+def _int_diff(a):
+    return [k * c for k, c in enumerate(a)][1:]
 
 
 def _int_mul(a, b):
@@ -237,21 +241,13 @@ class Poly:
         return bool(self.ints)
 
     def __add__(self, other):
-        # over the common scale: the gcd of the scale numerators over the
-        # lcm of their denominators
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        a, b = self.ints, other.ints
-        if not a or not b:
-            return self if a else other
-        (na, da), (nb, db) = self.scale.as_integer_ratio(), other.scale.as_integer_ratio()
-        g, m = math.gcd(na, nb), math.lcm(da, db)
-        fa, fb = na // g * (m // da), nb // g * (m // db)
-        out = [fa * x + fb * y for x, y in zip_longest(a, b, fillvalue=0)]
-        while out and not out[-1]:
-            out.pop()
-        return _from_ints(out, g, m)
+        if not self.ints or not other.ints:
+            return self if self.ints else other
+        (a, b), scale = _clear_all([self, other])
+        return _from_ints(_int_add(a, b), scale.numerator, scale.denominator)
 
     __radd__ = __add__
 
@@ -373,8 +369,7 @@ class Poly:
         return self if p.scale == self.scale and p.ints[-1] == self.ints[-1] else p
 
     def derivative(self) -> "Poly":
-        s = self.scale
-        return _from_ints([k * c for k, c in enumerate(self.ints)][1:], s.numerator, s.denominator)
+        return _from_ints(_int_diff(self.ints), self.scale.numerator, self.scale.denominator)
 
     def __call__(self, x0) -> Fraction:
         # a/b: b^d p(a/b) over b^d
@@ -494,7 +489,7 @@ class RatFn:
             return self
         if self.is_zero:
             return other
-        return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)
+        return _pair_ratfn(*_pair_add(_ratfn_pair(self), _ratfn_pair(other)))
 
     __radd__ = __add__
 
@@ -517,7 +512,7 @@ class RatFn:
             return self
         if _is_one(self):
             return other
-        return RatFn(self.num * other.num, self.den * other.den)
+        return _pair_ratfn(*_pair_mul(_ratfn_pair(self), _ratfn_pair(other)))
 
     __rmul__ = __mul__
 
@@ -527,7 +522,7 @@ class RatFn:
             return NotImplemented
         if other.is_zero:
             raise DivisionByZero("division by the zero rational function")
-        return RatFn(self.num * other.den, self.den * other.num)
+        return _pair_ratfn(*_pair_mul(_ratfn_pair(self), _ratfn_pair(other)[::-1]))
 
     def __pow__(self, k: int):
         # powers of a coprime pair are coprime and those of a monic
@@ -541,10 +536,9 @@ class RatFn:
         return _ratfn(num ** k, den ** k)
 
     def derivative(self) -> "RatFn":
-        return RatFn(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        a, b = _ratfn_pair(self)
+        num = _int_add(_int_mul(_int_diff(a), b), _int_mul(_neg(a), _int_diff(b)))
+        return _pair_ratfn(num, _int_mul(b, b))
 
     def __call__(self, x0) -> Fraction:
         x0 = _rat(x0)
@@ -557,7 +551,8 @@ class RatFn:
         return self.den(_rat(x0)) == 0
 
     def substitute_power(self, m: int) -> "RatFn":
-        return RatFn(self.num.substitute_power(m), self.den.substitute_power(m))
+        # no gcd: a common root r of the parts would make r^m one of num and den
+        return _ratfn(self.num.substitute_power(m), self.den.substitute_power(m))
 
     def __repr__(self):
         return f"RatFn[{ratfn_str(self, 'x')}]"
@@ -1013,7 +1008,7 @@ def integer_roots(p: Poly):
     f = f[k:]
     if len(f) < 2:
         return roots
-    g, dg = f, [i * c for i, c in enumerate(f)][1:]
+    g, dg = f, _int_diff(f)
     q = 3
     while True:
         if all(q % d for d in range(3, math.isqrt(q) + 1, 2)):
@@ -1024,7 +1019,7 @@ def integer_roots(p: Poly):
             if g is f:
                 # a repeated root mod q: from the same q, on the squarefree part
                 g = _int_divmod(f, _int_gcd(f, dg))[0]
-                dg = [i * c for i, c in enumerate(g)][1:]
+                dg = _int_diff(g)
                 continue
         q += 2
     # Fujiwara's bound (1916): every root has modulus at most 2^(e+1) when
@@ -1116,4 +1111,5 @@ def ratfn_sqrt(r: RatFn):
     den = poly_sqrt(r.den)
     if num is None or den is None:
         return None
-    return RatFn(num, den)
+    # no gcd: roots of coprime parts are coprime, and den's root is monic
+    return _ratfn(num, den)

@@ -363,6 +363,52 @@ def oracle_poly_add(a, b, sign=1):
     return Poly([ca[k] + sign * cb[k] for k in range(n)])
 
 
+def oracle_ratfn(num, den):
+    """(num, den) of num/den for Polys num and den != 0, normalized on the
+    Fraction oracles: both divided by their Euclidean gcd over Q, then by
+    the leading coefficient of the quotient of den."""
+    g = oracle_poly_gcd(num, den)
+    num, den = oracle_poly_divmod(num, g)[0], oracle_poly_divmod(den, g)[0]
+    lead = Poly([den.leading])
+    return oracle_poly_divmod(num, lead)[0], oracle_poly_divmod(den, lead)[0]
+
+
+def oracle_ratfn_add(r, s, sign=1):
+    """r + sign * s as (ad + sign * cb)/(bd), for r = a/b and s = c/d."""
+    num = oracle_poly_add(oracle_poly_mul(r.num, s.den), oracle_poly_mul(s.num, r.den), sign)
+    return oracle_ratfn(num, oracle_poly_mul(r.den, s.den))
+
+
+def oracle_ratfn_mul(r, s):
+    """r * s as (ac)/(bd), for r = a/b and s = c/d."""
+    return oracle_ratfn(oracle_poly_mul(r.num, s.num), oracle_poly_mul(r.den, s.den))
+
+
+def oracle_ratfn_div(r, s):
+    """r / s as (ad)/(bc), for r = a/b and a nonzero s = c/d."""
+    return oracle_ratfn(oracle_poly_mul(r.num, s.den), oracle_poly_mul(r.den, s.num))
+
+
+def oracle_ratfn_derivative(r):
+    """(a'b - ab')/b^2 for r = a/b."""
+    a, b = r.num, r.den
+    da, db = oracle_poly_derivative(a), oracle_poly_derivative(b)
+    num = oracle_poly_add(oracle_poly_mul(da, b), oracle_poly_mul(a, db), -1)
+    return oracle_ratfn(num, oracle_poly_mul(b, b))
+
+
+def oracle_ratfn_substitute_power(r, m):
+    """a(t^m)/b(t^m) for r = a/b, normalized."""
+    return oracle_ratfn(oracle_poly_substitute_power(r.num, m), oracle_poly_substitute_power(r.den, m))
+
+
+def oracle_ratfn_sqrt(r):
+    """sqrt(a)/sqrt(b) for r = a/b, normalized, or None when either part
+    has no square root with a positive leading coefficient."""
+    num, den = oracle_poly_sqrt(r.num), oracle_poly_sqrt(r.den)
+    return None if num is None or den is None else oracle_ratfn(num, den)
+
+
 def oracle_poly_derivative(p):
     return Poly([k * c for k, c in enumerate(p.coeffs)][1:])
 

@@ -23,6 +23,7 @@ DEMO = {"var": "x", "n": 2, "A": [["0", "1"], ["x", "1/(2*x)"]]}
 SWAP = {"var": "x", "M": [["0", "1/x"], ["1", "0"]]}
 DIAG_BASIS = {"n": 2, "generators": [[["1", "0"], ["0", "-1"]]]}
 ZERO_2X2 = {"var": "x", "n": 2, "A": [["0", "0"], ["0", "0"]]}
+END = "tensor(base,dual(base))"
 DEEP_CONSTR = "dual(" * 3000 + "base" + ")" * 3000
 # the README system twice, as one 4x4 block-diagonal system
 DEMO_TWICE = {
@@ -310,6 +311,50 @@ class TestVerdicts:
         assert payload["stable"] is True and payload["annihilates_invariants"] is False
         assert payload["annihilation"] == [{"annihilated": False, "generator": 0, "invariant": 0}]
 
+    @pytest.mark.parametrize(
+        "system, flags, code, field, expected",
+        [
+            (
+                {"var": "t", "n": 2, "A": [["2*t^2", "0"], ["0", "-2*t^2"]]},
+                ["--basis", DIAG_BASIS],
+                0,
+                "wei_norman_coeffs",
+                ["2*t^2"],
+            ),
+            (
+                {"var": "x", "n": 1, "A": [["1/x"]]},
+                ["--constrs", "base"],
+                1,
+                "invariants",
+                [{"constr": "base", "v": ["x"], "constant": False}],
+            ),
+            (
+                ZERO_2X2,
+                ["--constrs", "base"],
+                0,
+                "invariants",
+                [{"constr": "base", "v": v, "constant": True} for v in (["1", "0"], ["0", "1"])],
+            ),
+        ],
+        ids=["wei-norman-coeffs", "non-constant-invariant", "constant-invariants"],
+    )
+    def test_check_reduced_payload_fields(self, work, capsys, system, flags, code, field, expected):
+        tmp, write = work
+        argv = ["check-reduced", "--system", write("s.json", system)]
+        argv += [write("b.json", f) if isinstance(f, dict) else f for f in flags]
+        got, payload = run(argv, capsys)
+        assert got == code and payload[field] == expected
+
+    def test_katz_check_unstable_element_has_no_coordinates(self, work, capsys):
+        # E12 is not nabla-stable on the README system; the identity is
+        tmp, write = work
+        basis = {"var": "x", "elements": [[["0", "1"], ["0", "0"]], [["1", "0"], ["0", "1"]]]}
+        code, payload = run(
+            ["katz-check", "--system", write("a.json", DEMO), "--basis", write("e.json", basis)], capsys
+        )
+        assert code == 1 and payload["stable"] is False
+        assert payload["elements"][0] == {"index": 0, "stable": False, "coordinates": None}
+
     def test_check_reduced_invalid_line_is_usage_error(self, work, capsys):
         tmp, write = work
         sys_path = write("a.json", DEMO)
@@ -447,6 +492,34 @@ class TestUsageErrors:
             ["wei-norman", "--system", sys_path, "--basis", write("basis.json", basis)], capsys
         )
         assert code == 3 and payload["error"]["reason"] == "parse_error"
+
+    @pytest.mark.parametrize(
+        "command, files, message",
+        [
+            ("series --system s", {"s": {"var": "x", "n": 1}}, "missing field 'A'"),
+            ("series --system s", {"s": {"var": "x", "n": 3, "A": [["1/x"]]}}, "declared size does not match"),
+            ("series --system s", {"s": {"var": "x", "A": [["1", "x"]]}}, "system matrix must be square"),
+            ("gauge --system a --P p", {"a": DEMO, "p": {"var": "x"}}, "matrix payload needs an 'M'"),
+            ("commutant --basis b", {"b": {"generators": []}}, "empty basis needs an explicit 'n'"),
+            ("series --system s", {"s": '{"var": "x",'}, "invalid JSON in"),
+            ("ratsols --system a --constr base --den 1/x", {"a": DEMO}, "denominator override must be"),
+            ("ratsols --system a --constr base --den 0", {"a": DEMO}, "denominator override must be"),
+            ("harvest --system a --constrs ;", {"a": DEMO}, "empty construction list"),
+            ("series --system s", {"s": {"var": "x", "A": [[""]]}}, "empty expression"),
+        ],
+        ids=[
+            "no-A", "n-mismatch", "not-square", "no-M-or-P", "empty-basis-without-n",
+            "invalid-json", "den-not-polynomial", "den-zero", "empty-constrs", "empty-entry",
+        ],
+    )
+    def test_refused_input_is_parse_error(self, work, capsys, command, files, message):
+        tmp, write = work
+        for name, payload in files.items():
+            text = payload if isinstance(payload, str) else json.dumps(payload)
+            (tmp / f"{name}.json").write_text(text, encoding="utf-8")
+        code, out = run([str(tmp / f"{arg}.json") if arg in files else arg for arg in command.split()], capsys)
+        assert code == 3 and out["error"]["reason"] == "parse_error"
+        assert out["error"]["message"].startswith(message)
 
     def test_deeply_nested_json_is_parse_error(self, work, capsys):
         tmp, write = work
@@ -588,6 +661,12 @@ class TestUsageErrors:
         assert certificate_from_json(dict(cert, extension_order=2)).extension_order == 2
         with pytest.raises(ParseError):
             certificate_from_json(cert)
+
+    def test_integer_certificate_coeffs_read_as_constants(self):
+        cert = {"var": "t", "extension_order": 2, "P": [["1"]], "B": [["0"]], "basis": [], "coeffs": ["-2"]}
+        assert certificate_from_json(dict(cert, coeffs=[-2])) == certificate_from_json(cert)
+        with pytest.raises(ParseError, match="got bool$"):
+            certificate_from_json(dict(cert, coeffs=[True]))
 
     def test_long_x0_prints_and_reparses(self, work, capsys):
         tmp, write = work
@@ -942,6 +1021,36 @@ class TestOtherCommands:
         basis_path = write("basis.json", DIAG_BASIS)
         code, payload = run(["commutant", "--basis", basis_path], capsys)
         assert code == 0 and payload["dim"] == 2
+
+    def test_basis_without_n_reads_n_from_its_first_generator(self, work, capsys):
+        tmp, write = work
+        declared = run(["commutant", "--basis", write("n.json", DIAG_BASIS)], capsys)
+        inferred = run(["commutant", "--basis", write("b.json", {"generators": DIAG_BASIS["generators"]})], capsys)
+        assert inferred == declared and inferred[0] == 0
+
+    @pytest.mark.parametrize("kind", ["vector", "lines", "invariants"])
+    def test_integer_vector_entries_read_as_constants(self, work, capsys, kind):
+        # like matrix entries, the entries of a vector, line or invariant may
+        # be JSON integers; any other non-string entry is a parse error
+        tmp, write = work
+        identity = {"var": "x", "elements": [[["1", "0"], ["0", "1"]]]}
+        name, *flags = {
+            "vector": ["semiinv-check", "--constr", END, "--vector"],
+            "lines": ["check-reduced", "--num-deg", "4", "--lines"],
+            "invariants": ["katz-check", "--basis", write("e.json", identity), "--invariants"],
+        }[kind]
+        argv = [name, "--system", write("a.json", DEMO), *flags]
+
+        def file(v):
+            payload = {"var": "x", "v": v} if kind == "vector" else {"var": "x", kind: [{"constr": END, "v": v}]}
+            return write("v.json", payload)
+
+        strings = run(argv + [file(["-2", "0", "0", "-2"])], capsys)
+        assert run(argv + [file([-2, 0, 0, -2])], capsys) == strings and strings[0] == 0
+        for bad in (True, 1.5):
+            code, payload = run(argv + [file([bad, 0, 0, 1])], capsys)
+            assert code == 3 and payload["error"]["reason"] == "parse_error"
+            assert payload["error"]["message"].endswith(f"got {type(bad).__name__}")
 
     def test_constr_command(self, work, capsys):
         tmp, write = work

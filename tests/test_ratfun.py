@@ -49,7 +49,13 @@ from helpers import (
     oracle_poly_shift,
     oracle_poly_substitute_power,
     oracle_poly_sqrt,
+    oracle_ratfn_add,
+    oracle_ratfn_derivative,
+    oracle_ratfn_div,
+    oracle_ratfn_mul,
+    oracle_ratfn_sqrt,
     oracle_ratfn_str,
+    oracle_ratfn_substitute_power,
     rand_matrix,
     rand_poly,
     rand_ratfn,
@@ -1035,6 +1041,72 @@ def test_int_form_unary_operations_match_the_oracle():
         assert a(x0) == oracle_poly_eval(a, x0) and type(a(x0)) is Fraction
         assert a(3) == oracle_poly_eval(a, Fraction(3))
         _assert_same(a.shift(x0), oracle_poly_shift(a, x0))
+
+
+def _q_poly(rng, deg, bits):
+    """A Poly of degree deg with coefficients of up to ``bits`` bits over
+    small denominators, its leading coefficient of either sign."""
+    big = 2 ** bits
+    coeffs = [Fraction(rng.randint(-big, big), rng.choice([1, 2, 3, 7])) for _ in range(deg)]
+    coeffs.append(Fraction(rng.choice([-1, 1]) * rng.randint(1, big), rng.choice([1, 5])))
+    return Poly(coeffs)
+
+
+def _ratfn_operands():
+    """(values, pairs): zero, constants and seeded rational functions with
+    small or 100-bit coefficients and leading numerators of either sign, in
+    groups of three over one denominator or over denominators with a common
+    factor; the pairs are those with an edge value, those within a group and
+    seeded others."""
+    rng = random.Random(3434)
+    edge = [RatFn.ZERO, RatFn.ONE, RatFn.const(-3), RatFn.const(Fraction(2 ** 100 + 1, 3)), rf("-x^2/(x+1)")]
+    groups = []
+    for _ in range(10):
+        bits = rng.choice([3, 3, 100])
+        f = _q_poly(rng, rng.randint(1, 2), bits)
+        shared = rng.random() < 0.5
+        dens = [oracle_poly_mul(f, _q_poly(rng, rng.randint(0, 2), bits)) if shared else f for _ in range(3)]
+        groups.append([RatFn(_q_poly(rng, rng.randint(0, 3), bits), den) for den in dens])
+    values = edge + [r for g in groups for r in g]
+    pairs = [p for r in edge for s in values for p in ((r, s), (s, r))]
+    pairs += [(r, s) for g in groups for r in g for s in g]
+    pairs += [(rng.choice(values), rng.choice(values)) for _ in range(100)]
+    return values, pairs
+
+
+_RATFN_OPERANDS, _RATFN_PAIRS = _ratfn_operands()
+
+
+def _assert_ratfn(got, want):
+    """got is the RatFn whose normalized parts are the pair ``want``."""
+    _assert_same(got.num, want[0])
+    _assert_same(got.den, want[1])
+
+
+def test_ratfn_sum_difference_product_quotient_and_poly_sum_match_the_oracle():
+    for r, s in _RATFN_PAIRS:
+        _assert_ratfn(r + s, oracle_ratfn_add(r, s))
+        _assert_ratfn(r - s, oracle_ratfn_add(r, s, -1))
+        _assert_ratfn(r * s, oracle_ratfn_mul(r, s))
+        if not s.is_zero:
+            _assert_ratfn(r / s, oracle_ratfn_div(r, s))
+        _assert_same(r.num + s.num, oracle_poly_add(r.num, s.num))
+        _assert_same(r.den - s.num, oracle_poly_add(r.den, s.num, -1))
+
+
+def test_ratfn_derivative_substitute_power_and_sqrt_match_the_oracle():
+    rng = random.Random(3435)
+    for r in _RATFN_OPERANDS:
+        _assert_ratfn(r.derivative(), oracle_ratfn_derivative(r))
+        m = rng.randint(1, 3)
+        _assert_ratfn(r.substitute_power(m), oracle_ratfn_substitute_power(r, m))
+        square = RatFn(oracle_poly_mul(r.num, r.num), oracle_poly_mul(r.den, r.den))
+        for q in (r, square, -square, RatFn(square.num, r.den)):
+            want = oracle_ratfn_sqrt(q)
+            if want is None:
+                assert ratfn_sqrt(q) is None, q
+            else:
+                _assert_ratfn(ratfn_sqrt(q), want)
 
 
 def test_equal_values_built_along_different_paths_hash_alike():
