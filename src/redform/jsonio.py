@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _quoted
 
 from .errors import ParseError
 from .linalg import Mat, QQ, RF
-from .ratfun import RatFn, _quote, check_var, parse_rat, parse_ratfn, rat_str, ratfn_str, ratio_str
+from .ratfun import RatFn, _literal_int, _quote, check_var, parse_rat, parse_ratfn, rat_str, ratfn_str, ratio_str
 from .reduction import LieBasis, ReductionCertificate
 from .constructions import parse_construction
 from .systems import DiffSystem
@@ -239,10 +239,17 @@ def series_to_json(series) -> dict:
     }
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer, read as an integer literal of an expression is
+    (``ratfun._literal_int``): up to its digit bound also past the
+    interpreter's conversion limit, and a ParseError beyond it."""
+    return -_literal_int(text[1:]) if text[0] == "-" else _literal_int(text)
+
+
 def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except FileNotFoundError as exc:
         raise ParseError(f"no such file: {path}") from exc
     except json.JSONDecodeError as exc:

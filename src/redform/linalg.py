@@ -13,7 +13,7 @@ width limit:
   primitive, over Q.  Primitive rows beat fraction-free elimination on the
   large sparse systems over Q.
 * ``_ffgj``, fraction-free Gauss-Jordan on rows cleared to Z[x] (integer
-  coefficient lists, each row over its ``ratfun.common_denominator``), one
+  coefficient lists, each row over its entries' ``ratfun._common_den``), one
   exact division by the previous pivot per step and no gcd, over Q(x).
 
 ``_echelon`` is the one place that picks the kernel by the field: it clears
@@ -46,8 +46,8 @@ from math import gcd, lcm, prod
 from operator import add, sub
 
 from .errors import SingularGauge
-from .ratfun import Poly, RatFn, _clear_all, _from_ints, _int_divmod, _int_mul, _rat, as_ratfn, common_denominator
-from .ratfun import _pair_add, _pair_mul, _pair_ratfn, _ratfn_pair
+from .ratfun import Poly, RatFn, _common_den, _from_ints, _int_divmod, _int_mul, _rat, as_ratfn
+from .ratfun import _coprime_ratfn, _pair_add, _pair_mul, _pair_ratfn
 
 
 class FractionField:
@@ -202,9 +202,8 @@ class Mat:
         top, pivots, sign = _ffgj([ints for ints, _, _ in cleared], self.cols)
         if len(pivots) < self.rows:
             return RatFn.ZERO
-        scale = sign * prod(scale for _, scale, _ in cleared)
-        den = prod((den for _, _, den in cleared), start=Poly.ONE)
-        return RatFn(_from_ints(top, scale.numerator, scale.denominator), den)
+        den = reduce(_int_mul, [den for _, _, den in cleared], [1])
+        return _pair_ratfn(top, den, sign * prod(g for _, g, _ in cleared))
 
     def inv(self) -> "Mat":
         """Inverse, whose column j holds the coordinates of the unit vector
@@ -264,13 +263,15 @@ def _echelon(data, width, ring):
 
 
 def _cleared_row(row):
-    """(ints, scale, den): the row over Q(x) is ``ints``, a row of integer
-    coefficient lists (lowest degree first, [] for zero), times scale/den,
-    with den the row's ``common_denominator`` and scale in Q that of
-    ``_clear_all`` on its numerators."""
-    den, nums = common_denominator(row)
-    ints, scale = _clear_all(nums)
-    return ints, scale, den
+    """(ints, g, den): the row over Q(x) is ``ints``, a row of integer
+    coefficient lists (lowest degree first, [] for zero) coprime together,
+    times the integer g over the integer list den, its entries' pairs over
+    their ``ratfun._common_den``."""
+    den, nums = _common_den(row)
+    g = gcd(*[c for a in nums for c in a])
+    if g > 1:
+        nums = [[c // g for c in a] for a in nums]
+    return nums, g, den
 
 
 def _ffgj(rows, width):
@@ -372,17 +373,19 @@ def _eliminate(row, pivot_row, col):
 
 
 def _dot_rows(ring, rows):
-    # over RF, _dot takes each entry as an integer pair, every zero as one
-    # shared pair
-    return [[_ratfn_pair(e) for e in row] for row in rows] if ring is RF else list(rows)
+    # over RF, _dot takes each entry as its integer pair
+    return [[e.pair for e in row] for row in rows] if ring is RF else list(rows)
 
 
 def _dot(ring, row, col):
     """sum_k row[k] * col[k] of two ``_dot_rows`` rows.  Over RF the products
-    are summed as pairs and the entry is normalized once."""
+    are summed as pairs and the entry is normalized once; one product
+    alone is coprime already."""
     if ring is RF:
         terms = [_pair_mul(a, b) for a, b in zip(row, col) if a[0] and b[0]]
-        return _pair_ratfn(*reduce(_pair_add, terms)) if terms else RatFn.ZERO
+        if len(terms) < 2:
+            return _coprime_ratfn(*terms[0]) if terms else RatFn.ZERO
+        return _pair_ratfn(*reduce(_pair_add, terms))
     return reduce(add, [a * b for a, b in zip(row, col)])
 
 

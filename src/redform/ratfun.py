@@ -1,33 +1,44 @@
 """Exact arithmetic for univariate polynomials and rational functions over Q.
 
-Values are immutable and normalized on construction: polynomials trim trailing
-zero coefficients, rational functions keep a monic denominator coprime to the
-numerator, and zero is represented as 0/1.  Two computation paths that reach
-the same value therefore produce bit-identical representations.
+Values are immutable and stored in a unique integer form, so two
+computation paths that reach the same value produce bit-identical
+representations, and equality and hashing read that form.
 
-A polynomial is stored in its integer form, as FLINT's ``fmpq_poly`` is: a
-primitive tuple of Python ints ``ints`` (lowest degree first, last entry
-nonzero, carrying the sign) times one positive ``Fraction`` ``scale``.  The
-form is unique, so equality and hashing read it, and arithmetic runs on the
+A polynomial is stored as FLINT's ``fmpq_poly`` is: a primitive tuple of
+Python ints ``ints`` (lowest degree first, last entry nonzero, carrying the
+sign) times one positive ``Fraction`` ``scale``.  Arithmetic runs on the
 ints: a product of primitive lists is primitive (Gauss's lemma), so ``*``
 only multiplies the scales; a sum takes one content; the gcd is a primitive
 pseudo-remainder sequence over Z.  The ``Fraction`` coefficients ``coeffs``
 are built only when read, for printing and the series recurrence.
 
-Every sum, product, quotient and derivative in Q(x) runs on unnormalized
-pairs (num, den) of integer lists: the ``RatFn`` operators, the expression
-parser through each entry and ``linalg`` through a Q(x) matrix product.
-Pairs add over the lcm of their denominators and multiply with Henrici's
-cross-cancellation; :func:`_pair_ratfn`, one primitive gcd and one rescale to
-a monic denominator, normalizes each result once, also behind ``RatFn(n, d)``.
+A rational function is stored as FLINT's ``fmpz_poly_q`` is: its canonical
+integer pair (a, b) of int tuples (see :class:`RatFn`).  Every sum, product,
+quotient and derivative in Q(x) runs on such pairs, unnormalized in between:
+the ``RatFn`` operators, the expression parser through each entry and
+``linalg`` through a Q(x) matrix product.  Pairs add over the lcm of their
+denominators and multiply with Henrici's cross-cancellation;
+:func:`_pair_ratfn`, one primitive gcd and then :func:`_coprime_ratfn`'s
+content gcd and sign fix, normalizes each result once, also behind
+``RatFn(n, d)``.  A product of two canonical pairs is coprime and takes the
+second step alone; powers, negation and ``substitute_power`` keep a pair
+canonical.  Evaluation, printing, the degree reads of ``systems`` and the
+rows of ``linalg``'s elimination read the pair too.  The ``Poly`` parts
+``num`` and ``den`` are built when read: by :func:`common_denominator` (for
+``series``, ``solutions`` and ``reduction``), for the denominators that
+``systems.singularities`` factors, by ``TruncSeries.from_ratfn``,
+``ratfn_sqrt``, the bound on a parsed power and the ``--den`` option, and
+in the reduction's eigenvalue and witness arithmetic.
 
 This module also owns the common-denominator integer form that the other
-modules hand to their integer kernels: :func:`common_denominator` writes
-rational functions over their monic lcm denominator, and :func:`_clear_all`
+modules hand to their integer kernels: :func:`_common_den` writes rational
+functions as integer lists over one integer list, :func:`common_denominator`
+as polynomials over their monic lcm denominator, and :func:`_clear_all`
 writes several polynomials as integer lists over one scale.  Values at a
 rational point y/l run on the ints as well: :func:`_value`, l^top*p(y/l) by
 Horner's rule, is the one integer evaluation, behind ``Poly.__call__``,
-:func:`integer_roots` and the residues at rational roots in ``solutions``.
+``RatFn.__call__``, :func:`integer_roots` and the residues at rational roots
+in ``solutions``.
 
 Polynomials and rational functions do not carry a variable name; the name is
 supplied when parsing or printing (and by :class:`redform.systems.DiffSystem`
@@ -109,6 +120,37 @@ def _int_mul(a, b):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def _int_lcm(a, b):
+    """+-a / g * b, lead > 0, for nonzero integer lists a and b, g their
+    primitive gcd, which divides a exactly over Z: a multiple of both over
+    Z[x], and their lcm when both are primitive."""
+    if len(a) > 1 and len(b) > 1:
+        a = _int_divmod(a, _int_gcd(a, b))[0]
+    out = _int_mul(a, b)
+    return out if out[-1] > 0 else [-c for c in out]
+
+
+def _int_pow(a, k: int):
+    """a^k for an integer coefficient list a and k >= 0, by squaring."""
+    out = [1]
+    while k:
+        if k & 1:
+            out = _int_mul(out, a)
+        k >>= 1
+        if k:
+            a = _int_mul(a, a)
+    return out
+
+
+def _spread(ints: tuple, m: int) -> tuple:
+    """The integer tuple of p(x^m) for that of p, m >= 1."""
+    if m == 1 or len(ints) < 2:
+        return ints
+    out = [0] * ((len(ints) - 1) * m + 1)
+    out[::m] = ints
+    return tuple(out)
 
 
 def _int_divmod(a, b):
@@ -285,16 +327,10 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        # a power of a primitive list is primitive (Gauss's lemma)
         if k < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _poly(tuple(_int_pow(self.ints, k)), self.scale ** k)
 
     def __divmod__(self, other):
         return self._divide(other, True, True)
@@ -337,15 +373,11 @@ class Poly:
         return _monic(_int_gcd(self.ints, other.ints))
 
     def lcm(self, other) -> "Poly":
-        """Monic lcm, a / g * b on the integer forms: the primitive gcd g
-        divides a exactly over Z, and the product is primitive."""
+        """Monic lcm, ``_int_lcm`` of the integer forms."""
         other = _as_poly(other)
         if self.is_zero or other.is_zero:
             return Poly.ZERO
-        a, b = self.ints, other.ints
-        if len(a) == 1 or len(b) == 1:
-            return (other if len(a) == 1 else self).monic()
-        return _monic(_int_mul(_int_divmod(a, _int_gcd(a, b))[0], b))
+        return _monic(_int_lcm(self.ints, other.ints))
 
     def xgcd(self, other):
         """Extended Euclid: return (g, s, t) with s*self + t*other = g, g monic."""
@@ -402,11 +434,7 @@ class Poly:
         """Return p(t^m) as a polynomial in t."""
         if m < 1:
             raise ValueError("substitution exponent must be >= 1")
-        if m == 1 or len(self.ints) < 2:
-            return self
-        out = [0] * (self.degree * m + 1)
-        out[::m] = self.ints
-        return _poly(tuple(out), self.scale)
+        return _poly(_spread(self.ints, m), self.scale)
 
     def __repr__(self):
         return f"Poly[{poly_str(self, 'x')}]"
@@ -424,18 +452,18 @@ def _as_poly(value):
     return None
 
 
-def _is_one(r: "RatFn") -> bool:
-    return r.num.ints == (1,) and r.den.ints == (1,) and r.num.scale == 1
-
-
 class RatFn:
-    """Rational function num/den over Q with a canonical representation.
+    """Rational function over Q, stored as its canonical integer pair.
 
-    Invariants: den is monic and nonzero, gcd(num, den) = 1, and the zero
-    function is 0/1.
+    ``pair`` is (a, b), two tuples of ints (lowest degree first, the last
+    entry nonzero) for a/b: a and b coprime in Q[x], the content of all
+    their coefficients together 1, and lead(b) > 0; zero is ((), (1,)).  The
+    pair is unique, so equality and hashing read it, and every operation
+    runs on it.  ``num`` and ``den``, the numerator over the monic
+    denominator as Polys, are built when read.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("pair",)
 
     def __init__(self, num, den=1):
         num = _as_poly(num)
@@ -445,51 +473,62 @@ class RatFn:
         if den.is_zero:
             raise DivisionByZero("zero denominator")
         (nn, nd), (dn, dd) = num.scale.as_integer_ratio(), den.scale.as_integer_ratio()
-        r = _pair_ratfn(num.ints, den.ints, nn * dd, nd * dn)
-        self.num, self.den = r.num, r.den
+        self.pair = _pair_ratfn(num.ints, den.ints, nn * dd, nd * dn).pair
 
     ZERO: "RatFn"
     ONE: "RatFn"
 
     @staticmethod
     def const(c) -> "RatFn":
-        return _ratfn(Poly.const(c), Poly.ONE)
+        n, d = _rat(c).as_integer_ratio()
+        return _ratfn((n,), (d,)) if n else RatFn.ZERO
+
+    @property
+    def num(self) -> Poly:
+        a, b = self.pair
+        return _from_ints(a, 1, b[-1])
+
+    @property
+    def den(self) -> Poly:
+        b = self.pair[1]
+        return _from_ints(b, 1, b[-1])
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.pair[0]
 
     @property
     def is_constant(self) -> bool:
-        return len(self.num.ints) <= 1 and len(self.den.ints) == 1
+        a, b = self.pair
+        return len(a) <= 1 and len(b) == 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"{self!r} is not constant")
-        return self.num.coeff(0)
+        a, b = self.pair
+        return Fraction(a[0], b[0]) if a else Fraction(0)
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.pair[0])
 
     def __eq__(self, other):
         other = _as_ratfn(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.pair == other.pair
 
     def __hash__(self):
-        # den is monic, so its ints determine it
-        return hash((self.num.ints, self.num.scale.numerator, self.num.scale.denominator, self.den.ints))
+        return hash(self.pair)
 
     def __add__(self, other):
         other = _as_ratfn(other)
         if other is None:
             return NotImplemented
-        if other.is_zero:
+        if not other.pair[0]:
             return self
-        if self.is_zero:
+        if not self.pair[0]:
             return other
-        return _pair_ratfn(*_pair_add(_ratfn_pair(self), _ratfn_pair(other)))
+        return _pair_ratfn(*_pair_add(self.pair, other.pair))
 
     __radd__ = __add__
 
@@ -500,19 +539,21 @@ class RatFn:
         return self + -other
 
     def __neg__(self):
-        return _ratfn(-self.num, self.den)
+        a, b = self.pair
+        return _ratfn(_neg(a), b)
 
     def __mul__(self, other):
+        # cross-cancelling two coprime pairs leaves a coprime pair
         other = _as_ratfn(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        if not self.pair[0] or not other.pair[0]:
             return RatFn.ZERO
-        if _is_one(other):
+        if other.pair == _ONE_PAIR:
             return self
-        if _is_one(self):
+        if self.pair == _ONE_PAIR:
             return other
-        return _pair_ratfn(*_pair_mul(_ratfn_pair(self), _ratfn_pair(other)))
+        return _coprime_ratfn(*_pair_mul(self.pair, other.pair))
 
     __rmul__ = __mul__
 
@@ -520,53 +561,60 @@ class RatFn:
         other = _as_ratfn(other)
         if other is None:
             return NotImplemented
-        if other.is_zero:
+        if not other.pair[0]:
             raise DivisionByZero("division by the zero rational function")
-        return _pair_ratfn(*_pair_mul(_ratfn_pair(self), _ratfn_pair(other)[::-1]))
+        return _coprime_ratfn(*_pair_mul(self.pair, other.pair[::-1]))
 
     def __pow__(self, k: int):
-        # powers of a coprime pair are coprime and those of a monic
-        # denominator are monic, so the result needs no gcd
-        num, den = self.num, self.den
+        # powers of a coprime pair are coprime, their joint content is that
+        # of the pair to the k-th, and a positive lead(b) stays positive
+        a, b = self.pair
         if k < 0:
-            if self.is_zero:
+            if not a:
                 raise DivisionByZero("zero to a negative power")
-            scale = Poly.const(1 / num.leading)
-            num, den, k = den * scale, num * scale, -k
-        return _ratfn(num ** k, den ** k)
+            a, b, k = (b, a, -k) if a[-1] > 0 else (_neg(b), _neg(a), -k)
+        return _ratfn(tuple(_int_pow(a, k)), tuple(_int_pow(b, k)))
 
     def derivative(self) -> "RatFn":
-        a, b = _ratfn_pair(self)
+        a, b = self.pair
         num = _int_add(_int_mul(_int_diff(a), b), _int_mul(_neg(a), _int_diff(b)))
         return _pair_ratfn(num, _int_mul(b, b))
 
     def __call__(self, x0) -> Fraction:
+        # y/l: l^top a(y/l) over l^top b(y/l), top the larger degree
         x0 = _rat(x0)
-        dv = self.den(x0)
-        if dv == 0:
+        a, b = self.pair
+        top = max(len(a), len(b)) - 1
+        dv = _value(b, x0.numerator, x0.denominator, top)
+        if not dv:
             raise PoleAtPoint(f"pole at {x0}")
-        return self.num(x0) / dv
+        return Fraction(_value(a, x0.numerator, x0.denominator, top), dv)
 
     def has_pole_at(self, x0) -> bool:
-        return self.den(_rat(x0)) == 0
+        y, l = _rat(x0).as_integer_ratio()
+        return not _value(self.pair[1], y, l)
 
     def substitute_power(self, m: int) -> "RatFn":
-        # no gcd: a common root r of the parts would make r^m one of num and den
-        return _ratfn(self.num.substitute_power(m), self.den.substitute_power(m))
+        # no gcd: a common root r of the parts would make r^m one of a and b
+        if m < 1:
+            raise ValueError("substitution exponent must be >= 1")
+        a, b = self.pair
+        return _ratfn(_spread(a, m), _spread(b, m))
 
     def __repr__(self):
         return f"RatFn[{ratfn_str(self, 'x')}]"
 
 
-def _ratfn(num: Poly, den: Poly) -> RatFn:
-    """The RatFn num/den for a num coprime to the monic den."""
+def _ratfn(a: tuple, b: tuple) -> RatFn:
+    """The RatFn of the canonical pair (a, b)."""
     out = object.__new__(RatFn)
-    out.num, out.den = num, den
+    out.pair = (a, b)
     return out
 
 
-RatFn.ZERO = _ratfn(Poly.ZERO, Poly.ONE)
-RatFn.ONE = _ratfn(Poly.ONE, Poly.ONE)
+_ONE_PAIR = ((1,), (1,))
+RatFn.ZERO = _ratfn((), (1,))
+RatFn.ONE = _ratfn(*_ONE_PAIR)
 
 
 def _as_ratfn(value):
@@ -584,23 +632,30 @@ def as_ratfn(value) -> RatFn:
     return out
 
 
+def _common_den(entries):
+    """(den, nums) with entries[i] == nums[i] / den for integer lists: den
+    the ``_int_lcm`` of the entries' distinct denominators, a multiple of
+    each over Z[x] with lead(den) > 0.  One primitive gcd and one exact
+    division per distinct denominator."""
+    dens = dict.fromkeys(e.pair[1] for e in entries)
+    den = [1]
+    for b in dens:
+        den = _int_lcm(den, b)
+    cofactors = {b: _int_divmod(den, b)[0] for b in dens}
+    return den, [_int_mul(a, cofactors[b]) for a, b in (e.pair for e in entries)]
+
+
 def common_denominator(entries):
     """Return (den, nums) with entries[i] == nums[i] / den: den is the monic
-    lcm of the denominators and nums[i] = num_i * (den // den_i), one exact
-    division per distinct denominator."""
-    dens = dict.fromkeys(e.den for e in entries)
-    den = Poly.ONE
-    for d in dens:
-        den = den.lcm(d)
-    cofactors = {d: den // d if d != den else Poly.ONE for d in dens}
-    return den, [e.num * cofactors[e.den] for e in entries]
+    lcm of the denominators and nums[i] = num_i * (den // den_i), read off
+    ``_common_den``."""
+    den, nums = _common_den(entries)
+    return _from_ints(den, 1, den[-1]), [_from_ints(a, 1, den[-1]) for a in nums]
 
 
 # ---------------------------------------------------------------------------
 # Unnormalized pairs: (num, den) integer coefficient lists for num/den, den
-# nonzero; zero is any ([], den).
-
-_ZERO_PAIR = ([], [1])
+# nonzero; zero is any ([], den).  A RatFn's pair is one of them.
 
 
 def _cancel(a, b):
@@ -614,24 +669,31 @@ def _cancel(a, b):
 
 def _pair_ratfn(num, den, n: int = 1, d: int = 1) -> RatFn:
     """The RatFn n/d * num/den for integer lists num and den, den nonzero,
-    and integers n, d > 0: the one Q(x) normalizer.  One primitive gcd, then
-    one rescale to a monic denominator."""
+    and nonzero integers n and d: the one Q(x) normalizer.  One primitive
+    gcd, then ``_coprime_ratfn``."""
+    return _coprime_ratfn(*_cancel(num, den), n, d)
+
+
+def _coprime_ratfn(num, den, n: int = 1, d: int = 1) -> RatFn:
+    """``_pair_ratfn`` for num and den already coprime in Q[x], as products
+    of ``_pair_mul`` are: one content gcd and a sign fix."""
     if not num:
         return RatFn.ZERO
-    num, den = _cancel(num, den)
-    sign, lead = (1, den[-1]) if den[-1] > 0 else (-1, -den[-1])
-    return _ratfn(_from_ints(num, sign * n, d * lead), _from_ints(den, sign, lead))
-
-
-def _ratfn_pair(r: RatFn):
-    return tuple(_clear_all([r.num, r.den])[0]) if r.num.ints else _ZERO_PAIR
+    if n != 1 or d != 1:
+        num, den = [c * n for c in num], [c * d for c in den]
+    g = math.gcd(*num, *den)
+    if den[-1] < 0:
+        g = -g
+    if g != 1:
+        num, den = [c // g for c in num], [c // g for c in den]
+    return _ratfn(tuple(num), tuple(den))
 
 
 def _pair_add(p, q):
     """p + q over lcm(b, d) = (b/g) * d, g the primitive gcd of the
-    denominators; no gcd when they are equal."""
+    denominators; no gcd when they are equal, also as a tuple and a list."""
     (a, b), (c, d) = p, q
-    if b == d:
+    if tuple(b) == tuple(d):
         return _int_add(a, c), b
     bg, dg = _cancel(b, d)
     return _int_add(_int_mul(a, dg), _int_mul(c, bg)), _int_mul(bg, d)
@@ -677,6 +739,16 @@ def _int_from_digits(digits: str) -> int:
     return _int_from_digits(digits[:-k]) * 10 ** k + _int_from_digits(digits[-k:])
 
 
+def _literal_int(digits: str) -> int:
+    """The int of a decimal literal of at most ``_MAX_LITERAL_DIGITS``
+    digits, else a ParseError."""
+    if len(digits) > _MAX_LITERAL_DIGITS:
+        raise ParseError(
+            f"integer literal of {len(digits)} digits is too long (at most {_MAX_LITERAL_DIGITS})"
+        )
+    return _int_from_digits(digits)
+
+
 def _int_str(n: int) -> str:
     if n < 0:
         return "-" + _int_str(-n)
@@ -712,13 +784,7 @@ def _tokenize(text: str):
                 break
             raise ParseError(f"unexpected character {rest[0]!r} at offset {len(text) - len(rest)}")
         if m.group("int") is not None:
-            digits = m.group("int")
-            if len(digits) > _MAX_LITERAL_DIGITS:
-                raise ParseError(
-                    f"integer literal of {len(digits)} digits is too long "
-                    f"(at most {_MAX_LITERAL_DIGITS})"
-                )
-            tokens.append(("int", _int_from_digits(digits)))
+            tokens.append(("int", _literal_int(m.group("int"))))
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name")))
         else:
@@ -833,14 +899,14 @@ class _RatFnParser(_Parser):
                 raise ParseError("exponent must be a non-negative integer")
             base = _pair_ratfn(*base)
             coeffs = base.num.coeffs + base.den.coeffs
-            degree = max(base.num.degree, base.den.degree)
+            degree = max(map(len, base.pair)) - 1
             bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs)
             if evalue * degree > _MAX_POWER_DEGREE or evalue * bits > _MAX_POWER_BITS:
                 raise ParseError(
                     f"power too large: a power may reach degree {_MAX_POWER_DEGREE} "
                     f"and coefficients of {_MAX_POWER_BITS} bits"
                 )
-            return _ratfn_pair(base ** evalue)
+            return (base ** evalue).pair
         return base
 
     def atom(self):
@@ -926,17 +992,17 @@ def parse_rat(text) -> Fraction:
 # Printing
 
 
-def _terms_str(coeffs, var: str) -> str:
-    """The sum of ``coeffs[k] * var^k`` (ints or Fractions, lowest degree
-    first, the last nonzero), highest degree first; "0" when empty."""
-    if not coeffs:
+def _terms_str(ints, var: str, den: int = 1) -> str:
+    """The sum of ``ints[k]/den * var^k`` (ints lowest degree first, the last
+    nonzero, and den > 0), highest degree first; "0" when empty."""
+    if not ints:
         return "0"
     parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
+    for k in range(len(ints) - 1, -1, -1):
+        c = ints[k]
         if not c:
             continue
-        mag = rat_str(abs(c))
+        mag = ratio_str(abs(c), den)
         if k == 0:
             body = mag
         elif mag == "1":
@@ -952,15 +1018,17 @@ def _terms_str(coeffs, var: str) -> str:
 
 def poly_str(p: Poly, var: str = "x") -> str:
     """Canonical string, highest degree first; reparses to the same value."""
-    return _terms_str(p.coeffs, var)
+    n, d = p.scale.as_integer_ratio()
+    return _terms_str([c * n for c in p.ints], var, d)
 
 
 def ratfn_str(r: RatFn, var: str = "x") -> str:
-    """Canonical string form; integer-cleared num/den when den is nontrivial."""
-    if r.den == Poly.ONE:
-        return poly_str(r.num, var)
-    (num, den), _ = _clear_all([r.num, r.den])
-    return f"({_terms_str(num, var)})/({_terms_str(den, var)})"
+    """Canonical string form: a polynomial prints as its terms, otherwise the
+    pair prints as (a)/(b)."""
+    a, b = r.pair
+    if len(b) == 1:
+        return _terms_str(a, var, b[0])
+    return f"({_terms_str(a, var)})/({_terms_str(b, var)})"
 
 
 # ---------------------------------------------------------------------------
@@ -1111,5 +1179,4 @@ def ratfn_sqrt(r: RatFn):
     den = poly_sqrt(r.den)
     if num is None or den is None:
         return None
-    # no gcd: roots of coprime parts are coprime, and den's root is monic
-    return _ratfn(num, den)
+    return RatFn(num, den)

@@ -59,7 +59,7 @@ def check_pullback_degree(m: int, mat: Mat) -> None:
     """Raise ValueError when an entry of ``mat`` could reach degree
     m*(d + 1) - 1 > 1000 after x = t^m, d the largest numerator or
     denominator degree: past the degree a parsed power may reach."""
-    d = max((max(e.num.degree, e.den.degree) for row in mat.data for e in row), default=0)
+    d = max((max(map(len, e.pair)) - 1 for row in mat.data for e in row), default=0)
     if m * (d + 1) - 1 > _MAX_POWER_DEGREE:
         raise ValueError(
             f"pullback order {m} would give entries of degree up to {m * (d + 1) - 1},"
@@ -124,7 +124,7 @@ def singularities(sys: DiffSystem) -> SingularityReport:
     level s_k of a denominator exactly when it is a pole of order k there,
     so its pole order is the largest k of a level it divides.
     """
-    dens = list(dict.fromkeys(e.den for row in sys.mat.data for e in row if e.den.degree >= 1))
+    dens = list(dict.fromkeys(e.den for row in sys.mat.data for e in row if len(e.pair[1]) > 1))
     # every level goes into the refinement, so places with different pole
     # orders at different entries split apart
     claims = [level for d in dens for level in squarefree_factors(d)]
@@ -132,7 +132,7 @@ def singularities(sys: DiffSystem) -> SingularityReport:
     report = [(p, max(k for s, k in claims if not s % p)) for p in places]
     report.sort(key=lambda item: (item[0].degree, item[0].coeffs))
     growth = max(
-        (e.num.degree - e.den.degree) for row in sys.mat.data for e in row
+        (len(e.pair[0]) - len(e.pair[1])) for row in sys.mat.data for e in row
     ) if sys.n else -1
     return SingularityReport(tuple(report), growth)
 

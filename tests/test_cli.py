@@ -12,9 +12,9 @@ from redform import cli, solutions
 from redform.cli import main
 from redform.reduction import ReductionCertificate
 from redform.errors import ParseError
-from redform.jsonio import certificate_from_json, matrix_to_lists, system_from_json
+from redform.jsonio import certificate_from_json, load_json, matrix_to_lists, system_from_json
 from redform.linalg import Mat, RF
-from redform.ratfun import RatFn, parse_ratfn
+from redform.ratfun import RatFn, _int_from_digits, parse_ratfn
 from redform.systems import pullback
 
 from helpers import time_limit
@@ -476,6 +476,27 @@ class TestUsageErrors:
         sys_path = write("long.json", {"var": "x", "n": 1, "A": [["7" * 5000]]})
         code, payload = run(["series", "--system", sys_path], capsys)
         assert code == 3 and payload["error"]["reason"] == "parse_error"
+
+    def test_overlong_json_integer_is_parse_error(self, work, capsys):
+        # json.dumps refuses an int past the interpreter's 4,300-digit limit
+        tmp, _ = work
+        path = tmp / "long-int.json"
+        path.write_text('{"var": "x", "n": 1, "A": [[' + "7" * 5000 + "]]}", encoding="utf-8")
+        code, payload = run(["series", "--system", str(path)], capsys)
+        assert code == 3 and payload["error"]["reason"] == "parse_error"
+        assert "integer literal of 5000 digits is too long (at most 4600)" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_long_json_integer_entry_equals_the_string_entry(self, work, sign):
+        tmp, _ = work
+        digits = "12345" * 900  # 4,500 digits
+        paths = []
+        for name, entry in (("int", sign + digits), ("str", f'"{sign}{digits}"')):
+            paths.append(tmp / f"{name}.json")
+            paths[-1].write_text('{"var": "x", "n": 1, "A": [[' + entry + "]]}", encoding="utf-8")
+        from_int, from_str = (system_from_json(load_json(str(path))) for path in paths)
+        assert from_int.mat == from_str.mat
+        assert from_int.mat.data[0][0] == RatFn.const(int(sign + "1") * _int_from_digits(digits))
 
     def test_huge_decimal_exponent_is_parse_error(self, work, capsys):
         # Fraction("1e100000") is a 100,001-digit number

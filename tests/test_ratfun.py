@@ -20,10 +20,13 @@ from redform import (
     ratfn_str,
 )
 from redform import ratfun
-from redform.linalg import RF, Mat, charpoly_ints, mat_vec
+from redform.linalg import RF, Mat, charpoly_ints, mat_vec, nullspace
 from redform.ratfun import (
     _clear_all,
     _int_gcd,
+    _int_mul,
+    _pair_add,
+    _pair_ratfn,
     _value,
     common_denominator,
     integer_roots,
@@ -49,6 +52,7 @@ from helpers import (
     oracle_poly_shift,
     oracle_poly_substitute_power,
     oracle_poly_sqrt,
+    oracle_ratfn,
     oracle_ratfn_add,
     oracle_ratfn_derivative,
     oracle_ratfn_div,
@@ -1175,3 +1179,100 @@ def test_rf_mat_vec_with_zero_rows_and_columns_matches_the_fold():
             assert list(got) == [_fold(row, vec) for row in rows]
             assert all(hash(a) == hash(_fold(row, vec)) for a, row in zip(got, rows))
             assert mat_vec(m, [0] * n) == (RatFn.ZERO,) * n
+
+
+def _assert_canonical(r):
+    """r's stored pair (a, b) is canonical: int tuples, a and b coprime in
+    Q[x], the content of all their coefficients 1 and lead(b) > 0, zero as
+    ((), (1,)); and num/den are the oracle's normalization of a/b."""
+    a, b = r.pair
+    assert type(a) is tuple and type(b) is tuple, r.pair
+    assert all(type(c) is int for c in a + b), r.pair
+    assert b and b[-1] > 0 and (not a or a[-1]), r.pair
+    if not a:
+        assert b == (1,), r.pair
+    else:
+        assert math.gcd(*a, *b) == 1, r.pair
+        assert oracle_poly_gcd(Poly(list(a)), Poly(list(b))).degree == 0, r.pair
+    num, den = oracle_ratfn(Poly(list(a)), Poly(list(b)))
+    _assert_same(r.num, num)
+    _assert_same(r.den, den)
+
+
+def _stored_form_groups():
+    """Groups of one value built along every constructor path: RatFn(n, d),
+    const, parse_ratfn, _pair_ratfn, + - * /, derivative, **,
+    substitute_power, ratfn_sqrt, and the RF null space, determinant and
+    products of one and of two terms."""
+    rng = random.Random(3536)
+    groups = []
+    for q in [Fraction(0), Fraction(5), Fraction(-7, 3), Fraction(2 ** 70, -9)]:
+        groups.append([RatFn.const(q), RatFn(Poly.const(q)), parse_ratfn(str(q)),
+                       RatFn(Poly.const(q * 4), 4), _pair_ratfn([q.numerator * 6] if q else [], [q.denominator * 6])])
+    for r in _RATFN_OPERANDS[:20]:
+        s = rng.choice([v for v in _RATFN_OPERANDS if not v.is_constant])
+        k = rng.choice([Poly.const(-3), Poly([1, -2]), Poly([Fraction(1, 2), 0, 5])])
+        a, b = r.pair
+        f = [rng.choice([-6, 5]), 0, 3]
+        group = [
+            r,
+            RatFn(r.num * k, r.den * k),
+            parse_ratfn(ratfn_str(r)),
+            _pair_ratfn([c * 14 for c in _int_mul(a, f)], [c * 14 for c in _int_mul(b, f)]),
+            (r + s) - s,
+            (r * s) / s,
+            r * RatFn.ONE,
+            -(-r),
+            nullspace(Mat(RF, [[s, -s * r]]))[0][0],
+            Mat(RF, [[r, s], [0, 1]]).det(),
+            mat_vec(Mat(RF, [[r + s, -s]]), [1, 1])[0],
+            mat_vec(Mat(RF, [[s]]), [r / s])[0],
+        ]
+        if not r.is_zero:
+            group += [(r ** -1) ** -1, RatFn.ONE / (RatFn.ONE / r)]
+            groups.append([r ** -1, RatFn.ONE / r])
+            groups.append([r ** -2, (RatFn.ONE / r) * (RatFn.ONE / r), RatFn.ONE / (r * r)])
+        groups.append(group)
+        groups.append([r ** 2, r * r, RatFn(oracle_poly_mul(r.num, r.num), oracle_poly_mul(r.den, r.den))])
+        want = oracle_ratfn_derivative(r)
+        groups.append([r.derivative(), RatFn(*want), parse_ratfn(ratfn_str(r.derivative()))])
+        m = rng.randint(1, 3)
+        groups.append([r.substitute_power(m), RatFn(*oracle_ratfn_substitute_power(r, m))])
+        root = ratfn_sqrt(r * r)
+        groups.append([root, r if root == r else -r])
+    return groups
+
+
+def test_every_constructor_path_stores_the_canonical_pair():
+    for group in _stored_form_groups():
+        keys = {group[0]: "first"}
+        for v in group:
+            _assert_canonical(v)
+            assert v == group[0] and hash(v) == hash(group[0]), (v, group[0])
+            assert keys[v] == "first" and v in keys
+
+
+def test_products_and_quotients_take_only_the_cross_cancelling_gcds(monkeypatch):
+    # cross-cancelling two coprime pairs leaves a coprime pair: at most the
+    # gcds of (a, d) and (c, b), none for the product's normalization
+    calls = _gcd_calls(monkeypatch)
+    for r, s in _RATFN_PAIRS:
+        if r.is_constant or s.is_constant:
+            continue
+        calls.clear()
+        _assert_ratfn(r * s, oracle_ratfn_mul(r, s))
+        assert len(calls) <= 2, (r, s, calls)
+        calls.clear()
+        _assert_ratfn(r / s, oracle_ratfn_div(r, s))
+        assert len(calls) <= 2, (r, s, calls)
+
+
+def test_pair_sum_over_equal_denominators_takes_no_gcd_for_a_tuple_and_a_list(monkeypatch):
+    # a stored pair (tuples, as after a parsed power) meets a list pair (a
+    # parsed literal or a product): x^2/(x+1) + 2/(x+1)
+    r = RatFn(Poly([0, 0, 1]), Poly([1, 1]))
+    calls = _gcd_calls(monkeypatch)
+    assert _pair_add(r.pair, ([2], [1, 1])) == ([2, 0, 1], (1, 1))
+    assert _pair_add(([2], [1, 1]), r.pair) == ([2, 0, 1], [1, 1])
+    assert calls == []
+    assert parse_ratfn("(x^2/(x+1))^1 + 2/(x+1)") == RatFn(Poly([2, 0, 1]), Poly([1, 1]))
